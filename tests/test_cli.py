@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -5,13 +6,35 @@ import numpy as np
 import pytest
 
 from anoctl.cli import domain_check_main, main
-from anoctl.forms import matrix_to_json
+from anoctl.forms import make_witt_form, matrix_to_json
 from anoctl.presets import schottky_o21
+from test_cartan import opq_chamber, random_opq_K
 
 
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def pingpong_o32(seed):
+    """Two conjugates of the O(3,2) chamber element with mu = (6, 2) by
+    compact elements, redrawn until the attracting and repelling lines of
+    both are pairwise at sine distance >= 0.5 (a ping-pong pair)."""
+    chamber = opq_chamber(make_witt_form(3, 2), [6.0, 2.0])
+    rng = np.random.default_rng(seed)
+    while True:
+        ks = [random_opq_K(rng, 3, 2) for _ in range(2)]
+        lines = np.stack([k[:, i] for k in ks for i in (0, 4)])
+        cos = np.abs(lines @ lines.T)
+        np.fill_diagonal(cos, 0.0)
+        if np.sqrt(1.0 - np.max(cos) ** 2) >= 0.5:
+            return [(name, k @ chamber @ k.T) for name, k in zip("ab", ks)]
+
+
+def write_gens(path, named):
+    path.write_text(json.dumps([{"name": name, **matrix_to_json(m)}
+                                for name, m in named]))
+    return str(path)
 
 
 def test_table1_all_verified(tmp_path, capsys):
@@ -148,3 +171,42 @@ def test_determinism_byte_identical(tmp_path):
                      "--seed", "3", "--out", str(out)]) == 0
     for name in ("table1.json", "limitset.csv", "limitset.svg", "domain.json"):
         assert read(out1 / name) == read(out2 / name), name
+
+
+# sha256 of every report at a small radius; any change in the last bit of
+# a printed number changes these
+GOLDEN = {
+    "schottky-o21": {
+        "divergence.csv": "a7ec625c84dea9c0bb0d237e2cd414d4d383a91f15890cadf3b1d1d486e1b316",
+        "limitset.csv": "13565e001c6314060bdd15b137fc6e1b7f26beb95641f0e093835ea8dc84fdec",
+        "limitset.svg": "98a7a78cacd728868c1f8df66ab51a1952f1e43bece442c2e80e6bb8e840e1b2",
+        "domain.json": "91672e0b183ac517cd0b3ebb89055124edbffc469923eda54681bc4ac421f8bb",
+    },
+    "mixed-o21": {
+        "divergence.csv": "34858da009384476a8d001471b9c8e6b1ac83055998b106b61ecb1d19e274a4e",
+        "limitset.csv": "f028c676d3a7f0421d094a56484eb57b69f0184fdb23165b035edaa41defccd6",
+        "limitset.svg": "dcd546c0b9b1e80a729ac92b5a91b96fa359eccf2471cc438745288b54cfac6f",
+        "domain.json": "875773272e80cd3a059f7ae1d25c331b7a60b804c044de847d9927b546ed8f2a",
+    },
+    "pingpong-o32": {
+        "divergence.csv": "61837a7dd5a678ba2e13d8b2758dcec0adb097faa7617d7d9f2f5bbc813b6975",
+        "limitset.csv": "012c55ad8c4be876fc02ce39e549fa1bea153880cc75690457eba46e4950dfab",
+        "limitset.svg": "fe4e61e782b02c6071204d32504bfccaafd5c4610ccfef648e4b7ab1d7ee848e",
+        "domain.json": "51d53d085565f3ba89e18302ac29f7290f81f263602b52649e0670211b7c765e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reports_match_golden_digests(tmp_path, name):
+    if name == "pingpong-o32":
+        args = ["--gens", write_gens(tmp_path / "gens.json", pingpong_o32(0)),
+                "--form", "3,2", "--radius", "3"]
+    else:
+        args = ["--gens", f"builtin:{name}", "--radius", "4"]
+    for command in ("divergence", "limitset", "domain"):
+        assert main([command, *args, "--samples", "20",
+                     "--out", str(tmp_path)]) == 0
+    digests = {out: hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+               for out in GOLDEN[name]}
+    assert digests == GOLDEN[name]
