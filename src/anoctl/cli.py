@@ -134,9 +134,16 @@ def load_generators(config):
     with open(source) as fh:
         data = json.load(fh)
     if isinstance(data, dict):
-        data = data["generators"]
-    gens = [(d["name"], matrix_from_json(d)) for d in data]
-    return None, gens
+        data = data.get("generators")
+    keys = {"name", "rows", "cols", "data"}
+    if not isinstance(data, list) or not data or not all(
+            isinstance(d, dict) and keys <= set(d) for d in data):
+        raise ValueError(f"{source}: expected a non-empty list of matrices "
+                         "with name, rows, cols and data")
+    try:
+        return None, [(d["name"], matrix_from_json(d)) for d in data]
+    except TypeError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _named_matrices(config):
@@ -440,7 +447,7 @@ def main(argv=None):
         config = build_config(args)
         os.makedirs(config.out, exist_ok=True)
         return COMMANDS[config.command](config)
-    except (ValueError, OSError, EmptyLimitSampleError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

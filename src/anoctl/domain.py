@@ -14,6 +14,7 @@ properness scan reports flags, never a boolean theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .forms import (
     dist_grassmann,
     intersects,
     principal_sines,
+    push_forward,
     restrict_kernel,
 )
 
@@ -81,8 +83,10 @@ def complex_in_Xbar(w, bC, tol=MEMBERSHIP_TOL):
     if im_norm > tol * scale:
         raise NotInCompactificationError(
             f"imaginary part does not vanish on the span ({im_norm:.3e})", im_norm)
-    in_Xbar(w, _real_part_view(bC), tol)      # nonpositivity of the real part
-    kernel = restrict_kernel(_real_part_view(bC), w, tol)[1]
+    # Re(bC) on the doubled real space, as a real form for in_Xbar
+    real = SimpleNamespace(is_complex=False, gram=bC.re_gram(), q=n)
+    in_Xbar(w, real, tol)      # nonpositivity of the real part
+    kernel = restrict_kernel(real, w, tol)[1]
     if kernel.k:
         rotated = Frame.from_spanning(bC.j_matrix() @ kernel.columns)
         if not (rotated.k == kernel.k and dist_grassmann(rotated, kernel) < 1e3 * tol):
@@ -92,21 +96,6 @@ def complex_in_Xbar(w, bC, tol=MEMBERSHIP_TOL):
             raise NotInCompactificationError(
                 "kernel has odd real dimension", kernel.k)
     return CompactPoint(w, kernel.k, bC)
-
-
-_REAL_VIEWS = {}
-
-
-def _real_part_view(bC):
-    """WittForm-like wrapper exposing Re(bC) on the doubled real space."""
-    key = id(bC)
-    if key not in _REAL_VIEWS:
-        class _View:
-            is_complex = False
-            gram = bC.re_gram()
-            q = bC.n
-        _REAL_VIEWS[key] = (_View(), bC)      # keep bC alive with its view
-    return _REAL_VIEWS[key][0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,31 +110,20 @@ def in_bad_set(point, sample, variant="intersect", tol=BAD_SET_TOL):
     variants agree."""
     if variant not in ("intersect", "contain"):
         raise ValueError("variant must be 'intersect' or 'contain'")
-    w = point.frame
-    for p in sample.points:
-        flag = p.frame
-        hit = intersects(flag, w, tol) if variant == "intersect" \
-            else contains(flag, w, tol)
-        if hit:
-            return True, p.source_word
-    return False, None
+    if variant == "contain" and sample.columns.shape[-1] > point.frame.k:
+        return False, None
+    sines = principal_sines(sample.columns, point.frame)
+    hits = np.flatnonzero(sines[:, 0 if variant == "intersect" else -1] < tol)
+    return (True, sample.points[hits[0]].source_word) if hits.size \
+        else (False, None)
 
 
 def bad_set_distance(frame, sample):
     """Distance proxy to the bad set: the minimum over sampled flags of
     the smallest principal-angle sine against the plane (for lines this
-    is exactly the incidence-set distance)."""
-    cols = frame.columns
-    best = np.inf
-    lines = None
-    if sample.points and sample.points[0].frame.k == 1:
-        lines = sample.line_array()
-    if lines is not None and frame.k == 1:
-        cos = np.abs(lines @ cols[:, 0])
-        return float(np.min(np.sqrt(np.clip(1 - cos**2, 0.0, 1.0))))
-    for p in sample.points:
-        best = min(best, float(principal_sines(p.frame, frame)[0]))
-    return best
+    is exactly the incidence-set distance).  ``frame`` may be a Frame or
+    an (n, q) array of orthonormal columns."""
+    return float(np.min(principal_sines(sample.columns, frame)[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +166,21 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         elements = [elements[int(i * stride)] for i in range(max_elements)]
 
     flags = []
-    q = points[0].frame.k if points else 1
-    lines = None
-    if q == 1 and sample.points and sample.points[0].frame.k == 1:
+    # lines against line flags print |cos|-based residuals in full; every
+    # other case pushes all points forward at once and measures each
+    line_path = points[0].frame.k == 1 and sample.columns.shape[-1] == 1
+    if line_path:
         lines = sample.line_array()
         pts = np.stack([pt.frame.columns[:, 0] for pt in points], axis=1)
+    else:
+        pts = np.stack([pt.frame.columns for pt in points])
     from .cartan import kak, mu_gaps
     for word, mat, r in elements:
         dec = kak(mat, "opq", sample.form) if sample.form is not None \
             else kak(mat, "gl")
         gaps = mu_gaps(dec.mu, sample.theta.root_system)
         gap = min(gaps[a] for a in sample.theta.members)
-        if lines is not None:
+        if line_path:
             moved = mat @ pts
             moved /= np.linalg.norm(moved, axis=0, keepdims=True)
             cos = np.abs(lines @ moved)
@@ -208,8 +189,7 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
                 flags.append(RelationFlag(int(idx), word, r, gap,
                                           float(residuals[idx])))
         else:
-            for idx, pt in enumerate(points):
-                moved = Frame.from_spanning(mat @ pt.frame.columns)
+            for idx, moved in enumerate(push_forward(mat, pts)):
                 resid = bad_set_distance(moved, sample)
                 if resid > tol:
                     flags.append(RelationFlag(idx, word, r, gap, resid))
@@ -309,12 +289,6 @@ class CoverageCurve:
     fractions: tuple
     counts: tuple
 
-    def fraction_at(self, margin):
-        for m, f in zip(self.margins, self.fractions):
-            if m == margin:
-                return f
-        raise KeyError(margin)
-
 
 def gaussian_domain_sampler(form, rng, tol=MEMBERSHIP_TOL, max_tries=5000):
     """Uniform-frame sampler rejected onto the compactification: frames
@@ -340,17 +314,14 @@ def orbit_coverage(core, ball, domain_sampler, trials, sample=None,
     """
     core_frames = [p.frame if isinstance(p, CompactPoint) else p for p in core]
     residuals, covered = [], []
-    mats = [m for _, m, r in ball.elements]
+    mats = np.stack([m for _, m, r in ball.elements])
     for _ in range(trials):
         pt = domain_sampler()
         frame = pt.frame if isinstance(pt, CompactPoint) else pt
         resid = bad_set_distance(frame, sample) if sample is not None else np.inf
-        hit = False
-        for m in mats:
-            moved = Frame.from_spanning(m @ frame.columns)
-            if any(dist_grassmann(moved, cf) <= d_core for cf in core_frames):
-                hit = True
-                break
+        moved = push_forward(mats, frame.columns)
+        hit = any(np.any(principal_sines(moved, cf)[:, -1] <= d_core)
+                  for cf in core_frames)
         residuals.append(resid)
         covered.append(hit)
     residuals = np.array(residuals)

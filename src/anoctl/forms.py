@@ -8,10 +8,13 @@ share across threads.
 
 Subspaces are always carried as Euclidean-orthonormal frames (never as
 projectors or Pluecker coordinates): principal-angle computations stay
-stable and storage is O(nk).  Complex vector spaces are realized as real
-spaces of doubled dimension together with an explicit complex-structure
-matrix J; a complex bilinear form is carried as the pair of real forms
-(its real and imaginary parts).
+stable and storage is O(nk).  Incidence functions also take stacked
+frames: arrays of orthonormal columns of shape (..., n, k), one frame
+per leading index, so a query against a whole sample is one batched
+call whose Frame case is the single slice.  Complex vector spaces are
+realized as real spaces of doubled dimension together with an explicit
+complex-structure matrix J; a complex bilinear form is carried as the
+pair of real forms (its real and imaginary parts).
 """
 
 from __future__ import annotations
@@ -70,12 +73,6 @@ class WittForm:
     @property
     def is_complex(self):
         return self.field_tag == "complex"
-
-    def eval(self, x, y):
-        """Bilinear value b(x, y); columns are paired columnwise."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return x.T @ self.gram @ y
 
     # -- complex realization on R^{2n} ------------------------------------
     # Coordinates on R^{2n} are (Re z, Im z).
@@ -273,17 +270,27 @@ def restrict_kernel(form, w, tol=DEFAULT_TOL):
 
 
 def principal_sines(a, b):
-    """Sines of the principal angles between two frames (ascending).
+    """Sines of the principal angles between frames (ascending).
 
-    Returns min(a.k, b.k) values, computed from the residual
+    ``a`` and ``b`` are Frames or stacked orthonormal columns of shape
+    (..., n, k) that broadcast against each other; returns shape
+    (..., min(k_a, k_b)).  Each slice is computed from the residual
     (I - P_big) Q_small, which stays accurate for small angles.
     """
-    small, big = (a, b) if a.k <= b.k else (b, a)
-    if small.k == 0:
-        return np.zeros(0)
-    resid = small.columns - big.columns @ (big.columns.T @ small.columns)
+    a = getattr(a, "columns", a)
+    b = getattr(b, "columns", b)
+    small, big = (a, b) if a.shape[-1] <= b.shape[-1] else (b, a)
+    resid = small - big @ (np.swapaxes(big, -1, -2) @ small)
     s = np.linalg.svd(resid, compute_uv=False)
-    return np.sort(np.clip(s, 0.0, 1.0))
+    return np.sort(np.clip(s, 0.0, 1.0), axis=-1)
+
+
+def push_forward(mats, columns):
+    """Orthonormal columns spanning mats @ columns, for stacked matrices
+    (..., n, n) and frames (..., n, k): one stacked SVD that keeps all k
+    columns (no rank decision, so a plane stretched far past the
+    relative tolerance keeps its dimension)."""
+    return np.linalg.svd(mats @ columns, full_matrices=False)[0]
 
 
 def dist_projective(l1, l2):

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cartan import GapTooSmallError, kak, mu_gaps, xi_theta
-from .forms import Frame, dist_grassmann, orthogonal_complement
+from .cartan import kak, mu_gaps, xi_theta
+from .forms import Frame, orthogonal_complement, principal_sines, push_forward
 
 MERGE_TOL = 1e-6
 PAIR_FLOOR = 1e-3
@@ -45,34 +46,36 @@ class LimitSample:
     form: object = None
     merge_tol: float = MERGE_TOL
 
-    def frames(self):
-        return [p.frame for p in self.points]
+    @cached_property
+    def columns(self):
+        """The flag frames stacked as one (N, n, k) array."""
+        return np.stack([p.frame.columns for p in self.points])
 
     def line_array(self):
         """Stacked unit row vectors; only for one-dimensional flags."""
-        return np.stack([p.frame.columns[:, 0] for p in self.points])
+        return self.columns[:, :, 0]
+
+    def distances_from(self, frame):
+        """Flag distance (largest principal-angle sine) from a frame to
+        every sample point, in sample order."""
+        return principal_sines(frame, self.columns)[:, -1]
 
     def covering_radius(self):
         """Max nearest-neighbor flag distance among the sample points."""
-        frames = self.frames()
-        if len(frames) < 2:
+        if len(self) < 2:
             return float("inf")
         worst = 0.0
-        for i, f in enumerate(frames):
-            nearest = min(dist_grassmann(f, g)
-                          for j, g in enumerate(frames) if j != i)
-            worst = max(worst, nearest)
+        for i in range(len(self)):
+            dist = self.distances_from(self.columns[i])
+            dist[i] = np.inf
+            worst = max(worst, float(np.min(dist)))
         return worst
 
     def nearest_distance(self, frame):
-        return min(dist_grassmann(frame, f) for f in self.frames())
+        return float(np.min(self.distances_from(frame)))
 
     def __len__(self):
         return len(self.points)
-
-
-def _flag_distance(a, b):
-    return dist_grassmann(a, b)
 
 
 def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
@@ -85,8 +88,7 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
     rs = theta.root_system
-    points = []
-    kept_lines = None       # fast dedup path for line flags
+    points, kept = [], None     # kept: the points' frames, preallocated
     for word, mat, r in ball.elements:
         if r == 0:
             continue
@@ -97,22 +99,34 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
             continue
         flag = xi_theta(mat, theta, form, tol=min_gap, group_tag=group_tag,
                         decomposition=dec)
-        frame = flag if isinstance(flag, Frame) else flag.frame
-        if frame.k == 1:
-            v = frame.columns[:, 0]
-            if kept_lines is not None and len(kept_lines):
-                cos = np.abs(np.asarray(kept_lines) @ v)
-                if np.max(cos) > np.sqrt(max(0.0, 1.0 - merge_tol ** 2)):
-                    continue
-            kept_lines = (kept_lines or []) + [v]
-        else:
-            if any(_flag_distance(frame, p.frame) < merge_tol for p in points):
-                continue
+        cols = flag.columns if isinstance(flag, Frame) else flag.frame.columns
+        if kept is None:
+            kept = np.empty((len(ball.elements),) + cols.shape)
+        if _within(cols, kept[:len(points)], merge_tol):
+            continue
+        kept[len(points)] = cols
         points.append(LimitPoint(flag, word, r, gap))
     if not points:
         raise EmptyLimitSampleError(
             f"no ball element has theta-gaps above {min_gap}; enlarge the ball")
     return LimitSample(points, theta, form, merge_tol)
+
+
+def _within(cols, kept, tol):
+    """True iff some kept frame lies at flag distance below tol from cols.
+
+    c = |F^T x|_F^2 bounds the squared flag distance d^2 of equal-k
+    frames by 1 - c/k <= d^2 <= k - c, so one product of cosines decides
+    every kept frame except those whose bounds straddle tol^2 (widened
+    by rounding); only these go through principal_sines.
+    """
+    k, band = cols.shape[-1], 1e-14
+    c = np.sum(np.tensordot(kept, cols, axes=(1, 0)) ** 2, axis=(1, 2))
+    if np.any(c > k - tol ** 2 + band):
+        return True
+    unsure = np.flatnonzero(c >= k * (1.0 - tol ** 2 - band))
+    return unsure.size > 0 and \
+        bool(np.any(principal_sines(cols, kept[unsure])[:, -1] < tol))
 
 
 def boundary_map_free_group(ball, theta, form=None, depth=1, tail_length=10,
@@ -151,10 +165,14 @@ class TransversalityReport:
 
 def transversality_margin(frame_a, frame_b, form):
     """Smallest singular value of [basis of span(a)-perp-b | basis of b]:
-    positive iff the pair is transverse for the form."""
-    perp = orthogonal_complement(form, frame_a)
-    mat = np.hstack([perp.columns, frame_b.columns])
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
+    positive iff the pair is transverse for the form.  ``frame_b`` may be
+    stacked columns (..., n, k); the margins then come back stacked."""
+    perp = orthogonal_complement(form, frame_a).columns
+    cols = getattr(frame_b, "columns", frame_b)
+    mat = np.concatenate(
+        [np.broadcast_to(perp, cols.shape[:-1] + perp.shape[-1:]), cols], axis=-1)
+    margin = np.linalg.svd(mat, compute_uv=False)[..., -1]
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
@@ -164,20 +182,17 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
     if len(sample) < 2:
         raise ValueError("need at least two sample points")
     margin, worst, tested = np.inf, None, 0
-    frames = sample.frames()
-    perps = [orthogonal_complement(form, f) for f in frames]
-    for i in range(len(frames)):
-        for j in range(len(frames)):
-            if i == j:
-                continue
-            if _flag_distance(frames[i], frames[j]) <= pair_floor:
-                continue
-            tested += 1
-            mat = np.hstack([perps[i].columns, frames[j].columns])
-            sv = float(np.linalg.svd(mat, compute_uv=False)[-1])
-            if sv < margin:
-                margin, worst = sv, (sample.points[i].source_word,
-                                     sample.points[j].source_word)
+    for i, p in enumerate(sample.points):
+        far = sample.distances_from(p.frame) > pair_floor
+        far[i] = False
+        if not np.any(far):
+            continue
+        tested += int(np.sum(far))
+        svs = transversality_margin(p.frame, sample.columns[far], form)
+        j = int(np.argmin(svs))
+        if svs[j] < margin:
+            other = sample.points[np.flatnonzero(far)[j]]
+            margin, worst = float(svs[j]), (p.source_word, other.source_word)
     if tested == 0:
         raise ValueError("no pair clears the distance floor")
     return TransversalityReport(margin, worst, tested, pair_floor,
@@ -203,15 +218,11 @@ def dynamics_preserving_check(sample, proximals, ball, neighborhood=0.5):
     records = []
     for word, frame, _gap in proximals:
         dist = sample.nearest_distance(frame)
-        mat = ball.matrix(word)
-        ratios = []
-        for p in sample.points:
-            before = dist_grassmann(p.frame, frame)
-            if not 1e-9 < before < neighborhood:
-                continue
-            moved = Frame.from_spanning(mat @ p.frame.columns)
-            ratios.append(dist_grassmann(moved, frame) / before)
-        ratio = max(ratios) if ratios else None
+        before = principal_sines(sample.columns, frame)[:, -1]
+        near = (1e-9 < before) & (before < neighborhood)
+        moved = push_forward(ball.matrix(word), sample.columns[near])
+        ratios = principal_sines(moved, frame)[:, -1] / before[near]
+        ratio = float(np.max(ratios)) if ratios.size else None
         records.append(DynamicsRecord(word, dist, ratio))
     return records
 

@@ -161,6 +161,43 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["limitset", "--config", str(cfg)]) == 2
 
 
+def test_domain_pushes_planes_stretched_past_the_rank_tolerance(tmp_path):
+    # at radius 4 ball elements stretch sampled 2-planes by more than 1e9
+    # between their singular directions
+    gens = write_gens(tmp_path / "gens.json", pingpong_o32(0))
+    code = main(["domain", "--gens", gens, "--form", "3,2", "--radius", "4",
+                 "--samples", "20", "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads(read(tmp_path / "domain.json"))
+    assert data["sample_size"] > 0 and data["interior_samples"] == 20
+
+
+@pytest.mark.parametrize("content", [
+    "[]",
+    '{"generators": 3}',
+    "[1]",
+    '[{"name": "a", "rows": 1, "cols": 1}]',
+    '[{"name": "a", "rows": 2, "cols": 2, "data": [1, 0, 0]}]',
+    '[{"name": "a", "rows": 1, "cols": 2, "data": [1, 0]}]',
+    '[{"name": "a", "rows": 1, "cols": 1, "data": {"x": 1}}]',
+])
+def test_malformed_generator_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "gens.json"
+    path.write_text(content)
+    for command in ("divergence", "domain"):
+        assert main([command, "--gens", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sampler_failure_exits_2(tmp_path, capsys):
+    # random lines of R^31 are almost never nonpositive for the (30, 1) form
+    gens = write_gens(tmp_path / "gens.json", [("a", np.eye(31))])
+    code = main(["domain", "--gens", gens, "--form", "30,1", "--radius", "0",
+                 "--samples", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: rejection sampling failed\n"
+
+
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):

@@ -19,7 +19,7 @@ from anoctl.domain import (
     subalgebra_kernel_dimension,
     subalgebra_point,
 )
-from anoctl.forms import Frame, make_witt_form
+from anoctl.forms import Frame, make_witt_form, principal_sines
 from anoctl.limits import sample_limit_set
 from anoctl.presets import mixed_o21, o21_rotation, schottky_o21
 from anoctl.roots import ThetaSet, build_root_system
@@ -318,6 +318,41 @@ def test_orbit_coverage_empty_ball_is_core_fraction(rng):
                            d_core=0.2)
     # with only the identity, coverage counts points already near the core
     assert all(0.0 <= f <= 1.0 for f in curve.fractions if not np.isnan(f))
+
+
+def test_stretched_plane_keeps_its_dimension(rng):
+    # a^4 has mu ~ (24, 2): it stretches a 2-plane's directions by about
+    # e^22 relative to each other, past the 1e-9 rank tolerance; coverage
+    # and the relation scan must still push forward whole planes
+    from test_cartan import opq_chamber, random_opq_K
+    form = make_witt_form(3, 2)
+    k = random_opq_K(rng, 3, 2)
+    g = k @ opq_chamber(form, [6.0, 0.5]) @ k.T
+    ball = enumerate_ball([("a", g)], 4)
+    sample = sample_limit_set(ball, ThetaSet(build_root_system("B", 2),
+                                             frozenset({1})), form)
+    pt = gaussian_domain_sampler(form, rng)
+    while not pt.is_interior:
+        pt = gaussian_domain_sampler(form, rng)
+    moved = {w: np.linalg.qr(m @ pt.frame.columns)[0]
+             for w, m, _ in ball.elements}
+    a4 = ball.matrix("aaaa")
+    assert Frame.from_spanning(a4 @ pt.frame.columns).k == 1    # the rank drop
+
+    # the core is the image of the point under a^4, so every trial hits
+    core = Frame(moved["aaaa"])
+    curve = orbit_coverage([core], ball, lambda: pt, 3, sample=sample,
+                           d_core=1e-6)
+    assert curve.fractions[0] == 1.0 and curve.counts[0] == 3
+
+    # at tolerance 0 every pushed point is flagged with its residual
+    flags = dynamical_relation_scan([pt], ball, sample, tol=0.0,
+                                    min_word_length=1)
+    assert [f.word for f in flags] == [w for w, _, r in ball.elements if r]
+    for f in flags:
+        expected = min(principal_sines(p.frame, moved[f.word])[0]
+                       for p in sample.points)
+        assert f.residual == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

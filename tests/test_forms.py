@@ -16,6 +16,7 @@ from anoctl.forms import (
     matrix_to_json,
     orthogonal_complement,
     principal_sines,
+    push_forward,
     restrict_kernel,
     signature,
     subspace_sum_rank,
@@ -372,3 +373,47 @@ def test_principal_sines_outputs_are_frames_invariant(rng):
         if fr.k:
             assert np.linalg.norm(fr.columns.T @ fr.columns - np.eye(fr.k)) < 1e-10
     assert len(principal_sines(w, w)) == 2
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
+def test_stacked_principal_sines_equal_single_slices(rng, n, k):
+    # lines in R^3 and 2-planes in R^5, with a repeated frame (zero angle)
+    frames = [Frame.from_spanning(rng.standard_normal((n, k)))
+              for _ in range(30)]
+    frames.append(frames[0])
+    stacked = np.stack([f.columns for f in frames])
+    lines = np.stack([f.columns[:, :1] for f in frames])
+    w = frames[3]
+    pairs = principal_sines(stacked[:, None], stacked[None])
+    for i, f in enumerate(frames):
+        assert np.array_equal(principal_sines(w, stacked)[i], principal_sines(w, f))
+        assert np.array_equal(principal_sines(stacked, w)[i], principal_sines(f, w))
+        line = Frame(lines[i])
+        assert np.array_equal(principal_sines(lines, w)[i], principal_sines(line, w))
+        assert np.array_equal(principal_sines(w, lines)[i], principal_sines(w, line))
+        for j, g in enumerate(frames):
+            assert np.array_equal(pairs[i, j], principal_sines(f, g))
+
+
+def test_push_forward_equals_from_spanning_slices(rng):
+    frames = np.stack([Frame.from_spanning(rng.standard_normal((5, 2))).columns
+                       for _ in range(20)])
+    mats = rng.standard_normal((20, 5, 5))
+    moved = push_forward(mats, frames)
+    for m, cols, out in zip(mats, frames, moved):
+        assert np.array_equal(out, Frame.from_spanning(m @ cols).columns)
+    one = push_forward(mats[0], frames)
+    assert np.array_equal(one[7], Frame.from_spanning(mats[0] @ frames[7]).columns)
+
+
+def test_push_forward_keeps_every_column_at_extreme_stretch():
+    # a stretch ratio of e^22 > 1/DEFAULT_TOL: from_spanning drops a
+    # column, the push-forward keeps the plane
+    g = np.diag(np.exp([24.0, 2.0, 0.0]))
+    plane = Frame.from_spanning(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    assert Frame.from_spanning(g @ plane.columns).k == 1
+    moved = push_forward(g, plane.columns)
+    assert moved.shape == (3, 2)
+    assert np.linalg.norm(moved.T @ moved - np.eye(2)) < 1e-12
+    exact = np.linalg.qr(g @ plane.columns)[0]     # reference span
+    assert np.max(principal_sines(moved, exact)) < 1e-9

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from anoctl.forms import Frame, dist_projective, make_witt_form
+from anoctl.forms import Frame, dist_grassmann, dist_projective, make_witt_form
 from anoctl.limits import (
+    MERGE_TOL,
     EmptyLimitSampleError,
     boundary_map_free_group,
     dynamics_preserving_check,
@@ -12,7 +13,7 @@ from anoctl.limits import (
     transversality_margin,
     transversality_report,
 )
-from anoctl.presets import o21_boost, o21_rotation, schottky_o21
+from anoctl.presets import BUILTIN_GENERATORS, o21_boost, o21_rotation, schottky_o21
 from anoctl.roots import ThetaSet, build_root_system
 from anoctl.words import enumerate_ball, proximal_elements
 
@@ -91,6 +92,22 @@ def test_sample_merges_duplicates():
     cos = np.abs(lines @ lines.T) - np.eye(len(lines))
     max_cos = np.sqrt(1 - sample.merge_tol ** 2)
     assert np.max(cos) <= max_cos + 1e-12
+
+
+@pytest.mark.parametrize("preset,radius", [("schottky-o21", 6), ("mixed-o21", 5)])
+def test_pruned_merge_matches_unpruned_reference(preset, radius):
+    # merge_tol = 0 keeps every candidate flag, in ball order; the
+    # reference then merges them by comparing against every kept flag
+    form, gens = BUILTIN_GENERATORS[preset]()
+    ball = enumerate_ball(gens, radius)
+    sample = sample_limit_set(ball, THETA1, form)
+    candidates = sample_limit_set(ball, THETA1, form, merge_tol=0.0).points
+    kept = []
+    for p in candidates:
+        if all(dist_grassmann(p.frame, q.frame) >= MERGE_TOL for q in kept):
+            kept.append(p)
+    assert len(kept) < len(candidates)
+    assert [p.source_word for p in sample.points] == [p.source_word for p in kept]
 
 
 def test_sample_equivariance():
