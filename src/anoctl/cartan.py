@@ -18,6 +18,13 @@ so that logarithms only ever see well-conditioned blocks, and compact
 factors are assembled from the singular directions that are resolvable
 in float64 (unresolvable directions contribute below the reconstruction
 tolerance by construction and are completed orthogonally).
+
+Word-length balls are screened with ``cartan_mu_batch``: one stacked SVD
+gives mu, the left singular vectors and margins that bound their
+distance from what ``kak`` reports.  The batch only settles decisions
+that its margins settle (an element is not a sphere minimum, its gap is
+below the floor, its flag merges into a kept one); every gap and flag
+that is reported comes from a scalar ``kak``.
 """
 
 from __future__ import annotations
@@ -141,6 +148,8 @@ def kak_gl(g):
     n = g.shape[0]
     if g.shape != (n, n):
         raise ValueError("g must be square")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("g has non-finite entries")
     u, s, vt = np.linalg.svd(g)
     if s[-1] <= 0 or not np.all(np.isfinite(s)):
         raise ValueError("g is not invertible")
@@ -169,10 +178,17 @@ def witt_pm_basis(p, q):
     return c
 
 
-def _check_form_preserved(g, gram, tol=FORM_PRESERVATION_TOL):
+def _check_opq_input(g, form):
+    """kak_opq's input checks, in order: shape, finite entries, and
+    preservation of the form at FORM_PRESERVATION_TOL."""
+    n, gram = form.n, form.gram
+    if g.shape != (n, n):
+        raise ValueError(f"g must be {n}x{n}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("g has non-finite entries")
     scale = max(1.0, np.linalg.norm(g, 2) ** 2) * max(1.0, np.linalg.norm(gram, 2))
     defect = np.linalg.norm(g.T @ gram @ g - gram, 2)
-    if defect > tol * scale:
+    if defect > FORM_PRESERVATION_TOL * scale:
         raise ValueError(
             f"matrix does not preserve the form (defect {defect:.2e})")
 
@@ -255,12 +271,8 @@ def kak_opq(g, form):
     reconstruction by less than its relative tolerance.
     """
     g = np.asarray(g, dtype=float)
-    p, q, n = form.p, form.q, form.n
-    if g.shape != (n, n):
-        raise ValueError(f"g must be {n}x{n}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("g has non-finite entries")
-    _check_form_preserved(g, form.gram)
+    p, q = form.p, form.q
+    _check_opq_input(g, form)
     c = witt_pm_basis(p, q)
     gp = c.T @ g @ c
     ipq = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
@@ -474,18 +486,143 @@ def kak(g, group_tag, form=None):
     raise ValueError(f"unknown group tag {group_tag!r}")
 
 
+def _check_root_system(group_tag, length, rs):
+    if group_tag == "gl":
+        if rs.type_label != "A" or rs.rank != length - 1:
+            raise ValueError(
+                f"gl mu of length {length} needs root system A_{length - 1}")
+    elif rs.type_label not in ("B", "D") or rs.rank != length:
+        raise ValueError(
+            f"{group_tag} mu of length {length} needs type B or D of rank {length}")
+
+
 def mu_gaps(mu, rs):
     """Pairings of mu with each simple root, as a 1-based dict."""
     v = mu.values
+    _check_root_system(mu.group_tag, len(v), rs)
     if mu.group_tag == "gl":
-        if rs.type_label != "A" or rs.rank != len(v) - 1:
-            raise ValueError(
-                f"gl mu of length {len(v)} needs root system A_{len(v) - 1}")
         return {i: float(v[i - 1] - v[i]) for i in range(1, len(v))}
-    if rs.type_label not in ("B", "D") or rs.rank != len(v):
-        raise ValueError(
-            f"{mu.group_tag} mu of length {len(v)} needs type B or D of rank {len(v)}")
     return {i: rs.pair_eps(i, v) for i in range(1, rs.rank + 1)}
+
+
+# ---------------------------------------------------------------------------
+# batched Cartan projections
+
+# every screen margin includes this much: rounding of mu and of the gaps
+# (|mu| < 710 in float64) and slack for the caller's own comparisons
+SCREEN_MARGIN = 1e-9
+# |batched - kak| stays below eps * kappa times this; the measured ratio
+# is below 11 on random O(2,1), O(3,2), O(4,2), O(3,3), O(5,3) elements
+# at exponents up to 40 and on the preset balls
+_SCREEN_GROWTH = 100.0
+# relative distance from a scale-rule threshold below which the batch
+# cannot tell which side kak's own norm lands on
+_THRESHOLD_WIDTH = 1e-9
+
+
+@dataclass(frozen=True)
+class MuBatch:
+    """Cartan projections of a stack of matrices from one stacked SVD.
+
+    ``mu`` (N, r) is in kak's chamber order, and ``margin`` (N, r)
+    bounds |mu - kak(g).mu| entrywise: it is 0 where kak_opq's band rule
+    surely reads 0, and inf where the batch cannot tell which side of a
+    scale-rule threshold kak's own norms land on.  ``u`` (N, n, n) holds
+    the left singular vectors in descending order, so ``u[j][:, :i]``
+    spans the i-plane that xi_theta reads off ``kak(g).k``; where the
+    defining gap exceeds 1, ``flag_margin`` (N,) bounds the largest
+    principal-angle sine between the two.
+    """
+    group_tag: str
+    mu: np.ndarray
+    margin: np.ndarray
+    u: np.ndarray
+    flag_margin: np.ndarray
+
+    def gaps(self, rs):
+        """(gaps, slack): (N, rank) pairings of mu with the simple roots,
+        in root order, and bounds on their distance from mu_gaps of kak
+        (0 where both are exactly 0)."""
+        r = self.mu.shape[1]
+        _check_root_system(self.group_tag, r, rs)
+        if self.group_tag == "gl":
+            coeffs = np.eye(r, r - 1) - np.eye(r, r - 1, -1)
+        else:
+            coeffs = np.array([[float(c) for c in row]
+                               for row in rs.simple_root_coords]).T
+        undecided = np.isinf(self.margin)
+        slack = np.where(undecided, 0.0, self.margin) @ np.abs(coeffs)
+        slack[np.any(undecided, axis=1)] = np.inf
+        return self.mu @ coeffs, slack
+
+
+def cartan_mu_batch(mats, group_tag, form=None):
+    """mu of every matrix of an (N, n, n) stack from one stacked SVD,
+    for the "gl" and "opq" tags.
+
+    The input checks of kak run on the whole stack and raise kak's
+    ValueError for the first offending matrix.  For opq, kak_opq's scale
+    rules are applied: past spectral norm 1e6, exponents whose singular
+    value is below 1 + band read 0.  kak_opq squares g below that norm,
+    so there its error grows with (s_0 / s_{q-1})^2; above it, and for
+    gl, kak works from the same SVD and the error grows with s_0 / s_m,
+    s_m the smallest singular value that enters mu.  See MuBatch.
+    """
+    mats = np.asarray(mats, dtype=float)
+    if group_tag not in ("gl", "opq"):
+        raise ValueError(f"no batched Cartan projection for {group_tag!r}")
+    if group_tag == "opq" and form is None:
+        raise ValueError("opq requires a WittForm")
+    n = form.n if group_tag == "opq" else mats.shape[-1]
+    if mats.ndim != 3 or mats.shape[1:] != (n, n):
+        raise ValueError(f"expected a stack of {n}x{n} matrices")
+    eps = np.finfo(float).eps
+    finite = np.all(np.isfinite(mats), axis=(1, 2))
+    # non-finite matrices are offenders; the identity stands in for them
+    # so that the SVD runs (LAPACK does not return on infinite entries)
+    g = mats if finite.all() else np.where(finite[:, None, None], mats, np.eye(n))
+    if group_tag == "gl":
+        # kak_gl: finite entries, then invertibility
+        u, s = np.linalg.svd(g)[:2]
+        _raise_first(~finite | ~(s[:, -1] > 0), mats, kak_gl)
+        bound = SCREEN_MARGIN + _SCREEN_GROWTH * eps * s[:, 0] / s[:, -1]
+        return MuBatch(group_tag, np.log(s),
+                       np.repeat(bound[:, None], n, axis=1), u, bound)
+
+    p, q, gram = form.p, form.q, form.gram
+    c = witt_pm_basis(p, q)
+    u, s = np.linalg.svd(c.T @ g @ c)[:2]
+    s0 = s[:, 0]
+    # kak_opq's form check with a factor 2 of slack for rounding; the
+    # suspects go through the exact scalar check
+    defect = np.linalg.norm(np.swapaxes(g, 1, 2) @ gram @ g - gram, 2,
+                            axis=(1, 2))
+    scale = np.maximum(1.0, s0 ** 2) * max(1.0, np.linalg.norm(gram, 2))
+    _raise_first(~finite | (defect > 0.5 * FORM_PRESERVATION_TOL * scale),
+                 mats, lambda m: _check_opq_input(m, form))
+
+    extreme = s0 > _MODERATE_NORM
+    band = np.maximum(1e-4, 3e6 * eps * s0)
+    top = s[:, :q]
+    resolved = ~extreme[:, None] | (top >= 1.0 + band[:, None])
+    mu = np.where(resolved, np.log(top), 0.0)
+    near = np.abs(s0 - _MODERATE_NORM) <= _THRESHOLD_WIDTH * _MODERATE_NORM
+    near |= extreme & np.any(np.abs(top - (1.0 + band[:, None])) <=
+                             _THRESHOLD_WIDTH * (1.0 + band[:, None]), axis=1)
+    smallest = s[np.arange(len(s)), np.maximum(np.sum(resolved, axis=1), 1) - 1]
+    ratio = s0 / smallest
+    kappa = np.where(extreme, ratio, np.maximum(s0, ratio ** 2))
+    bound = np.where(near, np.inf, SCREEN_MARGIN + _SCREEN_GROWTH * eps * kappa)
+    exact = ~resolved & ~near[:, None]
+    return MuBatch(group_tag, mu, np.where(exact, 0.0, bound[:, None]),
+                   c @ u, bound)
+
+
+def _raise_first(suspect, mats, check):
+    """Run the scalar check on the suspect matrices in stack order; the
+    first real offender raises its ValueError."""
+    for j in np.flatnonzero(suspect):
+        check(mats[j])
 
 
 def _theta_to_plane_dim(theta, group_tag, form):

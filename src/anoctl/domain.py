@@ -160,7 +160,8 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         if hit:
             raise ValueError(f"scan point {idx} is already in the bad set "
                              f"(witness {witness!r})")
-    elements = [(w, m, r) for w, m, r in ball.elements if r >= min_word_length]
+    elements = [i for i, (_, _, r) in enumerate(ball.elements)
+                if r >= min_word_length]
     if max_elements is not None and len(elements) > max_elements:
         stride = len(elements) / max_elements
         elements = [elements[int(i * stride)] for i in range(max_elements)]
@@ -174,25 +175,30 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         pts = np.stack([pt.frame.columns[:, 0] for pt in points], axis=1)
     else:
         pts = np.stack([pt.frame.columns for pt in points])
-    from .cartan import kak, mu_gaps
-    for word, mat, r in elements:
-        dec = kak(mat, "opq", sample.form) if sample.form is not None \
-            else kak(mat, "gl")
-        gaps = mu_gaps(dec.mu, sample.theta.root_system)
-        gap = min(gaps[a] for a in sample.theta.members)
+    from .cartan import mu_gaps
+    group_tag = "opq" if sample.form is not None else "gl"
+    for index in elements:
+        word, mat, r = ball.elements[index]
         if line_path:
             moved = mat @ pts
             moved /= np.linalg.norm(moved, axis=0, keepdims=True)
             cos = np.abs(lines @ moved)
             residuals = np.sqrt(np.clip(1 - np.max(cos, axis=0) ** 2, 0.0, 1.0))
-            for idx in np.nonzero(residuals > tol)[0]:
-                flags.append(RelationFlag(int(idx), word, r, gap,
-                                          float(residuals[idx])))
+            hits = [(int(idx), float(residuals[idx]))
+                    for idx in np.nonzero(residuals > tol)[0]]
         else:
-            for idx, moved in enumerate(push_forward(mat, pts)):
-                resid = bad_set_distance(moved, sample)
-                if resid > tol:
-                    flags.append(RelationFlag(idx, word, r, gap, resid))
+            residuals = [bad_set_distance(moved, sample)
+                         for moved in push_forward(mat, pts)]
+            hits = [(idx, resid) for idx, resid in enumerate(residuals)
+                    if resid > tol]
+        if hits:
+            # only flagged elements need a gap; the ball keeps the
+            # sampler's decompositions
+            dec = ball.decomposition(index, group_tag, sample.form)
+            gaps = mu_gaps(dec.mu, sample.theta.root_system)
+            gap = min(gaps[a] for a in sample.theta.members)
+            flags.extend(RelationFlag(idx, word, r, gap, resid)
+                         for idx, resid in hits)
     return flags
 
 

@@ -168,7 +168,11 @@ class Frame:
         if k > n:
             raise ValueError(f"frame has more columns ({k}) than ambient dim ({n})")
         if k:
-            defect = np.linalg.norm(columns.T @ columns - np.eye(k), 2)
+            gram_defect = columns.T @ columns - np.eye(k)
+            # the Frobenius norm bounds the spectral one and needs no SVD
+            defect = np.linalg.norm(gram_defect)
+            if defect > ORTHONORMALITY_TOL:
+                defect = np.linalg.norm(gram_defect, 2)
             if defect > ORTHONORMALITY_TOL:
                 raise ValueError(
                     f"columns are not orthonormal (defect {defect:.2e}); "

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cartan import kak, mu_gaps, xi_theta
+from .cartan import kak, mu_gaps, xi_theta  # noqa: F401  (kak re-exported)
 from .forms import Frame, orthogonal_complement, principal_sines, push_forward
 
 MERGE_TOL = 1e-6
@@ -88,11 +88,28 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
     rs = theta.root_system
+    batch = ball.cartan_batch(group_tag, form) if ball.radius else None
+    if batch is not None:
+        approx, slack = batch.gaps(rs)
+        members = [a - 1 for a in sorted(theta.members)]
+        approx_gap = np.min(approx[:, members], axis=1)
+        gap_slack = np.max(slack[:, members], axis=1)
     points, kept = [], None     # kept: the points' frames, preallocated
-    for word, mat, r in ball.elements:
+    for idx, (word, mat, r) in enumerate(ball.elements):
         if r == 0:
             continue
-        dec = kak(mat, group_tag, form)
+        if batch is not None:
+            # skip what the batch settles: a gap clearly at most min_gap,
+            # or a flag clearly within merge_tol of a kept flag (the
+            # batch bounds flags where the gap exceeds 1)
+            if approx_gap[idx] + gap_slack[idx] <= min_gap:
+                continue
+            if points and approx_gap[idx] - gap_slack[idx] > max(min_gap, 1.0) \
+                    and _surely_within(batch.u[idx][:, :kept.shape[-1]],
+                                       kept[:len(points)], merge_tol,
+                                       batch.flag_margin[idx]):
+                continue
+        dec = ball.decomposition(idx, group_tag, form)
         gaps = mu_gaps(dec.mu, rs)
         gap = min(gaps[a] for a in theta.members)
         if gap <= min_gap:
@@ -112,6 +129,11 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
     return LimitSample(points, theta, form, merge_tol)
 
 
+def _cosines(cols, kept):
+    """c = |F^T x|_F^2 against every kept frame F."""
+    return np.sum(np.tensordot(kept, cols, axes=(1, 0)) ** 2, axis=(1, 2))
+
+
 def _within(cols, kept, tol):
     """True iff some kept frame lies at flag distance below tol from cols.
 
@@ -121,12 +143,22 @@ def _within(cols, kept, tol):
     by rounding); only these go through principal_sines.
     """
     k, band = cols.shape[-1], 1e-14
-    c = np.sum(np.tensordot(kept, cols, axes=(1, 0)) ** 2, axis=(1, 2))
+    c = _cosines(cols, kept)
     if np.any(c > k - tol ** 2 + band):
         return True
     unsure = np.flatnonzero(c >= k * (1.0 - tol ** 2 - band))
     return unsure.size > 0 and \
         bool(np.any(principal_sines(cols, kept[unsure])[:, -1] < tol))
+
+
+def _surely_within(cols, kept, tol, margin):
+    """True only if every frame within ``margin`` of cols lies at flag
+    distance below tol from a kept frame, which _within then confirms:
+    d(cols, F) <= sqrt(k - c), and the flag distance is a metric."""
+    k, n = cols.shape[-1], cols.shape[0]
+    reach = tol - 2.0 * margin
+    band = 64 * (n + k) * k * np.finfo(float).eps   # rounding of c
+    return reach > 0 and bool(np.any(_cosines(cols, kept) > k - reach ** 2 + band))
 
 
 def boundary_map_free_group(ball, theta, form=None, depth=1, tail_length=10,

@@ -14,10 +14,11 @@ from __future__ import annotations
 import bisect
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .cartan import kak, mu_gaps
+from .cartan import cartan_mu_batch, kak, mu_gaps
 
 DEDUP_TOL = 1e-8
 
@@ -73,10 +74,36 @@ class GroupBall:
     dedup_tol: float = DEDUP_TOL
     truncated: bool = False
     _index: dict = field(default_factory=dict, repr=False)
+    # kak of single elements and cartan_mu_batch of the whole ball, per
+    # (group tag, form), so that every consumer shares them
+    _kak: dict = field(default_factory=dict, repr=False, compare=False)
+    _batches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._index:
             self._index = {w: m for w, m, _ in self.elements}
+
+    @cached_property
+    def matrices(self):
+        """The element matrices stacked as one (N, n, n) array."""
+        return np.stack([m for _, m, _ in self.elements])
+
+    def decomposition(self, index, group_tag, form=None):
+        """kak of the element at ``index``, computed once."""
+        key = (index, group_tag, form)
+        if key not in self._kak:
+            self._kak[key] = kak(self.elements[index][1], group_tag, form)
+        return self._kak[key]
+
+    def cartan_batch(self, group_tag, form=None):
+        """cartan_mu_batch of the whole ball, computed once; None for
+        onC, which has no batched path (its callers decompose every
+        element)."""
+        key = (group_tag, form)
+        if key not in self._batches:
+            self._batches[key] = None if group_tag == "onC" else \
+                cartan_mu_batch(self.matrices, group_tag, form)
+        return self._batches[key]
 
     @property
     def radius(self):
@@ -217,14 +244,21 @@ def divergence_profile(ball, rs, group_tag, form=None):
     divergence; no asymptotic verdict is implied."""
     if not ball.elements:
         raise ValueError("empty ball")
+    batch = ball.cartan_batch(group_tag, form)
+    if batch is not None:
+        approx, slack = batch.gaps(rs)
+    lengths = np.array([r for _, _, r in ball.elements])
     entries = []
     for r in range(ball.radius + 1):
-        sphere = ball.sphere(r)
-        if not sphere:
+        sphere = np.flatnonzero(lengths == r)
+        if not sphere.size:
             continue
+        if batch is not None:
+            sphere = sphere[_possible_minima(approx[sphere], slack[sphere])]
         best, best_word = {}, {}
-        for word, mat, _ in sphere:
-            gaps = mu_gaps(kak(mat, group_tag, form).mu, rs)
+        for idx in sphere:
+            word = ball.elements[idx][0]
+            gaps = mu_gaps(ball.decomposition(idx, group_tag, form).mu, rs)
             for root, val in gaps.items():
                 if val < -1e-9:
                     raise ValueError(
@@ -234,6 +268,34 @@ def divergence_profile(ball, rs, group_tag, form=None):
                     best_word[root] = word
         entries.append(RadiusEntry(r, best, best_word))
     return DivergenceProfile(entries)
+
+
+# Any gap, exact or batched, is below 2048 in absolute value, so this
+# covers the 1e-15 tie rule of the scan plus the rounding of its
+# subtraction.
+_TIE_REACH = 1e-15 + 4 * np.spacing(2048.0)
+
+
+def _possible_minima(approx, slack):
+    """Sorted sphere positions whose exact gaps may be a sphere minimum
+    or leave the chamber, given batched gaps within ``slack`` of them.
+
+    Every exact gap left out either exceeds the exact minimum T by more
+    than (len + 1) * _TIE_REACH, or repeats a gap known exactly (slack 0)
+    earlier in the sphere.  The first kind lies above a gap-free slot of
+    width _TIE_REACH inside that reach, and no element above the slot
+    displaces one below it in the scan; the second never passes the tie
+    rule.  So the scan over the positions returned picks the same words
+    and values as the scan over the whole sphere.
+    """
+    lo = approx - slack
+    reach = np.min(approx + slack, axis=0) + (len(approx) + 1) * _TIE_REACH
+    keep = (lo <= reach) | (lo < -1e-9)
+    for root in range(approx.shape[1]):
+        exact = np.flatnonzero(keep[:, root] & (slack[:, root] == 0))
+        first = np.unique(approx[exact, root], return_index=True)[1]
+        keep[np.delete(exact, first), root] = False
+    return np.flatnonzero(np.any(keep, axis=1))
 
 
 def fit_divergence_slope(profile, root, skip=1):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anoctl.cartan import (
+    SCREEN_MARGIN,
     GapTooSmallError,
     MuVector,
+    cartan_mu_batch,
     chamber_exp,
     complex_pm_basis,
     exterior_power,
@@ -15,7 +19,7 @@ from anoctl.cartan import (
     witt_pm_basis,
     xi_theta,
 )
-from anoctl.forms import Frame, dist_projective, make_witt_form
+from anoctl.forms import Frame, dist_projective, make_witt_form, principal_sines
 from anoctl.roots import ThetaSet, build_root_system
 from conftest import random_orthogonal
 
@@ -319,3 +323,153 @@ def test_kak_dispatch():
         kak(np.eye(3), "opq")
     with pytest.raises(ValueError):
         kak(np.eye(3), "nope")
+
+
+# ---------------------------------------------------------------------------
+# batched Cartan projections
+
+
+def flag_thetas(rs, form):
+    """Every theta that xi_theta supports for the group of rs."""
+    if form is not None and form.p == form.q:
+        return [theta(rs, i) for i in range(1, rs.rank - 1)] + \
+            [theta(rs, rs.rank - 1, rs.rank)]
+    return [theta(rs, i) for i in range(1, rs.rank + 1)]
+
+
+def assert_batch_matches_kak(mats, form=None):
+    """cartan_mu_batch against kak and xi_theta, element by element: mu
+    and flags within the reported margins, and within 1e-12 wherever the
+    margin is at its floor."""
+    group_tag = "gl" if form is None else "opq"
+    n = mats.shape[-1]
+    rs = build_root_system("A", n - 1) if form is None else \
+        build_root_system("B" if form.p > form.q else "D", form.q)
+    batch = cartan_mu_batch(mats, group_tag, form)
+    tight = SCREEN_MARGIN + 1e-12
+    for j, g in enumerate(mats):
+        dec = kak(g, group_tag, form)
+        diff = np.abs(batch.mu[j] - dec.mu.values)
+        assert np.all(diff <= batch.margin[j]), (j, diff, batch.margin[j])
+        assert np.all(diff[batch.margin[j] <= tight] <= 1e-12)
+        gaps = mu_gaps(dec.mu, rs)
+        for th in flag_thetas(rs, form):
+            if min(gaps[a] for a in th.members) <= 1.0:
+                continue
+            flag = xi_theta(g, th, form, tol=1.0, group_tag=group_tag,
+                            decomposition=dec)
+            cols = flag.columns if isinstance(flag, Frame) else flag.frame.columns
+            sine = principal_sines(cols, batch.u[j][:, :cols.shape[1]])[-1]
+            assert sine <= batch.flag_margin[j], (j, sine, batch.flag_margin[j])
+            if batch.flag_margin[j] <= tight:
+                assert sine <= 1e-12
+    return batch
+
+
+def test_mu_batch_matches_kak_on_balls():
+    from anoctl.presets import mixed_o21, schottky_o21
+    from anoctl.words import enumerate_ball
+    from test_cli import pingpong_o32
+    for setup, radius in ((schottky_o21, 6), (mixed_o21, 5),
+                          (lambda: (make_witt_form(3, 2), pingpong_o32(0)), 5)):
+        form, gens = setup()
+        ball = enumerate_ball(gens, radius)
+        batch = assert_batch_matches_kak(ball.matrices, form)
+        assert np.all(np.isfinite(batch.margin))
+
+
+def opq_element(form, lams, seed):
+    rng = np.random.default_rng(seed)
+    return random_opq_K(rng, form.p, form.q) @ opq_chamber(form, lams) @ \
+        random_opq_K(rng, form.p, form.q)
+
+
+# top exponents below, around and above log(1e6), where kak_opq switches
+# from the squared matrix to the SVD of g itself
+TOP_EXPONENTS = st.one_of(st.floats(0.0, 13.0),
+                          st.floats(np.log(1e6) - 1e-3, np.log(1e6) + 1e-3),
+                          st.floats(14.0, 60.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(top=TOP_EXPONENTS, fraction=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mu_batch_parity_o21_o32(top, fraction, seed):
+    assert_batch_matches_kak(opq_element(make_witt_form(2, 1), [top], seed)[None],
+                             make_witt_form(2, 1))
+    form = make_witt_form(3, 2)
+    assert_batch_matches_kak(
+        opq_element(form, [top, fraction * top], seed)[None], form)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(top=st.floats(14.0, 60.0), offset=st.floats(-1e-6, 1e-6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mu_batch_parity_near_the_band(top, offset, seed):
+    # second singular value at kak_opq's cutoff 1 + band for ||g|| = e^top
+    band = max(1e-4, 3e6 * np.finfo(float).eps * np.exp(top))
+    form = make_witt_form(3, 2)
+    second = min(np.log1p(band) + offset, top)
+    assert_batch_matches_kak(opq_element(form, [top, second], seed)[None], form)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4), spread=st.floats(0.0, 30.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mu_batch_parity_gl(n, spread, seed):
+    rng = np.random.default_rng(seed)
+    logs = np.sort(rng.uniform(-spread, spread, n))[::-1]
+    g = random_orthogonal(rng, n) @ np.diag(np.exp(logs)) @ random_orthogonal(rng, n)
+    assert_batch_matches_kak(g[None])
+
+
+def test_mu_batch_leaves_scale_thresholds_undecided():
+    form = make_witt_form(3, 2)
+    at_switch = opq_chamber(form, [np.log(1e6), 1.0])
+    below = opq_chamber(form, [np.log(1e6) - 1e-3, 1.0])
+    batch = cartan_mu_batch(np.stack([at_switch, below]), "opq", form)
+    assert np.all(np.isinf(batch.margin[0])) and np.isinf(batch.flag_margin[0])
+    assert np.all(np.isfinite(batch.margin[1]))
+    band = 3e6 * np.finfo(float).eps * np.exp(30.0)
+    at_band = opq_chamber(form, [30.0, np.log1p(band)])
+    assert np.isinf(cartan_mu_batch(at_band[None], "opq", form).margin[0, 1])
+    # an exponent that the band rule zeroes is exact
+    g = opq_chamber(form, [30.0, 1e-3])
+    tiny = cartan_mu_batch(g[None], "opq", form)
+    assert tiny.mu[0, 1] == 0.0 == kak_opq(g, form).mu.values[1]
+    assert tiny.margin[0, 1] == 0.0
+    # every gap of an undecided element is undecided (no 0 * inf = nan)
+    assert np.all(np.isinf(batch.gaps(build_root_system("B", 2))[1][0]))
+
+
+def kak_error(g, group_tag, form=None):
+    with pytest.raises(ValueError) as exc:
+        kak(g, group_tag, form)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([np.nan, 1.0, 1.0]),
+    np.diag([np.inf, 1.0, 1.0]),
+    np.diag([2.0, 1.0, 1.0]),
+])
+def test_mu_batch_raises_kak_error_of_first_offender(bad):
+    form = make_witt_form(2, 1)
+    good = opq_chamber(form, [2.0])
+    non_preserving = np.diag([3.0, 1.0, 1.0])
+    stack = np.stack([good, bad, non_preserving, np.diag([np.nan] * 3)])
+    with pytest.raises(ValueError) as exc:
+        cartan_mu_batch(stack, "opq", form)
+    assert str(exc.value) == kak_error(bad, "opq", form)
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((3, 3)),
+    np.diag([np.inf, 1.0, 1.0]),
+    np.diag([np.nan, 1.0, 1.0]),
+])
+def test_mu_batch_gl_raises_kak_error_of_first_offender(bad):
+    stack = np.stack([np.eye(3), bad, np.ones((3, 3)), np.diag([np.inf] * 3)])
+    with pytest.raises(ValueError) as exc:
+        cartan_mu_batch(stack, "gl")
+    assert str(exc.value) == kak_error(bad, "gl")

@@ -324,6 +324,13 @@ def test_frame_rejects_non_orthonormal():
         Frame(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_frame_orthonormality_is_decided_by_the_spectral_norm():
+    # C^T C - I = 0.8e-10 I: Frobenius norm 1.6e-10, spectral 0.8e-10
+    Frame(np.eye(4) * np.sqrt(1 + 0.8e-10))
+    with pytest.raises(ValueError, match=r"defect 1\.20e-10"):
+        Frame(np.eye(4) * np.sqrt(1 + 1.2e-10))
+
+
 def test_frame_from_spanning_reorthonormalizes(rng):
     m = rng.standard_normal((5, 3))
     w = Frame.from_spanning(m)

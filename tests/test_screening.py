@@ -1,0 +1,123 @@
+"""The batched Cartan screen changes no result: divergence profiles,
+limit samples and relation scans equal the unscreened scalar
+computation, in which every ball element goes through kak."""
+
+import numpy as np
+import pytest
+
+import anoctl.words
+from anoctl.cartan import kak, mu_gaps
+from anoctl.domain import dynamical_relation_scan, gaussian_domain_sampler, in_bad_set
+from anoctl.forms import make_witt_form
+from anoctl.limits import sample_limit_set
+from anoctl.presets import mixed_o21, schottky_o21
+from anoctl.roots import ThetaSet, build_root_system
+from anoctl.words import GroupBall, divergence_profile, enumerate_ball
+from test_cartan import opq_chamber, random_opq_K
+from test_cli import pingpong_o32
+
+def switching_pair():
+    """An O(3,2) pair whose cube a^3 sits at spectral norm 1e6, where
+    kak_opq switches paths, so the screen must leave it undecided."""
+    form = make_witt_form(3, 2)
+    a = opq_chamber(form, [np.log(1e6) / 3, 0.5])
+    k = random_opq_K(np.random.default_rng(3), 3, 2)
+    return form, [("a", a), ("b", k @ opq_chamber(form, [2.0, 1.0]) @ k.T)]
+
+
+SETUPS = {
+    "schottky-o21": (schottky_o21, 5),
+    "mixed-o21": (mixed_o21, 5),
+    "switching-o32": (switching_pair, 3),
+    # radius 5 reaches elements whose second exponent kak_opq reads as 0
+    "pingpong-o32": (lambda: (make_witt_form(3, 2), pingpong_o32(0)), 5),
+}
+
+
+def setup(name, radius=None):
+    build, default = SETUPS[name]
+    form, gens = build()
+    rs = build_root_system("B" if form.p > form.q else "D", form.q)
+    return form, rs, enumerate_ball(gens, radius or default)
+
+
+@pytest.fixture
+def unscreened(monkeypatch):
+    """Turn the screen off: every element is decomposed, as for onC."""
+    def off():
+        monkeypatch.setattr(GroupBall, "cartan_batch", lambda *args: None)
+    return off
+
+
+@pytest.fixture
+def kak_calls(monkeypatch):
+    """Count the scalar decompositions made through GroupBall."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return kak(*args, **kwargs)
+    monkeypatch.setattr(anoctl.words, "kak", counting)
+    return calls
+
+
+def domain_points(form, sample, count=8, seed=0):
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        pt = gaussian_domain_sampler(form, rng)
+        if pt.is_interior and not in_bad_set(pt, sample, "intersect", 1e-9)[0]:
+            points.append(pt)
+    return points
+
+
+def sample_record(sample):
+    return [(p.source_word, p.word_length, p.gap_at_source, p.frame.columns.tobytes())
+            for p in sample.points]
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_screened_results_equal_unscreened(name, unscreened):
+    form, rs, ball = setup(name)
+    theta = ThetaSet(rs, frozenset({1}))
+    profile = divergence_profile(ball, rs, "opq", form)
+    sample = sample_limit_set(ball, theta, form)
+    points = domain_points(form, sample)
+    flags = dynamical_relation_scan(points, ball, sample)
+
+    unscreened()
+    _, _, fresh = setup(name)
+    assert divergence_profile(fresh, rs, "opq", form) == profile
+    reference = sample_limit_set(fresh, theta, form)
+    assert sample_record(reference) == sample_record(sample)
+    # a fresh ball has no decompositions to share with the scan
+    _, _, fresh = setup(name)
+    assert dynamical_relation_scan(points, fresh, reference) == flags
+    for flag in flags:
+        gaps = mu_gaps(kak(fresh.matrix(flag.word), "opq", form).mu, rs)
+        assert flag.min_gap == min(gaps[a] for a in theta.members)
+    if name == "mixed-o21":
+        assert flags     # the non-discrete control does produce flags
+
+
+def test_schottky_kak_calls(kak_calls):
+    form, rs, ball = setup("schottky-o21", radius=6)
+    sample = sample_limit_set(ball, ThetaSet(rs, frozenset({1})), form)
+    assert len(kak_calls) <= len(sample) + 3
+    points = domain_points(form, sample)
+    sampled = len(kak_calls)
+    assert dynamical_relation_scan(points, ball, sample) == []
+    assert len(kak_calls) == sampled
+    # the divergence screen decomposes a few elements per sphere
+    divergence_profile(ball, rs, "opq", form)
+    assert len(kak_calls) - sampled <= 4 * (ball.radius + 1)
+
+
+def test_scan_reuses_the_samplers_decompositions(kak_calls):
+    form, rs, ball = setup("mixed-o21")
+    sample = sample_limit_set(ball, ThetaSet(rs, frozenset({1})), form)
+    decomposed = set(map(id, kak_calls))
+    kak_calls.clear()
+    flags = dynamical_relation_scan(domain_points(form, sample), ball, sample)
+    flagged = {id(ball.matrix(f.word)) for f in flags}
+    assert len(kak_calls) == len(flagged - decomposed) < len(flagged)
