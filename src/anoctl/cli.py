@@ -1,6 +1,6 @@
 """Command-line entry point: anoctl <command> [options].
 
-Commands: cartan, divergence, limitset, domain, orbits, table1.
+Commands: cartan, ball, divergence, limitset, domain, orbits, table1.
 Configuration comes from an optional key = value file plus flag
 overrides; a fixed seed makes every report byte-reproducible (SVG output
 carries no timestamps).  Exit code is 0 iff no error records were

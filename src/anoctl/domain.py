@@ -160,15 +160,14 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         if hit:
             raise ValueError(f"scan point {idx} is already in the bad set "
                              f"(witness {witness!r})")
-    elements = [i for i, (_, _, r) in enumerate(ball.elements)
-                if r >= min_word_length]
+    elements = np.flatnonzero(ball.lengths >= min_word_length).tolist()
     if max_elements is not None and len(elements) > max_elements:
         stride = len(elements) / max_elements
         elements = [elements[int(i * stride)] for i in range(max_elements)]
 
     flags = []
     # lines against line flags print |cos|-based residuals in full; every
-    # other case pushes all points forward at once and measures each
+    # other case pushes all points forward and measures them in one call
     line_path = points[0].frame.k == 1 and sample.columns.shape[-1] == 1
     if line_path:
         lines = sample.line_array()
@@ -184,13 +183,11 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
             moved /= np.linalg.norm(moved, axis=0, keepdims=True)
             cos = np.abs(lines @ moved)
             residuals = np.sqrt(np.clip(1 - np.max(cos, axis=0) ** 2, 0.0, 1.0))
-            hits = [(int(idx), float(residuals[idx]))
-                    for idx in np.nonzero(residuals > tol)[0]]
         else:
-            residuals = [bad_set_distance(moved, sample)
-                         for moved in push_forward(mat, pts)]
-            hits = [(idx, resid) for idx, resid in enumerate(residuals)
-                    if resid > tol]
+            residuals = np.min(principal_sines(
+                sample.columns, push_forward(mat, pts)[:, None])[..., 0], axis=1)
+        hits = [(int(idx), float(residuals[idx]))
+                for idx in np.flatnonzero(residuals > tol)]
         if hits:
             # only flagged elements need a gap; the ball keeps the
             # sampler's decompositions
@@ -320,12 +317,11 @@ def orbit_coverage(core, ball, domain_sampler, trials, sample=None,
     """
     core_frames = [p.frame if isinstance(p, CompactPoint) else p for p in core]
     residuals, covered = [], []
-    mats = np.stack([m for _, m, r in ball.elements])
     for _ in range(trials):
         pt = domain_sampler()
         frame = pt.frame if isinstance(pt, CompactPoint) else pt
         resid = bad_set_distance(frame, sample) if sample is not None else np.inf
-        moved = push_forward(mats, frame.columns)
+        moved = push_forward(ball.matrices, frame.columns)
         hit = any(np.any(principal_sines(moved, cf)[:, -1] <= d_core)
                   for cf in core_frames)
         residuals.append(resid)

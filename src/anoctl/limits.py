@@ -171,7 +171,7 @@ def boundary_map_free_group(ball, theta, form=None, depth=1, tail_length=10,
     cylinder); the map w -> flag approximates the boundary map on the
     cylinder of w and is equivariant by construction.
     """
-    words = [w for w, _, r in ball.elements if r == depth]
+    words = [w for w, _, _ in ball.sphere(depth)]
     if not words:
         raise ValueError(f"ball has no words of length {depth}")
     out = {}

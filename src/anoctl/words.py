@@ -11,7 +11,6 @@ evaluation order.
 
 from __future__ import annotations
 
-import bisect
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,7 +27,7 @@ class CapExceededError(RuntimeError):
 
     def __init__(self, ball):
         super().__init__(
-            f"element cap reached at radius {ball.elements[-1][2]}; "
+            f"element cap reached at radius {ball.radius}; "
             "partial ball attached")
         self.ball = ball
 
@@ -37,56 +36,33 @@ def word_inverse(word):
     return word[::-1].swapcase()
 
 
-class _MatrixDedup:
-    """Frobenius-norm-indexed store deciding matrix equality up to a
-    relative tolerance."""
-
-    def __init__(self, tol):
-        self.tol = tol
-        self.norms = []
-        self.mats = []
-
-    def probe(self, m):
-        """True if a matrix equal to m (rel. Frobenius) is stored."""
-        nrm = float(np.linalg.norm(m))
-        scale = max(nrm, 1.0)
-        lo = bisect.bisect_left(self.norms, nrm - self.tol * scale * 1.01)
-        hi = bisect.bisect_right(self.norms, nrm + self.tol * scale * 1.01)
-        for idx in range(lo, hi):
-            other = self.mats[idx]
-            bound = self.tol * max(nrm, np.linalg.norm(other), 1.0)
-            if np.linalg.norm(m - other) <= bound:
-                return True
-        return False
-
-    def add(self, m):
-        nrm = float(np.linalg.norm(m))
-        idx = bisect.bisect_left(self.norms, nrm)
-        self.norms.insert(idx, nrm)
-        self.mats.insert(idx, m)
-
-
 @dataclass
 class GroupBall:
-    """Deduplicated, word-length-graded list of group elements."""
-    generators: list                  # (name, matrix, inverse matrix)
-    elements: list                    # (word, matrix, word_length), shortlex
+    """Deduplicated, word-length-graded group elements in shortlex
+    order, stored as columns: the words, their lengths (N,) and the
+    element matrices stacked as one (N, n, n) array."""
+    alphabet: list                    # each generator, then its inverse
+    letters: np.ndarray               # their matrices, in alphabet order
+    words: list
+    lengths: np.ndarray
+    matrices: np.ndarray
     dedup_tol: float = DEDUP_TOL
     truncated: bool = False
-    _index: dict = field(default_factory=dict, repr=False)
     # kak of single elements and cartan_mu_batch of the whole ball, per
     # (group tag, form), so that every consumer shares them
     _kak: dict = field(default_factory=dict, repr=False, compare=False)
     _batches: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self._index:
-            self._index = {w: m for w, m, _ in self.elements}
+    @cached_property
+    def elements(self):
+        """(word, matrix, word_length) triples in shortlex order.  The
+        matrices are row views of ``matrices``, made once, so that
+        ``matrix(word)`` returns the same objects."""
+        return list(zip(self.words, self.matrices, self.lengths.tolist()))
 
     @cached_property
-    def matrices(self):
-        """The element matrices stacked as one (N, n, n) array."""
-        return np.stack([m for _, m, _ in self.elements])
+    def _positions(self):
+        return {w: i for i, w in enumerate(self.words)}
 
     def decomposition(self, index, group_tag, form=None):
         """kak of the element at ``index``, computed once."""
@@ -107,36 +83,67 @@ class GroupBall:
 
     @property
     def radius(self):
-        return self.elements[-1][2] if self.elements else 0
-
-    @property
-    def alphabet(self):
-        letters = []
-        for name, _, _ in self.generators:
-            letters.extend([name, name.upper()])
-        return letters
+        return int(self.lengths[-1]) if len(self.lengths) else 0
 
     def sphere(self, r):
-        return [e for e in self.elements if e[2] == r]
+        return [self.elements[i] for i in np.flatnonzero(self.lengths == r)]
 
     def matrix(self, word):
         """Matrix of a reduced word (evaluated even if deduplicated away)."""
-        if word in self._index:
-            return self._index[word]
-        return self.evaluate(word)
+        index = self._positions.get(word)
+        return self.evaluate(word) if index is None else self.elements[index][1]
 
     def evaluate(self, word):
-        table = {}
-        for name, m, minv in self.generators:
-            table[name] = m
-            table[name.upper()] = minv
-        out = np.eye(self.generators[0][1].shape[0])
+        out = np.eye(self.letters.shape[-1])
         for ch in word:
-            out = out @ table[ch]
+            out = out @ self.letters[self.alphabet.index(ch)]
         return out
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.words)
+
+
+def _frobenius(mats):
+    """Frobenius norms of stacked matrices (N, n, n); NaN or inf for
+    non-finite entries.  Each sum of squares is the BLAS dot that
+    np.linalg.norm takes, so a norm equals np.linalg.norm's bit for bit
+    unless that sum overflows; then it is rescaled by the largest
+    entry."""
+    flat = mats.reshape(-1, mats.shape[-1] ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt((flat[:, None] @ flat[..., None])[:, 0, 0])
+        over = np.isinf(norms)
+        top = np.max(np.abs(flat[over]), axis=1, keepdims=True)
+        norms[over] = top[:, 0] * np.linalg.norm(flat[over] / top, axis=1)
+    return norms
+
+
+def _close_pairs(query, target, tol):
+    """Index pairs (i, j) with |q_i - t_j|_F <= tol max(|q_i|, |t_j|, 1).
+
+    ``query`` and ``target`` are (matrices, norms, keys) triples whose
+    keys project the matrices on one unit vector, so that
+    |key(m) - key(m')| <= |m - m'|_F.  The test implies
+    |m - m'|_F <= tol |m| / (1 - tol), so only the targets whose keys lie
+    within 1.01 tol max(|q_i|, 1) of key(q_i) are tested, found by
+    binary search in the sorted target keys.
+    """
+    qmats, qnorms, qkeys = query
+    tmats, tnorms, tkeys = target
+    order = np.argsort(tkeys)
+    reach = 1.01 * tol * np.maximum(qnorms, 1.0)
+    lo = np.searchsorted(tkeys[order], qkeys - reach, "left")
+    counts = np.searchsorted(tkeys[order], qkeys + reach, "right") - lo
+    i = np.repeat(np.arange(len(counts)), counts)
+    j = order[np.arange(len(i)) + np.repeat(lo + counts - np.cumsum(counts), counts)]
+    bound = tol * np.maximum(np.maximum(qnorms[i], tnorms[j]), 1.0)
+    close = _frobenius(qmats[i] - tmats[j]) <= bound
+    return i[close], j[close]
+
+
+# Candidates deduplicated at once: bounds the memory of a sphere's
+# products and lets the cap stop enumeration inside a sphere.
+_BLOCK = 8192
 
 
 def enumerate_ball(generators, radius, dedup_tol=DEDUP_TOL, cap=None):
@@ -144,12 +151,13 @@ def enumerate_ball(generators, radius, dedup_tol=DEDUP_TOL, cap=None):
     deduplicated, in shortlex order.
 
     ``generators`` is a list of (name, matrix) or (name, matrix, inverse)
-    tuples; names must be distinct lowercase letters.  Raises
-    CapExceededError (with the truncated ball attached) if the total
-    element count would exceed ``cap``.
+    tuples; names must be distinct lowercase letters.  A product is kept
+    unless it lies within ``dedup_tol`` (relative Frobenius distance) of
+    a shortlex-earlier kept element.  Raises CapExceededError (with the
+    truncated ball attached) if the total element count would exceed
+    ``cap``, and ValueError if a product leaves the floating-point range.
     """
-    gens = []
-    seen_names = set()
+    alphabet, mats = [], []
     for item in generators:
         if len(item) == 2:
             name, m = item
@@ -158,53 +166,71 @@ def enumerate_ball(generators, radius, dedup_tol=DEDUP_TOL, cap=None):
             name, m, minv = item
         if not (len(name) == 1 and name.islower()):
             raise ValueError(f"generator name {name!r} must be one lowercase letter")
-        if name in seen_names:
+        if name in alphabet:
             raise ValueError(f"duplicate generator name {name!r}")
-        seen_names.add(name)
         m = np.asarray(m, dtype=float)
         minv = np.asarray(minv, dtype=float)
         if not np.allclose(m @ minv, np.eye(m.shape[0]), atol=1e-8):
             raise ValueError(f"generator {name!r} is not invertible")
-        gens.append((name, m, minv))
+        # so that the inverse of letter l is letter l ^ 1
+        alphabet += [name, name.upper()]
+        mats += [m, minv]
     if radius < 0:
         raise ValueError("radius must be nonnegative")
 
-    letter_matrix = {}
-    for name, m, minv in gens:
-        letter_matrix[name] = m
-        letter_matrix[name.upper()] = minv
-    alphabet = [l for name, _, _ in gens for l in (name, name.upper())]
+    letters = np.stack(mats)
+    n = letters.shape[-1]
+    # the keys only narrow the search, so no decision depends on this
+    # vector; its entries are rationally independent, so that distinct
+    # integer matrices get distinct keys
+    unit = np.cos(np.arange(1.0, n * n + 1))
+    unit /= np.linalg.norm(unit)
 
-    n = gens[0][1].shape[0]
-    dedup = _MatrixDedup(dedup_tol)
-    identity = np.eye(n)
-    dedup.add(identity)
-    elements = [("", identity, 0)]
-    frontier = [("", identity)]
-    ball = GroupBall(gens, elements, dedup_tol)
+    def measured(stack):
+        keys = (stack.reshape(-1, 1, n * n) @ unit)[:, 0]
+        return stack, _frobenius(stack), keys
 
+    store = measured(np.eye(n)[None])
+    words, lengths = [""], [0]
+    front, last = np.arange(1), np.array([-1])    # last letters; -1: none
+    step = max(1, _BLOCK // len(alphabet))
     for r in range(1, radius + 1):
-        new_frontier = []
-        for word, mat in frontier:
-            last = word[-1] if word else None
-            for letter in alphabet:
-                if last is not None and letter == word_inverse(last):
-                    continue
-                cand = mat @ letter_matrix[letter]
-                if dedup.probe(cand):
-                    continue
-                if cap is not None and len(elements) + 1 > cap:
-                    ball.truncated = True
-                    ball._index = {w: m for w, m, _ in elements}
-                    raise CapExceededError(ball)
-                dedup.add(cand)
-                elements.append((word + letter, cand, r))
-                new_frontier.append((word + letter, cand))
-        if not new_frontier:
+        first, lasts = len(words), []
+        for s in range(0, len(front), step):
+            f, l = np.nonzero(np.arange(len(alphabet)) != last[s:s + step, None] ^ 1)
+            f += front[s]
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand = measured(store[0][f] @ letters[l])
+            bad = np.flatnonzero(~np.isfinite(cand[1]))
+            if bad.size:
+                word = words[f[bad[0]]] + alphabet[l[bad[0]]]
+                raise ValueError(f"ball element {word!r} overflows the "
+                                 "floating-point range")
+            # drop what matches an earlier element or an earlier kept
+            # candidate
+            keep = np.ones(len(f), dtype=bool)
+            keep[_close_pairs(cand, store, dedup_tol)[0]] = False
+            i, j = _close_pairs(cand, cand, dedup_tol)
+            for a, b in zip(i[j < i].tolist(), j[j < i].tolist()):
+                if keep[b]:
+                    keep[a] = False
+            new = np.flatnonzero(keep)
+            room = new.size if cap is None else max(cap - len(words), 0)
+            truncated, new = new.size > room, new[:room]
+            words += [words[a] + alphabet[b]
+                      for a, b in zip(f[new].tolist(), l[new].tolist())]
+            lengths += [r] * new.size
+            store = tuple(np.concatenate([a, c[new]]) for a, c in zip(store, cand))
+            lasts.append(l[new])
+            if truncated:
+                raise CapExceededError(GroupBall(
+                    alphabet, letters, words, np.array(lengths), store[0],
+                    dedup_tol, True))
+        if len(words) == first:
             break
-        frontier = new_frontier
-    ball._index = {w: m for w, m, _ in elements}
-    return ball
+        front, last = np.arange(first, len(words)), np.concatenate(lasts)
+    return GroupBall(alphabet, letters, words, np.array(lengths), store[0],
+                     dedup_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +273,16 @@ def divergence_profile(ball, rs, group_tag, form=None):
     batch = ball.cartan_batch(group_tag, form)
     if batch is not None:
         approx, slack = batch.gaps(rs)
-    lengths = np.array([r for _, _, r in ball.elements])
     entries = []
     for r in range(ball.radius + 1):
-        sphere = np.flatnonzero(lengths == r)
+        sphere = np.flatnonzero(ball.lengths == r)
         if not sphere.size:
             continue
         if batch is not None:
             sphere = sphere[_possible_minima(approx[sphere], slack[sphere])]
         best, best_word = {}, {}
         for idx in sphere:
-            word = ball.elements[idx][0]
+            word = ball.words[idx]
             gaps = mu_gaps(ball.decomposition(idx, group_tag, form).mu, rs)
             for root, val in gaps.items():
                 if val < -1e-9:

@@ -7,7 +7,7 @@ import pytest
 
 from anoctl.cli import domain_check_main, main
 from anoctl.forms import make_witt_form, matrix_to_json
-from anoctl.presets import schottky_o21
+from anoctl.presets import o21_boost, schottky_o21
 from test_cartan import opq_chamber, random_opq_K
 
 
@@ -187,6 +187,15 @@ def test_malformed_generator_file_exits_2(tmp_path, capsys, content):
     for command in ("divergence", "domain"):
         assert main([command, "--gens", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_overflowing_ball_exits_2(tmp_path, capsys):
+    # a^4 has entries near e^800, past the floating-point range
+    gens = write_gens(tmp_path / "gens.json", [("a", o21_boost(200.0))])
+    code = main(["ball", "--gens", gens, "--radius", "4", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'aaaa'" in err
 
 
 def test_sampler_failure_exits_2(tmp_path, capsys):

@@ -19,7 +19,7 @@ from anoctl.domain import (
     subalgebra_kernel_dimension,
     subalgebra_point,
 )
-from anoctl.forms import Frame, make_witt_form, principal_sines
+from anoctl.forms import Frame, make_witt_form, principal_sines, push_forward
 from anoctl.limits import sample_limit_set
 from anoctl.presets import mixed_o21, o21_rotation, schottky_o21
 from anoctl.roots import ThetaSet, build_root_system
@@ -353,6 +353,28 @@ def test_stretched_plane_keeps_its_dimension(rng):
         expected = min(principal_sines(p.frame, moved[f.word])[0]
                        for p in sample.points)
         assert f.residual == pytest.approx(expected, rel=1e-6, abs=1e-9)
+
+
+def test_scan_residuals_equal_per_point_bad_set_distance(rng):
+    # the stretched-plane case of the test above, with several points
+    from test_cartan import opq_chamber, random_opq_K
+    form = make_witt_form(3, 2)
+    k = random_opq_K(rng, 3, 2)
+    g = k @ opq_chamber(form, [6.0, 0.5]) @ k.T
+    ball = enumerate_ball([("a", g)], 4)
+    sample = sample_limit_set(ball, ThetaSet(build_root_system("B", 2),
+                                             frozenset({1})), form)
+    points = [p for p in (gaussian_domain_sampler(form, rng) for _ in range(12))
+              if p.is_interior]
+    flags = dynamical_relation_scan(points, ball, sample, tol=0.0,
+                                    min_word_length=1)
+    pts = np.stack([p.frame.columns for p in points])
+    expected = [(i, w, bad_set_distance(moved, sample))
+                for w, m, r in ball.elements if r
+                for i, moved in enumerate(push_forward(m, pts))]
+    assert len(flags) == len(expected) > len(ball)
+    assert [(f.point_index, f.word) for f in flags] == [e[:2] for e in expected]
+    assert np.array_equal([f.residual for f in flags], [e[2] for e in expected])
 
 
 # ---------------------------------------------------------------------------

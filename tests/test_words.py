@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import anoctl.words
 from anoctl.cartan import kak, mu_gaps
 from anoctl.forms import dist_projective, Frame
 from anoctl.presets import mixed_o21, o21_boost, o21_rotation, schottky_o21
 from anoctl.roots import build_root_system
+from test_cli import pingpong_o32
 from anoctl.words import (
+    DEDUP_TOL,
     CapExceededError,
     divergence_profile,
     enumerate_ball,
@@ -66,6 +71,145 @@ def test_cap_exceeded_carries_partial():
         enumerate_ball(gens, 3, cap=10)
     ball = exc.value.ball
     assert ball.truncated and len(ball) == 10
+
+
+def reference_ball(generators, radius, tol=DEDUP_TOL):
+    """Brute-force dedup: candidates in shortlex order, each compared by
+    the scalar relative Frobenius test with every earlier kept element.
+    Returns the (word, matrix, word_length) triples kept."""
+    letters = {}
+    for name, m in generators:
+        letters[name] = np.asarray(m, dtype=float)
+        letters[name.upper()] = np.linalg.inv(letters[name])
+    alphabet = [l for name, _ in generators for l in (name, name.upper())]
+    kept = [("", np.eye(len(generators[0][1])), 0)]
+    norms = [np.linalg.norm(kept[0][1])]
+    sphere = kept[:]
+    for r in range(1, radius + 1):
+        grown = []
+        for word, mat, _ in sphere:
+            for letter in alphabet:
+                if word and letter == word[-1].swapcase():
+                    continue
+                cand = mat @ letters[letter]
+                nrm = np.linalg.norm(cand)
+                if any(np.linalg.norm(cand - m) <= tol * max(nrm, other, 1.0)
+                       for (_, m, _), other in zip(kept, norms)):
+                    continue
+                kept.append((word + letter, cand, r))
+                norms.append(nrm)
+                grown.append(kept[-1])
+        if not grown:
+            break
+        sphere = grown
+    return kept
+
+
+def assert_matches_reference(generators, radius):
+    ball = enumerate_ball(generators, radius)
+    ref = reference_ball(generators, radius)
+    assert ball.words == [w for w, _, _ in ref]
+    assert ball.lengths.tolist() == [r for _, _, r in ref]
+    assert np.array_equal(ball.matrices, np.stack([m for _, m, _ in ref]))
+    return ball
+
+
+def dihedral():
+    return [("a", rotation2(2 * np.pi / 5)), ("b", np.diag([1.0, -1.0]))]
+
+
+@pytest.mark.parametrize("generators, radius", [
+    (schottky_o21()[1], 5),
+    (mixed_o21()[1], 5),
+    (pingpong_o32(1), 5),
+    ([("a", rotation2(2 * np.pi / 3))], 6),
+    (dihedral(), 8),
+], ids=["schottky-o21", "mixed-o21", "pingpong-o32", "rotation", "dihedral"])
+def test_ball_matches_brute_force_dedup(generators, radius, monkeypatch):
+    ball = assert_matches_reference(generators, radius)
+    if len(ball) > 100:
+        # sphere by sphere in blocks of two candidates: the same ball
+        monkeypatch.setattr(anoctl.words, "_BLOCK", 2)
+        assert_matches_reference(generators, radius)
+
+
+def _generator(n, turn, entries):
+    """A finite-order rotation (turn > 0, by 2 pi / turn) in the leading
+    plane, or the identity plus small entries."""
+    if turn:
+        g = np.eye(n)
+        g[:2, :2] = rotation2(2 * np.pi / turn)
+        return g
+    return np.eye(n) + 0.3 * np.reshape(entries[:n * n], (n, n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 3),
+       turns=st.lists(st.integers(0, 6), min_size=1, max_size=2),
+       entries=st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+       copy=st.booleans())
+def test_ball_matches_brute_force_on_random_generators(n, turns, entries,
+                                                      direction, copy):
+    mats = [_generator(n, t, entries[9 * i:]) for i, t in enumerate(turns)]
+    mats = [m for m in mats if abs(np.linalg.det(m)) > 0.1]
+    if copy and mats:
+        # a copy perturbed by tol / 2, so duplicates chain inside spheres
+        e = np.reshape(direction[:n * n], (n, n))
+        if np.linalg.norm(e) > 0:
+            e *= DEDUP_TOL / 2 * np.linalg.norm(mats[0]) / np.linalg.norm(e)
+        mats.append(mats[0] + e)
+    if not mats:
+        return
+    radius = 4 if len(mats) == 1 else 3
+    assert_matches_reference(list(zip("abc", mats)), radius)
+
+
+def test_overflowing_norms_keep_distinct_elements():
+    # the entries of aa reach 5e173, whose squares overflow
+    a = o21_boost(200.0)
+    ball = enumerate_ball([("a", a)], 2)
+    assert ball.words == ["", "a", "A", "aa", "AA"]
+    assert np.array_equal(ball.matrix("aa"), a @ a)
+    ball = enumerate_ball([("a", o21_boost(100.0)), ("b", o21_rotation(1.2))], 7)
+    assert len(ball) == 1281 and "aaaaaaa" in ball.words
+
+
+def test_non_finite_product_raises_naming_its_word():
+    with pytest.raises(ValueError, match="'aaaa'"):
+        enumerate_ball([("a", o21_boost(200.0))], 4)
+
+
+@pytest.mark.parametrize("cap", [2, 10, 17, 30, 52])
+def test_cap_truncates_to_a_prefix_of_the_ball(cap):
+    _, gens = schottky_o21()
+    full = enumerate_ball(gens, 3)
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_ball(gens, 3, cap=cap)
+    ball = exc.value.ball
+    assert ball.truncated and len(ball) == cap
+    assert ball.words == full.words[:cap]
+    assert np.array_equal(ball.lengths, full.lengths[:cap])
+    assert np.array_equal(ball.matrices, full.matrices[:cap])
+    assert f"radius {ball.radius};" in str(exc.value)
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_cap_below_two_keeps_the_identity(cap):
+    _, gens = schottky_o21()
+    with pytest.raises(CapExceededError, match="radius 0;") as exc:
+        enumerate_ball(gens, 2, cap=cap)
+    assert exc.value.ball.words == [""] and exc.value.ball.truncated
+    # nothing beyond the identity: no cap is exceeded
+    assert len(enumerate_ball([("a", np.eye(2))], 3, cap=cap)) == 1
+
+
+def test_elements_are_views_of_the_stacked_ball():
+    _, gens = schottky_o21()
+    ball = enumerate_ball(gens, 3)
+    for index, (word, mat, r) in enumerate(ball.elements):
+        assert ball.matrix(word) is mat and mat.base is ball.matrices
+        assert (word, r) == (ball.words[index], ball.lengths[index])
 
 
 def test_generator_validation():
