@@ -24,7 +24,7 @@ gives mu, the left singular vectors and margins that bound their
 distance from what ``kak`` reports.  The batch only settles decisions
 that its margins settle (an element is not a sphere minimum, its gap is
 below the floor, its flag merges into a kept one); every gap and flag
-that is reported comes from a scalar ``kak``.
+that is reported comes from kak (stacked).
 """
 
 from __future__ import annotations
@@ -117,25 +117,87 @@ def chamber_exp(mu, form=None):
 
 
 # ---------------------------------------------------------------------------
+# stacks
+#
+# kak_gl and kak_opq work on stacks (N, n, n); one matrix is the one-slice
+# case.  Every stacked LAPACK, BLAS and elementwise call gives each slice
+# the bits of the same call on that slice alone, so steps that depend on
+# the data run once per group of slices that take the same branch.
+
+
+def _per_slice(g, decompose):
+    """One KakTriple per matrix of a stack (N, n, n); one matrix is the
+    one-slice case and gives one KakTriple."""
+    g = np.asarray(g, dtype=float)
+    return decompose(g) if g.ndim == 3 else decompose(g[None])[0]
+
+
+def _dot(a, b):
+    """Dot products of stacked contiguous vectors (..., n): the BLAS dot
+    that ``a @ b`` and ``np.linalg.norm`` take on one pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _matvec(m, x):
+    """m @ x for stacked matrices and vectors: the BLAS gemv of one
+    pair."""
+    return (m @ x[..., None])[..., 0]
+
+
+def _vecmat(x, m):
+    """x @ m for stacked vectors and matrices: the BLAS gemv of one
+    pair, with m transposed."""
+    return (x[..., None, :] @ m)[..., 0, :]
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _by_columns(a):
+    """A copy of a stack (N, n, k) whose slices are column-major, as
+    ``m[:, mask]`` lays out one slice: numpy picks the BLAS call (and so
+    the rounding) from the layout."""
+    return np.swapaxes(np.ascontiguousarray(np.swapaxes(a, 1, 2)), 1, 2)
+
+
+def _groups(labels):
+    """(label, mask) for each distinct label of an integer array (without
+    np.unique, whose import of numpy.ma costs about 1 MiB)."""
+    return [(v, labels == v) for v in sorted(set(labels.tolist()))]
+
+
+def _first_error(bad, message):
+    """Raise ``message(j)`` for the first slice j flagged ``bad``."""
+    bad = np.flatnonzero(bad)
+    if bad.size:
+        raise ValueError(message(bad[0]))
+
+
+# ---------------------------------------------------------------------------
 # sign canonicalization
 
 
 def _canonicalize_signs(u, vt=None):
-    """Force the first significant entry of each column of u positive,
-    compensating on the matching rows of vt."""
-    u = u.copy()
-    vt = None if vt is None else vt.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        cmax = np.max(np.abs(col))
-        if cmax == 0:
-            continue
-        idx = int(np.argmax(np.abs(col) > _SIGNIFICANT * cmax))
-        if col[idx] < 0:
-            u[:, j] = -col
-            if vt is not None and j < vt.shape[0]:
-                vt[j, :] = -vt[j, :]
-    return (u, vt) if vt is not None else u
+    """Force the first significant entry of each column of every u in a
+    stack (..., n, k) positive, compensating on the matching rows of
+    vt."""
+    mag = np.abs(u)
+    cmax = np.max(mag, axis=-2, keepdims=True)
+    first = np.argmax(mag > _SIGNIFICANT * cmax, axis=-2)[..., None, :]
+    flip = np.take_along_axis(u, first, axis=-2) < 0
+    u = np.where(flip, -u, u)
+    if vt is None:
+        return u
+    rows = min(u.shape[-1], vt.shape[-2])
+    flip_rows = np.zeros(vt.shape[:-1] + (1,), dtype=bool)
+    flip_rows[..., :rows, 0] = flip[..., 0, :rows]
+    return u, np.where(flip_rows, -vt, vt)
+
+
+def _triples(k, mu, l, group_tag, form=None):
+    return [KakTriple(kj, MuVector(group_tag, mj), lj, form)
+            for kj, mj, lj in zip(k, mu, l)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +205,23 @@ def _canonicalize_signs(u, vt=None):
 
 
 def kak_gl(g):
-    """KAK of an invertible real matrix via SVD."""
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    if g.shape != (n, n):
+    """KAK of an invertible real matrix via SVD; a stack (N, n, n) gives
+    one KakTriple per matrix, and the first bad matrix raises."""
+    return _per_slice(g, _kak_gl)
+
+
+def _kak_gl(g):
+    n = g.shape[-1]
+    if g.shape[1:] != (n, n):
         raise ValueError("g must be square")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("g has non-finite entries")
-    u, s, vt = np.linalg.svd(g)
-    if s[-1] <= 0 or not np.all(np.isfinite(s)):
-        raise ValueError("g is not invertible")
+    finite = np.all(np.isfinite(g), axis=(1, 2))
+    # the identity stands in for non-finite matrices, which LAPACK rejects
+    u, s, vt = np.linalg.svd(np.where(finite[:, None, None], g, np.eye(n)))
+    _first_error(~finite | ~(s[:, -1] > 0) | ~np.all(np.isfinite(s), axis=1),
+                 lambda j: "g has non-finite entries" if not finite[j]
+                 else "g is not invertible")
     u, vt = _canonicalize_signs(u, vt)
-    return KakTriple(u, MuVector("gl", np.log(s)), vt)
+    return _triples(u, np.log(s), vt, "gl")
 
 
 # ---------------------------------------------------------------------------
@@ -179,79 +246,95 @@ def witt_pm_basis(p, q):
 
 
 def _check_opq_input(g, form):
-    """kak_opq's input checks, in order: shape, finite entries, and
-    preservation of the form at FORM_PRESERVATION_TOL."""
+    """kak_opq's input checks on a stack, in order: shape, finite
+    entries, and preservation of the form at FORM_PRESERVATION_TOL; the
+    first offending matrix raises."""
     n, gram = form.n, form.gram
-    if g.shape != (n, n):
+    if g.shape[1:] != (n, n):
         raise ValueError(f"g must be {n}x{n}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("g has non-finite entries")
-    scale = max(1.0, np.linalg.norm(g, 2) ** 2) * max(1.0, np.linalg.norm(gram, 2))
-    defect = np.linalg.norm(g.T @ gram @ g - gram, 2)
-    if defect > FORM_PRESERVATION_TOL * scale:
-        raise ValueError(
-            f"matrix does not preserve the form (defect {defect:.2e})")
+    finite = np.all(np.isfinite(g), axis=(1, 2))
+    if not finite.all():
+        g = np.where(finite[:, None, None], g, np.eye(n))
+    scale = np.maximum(1.0, np.linalg.norm(g, 2, axis=(1, 2)) ** 2) * \
+        max(1.0, np.linalg.norm(gram, 2))
+    defect = np.linalg.norm(np.swapaxes(g, 1, 2) @ gram @ g - gram, 2,
+                            axis=(1, 2))
+    _first_error(~finite | (defect > FORM_PRESERVATION_TOL * scale),
+                 lambda j: "g has non-finite entries" if not finite[j] else
+                 f"matrix does not preserve the form (defect {defect[j]:.2e})")
 
 
 def _reciprocal_log(m, ipq, cutoff=1e6):
-    """S = 1/2 log(m) for SPD m satisfying ipq m ipq = m^{-1}.
+    """S = 1/2 log(m) for each SPD m of a stack satisfying
+    ipq m ipq = m^{-1}.
 
     Huge eigenpairs are peeled one at a time; each peeled eigenvector v
     has its reciprocal partner exactly at ipq v, so the orthogonal
     complement stays invariant and the remaining block is better
     conditioned.  In the final block only eigenvalues >= 1 are used and
     their mirrors are reconstructed through ipq, so the log never sees an
-    eigenvalue computed with poor relative accuracy.
+    eigenvalue computed with poor relative accuracy.  Matrices are peeled
+    together while their working spaces have the same dimension.
     """
-    n = m.shape[0]
-    w = np.eye(n)
-    s = np.zeros((n, n))
+    n = m.shape[-1]
+    s = np.zeros(m.shape)
+    # (rows of the stack, their working bases (len(rows), n, k))
+    groups = [(np.arange(len(m)), np.broadcast_to(np.eye(n), m.shape))]
     for _ in range(n):
-        if w.shape[1] == 0:
-            break
-        mw = w.T @ m @ w
-        mw = 0.5 * (mw + mw.T)
-        norm = np.linalg.norm(mw, 2)
-        if norm <= cutoff:
+        peeled = []
+        for rows, w in groups:
+            if w.shape[-1] == 0:
+                continue
+            wt = np.swapaxes(w, 1, 2)
+            mw = wt @ m[rows] @ w
+            mw = 0.5 * (mw + np.swapaxes(mw, 1, 2))
             vals, vecs = np.linalg.eigh(mw)
-            ipq_w = w.T @ ipq @ w
-            keep = vals > 1.0
-            lplus = (vecs[:, keep] * (0.5 * np.log(vals[keep]))) @ vecs[:, keep].T
-            s_blk = lplus - ipq_w @ lplus @ ipq_w
-            s += w @ s_blk @ w.T
-            break
-        vals, vecs = np.linalg.eigh(mw)
-        v = w @ vecs[:, -1]
-        lam = 0.5 * np.log(vals[-1])
-        vbar = ipq @ v
-        vbar -= v * (v @ vbar)
-        vbar /= np.linalg.norm(vbar)
-        s += lam * (np.outer(v, v) - np.outer(vbar, vbar))
-        # orthonormal complement of {v, vbar} inside the working space
-        proj = w - np.outer(v, v @ w) - np.outer(vbar, vbar @ w)
-        uu, sv, _ = np.linalg.svd(proj, full_matrices=False)
-        w = uu[:, sv > 0.5]
+            final = np.linalg.norm(mw, 2, axis=(1, 2)) <= cutoff
+            # final blocks: the eigenvalues > 1 are a suffix of eigh's order
+            ipq_w = np.swapaxes(w[final], 1, 2) @ ipq @ w[final]
+            for c, same in _groups(np.sum(vals[final] > 1.0, axis=1)):
+                pick = np.flatnonzero(final)[same]
+                kept = _by_columns(vecs[pick, :, vecs.shape[-1] - c:])
+                logs = 0.5 * np.log(vals[pick, vals.shape[-1] - c:])
+                lplus = (kept * logs[:, None, :]) @ np.swapaxes(kept, 1, 2)
+                ipq_c = ipq_w[same]
+                s_blk = lplus - ipq_c @ lplus @ ipq_c
+                s[rows[pick]] += w[pick] @ s_blk @ np.swapaxes(w[pick], 1, 2)
+            peel = ~final
+            if not peel.any():
+                continue
+            w, rows = w[peel], rows[peel]
+            v = (w @ vecs[peel][:, :, -1:])[..., 0]
+            lam = 0.5 * np.log(vals[peel, -1])
+            vbar = _matvec(ipq, v)
+            vbar -= v * _dot(v, vbar)[:, None]
+            vbar /= np.sqrt(_dot(vbar, vbar))[:, None]
+            s[rows] += lam[:, None, None] * (_outer(v, v) - _outer(vbar, vbar))
+            # orthonormal complement of {v, vbar} inside the working space
+            proj = w - _outer(v, _vecmat(v, w)) - _outer(vbar, _vecmat(vbar, w))
+            uu, sv = np.linalg.svd(proj, full_matrices=False)[:2]
+            peeled += [(rows[same], _by_columns(uu[same, :, :d]))
+                       for d, same in _groups(np.sum(sv > 0.5, axis=1))]
+        groups = peeled
     return s
 
 
-def _complete_orthogonal(known, n):
-    """Complete known orthonormal columns (dict index -> vector) to an
-    n x n orthogonal matrix, filling unknown slots from the nullspace."""
-    out = np.zeros((n, n))
-    cols = sorted(known)
-    missing = [j for j in range(n) if j not in known]
-    if cols:
-        mat = np.stack([known[j] for j in cols], axis=1)
+def _complete_orthogonal(known, slots, n):
+    """Complete known orthonormal vectors to n x n orthogonal matrices,
+    for a stack: ``known`` (N, len(slots), n) holds the vectors of the
+    sorted column ``slots``; the other columns are filled from the
+    nullspace."""
+    out = np.zeros((len(known), n, n))
+    missing = [j for j in range(n) if j not in slots]
+    if slots:
         # polish the known block onto the nearest orthonormal set
-        uu, _, vvt = np.linalg.svd(mat, full_matrices=False)
+        uu, _, vvt = np.linalg.svd(np.swapaxes(known, 1, 2), full_matrices=False)
         mat = uu @ vvt
-        for idx, j in enumerate(cols):
-            out[:, j] = mat[:, idx]
-        basis = np.linalg.svd(mat)[0][:, len(cols):]
+        out[:, :, slots] = mat
+        basis = np.linalg.svd(mat)[0][:, :, len(slots):]
     else:
-        basis = np.eye(n)
-    for idx, j in enumerate(missing):
-        out[:, j] = _canonicalize_signs(basis[:, idx:idx + 1])[:, 0]
+        basis = np.broadcast_to(np.eye(n), out.shape)
+    out[:, :, missing] = _canonicalize_signs(basis)
     return out
 
 
@@ -261,55 +344,60 @@ _MODERATE_NORM = 1e6
 
 
 def kak_opq(g, form):
-    """KAK of an element of O(b) for a real Witt form b.
+    """KAK of an element of O(b) for a real Witt form b; a stack
+    (N, n, n) gives one KakTriple per matrix, and the first bad matrix
+    raises.
 
-    Up to spectral norm 1e5 all exponents are recovered to full precision
+    Up to spectral norm 1e6 all exponents are recovered to full precision
     through the deflated logarithm of g^T g.  Beyond that the singular
     value decomposition of g itself is paired up using the mirror
     symmetry (sigma, 1/sigma); exponents that float64 cannot separate
     from 0 at that scale are reported as 0, which perturbs the
     reconstruction by less than its relative tolerance.
     """
-    g = np.asarray(g, dtype=float)
+    return _per_slice(g, lambda stack: _kak_opq(stack, form))
+
+
+def _kak_opq(g, form):
     p, q = form.p, form.q
     _check_opq_input(g, form)
     c = witt_pm_basis(p, q)
     gp = c.T @ g @ c
     ipq = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-    if np.linalg.norm(gp, 2) <= _MODERATE_NORM:
-        kdbl, lam, k1 = _assemble_opq_moderate(gp, ipq, p, q)
-    else:
-        kdbl, lam, k1 = _assemble_opq_extreme(gp, ipq, p, q)
+    kdbl, lam, k1 = np.zeros(g.shape), np.zeros((len(g), q)), np.zeros(g.shape)
+    moderate = np.linalg.norm(gp, 2, axis=(1, 2)) <= _MODERATE_NORM
+    for rows, assemble in ((moderate, _assemble_opq_moderate),
+                           (~moderate, _assemble_opq_extreme)):
+        if rows.any():
+            kdbl[rows], lam[rows], k1[rows] = assemble(gp[rows], ipq, p, q)
     k = c @ kdbl @ c.T
-    l = c @ k1.T @ c.T
-    return KakTriple(k, MuVector("opq", lam), l, form)
+    l = c @ np.swapaxes(k1, 1, 2) @ c.T
+    return _triples(k, lam, l, "opq", form)
 
 
 def _assemble_opq_moderate(gp, ipq, p, q):
     """Factor through S = 1/2 log(g^T g): exact-grade at moderate scale."""
-    n = p + q
-    m = gp.T @ gp
-    m = 0.5 * (m + m.T)
+    m = np.swapaxes(gp, 1, 2) @ gp
+    m = 0.5 * (m + np.swapaxes(m, 1, 2))
     s = _reciprocal_log(m, ipq)
-    b = s[:p, p:]
-    u1, lam, v1t = np.linalg.svd(b)
+    u1, lam, v1t = np.linalg.svd(s[:, :p, p:])
     u1, v1t = _canonicalize_signs(u1, v1t)
-    k1 = np.zeros((n, n))
-    k1[:p, :p] = u1
-    k1[p:, p:] = v1t.T
+    k1 = np.zeros(gp.shape)
+    k1[:, :p, :p] = u1
+    k1[:, p:, p:] = np.swapaxes(v1t, 1, 2)
 
     # left factor columns: the top singular direction of every reciprocal
     # pair determines both block columns (its mirror is ipq times it, so
     # the mirror is never computed through gp, where it would be noise)
-    kdbl = np.zeros((n, n))
+    kdbl = np.zeros(gp.shape)
     root2 = np.sqrt(2.0)
     for i in range(q):
-        rplus = (k1[:, i] + k1[:, p + i]) / root2
-        splus = (gp @ rplus) / np.exp(lam[i])
-        kdbl[:p, i] = root2 * splus[:p]
-        kdbl[p:, p + i] = root2 * splus[p:]
+        rplus = (k1[:, :, i] + k1[:, :, p + i]) / root2
+        splus = _matvec(gp, rplus) / np.exp(lam[:, i:i + 1])
+        kdbl[:, :p, i] = root2 * splus[:, :p]
+        kdbl[:, p:, p + i] = root2 * splus[:, p:]
     for j in range(q, p):
-        kdbl[:, j] = gp @ k1[:, j]
+        kdbl[:, :, j] = _matvec(gp, k1[:, :, j])
     kdbl = _block_polish(kdbl, p)
     return kdbl, lam, k1
 
@@ -318,64 +406,79 @@ def _assemble_opq_extreme(gp, ipq, p, q):
     """Pair the SVD of gp itself via the mirror symmetry: the singular
     triple for 1/sigma is (left ipq u, right ipq v), so the canonical
     factor columns are the +-block parts of v and u."""
-    n = p + q
     u, s, vt = np.linalg.svd(gp)
-    band = max(1e-4, 3e6 * np.finfo(float).eps * s[0])
-    nbig = sum(1 for i in range(q) if s[i] >= 1.0 + band)
-    lam = np.zeros(q)
-    lam[:nbig] = np.log(s[:nbig])
-
-    k1_p, k1_q, kd_p, kd_q = {}, {}, {}, {}
-    for j in range(nbig):
-        v, uvec = vt[j], u[:, j]
-        k1_p[j], k1_q[j] = v[:p], v[p:]
-        kd_p[j], kd_q[j] = uvec[:p], uvec[p:]
-
-    def normalize(d):
-        return {j: w / np.linalg.norm(w) for j, w in d.items()}
-
-    k1pp = _complete_orthogonal(normalize(k1_p), p)
-    k1qq = _complete_orthogonal(normalize(k1_q), q)
-    k1 = np.zeros((n, n))
-    k1[:p, :p] = k1pp
-    k1[p:, p:] = k1qq
-
-    # pool slots act by the identity exponent; recover their left images
-    # from gp where resolvable, falling back to orthogonal completion
-    kd_p, kd_q = normalize(kd_p), normalize(kd_q)
-    for slot in list(range(nbig, q)) + list(range(q, p)):
-        img = (gp @ np.concatenate([k1pp[:, slot], np.zeros(q)]))[:p]
-        kd_p = _try_add_column(kd_p, slot, img)
-    for slot in range(nbig, q):
-        img = (gp @ np.concatenate([np.zeros(p), k1qq[:, slot]]))[p:]
-        kd_q = _try_add_column(kd_q, slot, img)
-    kdbl = np.zeros((n, n))
-    kdbl[:p, :p] = _complete_orthogonal(kd_p, p)
-    kdbl[p:, p:] = _complete_orthogonal(kd_q, q)
+    band = np.maximum(1e-4, 3e6 * np.finfo(float).eps * s[:, 0])
+    nbig = np.sum(s[:, :q] >= 1.0 + band[:, None], axis=1)
+    with np.errstate(divide="ignore"):
+        lam = np.where(np.arange(q) < nbig[:, None], np.log(s[:, :q]), 0.0)
+    kdbl, k1 = np.zeros(gp.shape), np.zeros(gp.shape)
+    for big, rows in _groups(nbig):
+        kdbl[rows], k1[rows] = _extreme_factors(gp[rows], u[rows], vt[rows],
+                                                p, q, big)
     return kdbl, lam, k1
 
 
-def _try_add_column(known, slot, img):
-    """Gram-Schmidt a candidate column against the known ones; drop it if
-    it is numerically degenerate (it will be completed orthogonally)."""
-    if not np.all(np.isfinite(img)):
-        return known
+def _normalize(vectors):
+    return vectors / np.sqrt(_dot(vectors, vectors))[..., None]
+
+
+def _extreme_factors(gp, u, vt, p, q, nbig):
+    """kak_opq's compact factors past the moderate norm, for a stack
+    whose first ``nbig`` exponents are resolved."""
+    n, big = p + q, list(range(nbig))
+    k1pp = _complete_orthogonal(_normalize(vt[:, :nbig, :p]), big, p)
+    k1qq = _complete_orthogonal(_normalize(vt[:, :nbig, p:]), big, q)
+    k1 = np.zeros(gp.shape)
+    k1[:, :p, :p] = k1pp
+    k1[:, p:, p:] = k1qq
+
+    # pool slots act by the identity exponent; recover their left images
+    # from gp where resolvable, falling back to orthogonal completion
+    left = np.swapaxes(u[:, :, :nbig], 1, 2)
+    kdbl = np.zeros(gp.shape)
+    for blk, right, slots in ((slice(0, p), k1pp, range(nbig, p)),
+                              (slice(p, n), k1qq, range(nbig, q))):
+        # (rows, known slots, their vectors) per pattern of kept slots
+        groups = [(np.arange(len(gp)), big,
+                   _normalize(np.ascontiguousarray(left[:, :, blk])))]
+        for slot in slots:
+            x = np.zeros(gp.shape[:2])
+            x[:, blk] = right[:, :, slot]
+            img = _matvec(gp, x)[:, blk]
+            groups = [part for rows, known, vecs in groups
+                      for part in _try_add_column(rows, known, vecs, slot, img[rows])]
+        size = blk.stop - blk.start
+        for rows, known, vecs in groups:
+            kdbl[rows, blk, blk] = _complete_orthogonal(vecs, known, size)
+    return kdbl, k1
+
+
+def _try_add_column(rows, known, vecs, slot, img):
+    """Gram-Schmidt a candidate column against the known ones, for a
+    stack; the rows where it is numerically degenerate drop it (it will
+    be completed orthogonally).  Returns the (rows, known slots, vectors)
+    groups that add it and that do not."""
     v = img.copy()
-    for w in known.values():
-        v -= w * (w @ v)
-    nrm = np.linalg.norm(v)
-    if 0.5 <= np.linalg.norm(img) <= 2.0 and nrm >= 1e-3:
-        known = dict(known)
-        known[slot] = v / nrm
-    return known
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(vecs.shape[1]):
+            v -= vecs[:, j] * _dot(vecs[:, j], v)[:, None]
+        nrm = np.sqrt(_dot(v, v))
+        size = np.sqrt(_dot(img, img))
+        add = np.all(np.isfinite(img), axis=1) & (0.5 <= size) & \
+            (size <= 2.0) & (nrm >= 1e-3)
+        v /= nrm[:, None]
+    parts = [(rows[add], known + [slot],
+              np.concatenate([vecs[add], v[add, None]], axis=1)),
+             (rows[~add], known, vecs[~add])]
+    return [part for part in parts if part[0].size]
 
 
 def _block_polish(kdbl, p):
-    """Project a near block-orthogonal matrix exactly onto O(p) x O(q)."""
+    """Project near block-orthogonal matrices exactly onto O(p) x O(q)."""
     out = np.zeros_like(kdbl)
     for blk in (slice(0, p), slice(p, None)):
-        uu, _, vvt = np.linalg.svd(kdbl[blk, blk])
-        out[blk, blk] = uu @ vvt
+        uu, _, vvt = np.linalg.svd(kdbl[:, blk, blk])
+        out[:, blk, blk] = uu @ vvt
     return out
 
 
@@ -444,7 +547,9 @@ def kak_onC(g, form):
         lam.append(float(bvals[idx]))
         rank += 1
     lam = np.array(lam + [0.0] * (m - rank))
-    rot = _complete_orthogonal(rot_cols, n)
+    slots = sorted(rot_cols)
+    known = np.array([[rot_cols[j] for j in slots]]).reshape(1, len(slots), n)
+    rot = _complete_orthogonal(known, slots, n)[0]
 
     # exp of the canonical element with exponents lam
     expa = np.eye(n, dtype=complex)
@@ -472,7 +577,8 @@ def kak_onC(g, form):
 
 def kak(g, group_tag, form=None):
     """Cartan decomposition dispatch; see the group tags in the module
-    docstring."""
+    docstring.  ``g`` is one matrix, which gives one KakTriple, or a
+    stack (N, n, n), which gives a list of them."""
     if group_tag == "gl":
         return kak_gl(g)
     if group_tag == "opq":
@@ -482,6 +588,8 @@ def kak(g, group_tag, form=None):
     if group_tag == "onC":
         if form is None or not form.is_complex:
             raise ValueError("onC requires a complex WittForm")
+        if np.ndim(g) == 3:
+            return [kak_onC(m, form) for m in g]
         return kak_onC(g, form)
     raise ValueError(f"unknown group tag {group_tag!r}")
 
@@ -584,7 +692,7 @@ def cartan_mu_batch(mats, group_tag, form=None):
     if group_tag == "gl":
         # kak_gl: finite entries, then invertibility
         u, s = np.linalg.svd(g)[:2]
-        _raise_first(~finite | ~(s[:, -1] > 0), mats, kak_gl)
+        kak_gl(mats[~finite | ~(s[:, -1] > 0)])
         bound = SCREEN_MARGIN + _SCREEN_GROWTH * eps * s[:, 0] / s[:, -1]
         return MuBatch(group_tag, np.log(s),
                        np.repeat(bound[:, None], n, axis=1), u, bound)
@@ -594,12 +702,12 @@ def cartan_mu_batch(mats, group_tag, form=None):
     u, s = np.linalg.svd(c.T @ g @ c)[:2]
     s0 = s[:, 0]
     # kak_opq's form check with a factor 2 of slack for rounding; the
-    # suspects go through the exact scalar check
+    # suspects go through its exact check
     defect = np.linalg.norm(np.swapaxes(g, 1, 2) @ gram @ g - gram, 2,
                             axis=(1, 2))
     scale = np.maximum(1.0, s0 ** 2) * max(1.0, np.linalg.norm(gram, 2))
-    _raise_first(~finite | (defect > 0.5 * FORM_PRESERVATION_TOL * scale),
-                 mats, lambda m: _check_opq_input(m, form))
+    _check_opq_input(mats[~finite | (defect > 0.5 * FORM_PRESERVATION_TOL * scale)],
+                     form)
 
     extreme = s0 > _MODERATE_NORM
     band = np.maximum(1e-4, 3e6 * eps * s0)
@@ -616,13 +724,6 @@ def cartan_mu_batch(mats, group_tag, form=None):
     exact = ~resolved & ~near[:, None]
     return MuBatch(group_tag, mu, np.where(exact, 0.0, bound[:, None]),
                    c @ u, bound)
-
-
-def _raise_first(suspect, mats, check):
-    """Run the scalar check on the suspect matrices in stack order; the
-    first real offender raises its ValueError."""
-    for j in np.flatnonzero(suspect):
-        check(mats[j])
 
 
 def _theta_to_plane_dim(theta, group_tag, form):

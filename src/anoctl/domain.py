@@ -165,7 +165,6 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         stride = len(elements) / max_elements
         elements = [elements[int(i * stride)] for i in range(max_elements)]
 
-    flags = []
     # lines against line flags print |cos|-based residuals in full; every
     # other case pushes all points forward and measures them in one call
     line_path = points[0].frame.k == 1 and sample.columns.shape[-1] == 1
@@ -174,8 +173,7 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         pts = np.stack([pt.frame.columns[:, 0] for pt in points], axis=1)
     else:
         pts = np.stack([pt.frame.columns for pt in points])
-    from .cartan import mu_gaps
-    group_tag = "opq" if sample.form is not None else "gl"
+    flagged = []
     for index in elements:
         word, mat, r = ball.elements[index]
         if line_path:
@@ -189,13 +187,19 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         hits = [(int(idx), float(residuals[idx]))
                 for idx in np.flatnonzero(residuals > tol)]
         if hits:
-            # only flagged elements need a gap; the ball keeps the
-            # sampler's decompositions
-            dec = ball.decomposition(index, group_tag, sample.form)
-            gaps = mu_gaps(dec.mu, sample.theta.root_system)
-            gap = min(gaps[a] for a in sample.theta.members)
-            flags.extend(RelationFlag(idx, word, r, gap, resid)
-                         for idx, resid in hits)
+            flagged.append((index, hits))
+
+    # only flagged elements need a gap; the ball keeps the sampler's
+    # decompositions and decomposes the others in one call
+    from .cartan import mu_gaps
+    group_tag = "opq" if sample.form is not None else "gl"
+    decs = ball.decompose([index for index, _ in flagged], group_tag, sample.form)
+    flags = []
+    for (index, hits), dec in zip(flagged, decs):
+        word, _, r = ball.elements[index]
+        gaps = mu_gaps(dec.mu, sample.theta.root_system)
+        gap = min(gaps[a] for a in sample.theta.members)
+        flags.extend(RelationFlag(idx, word, r, gap, resid) for idx, resid in hits)
     return flags
 
 

@@ -20,6 +20,7 @@ pair of real forms (its real and imaginary parts).
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +102,13 @@ class WittForm:
     def _require_complex(self):
         if not self.is_complex:
             raise ValueError("operation requires a complex form")
+
+    @cached_property
+    def isotropy_scale(self):
+        """max(|gram|_2, 1) of the real gram (the doubled real one for a
+        complex form), the scale of FlagPoint's isotropy test."""
+        gram = self.re_gram() if self.is_complex else self.gram
+        return max(np.linalg.norm(gram, 2), 1.0)
 
     # -- serialization -----------------------------------------------------
 
@@ -233,8 +241,10 @@ class FlagPoint:
             raise ValueError("frame ambient dimension does not match the form")
         if iso_dim:
             restricted = frame.columns.T @ gram @ frame.columns
-            scale = max(np.linalg.norm(gram, 2), 1.0)
-            if np.linalg.norm(restricted, 2) > tol * scale:
+            bound = tol * form.isotropy_scale
+            # the Frobenius norm bounds the spectral one and needs no SVD
+            if np.linalg.norm(restricted) > bound and \
+                    np.linalg.norm(restricted, 2) > bound:
                 raise ValueError("frame span is not isotropic for the form")
         self.frame = frame
         self.form = form

@@ -64,12 +64,24 @@ class GroupBall:
     def _positions(self):
         return {w: i for i, w in enumerate(self.words)}
 
+    def decompose(self, indices, group_tag, form=None):
+        """kak of the elements at ``indices``, as a list; the ones not
+        decomposed before go through one stacked kak call, and every
+        decomposition is kept."""
+        keys = [(int(i), group_tag, form) for i in indices]
+        missing = list(dict.fromkeys(k for k in keys if k not in self._kak))
+        if missing:
+            stack = self.matrices[[k[0] for k in missing]]
+            self._kak.update(zip(missing, kak(stack, group_tag, form)))
+        return [self._kak[k] for k in keys]
+
+    def decomposed(self, index, group_tag, form=None):
+        """Whether the element at ``index`` has been decomposed."""
+        return (index, group_tag, form) in self._kak
+
     def decomposition(self, index, group_tag, form=None):
         """kak of the element at ``index``, computed once."""
-        key = (index, group_tag, form)
-        if key not in self._kak:
-            self._kak[key] = kak(self.elements[index][1], group_tag, form)
-        return self._kak[key]
+        return self.decompose([index], group_tag, form)[0]
 
     def cartan_batch(self, group_tag, form=None):
         """cartan_mu_batch of the whole ball, computed once; None for
@@ -273,17 +285,22 @@ def divergence_profile(ball, rs, group_tag, form=None):
     batch = ball.cartan_batch(group_tag, form)
     if batch is not None:
         approx, slack = batch.gaps(rs)
-    entries = []
+    spheres = []
     for r in range(ball.radius + 1):
         sphere = np.flatnonzero(ball.lengths == r)
         if not sphere.size:
             continue
         if batch is not None:
             sphere = sphere[_possible_minima(approx[sphere], slack[sphere])]
+        spheres.append((r, sphere))
+    decs = iter(ball.decompose(np.concatenate([s for _, s in spheres]),
+                               group_tag, form))
+    entries = []
+    for r, sphere in spheres:
         best, best_word = {}, {}
-        for idx in sphere:
+        for idx, dec in zip(sphere, decs):
             word = ball.words[idx]
-            gaps = mu_gaps(ball.decomposition(idx, group_tag, form).mu, rs)
+            gaps = mu_gaps(dec.mu, rs)
             for root, val in gaps.items():
                 if val < -1e-9:
                     raise ValueError(

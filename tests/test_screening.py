@@ -5,7 +5,6 @@ computation, in which every ball element goes through kak."""
 import numpy as np
 import pytest
 
-import anoctl.words
 from anoctl.cartan import kak, mu_gaps
 from anoctl.domain import dynamical_relation_scan, gaussian_domain_sampler, in_bad_set
 from anoctl.forms import make_witt_form
@@ -51,13 +50,17 @@ def unscreened(monkeypatch):
 
 @pytest.fixture
 def kak_calls(monkeypatch):
-    """Count the scalar decompositions made through GroupBall."""
+    """The indices of the ball elements decomposed through GroupBall, in
+    the order they are decomposed."""
     calls = []
+    decompose = GroupBall.decompose
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return kak(*args, **kwargs)
-    monkeypatch.setattr(anoctl.words, "kak", counting)
+    def counting(ball, indices, group_tag, form=None):
+        indices = [int(i) for i in indices]
+        calls.extend(i for i in dict.fromkeys(indices)
+                     if not ball.decomposed(i, group_tag, form))
+        return decompose(ball, indices, group_tag, form)
+    monkeypatch.setattr(GroupBall, "decompose", counting)
     return calls
 
 
@@ -116,8 +119,10 @@ def test_schottky_kak_calls(kak_calls):
 def test_scan_reuses_the_samplers_decompositions(kak_calls):
     form, rs, ball = setup("mixed-o21")
     sample = sample_limit_set(ball, ThetaSet(rs, frozenset({1})), form)
-    decomposed = set(map(id, kak_calls))
+    decomposed = set(kak_calls)
     kak_calls.clear()
     flags = dynamical_relation_scan(domain_points(form, sample), ball, sample)
-    flagged = {id(ball.matrix(f.word)) for f in flags}
-    assert len(kak_calls) == len(flagged - decomposed) < len(flagged)
+    positions = {word: i for i, word in enumerate(ball.words)}
+    flagged = {positions[f.word] for f in flags}
+    assert sorted(kak_calls) == sorted(flagged - decomposed)
+    assert len(flagged - decomposed) < len(flagged)
