@@ -321,7 +321,10 @@ def cmd_domain(config):
         trans = transversality_report(sample, form) if len(sample) > 1 else None
         report.update({
             "sample_size": len(sample),
-            "sample_covering_radius": sample.covering_radius(),
+            # a one-flag sample has no neighbor distance; JSON has no
+            # infinity
+            "sample_covering_radius":
+                sample.covering_radius() if len(sample) > 1 else None,
             "bad_set_hits": len(hits),
             "transversality_margin": trans.margin if trans else None,
             "relation_flags": [

@@ -189,6 +189,24 @@ def test_malformed_generator_file_exits_2(tmp_path, capsys, content):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_domain_report_with_a_one_flag_sample_is_strict_json(tmp_path):
+    # one unipotent generator: its ball has a single limit flag, which
+    # has no covering radius and no transversality margin
+    x = np.array([[0.0, 1e7, 0.0], [0.0, 0.0, -1e7], [0.0, 0.0, 0.0]])
+    gens = write_gens(tmp_path / "gens.json", [("a", np.eye(3) + x + x @ x / 2)])
+    code = main(["domain", "--gens", gens, "--form", "2,1", "--radius", "1",
+                 "--out", str(tmp_path)])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    data = json.loads(read(tmp_path / "domain.json"), parse_constant=reject)
+    assert data["sample_size"] == 1
+    assert data["sample_covering_radius"] is None
+    assert data["transversality_margin"] is None
+
+
 def test_overflowing_ball_exits_2(tmp_path, capsys):
     # a^4 has entries near e^800, past the floating-point range
     gens = write_gens(tmp_path / "gens.json", [("a", o21_boost(200.0))])

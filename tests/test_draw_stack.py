@@ -1,0 +1,248 @@
+"""Parity of the stacked domain draw loops with the pair-by-pair and
+try-by-try loops they replace: the same results, bit for bit, and the
+same final rng state."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from anoctl.domain import (
+    SAMPLER_BLOCK,
+    ExpansionResult,
+    NotInCompactificationError,
+    expansion_certificate,
+    gaussian_domain_sampler,
+    in_Xbar,
+)
+from anoctl.forms import Frame, make_witt_form, principal_sines
+from anoctl.limits import sample_limit_set
+from anoctl.presets import mixed_o21, schottky_o21
+from anoctl.roots import ThetaSet, build_root_system
+from anoctl.words import enumerate_ball, word_inverse
+from test_cli import pingpong_o32
+
+RADII = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
+
+
+# ---------------------------------------------------------------------------
+# scalar references (the loops before stacking)
+
+
+def _perturbed_line(rng, line, max_angle, ambient):
+    v = line.columns[:, 0]
+    u = rng.standard_normal(ambient)
+    u -= v * (v @ u)
+    u /= np.linalg.norm(u)
+    phi = rng.uniform(0.2, 1.0) * max_angle
+    return Frame.from_spanning(np.cos(phi) * v + np.sin(phi) * u)
+
+
+def expansion_reference(flag, ray, ball, c, q=1, grid=8, rng=None, radii=RADII):
+    rng = rng or np.random.default_rng(0)
+    frame = flag if isinstance(flag, Frame) else flag.frame
+    n = frame.ambient_dim
+    candidates = [("", np.eye(n))]
+    for w in ray:
+        iw = word_inverse(w)
+        candidates.append((iw, ball.matrix(iw)))
+    best = (-np.inf, None, None)
+    tested = 0
+    for word, mat in candidates:
+        for radius in radii:
+            factors = []
+            for _ in range(grid):
+                near = _perturbed_line(rng, frame, 0.9 * radius, n)
+                extra = rng.standard_normal((n, q - 1)) if q > 1 else \
+                    np.zeros((n, 0))
+                wplane = Frame.from_spanning(np.hstack([near.columns, extra]))
+                if wplane.k != q:
+                    continue
+                lline = _perturbed_line(rng, frame, 0.9 * radius, n)
+                before = float(principal_sines(lline, wplane)[0])
+                if before < 1e-12:
+                    continue
+                moved_w = Frame.from_spanning(mat @ wplane.columns)
+                moved_l = Frame.from_spanning(mat @ lline.columns)
+                after = float(principal_sines(moved_l, moved_w)[0])
+                factors.append(after / before)
+                tested += 1
+            if not factors:
+                continue
+            factor = min(factors)
+            if factor >= c:
+                return ExpansionResult(True, word, radius, factor, tested)
+            if factor > best[0]:
+                best = (factor, word, radius)
+    return ExpansionResult(False, best[1], best[2] or radii[-1],
+                           best[0] if best[0] > -np.inf else 0.0, tested)
+
+
+def sampler_reference(form, rng, tol=1e-9, max_tries=5000):
+    n, q = form.n, form.q
+    for _ in range(max_tries):
+        w = Frame.from_spanning(rng.standard_normal((n, q)))
+        try:
+            return in_Xbar(w, form, tol)
+        except NotInCompactificationError:
+            continue
+    raise RuntimeError("rejection sampling failed")
+
+
+# ---------------------------------------------------------------------------
+# expansion certificates
+
+
+def preset_case(build, radius):
+    form, gens = build()
+    ball = enumerate_ball(gens, radius)
+    theta = ThetaSet(build_root_system("B", 1), frozenset({1}))
+    return ball, sample_limit_set(ball, theta, form, min_gap=1.0)
+
+
+def pingpong_case():
+    ball = enumerate_ball(pingpong_o32(0), 3)
+    theta = ThetaSet(build_root_system("B", 2), frozenset({1}))
+    return ball, sample_limit_set(ball, theta, make_witt_form(3, 2), min_gap=1.0)
+
+
+CASES = {
+    "schottky-o21": lambda: preset_case(schottky_o21, 4),
+    "mixed-o21": lambda: preset_case(mixed_o21, 4),
+    "pingpong-o32": pingpong_case,
+}
+
+
+def rays(sample, count=8):
+    for p in sample.points[:count]:
+        yield p.flag, [p.source_word[:k] for k in range(1, len(p.source_word) + 1)]
+
+
+def assert_same_certificate(ball, flag, ray, c, q=1, seed=0, **kwargs):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = expansion_reference(flag, ray, ball, c, q=q, rng=ref_rng, **kwargs)
+    result = expansion_certificate(flag, ray, ball, c, q=q, rng=rng, **kwargs)
+    assert result == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_expansion_certificate_matches_the_pair_loop(name):
+    ball, sample = CASES[name]()
+    for flag, ray in rays(sample):
+        assert_same_certificate(ball, flag, ray, 2.0)
+    # a factor no grid reaches runs every grid and returns the best one
+    flag, ray = next(rays(sample))
+    assert not assert_same_certificate(ball, flag, ray, 1e9).success
+
+
+def test_expansion_certificate_on_planes_of_the_o32_pair():
+    ball, sample = pingpong_case()
+    for flag, ray in rays(sample):
+        res = assert_same_certificate(ball, flag, ray, 2.0, q=2)
+        assert res.success and res.factor >= 2.0 and res.word != ""
+
+
+class ParallelExtraRng:
+    """A Generator whose q - 1 extra columns are, on the listed draws, a
+    multiple of the near line drawn just before, so that W drops rank.
+    ``bit_generator.state`` saves and restores the draw count too."""
+
+    def __init__(self, seed, v, max_angle, parallel_draws):
+        self._rng = np.random.default_rng(seed)
+        self._v, self._max_angle = v, max_angle
+        self._parallel = set(parallel_draws)
+        self._extras, self._last = 0, None
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self._rng.bit_generator.state, self._extras, self._last
+
+    @state.setter
+    def state(self, value):
+        self._rng.bit_generator.state, self._extras, self._last = value
+
+    def uniform(self, low, high):
+        value = self._rng.uniform(low, high)
+        self._last = (self._last, value)
+        return value
+
+    def standard_normal(self, size):
+        if isinstance(size, tuple):
+            self._extras += 1
+            if self._extras in self._parallel:
+                (u, t), v = self._last, self._v
+                u = u - v * (v @ u)
+                u = u / np.linalg.norm(u)
+                phi = t * self._max_angle
+                near = np.cos(phi) * v + np.sin(phi) * u
+                return np.repeat(3.0 * near[:, None], size[1], axis=1)
+        draw = self._rng.standard_normal(size)
+        self._last = draw
+        return draw
+
+
+@pytest.mark.parametrize("parallel_draws", [(2,), (1, 3, 8), (4, 5, 11)])
+def test_expansion_certificate_skips_planes_that_drop_rank(parallel_draws):
+    ball, sample = pingpong_case()
+    flag, ray = next(rays(sample))
+    v = flag.frame.columns[:, 0]
+    radii = (0.01, 1e-3)
+
+    def stub():
+        return ParallelExtraRng(3, v, 0.9 * radii[0], parallel_draws)
+
+    ref_rng, rng = stub(), stub()
+    expected = expansion_reference(flag, ray, ball, 1e9, q=2, rng=ref_rng,
+                                   radii=radii)
+    result = expansion_certificate(flag, ray, ball, 1e9, q=2, rng=rng,
+                                   radii=radii)
+    assert result == expected
+    assert rng.bit_generator.state[:2] == ref_rng.bit_generator.state[:2]
+    # each parallel draw in the first grid cost one pair
+    grids = len(radii) * (len(ray) + 1)
+    assert result.pairs_tested == 8 * grids - sum(d <= 8 for d in parallel_draws)
+
+
+def test_expansion_certificate_measures_planes_squeezed_below_the_rank_tolerance():
+    # the stretch along e2 leaves every moved plane 1e12 : 1 between its
+    # singular directions, so it keeps one column, and the moved line
+    # ends up far from that column: the squeezing word has the best factor
+    stretch = np.diag([1.0, 1e12, 1.0])
+    ball = SimpleNamespace(matrix=lambda word: stretch)
+    flag = Frame.standard(3, [0])
+    for seed in range(2):
+        res = assert_same_certificate(ball, flag, ["a"], 1e9, q=2, seed=seed,
+                                      radii=(1e-7,))
+        assert res.word == "A" and res.factor > 1.0
+
+
+# ---------------------------------------------------------------------------
+# domain sampler
+
+
+@pytest.mark.parametrize("p,q,count", [(2, 1, 60), (3, 2, 40), (4, 2, 30),
+                                       (3, 3, 20), (5, 3, 2), (3, 0, 3)])
+def test_sampler_matches_the_try_loop(p, q, count):
+    form = make_witt_form(p, q)
+    ref_rng, rng = np.random.default_rng(p + q), np.random.default_rng(p + q)
+    for _ in range(count):
+        expected = sampler_reference(form, ref_rng)
+        point = gaussian_domain_sampler(form, rng)
+        assert np.array_equal(point.frame.columns, expected.frame.columns)
+        assert point.stratum == expected.stratum
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("max_tries", [1, SAMPLER_BLOCK, 2 * SAMPLER_BLOCK + 5])
+def test_sampler_exhaustion_leaves_the_try_loop_state(max_tries):
+    # random lines of R^31 are almost never nonpositive for the (30, 1) form
+    form = make_witt_form(30, 1)
+    ref_rng, rng = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(RuntimeError, match="rejection sampling failed"):
+        sampler_reference(form, ref_rng, max_tries=max_tries)
+    with pytest.raises(RuntimeError, match="rejection sampling failed"):
+        gaussian_domain_sampler(form, rng, max_tries=max_tries)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

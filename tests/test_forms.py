@@ -6,17 +6,21 @@ from anoctl.forms import (
     Frame,
     FlagPoint,
     WittForm,
+    check_orthonormal,
     contains,
     dist_grassmann,
     dist_projective,
     dist_to_incidence,
+    dump_json,
     intersects,
     make_witt_form,
     matrix_from_json,
     matrix_to_json,
     orthogonal_complement,
+    orthonormalize,
     principal_sines,
     push_forward,
+    restrict,
     restrict_kernel,
     signature,
     subspace_sum_rank,
@@ -424,3 +428,35 @@ def test_push_forward_keeps_every_column_at_extreme_stretch():
     assert np.linalg.norm(moved.T @ moved - np.eye(2)) < 1e-12
     exact = np.linalg.qr(g @ plane.columns)[0]     # reference span
     assert np.max(principal_sines(moved, exact)) < 1e-9
+
+
+def test_orthonormalize_matches_from_spanning_per_slice(rng):
+    vectors = rng.standard_normal((30, 5, 2))
+    vectors[4, :, 1] = 2.0 * vectors[4, :, 0]       # rank 1
+    columns, ranks = orthonormalize(vectors)
+    assert ranks.tolist() == [1 if i == 4 else 2 for i in range(30)]
+    for vecs, cols, rank in zip(vectors, columns, ranks):
+        assert np.array_equal(cols[:, :rank], Frame.from_spanning(vecs).columns)
+
+
+def test_check_orthonormal_reports_the_first_bad_slice(rng):
+    columns = orthonormalize(rng.standard_normal((6, 4, 2)))[0]
+    check_orthonormal(columns)
+    columns[2] *= 1.5
+    columns[4] *= 1.01
+    with pytest.raises(ValueError, match=r"defect 1\.25e\+00"):
+        check_orthonormal(columns)
+
+
+def test_restrict_matches_restrict_kernel_per_frame(rng):
+    form = make_witt_form(3, 2)
+    frames = orthonormalize(rng.standard_normal((20, 5, 2)))[0]
+    stacked = restrict(form, frames)
+    for cols, gram in zip(frames, stacked):
+        assert np.array_equal(gram, restrict_kernel(form, Frame(cols))[0])
+
+
+def test_dump_json_rejects_non_finite_numbers(tmp_path):
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            dump_json({"radius": value}, tmp_path / "report.json")
