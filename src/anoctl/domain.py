@@ -61,12 +61,19 @@ def in_Xbar(w, form, tol=MEMBERSHIP_TOL):
     if w.k != form.q:
         raise ValueError(f"frame must have q = {form.q} columns")
     restricted, kernel = restrict_kernel(form, w, tol)
-    top = float(np.max(np.linalg.eigvalsh(restricted))) if w.k else 0.0
-    scale = np.linalg.norm(form.gram, 2)
-    if top > tol * scale:
+    top, positive = _positive_part(form, restricted, tol)
+    if positive:
         raise NotInCompactificationError(
-            f"restriction has positive eigenvalue {top:.3e}", top)
+            f"restriction has positive eigenvalue {top:.3e}", float(top))
     return CompactPoint(w, kernel.k, form)
+
+
+def _positive_part(form, restricted, tol):
+    """in_Xbar's nonpositivity rule on stacked restricted grams
+    (..., k, k): the largest eigenvalue of each (-inf when k = 0) and
+    whether it exceeds tol times the gram's spectral norm."""
+    top = np.max(np.linalg.eigvalsh(restricted), axis=-1, initial=-np.inf)
+    return top, top > tol * form.gram_norm
 
 
 def complex_in_Xbar(w, bC, tol=MEMBERSHIP_TOL):
@@ -79,15 +86,17 @@ def complex_in_Xbar(w, bC, tol=MEMBERSHIP_TOL):
     n = bC.n
     if w.ambient_dim != 2 * n or w.k != n:
         raise ValueError(f"frame must have {n} columns in R^{2 * n}")
-    scale = np.linalg.norm(bC.gram, 2)
+    scale = bC.gram_norm
     im_restricted = w.columns.T @ bC.im_gram() @ w.columns
     im_norm = float(np.linalg.norm(im_restricted, 2))
     if im_norm > tol * scale:
         raise NotInCompactificationError(
             f"imaginary part does not vanish on the span ({im_norm:.3e})", im_norm)
     # Re(bC) on the doubled real space, as a real form for in_Xbar
-    real = SimpleNamespace(is_complex=False, gram=bC.re_gram(), q=n,
-                           isotropy_scale=bC.isotropy_scale)
+    real_gram = bC.re_gram()
+    real = SimpleNamespace(is_complex=False, gram=real_gram, q=n,
+                           isotropy_scale=bC.isotropy_scale,
+                           gram_norm=np.linalg.norm(real_gram, 2))
     in_Xbar(w, real, tol)      # nonpositivity of the real part
     kernel = restrict_kernel(real, w, tol)[1]
     if kernel.k:
@@ -355,21 +364,21 @@ def gaussian_domain_sampler(form, rng, tol=MEMBERSHIP_TOL, max_tries=5000):
 
     Tries are decided SAMPLER_BLOCK at a time, with one stacked SVD,
     restriction and ``eigvalsh``, each slice bit for bit the one-try
-    value.  The rng is then rewound and advanced by exactly the tries up
-    to the first accepted one, and that frame goes through ``in_Xbar``,
-    so the point and the rng's final state are those of a try-by-try
-    loop."""
+    value, and with in_Xbar's own rule (``_positive_part``).  The rng is
+    then rewound and advanced by exactly the tries up to the first
+    accepted one, and that frame goes through ``in_Xbar``, so the point
+    and the rng's final state are those of a try-by-try loop.  This
+    relies on in_Xbar accepting that frame: a rejection there would
+    raise out of the sampler where the try-by-try loop went on."""
     n, q = form.n, form.q
-    cut = tol * np.linalg.norm(form.gram, 2)
     for start in range(0, max_tries, SAMPLER_BLOCK):
         state = rng.bit_generator.state
         size = min(SAMPLER_BLOCK, max_tries - start)
         frames, ranks = orthonormalize(rng.standard_normal((size, n, q)))
-        # with q = 0 every frame is empty, and in_Xbar accepts it
-        top = np.max(np.linalg.eigvalsh(restrict(form, frames)), axis=-1,
-                     initial=-np.inf)
-        # a frame short of q columns is decided too: in_Xbar rejects it
-        decided = np.flatnonzero((ranks < q) | ~(top > cut))
+        positive = _positive_part(form, restrict(form, frames), tol)[1]
+        # a frame short of q columns is decided too: in_Xbar raises the
+        # ValueError the try-by-try loop raised
+        decided = np.flatnonzero((ranks < q) | ~positive)
         if decided.size:
             rng.bit_generator.state = state
             tries = rng.standard_normal((decided[0] + 1, n, q))

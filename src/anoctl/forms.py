@@ -110,6 +110,12 @@ class WittForm:
         gram = self.re_gram() if self.is_complex else self.gram
         return max(np.linalg.norm(gram, 2), 1.0)
 
+    @cached_property
+    def gram_norm(self):
+        """Spectral norm of ``gram``, the scale of in_Xbar's
+        nonpositivity test."""
+        return np.linalg.norm(self.gram, 2)
+
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
@@ -186,10 +192,7 @@ class Frame:
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim == 1:
             vectors = vectors[:, None]
-        if vectors.shape[1] == 0:
-            return cls(np.zeros((vectors.shape[0], 0)))
-        u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-        rank = int(np.sum(s > tol * (s[0] if s.size else 1.0)))
+        u, rank = _svd_rank(vectors, tol)
         return cls(u[:, :rank])
 
     @classmethod
@@ -238,14 +241,24 @@ def check_orthonormal(columns):
             "use Frame.from_spanning to orthonormalize")
 
 
+def _svd_rank(vectors, tol):
+    """The SVD behind every spanning frame: the left singular vectors
+    (..., n, k) of a stack and the rank of each slice, its count of
+    singular values above tol times its largest (0 when k = 0)."""
+    if vectors.shape[-1] == 0:
+        return vectors, np.zeros(vectors.shape[:-2], dtype=int)
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    return u, (s > tol * s[..., :1]).sum(-1)
+
+
 def orthonormalize(vectors, tol=DEFAULT_TOL):
-    """``Frame.from_spanning`` over a stack (..., n, k) with k >= 1: the
+    """``Frame.from_spanning`` over a stack (..., n, k), k >= 0: the
     SVD's left columns (..., n, k), checked like a Frame's, and the rank
     of each slice.  The first rank columns of a slice are bit for bit
-    the columns from_spanning keeps for it."""
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    the columns from_spanning keeps for it (one shared ``_svd_rank``)."""
+    u, ranks = _svd_rank(vectors, tol)
     check_orthonormal(u)
-    return u, np.sum(s > tol * s[..., :1], axis=-1)
+    return u, ranks
 
 
 class FlagPoint:
@@ -331,8 +344,10 @@ def push_forward(mats, columns):
     """Orthonormal columns spanning mats @ columns, for stacked matrices
     (..., n, n) and frames (..., n, k): one stacked SVD that keeps all k
     columns (no rank decision, so a plane stretched far past the
-    relative tolerance keeps its dimension)."""
-    return np.linalg.svd(mats @ columns, full_matrices=False)[0]
+    relative tolerance keeps its dimension).  The columns are not
+    checked like a Frame's: they only feed principal-angle measurements
+    inside the scan loops."""
+    return _svd_rank(mats @ columns, DEFAULT_TOL)[0]
 
 
 def dist_projective(l1, l2):

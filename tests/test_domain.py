@@ -47,6 +47,12 @@ def test_in_xbar_examples():
     with pytest.raises(NotInCompactificationError) as exc:
         in_Xbar(Frame.standard(3, [1]), form)
     assert exc.value.violation == pytest.approx(1.0)
+    assert type(exc.value.violation) is float
+
+
+def test_in_xbar_accepts_the_empty_plane_of_a_definite_form():
+    form = make_witt_form(3, 0)
+    assert in_Xbar(Frame(np.zeros((3, 0))), form).stratum == 0
 
 
 def test_in_xbar_wrong_dimension():

@@ -439,6 +439,19 @@ def test_orthonormalize_matches_from_spanning_per_slice(rng):
         assert np.array_equal(cols[:, :rank], Frame.from_spanning(vecs).columns)
 
 
+def test_orthonormalize_takes_empty_frames():
+    columns, ranks = orthonormalize(np.zeros((3, 4, 0)))
+    assert columns.shape == (3, 4, 0)
+    assert ranks.tolist() == [0, 0, 0]
+    assert Frame.from_spanning(np.zeros((4, 0))).columns.shape == (4, 0)
+
+
+def test_gram_norm_is_the_spectral_norm():
+    form = WittForm(2, 1, 3.0 * make_witt_form(2, 1).gram)
+    assert form.gram_norm == np.linalg.norm(form.gram, 2)
+    assert form.gram_norm == pytest.approx(3.0)
+
+
 def test_check_orthonormal_reports_the_first_bad_slice(rng):
     columns = orthonormalize(rng.standard_normal((6, 4, 2)))[0]
     check_orthonormal(columns)
