@@ -39,6 +39,8 @@ from .forms import Frame, FlagPoint, WittForm
 
 FORM_PRESERVATION_TOL = 1e-8
 _SIGNIFICANT = 1e-9
+# relative spectral-norm error of a KAK reconstruction
+_RECONSTRUCTION_TOL = 1e-9
 # singular directions below ||g|| * _RESOLVABLE cannot be recovered in
 # float64 and are completed orthogonally
 _RESOLVABLE = 1e-13
@@ -505,14 +507,33 @@ def complex_pm_basis(n):
 
 def kak_onC(g, form):
     """KAK of an element of the complex orthogonal group of the canonical
-    complex Witt form (moderate scales; no deflation)."""
+    complex Witt form.  There is no deflation, so it holds only at
+    moderate scales: a decomposition that does not reconstruct g to
+    relative accuracy _RECONSTRUCTION_TOL in the spectral norm, or whose
+    eigensolver fails, raises ValueError."""
     g = np.asarray(g, dtype=complex)
     n = form.n
     if g.shape != (n, n):
         raise ValueError(f"g must be {n}x{n} complex")
+    scale = np.linalg.norm(g, 2)
     defect = np.linalg.norm(g.T @ form.gram @ g - form.gram, 2)
-    if defect > FORM_PRESERVATION_TOL * max(1.0, np.linalg.norm(g, 2) ** 2):
+    if defect > FORM_PRESERVATION_TOL * max(1.0, scale ** 2):
         raise ValueError("matrix does not preserve the complex form")
+    try:
+        with np.errstate(all="ignore"):
+            triple = _kak_onC(g, form)
+            error = np.linalg.norm(triple.reconstruct() - g, 2)
+    except np.linalg.LinAlgError:
+        error = np.nan
+    if not error <= _RECONSTRUCTION_TOL * scale:
+        raise ValueError(
+            f"onC KAK is not accurate at spectral norm {scale:.3g}: its "
+            f"reconstruction misses the relative tolerance {_RECONSTRUCTION_TOL:g}")
+    return triple
+
+
+def _kak_onC(g, form):
+    n = form.n
     m = n // 2
     t = complex_pm_basis(n)
     gs = t.conj().T @ g @ t

@@ -26,6 +26,9 @@ PAIR_FLOOR = 1e-3
 # stacks grow the heap, and so the peak resident memory, by about 1 MiB
 # on O(3,2) balls, for a gain of under 15 us per element
 _PREFETCH = 128
+# products |F^T x| per slice of the kept flags in _surely_within, which
+# bounds its table however many flags are kept
+_TABLE = 2 ** 14
 
 
 class EmptyLimitSampleError(ValueError):
@@ -89,11 +92,12 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
     merged at flag distance merge_tol (shortlex-first representative
     kept).  Raises EmptyLimitSampleError if nothing clears the floor.
 
-    Elements are decomposed in stacked kak calls: on reaching one that
-    is not decomposed yet, the loop also decomposes up to as many later
-    elements as it has decomposed so far, the ones it is predicted to
-    reach (see ``window``).  A wrong prediction costs a decomposition
-    or a call, never a different result."""
+    The candidates go in blocks of 1, 2, 4, ... up to _PREFETCH elements.
+    A block first drops the elements whose batched flags are clearly
+    within merge_tol of a kept flag, then decomposes the rest in one
+    stacked kak call and runs the exact gap, flag and merge steps on
+    them in order; a flag kept within a block screens only later
+    blocks, which costs a decomposition, never a different result."""
     if group_tag is None:
         group_tag = "gl" if form is None else ("onC" if form.is_complex else "opq")
     if min_gap <= 0:
@@ -113,72 +117,30 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
         bounded = approx_gap - gap_slack > max(min_gap, 1.0)
         frames = batch.u[:, :, :_theta_to_plane_dim(theta, group_tag, form)]
     points, kept = [], None     # kept: the points' frames, preallocated
-    decomposed = 0
-
-    def unsettled(rest, flags):
-        """rest without the elements whose batched flags are clearly
-        within merge_tol of one of ``flags``."""
-        near = bounded[rest]
-        near[near] = _surely_within(frames[rest[near]], flags, merge_tol,
-                                    batch.flag_margin[rest[near]])
-        return rest[~near]
-
-    def window(idx):
-        """idx and up to max(1, decomposed) later candidates not yet
-        decomposed (_PREFETCH in all), passing over those whose batched
-        flags are settled by the kept flags or by the batched flags of
-        the window."""
-        out, size = [idx], 1 + min(max(1, decomposed), _PREFETCH - 1)
-        later = candidates[np.searchsorted(candidates, idx, "right"):]
-        # blocks whose cosine table against the kept flags has about
-        # 4,096 entries: with fixed blocks of _PREFETCH, mixed-o21's
-        # limitset_s rose 47 % and its peak RSS 2 MiB (the table grows
-        # with the kept flags, and the last block of a window is checked
-        # past the window's end); blocks of the window's size take
-        # hundreds of calls to pass over a ball that keeps few flags
-        block = max(16, 2 ** 12 // max(1, len(points) * frames.shape[-1] ** 2)) \
-            if batch is not None else size
-        for start in range(0, len(later), block):
-            rest = later[start:start + block]
-            rest = rest[[not ball.decomposed(j, group_tag, form) for j in rest]]
-            if batch is not None:
-                if points:
-                    rest = unsettled(rest, kept[:len(points)])
-                rest = unsettled(rest, frames[out])
-            while rest.size:
-                # the first of the rest that the window does not settle
-                out.append(rest[0])
-                if len(out) == size:
-                    return out
-                rest = rest[1:]
-                if batch is not None:
-                    rest = unsettled(rest, frames[out[-1:]])
-        return out
-
-    for idx in candidates:
-        if points and batch is not None and bounded[idx] and _surely_within(
-                frames[idx], kept[:len(points)], merge_tol, batch.flag_margin[idx]):
-            continue
-        if ball.decomposed(idx, group_tag, form):
-            dec = ball.decomposition(idx, group_tag, form)
-        else:
-            fetch = window(idx)
-            dec = ball.decompose(fetch, group_tag, form)[0]
-            decomposed += len(fetch)
-        word, mat, r = ball.elements[idx]
-        gaps = mu_gaps(dec.mu, rs)
-        gap = min(gaps[a] for a in theta.members)
-        if gap <= min_gap:
-            continue
-        flag = xi_theta(mat, theta, form, tol=min_gap, group_tag=group_tag,
-                        decomposition=dec)
-        cols = flag.columns if isinstance(flag, Frame) else flag.frame.columns
-        if kept is None:
-            kept = np.empty((len(ball.elements),) + cols.shape)
-        if _within(cols, kept[:len(points)], merge_tol):
-            continue
-        kept[len(points)] = cols
-        points.append(LimitPoint(flag, word, r, gap))
+    start, size = 0, 1
+    while start < len(candidates):
+        block = candidates[start:start + size]
+        start, size = start + size, min(2 * size, _PREFETCH)
+        if points and batch is not None:
+            near = bounded[block]
+            near[near] = _surely_within(frames[block[near]], kept[:len(points)],
+                                        merge_tol, batch.flag_margin[block[near]])
+            block = block[~near]
+        for idx, dec in zip(block, ball.decompose(block, group_tag, form)):
+            word, mat, r = ball.elements[idx]
+            gaps = mu_gaps(dec.mu, rs)
+            gap = min(gaps[a] for a in theta.members)
+            if gap <= min_gap:
+                continue
+            flag = xi_theta(mat, theta, form, tol=min_gap, group_tag=group_tag,
+                            decomposition=dec)
+            cols = flag.columns if isinstance(flag, Frame) else flag.frame.columns
+            if kept is None:
+                kept = np.empty((len(ball.elements),) + cols.shape)
+            if _within(cols, kept[:len(points)], merge_tol):
+                continue
+            kept[len(points)] = cols
+            points.append(LimitPoint(flag, word, r, gap))
     if not points:
         raise EmptyLimitSampleError(
             f"no ball element has theta-gaps above {min_gap}; enlarge the ball")
@@ -187,8 +149,13 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
 
 def _cosines(cols, kept):
     """c = |F^T x|_F^2 against every kept frame F: shape (len(kept),)
-    for one frame x (n, k), (len(kept), R) for a stack (R, n, k)."""
-    return np.sum(np.tensordot(kept, cols, axes=(1, -2)) ** 2, axis=(1, -1))
+    for one frame x (n, k), (len(kept), R) for a stack (R, n, k).  The
+    products are tensordot's, one np.dot of the same reshaped operands."""
+    n, k = cols.shape[-2:]
+    prod = np.dot(kept.transpose(0, 2, 1).reshape(-1, n),
+                  cols.swapaxes(0, -2).reshape(n, -1))
+    return np.sum(prod.reshape((len(kept), k) + cols.shape[:-2] + (k,)) ** 2,
+                  axis=(1, -1))
 
 
 def _within(cols, kept, tol):
@@ -209,14 +176,20 @@ def _within(cols, kept, tol):
 
 
 def _surely_within(cols, kept, tol, margin):
-    """True only if every frame within ``margin`` of cols lies at flag
-    distance below tol from a kept frame, which _within then confirms:
-    d(cols, F) <= sqrt(k - c), and the flag distance is a metric.  A
-    stack of frames (R, n, k) with margins (R,) gets one answer each."""
+    """For each frame of a stack (R, n, k) with margins (R,): True only
+    if every frame within its margin lies at flag distance below tol
+    from a kept frame, which _within then confirms: d(cols, F) <=
+    sqrt(k - c), and the flag distance is a metric.  The kept frames go
+    in slices of about _TABLE products each."""
     k, n = cols.shape[-1], cols.shape[-2]
     reach = tol - 2.0 * margin
     band = 64 * (n + k) * k * np.finfo(float).eps   # rounding of c
-    return (reach > 0) & np.any(_cosines(cols, kept) > k - reach ** 2 + band, axis=0)
+    step = max(1, _TABLE // max(1, len(cols) * k * k))
+    out = np.zeros(len(cols), dtype=bool)
+    for first in range(0, len(kept), step):
+        c = _cosines(cols, kept[first:first + step])
+        out |= np.any(c > k - reach ** 2 + band, axis=0)
+    return (reach > 0) & out
 
 
 def boundary_map_free_group(ball, theta, form=None, depth=1, tail_length=10,

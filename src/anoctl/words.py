@@ -65,9 +65,10 @@ class GroupBall:
         return {w: i for i, w in enumerate(self.words)}
 
     def decompose(self, indices, group_tag, form=None):
-        """kak of the elements at ``indices``, as a list; the ones not
-        decomposed before go through one stacked kak call, and every
-        decomposition is kept."""
+        """kak of the elements at ``indices``, as a list in their order.
+        The ball keeps every decomposition: the elements it has not
+        decomposed yet go through one stacked kak call, the others are
+        read back, so consumers that share the ball share the work."""
         keys = [(int(i), group_tag, form) for i in indices]
         missing = list(dict.fromkeys(k for k in keys if k not in self._kak))
         if missing:
@@ -78,10 +79,6 @@ class GroupBall:
     def decomposed(self, index, group_tag, form=None):
         """Whether the element at ``index`` has been decomposed."""
         return (index, group_tag, form) in self._kak
-
-    def decomposition(self, index, group_tag, form=None):
-        """kak of the element at ``index``, computed once."""
-        return self.decompose([index], group_tag, form)[0]
 
     def cartan_batch(self, group_tag, form=None):
         """cartan_mu_batch of the whole ball, computed once; None for

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from anoctl.cartan import (
     xi_theta,
 )
 from anoctl.forms import Frame, dist_projective, make_witt_form, principal_sines
+from anoctl.presets import mixed_o21, schottky_o21
 from anoctl.roots import ThetaSet, build_root_system
 from conftest import random_orthogonal
 
@@ -125,6 +128,22 @@ def test_kak_onC_reconstruction(rng):
         assert abs(t.mu.values[0] - lam[0]) < 1e-10
         assert np.linalg.norm(t.k.conj().T @ t.k - np.eye(3)) < 1e-10
         assert np.linalg.norm(t.k.T @ form.gram @ t.k - form.gram) < 1e-10
+
+
+def test_kak_onC_raises_where_it_cannot_reconstruct():
+    # without deflation the schottky boost a (norm 8.1e3) came back with
+    # mu = 8.954 instead of 9, and a^2 (norm 6.6e7) failed in eigh
+    form = make_witt_form(2, 1, field_tag="complex")
+    a = schottky_o21()[1][0][1]
+    for g in (a, a @ a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spectral norm"):
+                kak_onC(g, form)
+    g = mixed_o21()[1][0][1]
+    t = kak_onC(g, form)
+    assert abs(t.mu.values[0] - 2.0) < 1e-9
+    assert np.linalg.norm(t.reconstruct() - g, 2) <= 1e-9 * np.linalg.norm(g, 2)
 
 
 def test_kak_bi_invariance(rng):

@@ -216,6 +216,16 @@ def test_overflowing_ball_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "'aaaa'" in err
 
 
+def test_inaccurate_onC_kak_exits_2(tmp_path, capsys):
+    # the schottky boosts lie past the scales kak_onC decomposes accurately
+    gens = write_gens(tmp_path / "gens.json", schottky_o21()[1])
+    code = main(["divergence", "--gens", gens, "--form", "2,1,C", "--radius", "2",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "spectral norm" in err
+
+
 def test_sampler_failure_exits_2(tmp_path, capsys):
     # random lines of R^31 are almost never nonpositive for the (30, 1) form
     gens = write_gens(tmp_path / "gens.json", [("a", np.eye(31))])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anoctl import limits
 from anoctl.forms import Frame, dist_grassmann, dist_projective, make_witt_form
 from anoctl.limits import (
     MERGE_TOL,
@@ -108,6 +109,36 @@ def test_pruned_merge_matches_unpruned_reference(preset, radius):
             kept.append(p)
     assert len(kept) < len(candidates)
     assert [p.source_word for p in sample.points] == [p.source_word for p in kept]
+
+
+@pytest.mark.parametrize("preset,radius", [("schottky-o21", 6), ("mixed-o21", 5)])
+def test_cosines_equal_tensordot(preset, radius):
+    form, gens = BUILTIN_GENERATORS[preset]()
+    kept = sample_limit_set(enumerate_ball(gens, radius), THETA1, form).columns
+    for cols in (kept[0], kept[:64], kept):
+        expected = np.sum(np.tensordot(kept, cols, axes=(1, -2)) ** 2, axis=(1, -1))
+        assert np.array_equal(limits._cosines(cols, kept), expected)
+
+
+def test_surely_within_does_not_depend_on_the_slices(monkeypatch):
+    form, gens = BUILTIN_GENERATORS["mixed-o21"]()
+    ball = enumerate_ball(gens, 7)
+    # every other kept flag, so that some frames of the stack are not
+    # settled by any of them
+    kept = sample_limit_set(ball, THETA1, form).columns[::2]
+    batch = ball.cartan_batch("opq", form)
+    stack = np.flatnonzero(batch.gaps(B1)[0][:, 0] > 1.0)
+    stack = stack[::max(1, len(stack) // 128)][:128]
+    frames, margins = batch.u[stack][:, :, :1], batch.flag_margin[stack]
+
+    def answers(table):
+        monkeypatch.setattr(limits, "_TABLE", table)
+        return limits._surely_within(frames, kept, MERGE_TOL, margins)
+
+    sliced = answers(limits._TABLE)
+    assert 0 < sliced.sum() < len(stack)
+    assert np.array_equal(answers(1), sliced)
+    assert np.array_equal(answers(len(kept) * len(stack)), sliced)
 
 
 def test_sample_equivariance():

@@ -103,6 +103,18 @@ def test_screened_results_equal_unscreened(name, unscreened):
         assert flags     # the non-discrete control does produce flags
 
 
+@pytest.mark.parametrize("root", [1, 2])
+def test_gl_screened_sample_equals_unscreened(root, unscreened):
+    # the mixed-o21 generators as plain GL(3) matrices: the gl batch
+    gens = mixed_o21()[1]
+    theta = ThetaSet(build_root_system("A", 2), frozenset({root}))
+    sample = sample_limit_set(enumerate_ball(gens, 5), theta)
+    unscreened()
+    reference = sample_limit_set(enumerate_ball(gens, 5), theta)
+    assert len(sample) > 100
+    assert sample_record(reference) == sample_record(sample)
+
+
 def test_schottky_kak_calls(kak_calls):
     form, rs, ball = setup("schottky-o21", radius=6)
     sample = sample_limit_set(ball, ThetaSet(rs, frozenset({1})), form)
