@@ -26,9 +26,17 @@ PAIR_FLOOR = 1e-3
 # stacks grow the heap, and so the peak resident memory, by about 1 MiB
 # on O(3,2) balls, for a gain of under 15 us per element
 _PREFETCH = 128
-# products |F^T x| per slice of the kept flags in _surely_within, which
-# bounds its table however many flags are kept
+# products |F^T x| per slice of the kept flags in _surely_within and per
+# row block of the all-pairs pass, which bounds their tables however many
+# flags there are
 _TABLE = 2 ** 14
+# reach of the screened transversality margins above their minimum.  The
+# closed form s / sqrt(1 + sqrt(1 - s^2)) cancels in sqrt(1 - s^2) as
+# s -> 1 and so loses about sqrt(eps) there: against transversality_margin
+# on the presets and O(3,2) ping-pong samples it is off by up to 1.6e-8 at
+# margin 1 and by under 3e-15 below margin 0.9.  A pair whose exact margin
+# may be the minimum lies within twice that error of the screened minimum.
+_MARGIN_REACH = 1e-7
 
 
 class EmptyLimitSampleError(ValueError):
@@ -68,16 +76,24 @@ class LimitSample:
         every sample point, in sample order."""
         return principal_sines(frame, self.columns)[:, -1]
 
+    @cached_property
+    def nearest(self):
+        """Each point's flag distance to its nearest other point (N,),
+        for N >= 2, from one screened pass over the cosine table
+        (_pair_pass), which transversality_report's pass caches here
+        too."""
+        return _pair_pass(self)[0]
+
     def covering_radius(self):
-        """Max nearest-neighbor flag distance among the sample points."""
+        """Max nearest-neighbor flag distance among the sample points.
+
+        Each nearest distance is a value of principal_sines, which runs
+        only on the pairs whose cosine bounds reach below the row's
+        smallest upper bound; the array is cached, so a second call
+        runs no kernel."""
         if len(self) < 2:
             return float("inf")
-        worst = 0.0
-        for i in range(len(self)):
-            dist = self.distances_from(self.columns[i])
-            dist[i] = np.inf
-            worst = max(worst, float(np.min(dist)))
-        return worst
+        return float(np.max(self.nearest))
 
     def nearest_distance(self, frame):
         return float(np.min(self.distances_from(frame)))
@@ -147,15 +163,25 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
     return LimitSample(points, theta, form, merge_tol)
 
 
-def _cosines(cols, kept):
-    """c = |F^T x|_F^2 against every kept frame F: shape (len(kept),)
-    for one frame x (n, k), (len(kept), R) for a stack (R, n, k).  The
-    products are tensordot's, one np.dot of the same reshaped operands."""
+def _products(cols, kept):
+    """F^T x against every kept frame F, shape (len(kept), k) + cols.shape[:-2]
+    + (k,): tensordot's products, one np.dot of the same reshaped operands."""
     n, k = cols.shape[-2:]
     prod = np.dot(kept.transpose(0, 2, 1).reshape(-1, n),
                   cols.swapaxes(0, -2).reshape(n, -1))
-    return np.sum(prod.reshape((len(kept), k) + cols.shape[:-2] + (k,)) ** 2,
-                  axis=(1, -1))
+    return prod.reshape((len(kept), k) + cols.shape[:-2] + (k,))
+
+
+def _cosines(cols, kept):
+    """c = |F^T x|_F^2 against every kept frame F: shape (len(kept),)
+    for one frame x (n, k), (len(kept), R) for a stack (R, n, k)."""
+    return np.sum(_products(cols, kept) ** 2, axis=(1, -1))
+
+
+def _cosine_band(n, k):
+    """Rounding band of c = |F^T x|_F^2 for frames (n, k), wide enough to
+    cover that of principal_sines' d^2 too."""
+    return 64 * (n + k) * k * np.finfo(float).eps
 
 
 def _within(cols, kept, tol):
@@ -183,7 +209,7 @@ def _surely_within(cols, kept, tol, margin):
     in slices of about _TABLE products each."""
     k, n = cols.shape[-1], cols.shape[-2]
     reach = tol - 2.0 * margin
-    band = 64 * (n + k) * k * np.finfo(float).eps   # rounding of c
+    band = _cosine_band(n, k)
     step = max(1, _TABLE // max(1, len(cols) * k * k))
     out = np.zeros(len(cols), dtype=bool)
     for first in range(0, len(kept), step):
@@ -239,27 +265,110 @@ def transversality_margin(frame_a, frame_b, form):
 
 
 def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
-    """Minimum transversality margin over sampled pairs at flag distance
-    above the floor (nearly equal pairs are excluded: transversality is
-    only required for distinct boundary points)."""
+    """Minimum transversality margin over the ordered sample pairs at
+    flag distance above the floor (nearly equal pairs are excluded:
+    transversality is only required for distinct boundary points), the
+    first such pair in row order that attains it, the number of such
+    pairs and the sample's covering radius.
+
+    One screened pass over the cosine table (_pair_pass) finds the far
+    pairs exactly and each row's smallest screened margin.  The rows
+    within _MARGIN_REACH of the smallest are then revisited, and
+    transversality_margin runs only on their far pairs within reach, so
+    the margin printed is a value of that kernel, as is every nearest
+    distance behind the covering radius (principal_sines)."""
     if len(sample) < 2:
         raise ValueError("need at least two sample points")
-    margin, worst, tested = np.inf, None, 0
-    for i, p in enumerate(sample.points):
-        far = sample.distances_from(p.frame) > pair_floor
-        far[i] = False
-        if not np.any(far):
-            continue
-        tested += int(np.sum(far))
-        svs = transversality_margin(p.frame, sample.columns[far], form)
-        j = int(np.argmin(svs))
-        if svs[j] < margin:
-            other = sample.points[np.flatnonzero(far)[j]]
-            margin, worst = float(svs[j]), (p.source_word, other.source_word)
+    cols = sample.columns
+    gram = form.re_gram() if form.is_complex else form.gram
+    # orthonormal bases of G F_i, whose complements transversality_margin
+    # takes for each flag F_i
+    u = np.linalg.svd(gram @ cols, full_matrices=False)[0]
+    _, tested, least = _pair_pass(sample, pair_floor, u)
     if tested == 0:
         raise ValueError("no pair clears the distance floor")
+    margin, worst = np.inf, None
+    bound = np.min(least) + _MARGIN_REACH
+    for rows in _row_blocks(cols, np.flatnonzero(least <= bound)):
+        for i, screened in zip(rows, _pair_rows(cols, rows, pair_floor, u)[2]):
+            near_min = np.flatnonzero(screened <= bound)
+            if not near_min.size:
+                continue
+            svs = transversality_margin(sample.points[i].frame, cols[near_min], form)
+            j = int(np.argmin(svs))
+            if svs[j] < margin:
+                margin = float(svs[j])
+                worst = (sample.points[i].source_word,
+                         sample.points[near_min[j]].source_word)
     return TransversalityReport(margin, worst, tested, pair_floor,
                                 sample.covering_radius())
+
+
+def _row_blocks(cols, rows):
+    """The given rows of the all-pairs table of the frames cols (N, n, k),
+    in blocks of about _TABLE products."""
+    n_frames, _, k = cols.shape
+    step = max(1, _TABLE // (n_frames * k * k))
+    for first in range(0, len(rows), step):
+        yield rows[first:first + step]
+
+
+def _pair_pass(sample, pair_floor=PAIR_FLOOR, u=None):
+    """One blocked pass over the sample's all-pairs table: the exact
+    nearest-neighbor distances (N,), cached as ``sample.nearest``, the
+    number of ordered pairs at distance above pair_floor and, given u,
+    each row's smallest screened margin (N,)."""
+    cols = sample.columns
+    nearest, least, tested = np.empty(len(cols)), np.full(len(cols), np.inf), 0
+    for rows in _row_blocks(cols, np.arange(len(cols))):
+        nearest[rows], far, screened = _pair_rows(cols, rows, pair_floor, u)
+        tested += int(np.count_nonzero(far))
+        if u is not None:
+            least[rows] = np.min(screened, axis=1)
+    sample.__dict__.setdefault("nearest", nearest)
+    return nearest, tested, least
+
+
+def _pair_rows(cols, rows, pair_floor, u=None):
+    """Rows (R,) of the all-pairs table of the frames cols (N, n, k):
+    each row's exact distance to its nearest other frame (R,), the mask
+    of the pairs at distance above pair_floor (R, N) and, given the
+    orthonormal bases u (N, n, k) of span(G F_i), the screened margins
+    of these pairs (R, N), inf elsewhere (None without u).
+
+    c = |F_i^T F_j|_F^2 bounds the squared flag distance by 1 - c/k <=
+    d^2 <= k - c, so principal_sines runs only on the pairs whose bounds
+    reach below the row's smallest upper bound (one of them is nearest)
+    or straddle pair_floor^2.  A screened margin is transversality_margin
+    in closed form: with P the basis of the complement of span(G F_i)
+    and s = sigma_min(u_i^T F_j), sigma_min[P | F_j]^2 = 1 -
+    sigma_max(P^T F_j) = 1 - sqrt(1 - s^2)."""
+    n, k = cols.shape[-2:]
+    band, floor2 = _cosine_band(n, k), pair_floor ** 2
+    diagonal = np.arange(len(rows)), rows
+    c = _cosines(cols, cols[rows])
+    lower, upper = 1.0 - c / k, k - c
+    lower[diagonal] = upper[diagonal] = np.inf
+    near = lower <= np.min(upper, axis=1, keepdims=True) + band
+    unsure = (lower <= floor2 + band) & (upper >= floor2 - band)
+    pair_row, pair_col = np.nonzero(near | unsure)
+    dist = principal_sines(cols[rows[pair_row]], cols[pair_col])[:, -1]
+    nearest = np.full(len(rows), np.inf)
+    pick = near[pair_row, pair_col]
+    np.minimum.at(nearest, pair_row[pick], dist[pick])
+    far = lower > floor2
+    pick = unsure[pair_row, pair_col]
+    far[pair_row[pick], pair_col[pick]] = dist[pick] > pair_floor
+    far[diagonal] = False
+    if u is None:
+        return nearest, far, None
+    prod = _products(cols, u[rows])
+    if k == 1:      # a stacked SVD would make one LAPACK call per pair
+        s = np.abs(prod[:, 0, :, 0])
+    else:
+        s = np.linalg.svd(prod.transpose(0, 2, 1, 3), compute_uv=False)[..., -1]
+    s = np.clip(s, 0.0, 1.0)
+    return nearest, far, np.where(far, s / np.sqrt(1.0 + np.sqrt(1.0 - s * s)), np.inf)
 
 
 # ---------------------------------------------------------------------------
