@@ -71,8 +71,13 @@ class RunConfig:
     expansion_factor: float = 2.0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.min_gap <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tol", "min_gap", "expansion_factor"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("samples", "scan_points", "expansion_flags"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
     def parsed_form(self):
         parts = self.form.split(",")

@@ -22,7 +22,9 @@ from .algebras import get_algebra
 from .forms import (
     Frame,
     contains,
+    cosines,
     dist_grassmann,
+    first_below,
     intersects,
     orthonormalize,
     principal_sines,
@@ -119,15 +121,30 @@ def in_bad_set(point, sample, variant="intersect", tol=BAD_SET_TOL):
     "intersect") or contained in (variant "contain") the plane; returns
     (bool, witness word or None), taking the first witness in sample
     order.  For one-dimensional flags inside nonpositive planes the two
-    variants agree."""
+    variants agree.
+
+    One cosine table against the sample decides the flags through
+    first_below; principal_sines runs only on those it cannot settle."""
     if variant not in ("intersect", "contain"):
         raise ValueError("variant must be 'intersect' or 'contain'")
-    if variant == "contain" and sample.columns.shape[-1] > point.frame.k:
+    flags, frame = sample.columns, point.frame
+    if variant == "contain" and flags.shape[-1] > frame.k:
         return False, None
-    sines = principal_sines(sample.columns, point.frame)
-    hits = np.flatnonzero(sines[:, 0 if variant == "intersect" else -1] < tol)
-    return (True, sample.points[hits[0]].source_word) if hits.size \
-        else (False, None)
+    hit = _first_flag_below(cosines(frame.columns, flags), flags, frame, tol,
+                            smallest=variant == "intersect", first=True)
+    return (False, None) if hit is None else (True, sample.points[hit].source_word)
+
+
+def _first_flag_below(c, flags, frame, tol, smallest, first):
+    """first_below for flags against one frame: the index of the first
+    flag (of any, with first=False) whose smallest (or largest)
+    principal-angle sine against frame lies below tol, or None, from the
+    cosine table c = cosines(frame.columns, flags)."""
+    angle = 0 if smallest else -1
+    return first_below(
+        c, frame.ambient_dim, min(flags.shape[-1], frame.k), tol,
+        lambda index: principal_sines(flags[index], frame)[:, angle] < tol,
+        smallest, first)
 
 
 def bad_set_distance(frame, sample):
@@ -394,26 +411,57 @@ def orbit_coverage(core, ball, domain_sampler, trials, sample=None,
     With a limit sample, points are bucketed by their bad-set distance
     and the fraction is computed among points at margin at least m; the
     curve is reported, not judged.
+
+    Both decisions are yes/no, so each comes from a cosine table through
+    first_below: a point is at margin at least m iff no flag meets it
+    below m (in_bad_set's test at tol m), and it is covered iff some
+    moved frame lies within d_core of a core frame.  The exact kernels,
+    bad_set_distance's principal_sines and push_forward, run only on the
+    entries that the table cannot settle.
     """
     core_frames = [p.frame if isinstance(p, CompactPoint) else p for p in core]
-    residuals, covered = [], []
+    kept, covered = [], []
     for _ in range(trials):
         pt = domain_sampler()
         frame = pt.frame if isinstance(pt, CompactPoint) else pt
-        resid = bad_set_distance(frame, sample) if sample is not None else np.inf
-        moved = push_forward(ball.matrices, frame.columns)
-        hit = any(np.any(principal_sines(moved, cf)[:, -1] <= d_core)
-                  for cf in core_frames)
-        residuals.append(resid)
-        covered.append(hit)
-    residuals = np.array(residuals)
-    covered = np.array(covered)
+        if sample is None:
+            kept.append([True] * len(margins))
+        else:
+            c = cosines(frame.columns, sample.columns)
+            kept.append([_first_flag_below(c, sample.columns, frame, m, True, False)
+                         is None for m in margins])
+        covered.append(any(_reaches(ball, frame, cf, d_core) for cf in core_frames))
+    kept = np.array(kept, dtype=bool).reshape(trials, len(margins))
+    covered = np.array(covered, dtype=bool)
     fractions, counts = [], []
-    for m in margins:
-        keep = residuals >= m
+    for keep in kept.T:
         counts.append(int(np.sum(keep)))
         fractions.append(float(np.mean(covered[keep])) if np.any(keep) else float("nan"))
     return CoverageCurve(tuple(margins), tuple(fractions), tuple(counts))
+
+
+def _reaches(ball, frame, core_frame, d_core):
+    """Whether some ball element moves frame within flag distance d_core
+    of core_frame.  A moved line is the normalized product, which the
+    SVD of push_forward gives up to rounding; only the elements that
+    first_below cannot settle are pushed forward through that SVD."""
+    n, k = frame.columns.shape
+    if k == 1:
+        moved = ball.matrices @ frame.columns
+        moved /= np.linalg.norm(moved, axis=-2, keepdims=True)
+
+        def pushed(index):
+            return push_forward(ball.matrices[index], frame.columns)
+    else:
+        moved = push_forward(ball.matrices, frame.columns)
+
+        def pushed(index):
+            return moved[index]
+    core = getattr(core_frame, "columns", core_frame)
+    return first_below(
+        cosines(core, moved), n, min(k, core.shape[-1]), d_core,
+        lambda index: principal_sines(pushed(index), core)[:, -1] <= d_core,
+        first=False) is not None
 
 
 # ---------------------------------------------------------------------------

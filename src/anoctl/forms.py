@@ -30,6 +30,7 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 class FormSignatureError(ValueError):
@@ -338,6 +339,77 @@ def principal_sines(a, b):
     resid = small - big @ (np.swapaxes(big, -1, -2) @ small)
     s = np.linalg.svd(resid, compute_uv=False)
     return np.sort(np.clip(s, 0.0, 1.0), axis=-1)
+
+
+def frame_products(x, frames):
+    """F^T x against every frame F of a stack (N, n, j), for x of shape
+    (..., n, k): shape (N, j) + x.shape[:-2] + (k,), tensordot's
+    products from one np.dot of the same reshaped operands."""
+    n, k = x.shape[-2:]
+    prod = np.dot(frames.transpose(0, 2, 1).reshape(-1, n),
+                  x.swapaxes(0, -2).reshape(n, -1))
+    return prod.reshape((len(frames), frames.shape[-1]) + x.shape[:-2] + (k,))
+
+
+def cosines(x, frames):
+    """The cosine table c = |F^T x|_F^2 against every frame F of a stack
+    (N, n, j): shape (N,) for one frame x (n, k), (N, R) for a stack
+    (R, n, k).  c is the sum of the squared cosines of the principal
+    angles."""
+    return np.sum(frame_products(x, frames) ** 2, axis=(1, -1))
+
+
+def cosine_band(n, k):
+    """Rounding band of c = |F^T x|_F^2 for frames in R^n with k
+    principal angles, wide enough to cover that of principal_sines' d^2
+    too."""
+    return 64 * (n + k) * k * _EPS
+
+
+def first_below(c, n, k, bound, exact, smallest=False, first=True):
+    """Index of the first pair of frames in a cosine table whose sine of
+    the largest principal angle (of the smallest, with smallest=True)
+    lies below bound, or None.
+
+    c (N,) holds c = |A^T B|_F^2 for N pairs of frames in R^n with k
+    principal angles each.  It bounds the squared sines by
+    1 - c <= sin^2 theta_min <= 1 - c/k <= sin^2 theta_max <= k - c, so
+    it settles every pair except those whose bounds straddle bound^2
+    within cosine_band and those whose cosine is not finite.
+    exact(index) decides these with the exact kernel, as a boolean array,
+    and sees only those before the first pair settled below bound.  The
+    answer is the exact kernel's as long as exact gives each pair the
+    value a call on the whole table would, as principal_sines and
+    push_forward do slice by slice.  With first=False any pair below
+    bound will do: a pair settled below it is returned without a call
+    to exact."""
+    # a signed square: no sine lies below a negative bound
+    band, square = cosine_band(n, k), bound * abs(bound)
+    # the bounds read as cosines: above hi every such sine lies below
+    # bound, below lo none does
+    if smallest:
+        hi, lo = k * (1.0 - square + band), 1.0 - square - band
+    else:
+        hi, lo = k - square + band, k * (1.0 - square - band)
+    # the pairs not settled above bound, in order: exact decides those
+    # before the first one settled below it.  A NaN cosine is among them
+    # (c >= lo would drop it); the mask is negated in place, because a
+    # second temporary per call grows the limit sampler's peak RSS by
+    # about 0.45 MiB
+    maybe = c < lo
+    maybe = np.nonzero(np.logical_not(maybe, out=maybe))[0]
+    if not maybe.size:
+        return None
+    near = c[maybe]
+    below = np.nonzero(near > hi)[0]
+    if below.size and not near[below[0]] < np.inf:
+        below = below[near[below] < np.inf]    # a cosine of inf settles nothing
+    stop = below[0] if below.size else len(maybe)
+    if stop and (first or not below.size):
+        hits = maybe[:stop][exact(maybe[:stop])]
+        if hits.size:
+            return int(hits[0])
+    return int(maybe[stop]) if stop < len(maybe) else None
 
 
 def push_forward(mats, columns):

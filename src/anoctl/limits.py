@@ -18,7 +18,16 @@ import numpy as np
 
 from .cartan import (  # noqa: F401  (kak re-exported)
     _theta_to_plane_dim, kak, mu_gaps, xi_theta)
-from .forms import Frame, orthogonal_complement, principal_sines, push_forward
+from .forms import (
+    Frame,
+    cosine_band,
+    cosines,
+    first_below,
+    frame_products,
+    orthogonal_complement,
+    principal_sines,
+    push_forward,
+)
 
 MERGE_TOL = 1e-6
 PAIR_FLOOR = 1e-3
@@ -30,13 +39,6 @@ _PREFETCH = 128
 # row block of the all-pairs pass, which bounds their tables however many
 # flags there are
 _TABLE = 2 ** 14
-# reach of the screened transversality margins above their minimum.  The
-# closed form s / sqrt(1 + sqrt(1 - s^2)) cancels in sqrt(1 - s^2) as
-# s -> 1 and so loses about sqrt(eps) there: against transversality_margin
-# on the presets and O(3,2) ping-pong samples it is off by up to 1.6e-8 at
-# margin 1 and by under 3e-15 below margin 0.9.  A pair whose exact margin
-# may be the minimum lies within twice that error of the screened minimum.
-_MARGIN_REACH = 1e-7
 
 
 class EmptyLimitSampleError(ValueError):
@@ -163,42 +165,15 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
     return LimitSample(points, theta, form, merge_tol)
 
 
-def _products(cols, kept):
-    """F^T x against every kept frame F, shape (len(kept), k) + cols.shape[:-2]
-    + (k,): tensordot's products, one np.dot of the same reshaped operands."""
-    n, k = cols.shape[-2:]
-    prod = np.dot(kept.transpose(0, 2, 1).reshape(-1, n),
-                  cols.swapaxes(0, -2).reshape(n, -1))
-    return prod.reshape((len(kept), k) + cols.shape[:-2] + (k,))
-
-
-def _cosines(cols, kept):
-    """c = |F^T x|_F^2 against every kept frame F: shape (len(kept),)
-    for one frame x (n, k), (len(kept), R) for a stack (R, n, k)."""
-    return np.sum(_products(cols, kept) ** 2, axis=(1, -1))
-
-
-def _cosine_band(n, k):
-    """Rounding band of c = |F^T x|_F^2 for frames (n, k), wide enough to
-    cover that of principal_sines' d^2 too."""
-    return 64 * (n + k) * k * np.finfo(float).eps
-
-
 def _within(cols, kept, tol):
-    """True iff some kept frame lies at flag distance below tol from cols.
-
-    c = |F^T x|_F^2 bounds the squared flag distance d^2 of equal-k
-    frames by 1 - c/k <= d^2 <= k - c, so one product of cosines decides
-    every kept frame except those whose bounds straddle tol^2 (widened
-    by rounding); only these go through principal_sines.
-    """
-    k, band = cols.shape[-1], 1e-14
-    c = _cosines(cols, kept)
-    if np.any(c > k - tol ** 2 + band):
-        return True
-    unsure = np.flatnonzero(c >= k * (1.0 - tol ** 2 - band))
-    return unsure.size > 0 and \
-        bool(np.any(principal_sines(cols, kept[unsure])[:, -1] < tol))
+    """True iff some kept frame lies at flag distance below tol from
+    cols: one cosine table against the kept frames, and principal_sines
+    only where first_below cannot settle it."""
+    n, k = cols.shape[-2:]
+    return first_below(
+        cosines(cols, kept), n, k, tol,
+        lambda index: principal_sines(cols, kept[index])[:, -1] < tol,
+        first=False) is not None
 
 
 def _surely_within(cols, kept, tol, margin):
@@ -209,11 +184,11 @@ def _surely_within(cols, kept, tol, margin):
     in slices of about _TABLE products each."""
     k, n = cols.shape[-1], cols.shape[-2]
     reach = tol - 2.0 * margin
-    band = _cosine_band(n, k)
+    band = cosine_band(n, k)
     step = max(1, _TABLE // max(1, len(cols) * k * k))
     out = np.zeros(len(cols), dtype=bool)
     for first in range(0, len(kept), step):
-        c = _cosines(cols, kept[first:first + step])
+        c = cosines(cols, kept[first:first + step])
         out |= np.any(c > k - reach ** 2 + band, axis=0)
     return (reach > 0) & out
 
@@ -273,7 +248,7 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
 
     One screened pass over the cosine table (_pair_pass) finds the far
     pairs exactly and each row's smallest screened margin.  The rows
-    within _MARGIN_REACH of the smallest are then revisited, and
+    within _margin_reach of the smallest are then revisited, and
     transversality_margin runs only on their far pairs within reach, so
     the margin printed is a value of that kernel, as is every nearest
     distance behind the covering radius (principal_sines)."""
@@ -288,7 +263,7 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
     if tested == 0:
         raise ValueError("no pair clears the distance floor")
     margin, worst = np.inf, None
-    bound = np.min(least) + _MARGIN_REACH
+    bound = np.min(least) + _margin_reach(np.min(least), *cols.shape[-2:])
     for rows in _row_blocks(cols, np.flatnonzero(least <= bound)):
         for i, screened in zip(rows, _pair_rows(cols, rows, pair_floor, u)[2]):
             near_min = np.flatnonzero(screened <= bound)
@@ -302,6 +277,27 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
                          sample.points[near_min[j]].source_word)
     return TransversalityReport(margin, worst, tested, pair_floor,
                                 sample.covering_radius())
+
+
+def _margin_reach(least, n, k):
+    """How far above the smallest screened margin, least, the screened
+    margin of a pair with the smallest exact one may lie, for flags
+    (n, k).
+
+    The closed form m = s / sqrt(1 + r), r = sqrt(1 - s^2) = 1 - m^2,
+    takes s with a rounding error below delta = cosine_band(n, k), as
+    transversality_margin has its own.  1 - s^2 cancels as s -> 1: an
+    error delta in it moves r by at most 2 delta / (r + sqrt(delta)) and
+    m by half that, so a screened margin m is within error(m) of the
+    exact one, from about 3 delta at small margins to about sqrt(delta)
+    at m = 1.  The pair's own screened margin is at most least plus
+    twice the largest error, and error grows with m."""
+    delta = cosine_band(n, k)
+
+    def error(m):
+        return delta * (2.0 + 1.0 / (1.0 - min(m, 1.0) ** 2 + np.sqrt(delta)))
+
+    return error(least) + error(least + 2.0 * error(1.0))
 
 
 def _row_blocks(cols, rows):
@@ -344,9 +340,9 @@ def _pair_rows(cols, rows, pair_floor, u=None):
     and s = sigma_min(u_i^T F_j), sigma_min[P | F_j]^2 = 1 -
     sigma_max(P^T F_j) = 1 - sqrt(1 - s^2)."""
     n, k = cols.shape[-2:]
-    band, floor2 = _cosine_band(n, k), pair_floor ** 2
+    band, floor2 = cosine_band(n, k), pair_floor ** 2
     diagonal = np.arange(len(rows)), rows
-    c = _cosines(cols, cols[rows])
+    c = cosines(cols, cols[rows])
     lower, upper = 1.0 - c / k, k - c
     lower[diagonal] = upper[diagonal] = np.inf
     near = lower <= np.min(upper, axis=1, keepdims=True) + band
@@ -362,7 +358,7 @@ def _pair_rows(cols, rows, pair_floor, u=None):
     far[diagonal] = False
     if u is None:
         return nearest, far, None
-    prod = _products(cols, u[rows])
+    prod = frame_products(cols, u[rows])
     if k == 1:      # a stacked SVD would make one LAPACK call per pair
         s = np.abs(prod[:, 0, :, 0])
     else:

@@ -161,6 +161,25 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["limitset", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("option,value", [
+    ("tol", "nan"), ("tol", "inf"),
+    ("min_gap", "nan"), ("min_gap", "inf"),
+    ("expansion_factor", "nan"), ("expansion_factor", "inf"),
+    ("samples", "-1"), ("scan_points", "-5"), ("expansion_flags", "-1"),
+])
+def test_malformed_option_exits_2(tmp_path, capsys, option, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option} = {value}\n")
+    runs = [["--config", str(cfg)]]
+    if option not in ("expansion_factor", "expansion_flags"):    # file only
+        runs.append(["--" + option.replace("_", "-"), value])
+    for extra in runs:
+        assert main(["domain", "--radius", "2", *extra, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option in err
+    assert not (tmp_path / "domain.json").exists()
+
+
 def test_domain_pushes_planes_stretched_past_the_rank_tolerance(tmp_path):
     # at radius 4 ball elements stretch sampled 2-planes by more than 1e9
     # between their singular directions

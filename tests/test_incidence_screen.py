@@ -1,0 +1,299 @@
+"""The screened yes/no incidence decisions of anoctl.domain (bad-set
+membership and orbit coverage) against the exact kernels they replace:
+the full-stack principal_sines rule of in_bad_set and the push-forward
+loop of orbit_coverage, kept here as the references."""
+
+from functools import lru_cache
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from anoctl import domain, forms
+from anoctl.domain import (
+    CompactPoint,
+    bad_set_distance,
+    gaussian_domain_sampler,
+    in_bad_set,
+    orbit_coverage,
+)
+from anoctl.forms import Frame, first_below, make_witt_form, orthonormalize, \
+    principal_sines, push_forward
+from anoctl.limits import LimitPoint, LimitSample, sample_limit_set
+from anoctl.presets import BUILTIN_GENERATORS, o21_boost, o21_rotation
+from anoctl.roots import ThetaSet, build_root_system
+from anoctl.words import enumerate_ball
+from test_cli import pingpong_o32
+
+
+SIGNATURES = [(2, 1), (3, 1), (3, 2), (4, 2)]
+MARGINS = (0.3, 0.1, 0.03, 0.01)
+
+
+def reference_in_bad_set(point, sample, variant="intersect", tol=domain.BAD_SET_TOL):
+    """in_bad_set before the screen: one principal_sines call on the
+    whole sample."""
+    if variant == "contain" and sample.columns.shape[-1] > point.frame.k:
+        return False, None
+    sines = principal_sines(sample.columns, point.frame)
+    hits = np.flatnonzero(sines[:, 0 if variant == "intersect" else -1] < tol)
+    return (True, sample.points[hits[0]].source_word) if hits.size \
+        else (False, None)
+
+
+def reference_orbit_coverage(core, ball, domain_sampler, trials, sample=None,
+                             d_core=0.1, margins=MARGINS):
+    """orbit_coverage before the screen: bad_set_distance for the buckets
+    and the whole ball pushed forward once per trial."""
+    core_frames = [p.frame if isinstance(p, CompactPoint) else p for p in core]
+    residuals, covered = [], []
+    for _ in range(trials):
+        pt = domain_sampler()
+        frame = pt.frame if isinstance(pt, CompactPoint) else pt
+        resid = bad_set_distance(frame, sample) if sample is not None else np.inf
+        moved = push_forward(ball.matrices, frame.columns)
+        hit = any(np.any(principal_sines(moved, cf)[:, -1] <= d_core)
+                  for cf in core_frames)
+        residuals.append(resid)
+        covered.append(hit)
+    residuals = np.array(residuals)
+    covered = np.array(covered)
+    fractions, counts = [], []
+    for m in margins:
+        keep = residuals >= m
+        counts.append(int(np.sum(keep)))
+        fractions.append(float(np.mean(covered[keep])) if np.any(keep) else float("nan"))
+    return margins, fractions, counts
+
+
+def curve(c):
+    return c.margins, list(c.fractions), list(c.counts)
+
+
+def same_curve(got, expected):
+    return got[0] == expected[0] and got[2] == expected[2] and \
+        np.array_equal(got[1], expected[1], equal_nan=True)
+
+
+def ulps(value, count=2):
+    """value and its neighbours up to count ulps either side."""
+    out, lo, hi = [value], value, value
+    for _ in range(count):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return [float(v) for v in out]
+
+
+def points(form, seed, count):
+    rng = np.random.default_rng(seed)
+    return [gaussian_domain_sampler(form, rng) for _ in range(count)]
+
+
+def sample_near(plane, k, rng, count=60):
+    """A sample of count k-frames around a plane (n, q): spans of W A
+    tilted by a log-uniform amount between 1e-12 and 1, plus flags drawn
+    at random, shuffled so that near and far flags interleave."""
+    n, q = plane.shape
+    tilt = 10.0 ** rng.uniform(-12, 0, size=(count, 1, 1))
+    inside = plane @ rng.standard_normal((count, q, k))
+    spans = inside / np.linalg.norm(inside, axis=-2, keepdims=True) + \
+        tilt * rng.standard_normal((count, n, k))
+    spans = np.concatenate([spans, rng.standard_normal((count // 3, n, k))])
+    cols = orthonormalize(spans[rng.permutation(len(spans))])[0]
+    return LimitSample([LimitPoint(Frame(c), f"w{j}", 1, 2.0)
+                        for j, c in enumerate(cols)], None)
+
+
+# ---------------------------------------------------------------------------
+# in_bad_set
+
+
+@pytest.mark.parametrize("p,q", SIGNATURES)
+@pytest.mark.parametrize("variant", ["intersect", "contain"])
+def test_in_bad_set_equals_the_full_stack_rule(p, q, variant):
+    form = make_witt_form(p, q)
+    rng = np.random.default_rng(10 * p + q)
+    for pt in points(form, p + q, 6):
+        for k in sorted({1, q}):
+            sample = sample_near(pt.frame.columns, k, rng)
+            for tol in (1e-9, domain.BAD_SET_TOL, 1e-3, 0.3, 1.0):
+                assert in_bad_set(pt, sample, variant, tol) == \
+                    reference_in_bad_set(pt, sample, variant, tol)
+
+
+@pytest.mark.parametrize("p,q", SIGNATURES)
+@pytest.mark.parametrize("variant", ["intersect", "contain"])
+def test_in_bad_set_at_the_tolerance_takes_the_same_witness(p, q, variant):
+    # tolerances at a flag's exact sine and a few ulps either side, so
+    # that the cosine bounds straddle them; the witness is the first flag
+    # below, whichever side the decision falls
+    form = make_witt_form(p, q)
+    rng = np.random.default_rng(100 + 10 * p + q)
+    for pt in points(form, 7 * p + q, 3):
+        k = q if variant == "contain" else 1
+        sample = sample_near(pt.frame.columns, k, rng)
+        sines = principal_sines(sample.columns, pt.frame)[:, 0 if variant == "intersect" else -1]
+        witnesses = set()
+        for value in np.sort(sines)[[0, 3, 10, len(sines) // 2]]:
+            for tol in ulps(float(value)):
+                got = in_bad_set(pt, sample, variant, tol)
+                assert got == reference_in_bad_set(pt, sample, variant, tol)
+                witnesses.add(got[1])
+        assert len(witnesses) > 2
+
+
+def test_in_bad_set_on_the_presets_equals_the_full_stack_rule():
+    for name, radius in (("schottky-o21", 5), ("mixed-o21", 5)):
+        form, gens = BUILTIN_GENERATORS[name]()
+        sample = sample_limit_set(enumerate_ball(gens, radius),
+                                  ThetaSet(build_root_system("B", 1), frozenset({1})), form)
+        # flags themselves as points: each is its own first witness
+        for j in (0, 5, len(sample) - 1):
+            pt = CompactPoint(sample.points[j].frame, 1, form)
+            for tol in (1e-12, 1e-6, 1e-3):
+                assert in_bad_set(pt, sample, "intersect", tol) == \
+                    reference_in_bad_set(pt, sample, "intersect", tol)
+        for pt in points(form, 3, 20):
+            for tol in (1e-6, 0.1, 0.3):
+                for variant in ("intersect", "contain"):
+                    assert in_bad_set(pt, sample, variant, tol) == \
+                        reference_in_bad_set(pt, sample, variant, tol)
+
+
+# ---------------------------------------------------------------------------
+# orbit_coverage
+
+
+@lru_cache(maxsize=None)
+def coverage_case(name):
+    """(form, ball, sample) for a preset at radius 5, the O(3,2)
+    ping-pong pair at radius 3, or a stack of huge-norm boosts."""
+    b1 = ThetaSet(build_root_system("B", 1), frozenset({1}))
+    if name == "pingpong":
+        form = make_witt_form(3, 2)
+        ball = enumerate_ball(pingpong_o32(0), 3)
+        theta = ThetaSet(build_root_system("B", 2), frozenset({1}))
+        return form, ball, sample_limit_set(ball, theta, form)
+    if name == "huge":
+        # k a k' for boosts a of norms up to e^160 and rotations k, k': a
+        # product with a point cancels in most of its digits
+        form, gens = BUILTIN_GENERATORS["mixed-o21"]()
+        rng = np.random.default_rng(8)
+        mats = [o21_rotation(rng.uniform(0, 7)) @ o21_boost(t) @ o21_rotation(rng.uniform(0, 7))
+                for t in (5.0, 20.0, 40.0, 80.0, 160.0) for _ in range(30)]
+        ball = SimpleNamespace(matrices=np.stack([np.eye(3)] + mats))
+        return form, ball, sample_limit_set(enumerate_ball(gens, 5), b1, form)
+    form, gens = BUILTIN_GENERATORS[name]()
+    ball = enumerate_ball(gens, 5)
+    return form, ball, sample_limit_set(ball, b1, form)
+
+
+CASES = ["schottky-o21", "mixed-o21", "pingpong", "huge"]
+
+
+def seeded(form, seed):
+    rng = np.random.default_rng(seed)
+    return lambda: gaussian_domain_sampler(form, rng)
+
+
+@pytest.mark.parametrize("d_core", [1e-6, 0.1, 0.3])
+@pytest.mark.parametrize("name", CASES)
+def test_orbit_coverage_equals_the_push_forward_loop(name, d_core):
+    form, ball, sample = coverage_case(name)
+    core = [points(form, 5, 1)[0], points(form, 6, 1)[0]]
+    for with_sample in (sample, None):
+        got = orbit_coverage(core, ball, seeded(form, 1), 12, with_sample, d_core)
+        expected = reference_orbit_coverage(core, ball, seeded(form, 1), 12,
+                                            with_sample, d_core)
+        assert same_curve(curve(got), expected)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_orbit_coverage_at_d_core_and_the_margins(name):
+    # d_core at the exact distance of the nearest moved frame and the
+    # margins at the exact bad-set distance, and a few ulps either side
+    form, ball, sample = coverage_case(name)
+    core = points(form, 5, 1)
+    decided = set()
+    for pt in points(form, 11, 4):
+        moved = push_forward(ball.matrices, pt.frame.columns)
+        nearest = float(np.min(principal_sines(moved, core[0].frame)[:, -1]))
+        resid = bad_set_distance(pt.frame, sample)
+        for d_core in ulps(nearest):
+            margins = tuple(ulps(resid))
+            got = curve(orbit_coverage(core, ball, lambda: pt, 1, sample, d_core, margins))
+            expected = reference_orbit_coverage(core, ball, lambda: pt, 1, sample,
+                                                d_core, margins)
+            assert same_curve(got, expected)
+            decided.add((tuple(got[1]), tuple(got[2])))
+    assert len(decided) > 2
+
+
+def test_the_screen_pushes_few_elements_forward(monkeypatch):
+    form, ball, sample = coverage_case("mixed-o21")
+    pushed = []
+
+    def counted(mats, columns):
+        pushed.append(len(mats))
+        return push_forward(mats, columns)
+
+    monkeypatch.setattr(domain, "push_forward", counted)
+    core = [points(form, 5, 1)[0]]
+    orbit_coverage(core, ball, seeded(form, 2), 20, sample, 0.3)
+    assert sum(pushed) < 0.01 * 20 * len(ball)
+
+
+# ---------------------------------------------------------------------------
+# the shared rule
+
+
+def test_first_below_sends_unsettled_and_non_finite_cosines_to_the_kernel():
+    seen = []
+
+    def exact(index):
+        seen.append(index.tolist())
+        return np.zeros(len(index), dtype=bool)
+
+    # lines: d^2 = 1 - c; bound 0.5 settles 0.0 (d = 1) and 0.9 (d = 0.32)
+    c = np.array([0.0, np.nan, np.inf, 0.75, 0.9, np.nan])
+    assert first_below(c, 3, 1, 0.5, exact) == 4
+    assert seen == [[1, 2, 3]]
+    # any pair will do: the settled one, past the infinite cosine
+    seen.clear()
+    assert first_below(c, 3, 1, 0.5, exact, first=False) == 4
+    assert seen == []
+    # no sine lies below a negative bound, and none is decided below zero
+    seen.clear()
+    assert first_below(np.array([1.0, 0.5]), 3, 1, -0.5, exact) is None
+    assert seen == []
+    assert first_below(np.array([1.0, 0.5]), 3, 1, 0.0, exact) is None
+    assert seen == [[0]]
+
+
+def test_first_below_band_covers_the_kernel():
+    # bounds at a kernel sine and a few ulps either side, on lines and
+    # planes: the cosine bounds alone would decide some of these wrongly
+    rng = np.random.default_rng(3)
+    for n, k in ((3, 1), (5, 2), (6, 2)):
+        a = orthonormalize(rng.standard_normal((200, n, k)))[0]
+        tilt = 10.0 ** rng.uniform(-9, 0, size=(200, 1, 1))
+        b = orthonormalize(a + tilt * rng.standard_normal((200, n, k)))[0]
+        c = np.sum((np.swapaxes(a, -1, -2) @ b) ** 2, axis=(-2, -1))
+        for smallest, angle in ((False, -1), (True, 0)):
+            sines = principal_sines(a, b)[:, angle]
+            for j in range(0, 200, 17):
+                for bound in ulps(float(sines[j])):
+                    def exact(index):
+                        return principal_sines(a[index], b[index])[:, angle] < bound
+                    hits = np.flatnonzero(sines < bound)
+                    expected = int(hits[0]) if hits.size else None
+                    assert first_below(c, n, k, bound, exact, smallest) == expected
+
+
+def test_cosines_of_different_widths_are_the_frobenius_table():
+    rng = np.random.default_rng(4)
+    flags = orthonormalize(rng.standard_normal((7, 5, 1)))[0]
+    plane = orthonormalize(rng.standard_normal((5, 2)))[0]
+    expected = np.sum((np.swapaxes(flags, -1, -2) @ plane) ** 2, axis=(-2, -1))
+    assert np.allclose(forms.cosines(plane, flags), expected, rtol=0, atol=1e-15)
+    assert forms.cosines(plane, flags).shape == (7,)

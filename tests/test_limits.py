@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anoctl import limits
-from anoctl.forms import Frame, dist_grassmann, dist_projective, make_witt_form
+from anoctl.forms import Frame, cosines, dist_grassmann, dist_projective, make_witt_form
 from anoctl.limits import (
     MERGE_TOL,
     EmptyLimitSampleError,
@@ -117,7 +117,7 @@ def test_cosines_equal_tensordot(preset, radius):
     kept = sample_limit_set(enumerate_ball(gens, radius), THETA1, form).columns
     for cols in (kept[0], kept[:64], kept):
         expected = np.sum(np.tensordot(kept, cols, axes=(1, -2)) ** 2, axis=(1, -1))
-        assert np.array_equal(limits._cosines(cols, kept), expected)
+        assert np.array_equal(cosines(cols, kept), expected)
 
 
 def test_surely_within_does_not_depend_on_the_slices(monkeypatch):

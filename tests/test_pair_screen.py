@@ -9,7 +9,7 @@ import pytest
 from anoctl import limits
 from anoctl.forms import Frame, make_witt_form, principal_sines
 from anoctl.limits import LimitPoint, LimitSample, sample_limit_set, transversality_report
-from anoctl.presets import BUILTIN_GENERATORS
+from anoctl.presets import BUILTIN_GENERATORS, o21_rotation
 from anoctl.roots import ThetaSet, build_root_system
 from anoctl.words import enumerate_ball
 from test_cli import pingpong_o32
@@ -24,6 +24,18 @@ def case(name):
     """(form, sample) for a preset at a radius or an O(3,2) ping-pong pair
     (seed, radius, theta member)."""
     kind, *args = name.split(":")
+    if kind == "ties":
+        # the pair with the smallest margin of mixed-o21's radius-5 sample
+        # (3.6e-7) and its images under rotations of the maximal compact
+        # subgroup: their margins agree to rounding, so the first in row
+        # order is decided by the last bits of transversality_margin
+        form, sample = case("mixed-o21:5")
+        worst = transversality_report(fresh(sample), form).worst_pair
+        pair = [p.frame.columns for p in sample.points if p.source_word in worst]
+        points = [LimitPoint(Frame(o21_rotation(t) @ f), f"{w}{i}", 1, 2.0)
+                  for i, t in enumerate((0.0, 1.1, 2.3, 3.7, 5.2))
+                  for f, w in zip(pair, "ab")]
+        return form, LimitSample(points, sample.theta, form)
     if kind == "pingpong":
         seed, radius, member = map(int, args)
         form, gens, theta = make_witt_form(3, 2), pingpong_o32(seed), ThetaSet(B2, frozenset({member}))
@@ -72,7 +84,7 @@ def screened_report(sample, form, pair_floor):
     return report.margin, report.worst_pair, report.pairs_tested, report.covering_radius
 
 
-CASES = ["mixed-o21:5", "mixed-o21:6", "schottky-o21:6",
+CASES = ["mixed-o21:5", "mixed-o21:6", "schottky-o21:6", "ties",
          "pingpong:1:4:1", "pingpong:2:4:1", "pingpong:1:4:2", "pingpong:2:4:2"]
 
 
