@@ -248,9 +248,23 @@ def cmd_divergence(config):
     return 0
 
 
+def _chart(text, n):
+    """The two coordinate indices of ``--chart``, each in 0..n-1."""
+    try:
+        chart = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        chart = ()
+    if len(chart) != 2 or not all(0 <= i < n for i in chart):
+        raise ValueError(f"chart must be two comma-separated integers in "
+                         f"0..{n - 1}, got {text!r}")
+    return chart
+
+
 def cmd_limitset(config):
     form, gens = _named_matrices(config)
-    group_tag, rs = _group_setup(form, gens[0][1].shape[0])
+    n = gens[0][1].shape[0]
+    chart = _chart(config.chart, n)
+    group_tag, rs = _group_setup(form, n)
     theta = ThetaSet(rs, frozenset({config.xi_root}))
     ball, truncated = _enumerate(config, gens)
     sample = sample_limit_set(ball, theta, form, min_gap=config.min_gap,
@@ -258,7 +272,6 @@ def cmd_limitset(config):
     csv_path = os.path.join(config.out, "limitset.csv")
     with open(csv_path, "w") as fh:
         fh.write(sample_to_csv(sample))
-    chart = tuple(int(x) for x in config.chart.split(","))
     svg_path = os.path.join(config.out, "limitset.svg")
     with open(svg_path, "w") as fh:
         fh.write(sample_to_svg(sample, chart))
@@ -333,9 +346,9 @@ def cmd_domain(config):
             "bad_set_hits": len(hits),
             "transversality_margin": trans.margin if trans else None,
             "relation_flags": [
-                {"point": f.point_index, "word": f.word,
-                 "min_gap": f.min_gap, "residual": f.residual}
-                for f in flags],
+                {"point": point, "word": word, "min_gap": gap,
+                 "residual": residual}
+                for point, word, _, gap, residual in flags],
             "expansion_certificates": certs,
         })
 

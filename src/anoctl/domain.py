@@ -14,7 +14,9 @@ properness scan reports flags, never a boolean theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,8 +161,7 @@ def bad_set_distance(frame, sample):
 # dynamical relation scan
 
 
-@dataclass(frozen=True)
-class RelationFlag:
+class RelationFlag(NamedTuple):
     point_index: int
     word: str
     word_length: int
@@ -213,22 +214,24 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         else:
             residuals = np.min(principal_sines(
                 sample.columns, push_forward(mat, pts)[:, None])[..., 0], axis=1)
-        hits = [(int(idx), float(residuals[idx]))
-                for idx in np.flatnonzero(residuals > tol)]
-        if hits:
-            flagged.append((index, hits))
+        hit = np.flatnonzero(residuals > tol)
+        if hit.size:
+            flagged.append((index, hit.tolist(), residuals[hit].tolist()))
 
     # only flagged elements need a gap; the ball keeps the sampler's
     # decompositions and decomposes the others in one call
     from .cartan import mu_gaps
     group_tag = "opq" if sample.form is not None else "gl"
-    decs = ball.decompose([index for index, _ in flagged], group_tag, sample.form)
+    decs = ball.decompose([index for index, _, _ in flagged], group_tag,
+                          sample.form)
     flags = []
-    for (index, hits), dec in zip(flagged, decs):
+    for (index, hit, resids), dec in zip(flagged, decs):
         word, _, r = ball.elements[index]
         gaps = mu_gaps(dec.mu, sample.theta.root_system)
         gap = min(gaps[a] for a in sample.theta.members)
-        flags.extend(RelationFlag(idx, word, r, gap, resid) for idx, resid in hits)
+        n = len(hit)
+        flags.extend(map(RelationFlag, hit, repeat(word, n), repeat(r, n),
+                         repeat(gap, n), resids))
     return flags
 
 

@@ -20,7 +20,8 @@ pair of real forms (its real and imaginary parts).
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -515,11 +516,89 @@ def matrix_from_json(d):
     return m
 
 
+# chunks of text held before one write: a report is never built as one
+# string (joining mixed-o21's 3 MB domain report raised the peak RSS by
+# 23 MiB)
+_WRITE_BATCH = 1024
+_NESTED = (list, tuple, dict)
+
+
+@cache
+def _layout(depth):
+    """For a container at nesting ``depth``: json's C encoder for its
+    members when they are all scalars, whose item separator carries the
+    indent of the next line, and the line breaks that open and close it.
+    The encoder also encodes single scalars and raises json's own errors
+    (ValueError for a NaN or infinity, TypeError for other values)."""
+    pad = "\n" + "  " * (depth + 1)
+    enc = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", "," + pad, True, False, False)
+    return enc, pad, pad[:-2]
+
+
+def _key_head(key):
+    """A dict key as json writes it before the value: str as is; int,
+    float, bool and None as their JSON literal, quoted."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _layout(0)[0](key, 0)[0]
+    return json.encoder.encode_basestring_ascii(key) + ": "
+
+
 def dump_json(obj, path):
-    """Deterministic JSON emission (sorted keys, fixed separators).  A
-    NaN or infinity raises, because JSON has no literal for them."""
-    # streamed: building the text first takes the memory of every chunk
-    # (mixed-o21's 3 MB domain report raised the peak RSS by 23 MiB)
+    """Write ``obj`` with the bytes of ``json.dump(obj, fh, sort_keys=True,
+    indent=2, allow_nan=False)`` and a final newline.  A NaN or infinity
+    raises ValueError, because JSON has no literal for them.
+
+    json.dump runs its pure-Python encoder whenever it indents, one small
+    chunk at a time.  Here every container of scalars is one call of
+    json's C encoder, and only containers of containers recurse in
+    Python."""
+    out = []
+    active = set()
+
+    def emit(o, depth):
+        enc, pad, end = _layout(depth)
+        if isinstance(o, dict):
+            members = o.values()
+        elif isinstance(o, (list, tuple)):
+            members = o
+        else:
+            out.append(enc(o, depth)[0])
+            return
+        for v in members:
+            if isinstance(v, _NESTED):
+                break
+        else:
+            text = enc(o, depth)[0]
+            out.append(f"{text[0]}{pad}{text[1:-1]}{end}{text[-1]}"
+                       if o else text)
+            return
+        if id(o) in active:
+            raise ValueError("Circular reference detected")
+        active.add(id(o))
+        if isinstance(o, dict):
+            brackets = "{}"
+            pairs = ((_key_head(k), v) for k, v in sorted(o.items()))
+        else:
+            brackets = "[]"
+            pairs = zip(repeat(""), o)
+        out.append(brackets[0])
+        sep = pad
+        for head, value in pairs:
+            out.append(sep + head)
+            emit(value, depth + 1)
+            sep = "," + pad
+            if len(out) >= _WRITE_BATCH:
+                fh.write("".join(out))
+                out.clear()
+        out.append(end + brackets[1])
+        active.discard(id(o))
+
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        emit(obj, 0)
+        out.append("\n")
+        fh.write("".join(out))

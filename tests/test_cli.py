@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from anoctl import cli
 from anoctl.cli import domain_check_main, main
-from anoctl.forms import make_witt_form, matrix_to_json
+from anoctl.forms import dump_json, make_witt_form, matrix_to_json
 from anoctl.presets import o21_boost, schottky_o21
 from test_cartan import opq_chamber, random_opq_K
 
@@ -81,6 +82,18 @@ def test_limitset_builtin_emits_csv_and_svg(tmp_path):
     assert csv.startswith("word,word_length,gap,")
     svg = read(tmp_path / "limitset.svg")
     assert svg.startswith("<svg") and "<circle" in svg
+
+
+@pytest.mark.parametrize("chart", ["0,9", "0", "0,1,2", "a,b", "-1,0", "0,3"])
+def test_malformed_chart_exits_2(tmp_path, capsys, chart):
+    # O(2,1) flags are lines in R^3: the chart needs two indices in 0..2
+    assert main(["limitset", "--radius", "3", f"--chart={chart}",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "chart" in err and "0..2" in err
+    assert not (tmp_path / "limitset.csv").exists()
+    assert main(["limitset", "--radius", "3", "--chart", "2,0",
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_ball_command(tmp_path):
@@ -290,16 +303,35 @@ GOLDEN = {
 }
 
 
+def golden_args(tmp_path, name):
+    if name == "pingpong-o32":
+        return ["--gens", write_gens(tmp_path / "gens.json", pingpong_o32(0)),
+                "--form", "3,2", "--radius", "3"]
+    return ["--gens", f"builtin:{name}", "--radius", "4"]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_reports_match_golden_digests(tmp_path, name):
-    if name == "pingpong-o32":
-        args = ["--gens", write_gens(tmp_path / "gens.json", pingpong_o32(0)),
-                "--form", "3,2", "--radius", "3"]
-    else:
-        args = ["--gens", f"builtin:{name}", "--radius", "4"]
+    args = golden_args(tmp_path, name)
     for command in ("divergence", "limitset", "domain"):
         assert main([command, *args, "--samples", "20",
                      "--out", str(tmp_path)]) == 0
     digests = {out: hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
                for out in GOLDEN[name]}
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_pinned_reports_are_the_bytes_of_json_dump(tmp_path, monkeypatch, name):
+    written = []
+
+    def checked_dump(obj, path):
+        dump_json(obj, path)
+        expected = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        assert read(path) == expected + "\n"
+        written.append(os.path.basename(path))
+
+    monkeypatch.setattr(cli, "dump_json", checked_dump)
+    assert main(["domain", *golden_args(tmp_path, name), "--samples", "20",
+                 "--out", str(tmp_path)]) == 0
+    assert written == ["domain.json"]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from anoctl.algebras import get_algebra
+from anoctl.cartan import mu_gaps
 from anoctl.domain import (
+    ACCUMULATION_TOL,
     CompactPoint,
     NotInCompactificationError,
     bad_set_distance,
@@ -381,6 +383,87 @@ def test_scan_residuals_equal_per_point_bad_set_distance(rng):
     assert len(flags) == len(expected) > len(ball)
     assert [(f.point_index, f.word) for f in flags] == [e[:2] for e in expected]
     assert np.array_equal([f.residual for f in flags], [e[2] for e in expected])
+
+
+def per_hit_scan(points, ball, sample, tol=ACCUMULATION_TOL,
+                 min_word_length=None):
+    """The relation scan's former loop: one (int, float) pair per hit,
+    read back element by element, and one flag tuple per pair."""
+    if min_word_length is None:
+        min_word_length = max(ball.radius, 1)
+    elements = np.flatnonzero(ball.lengths >= min_word_length).tolist()
+    line_path = points[0].frame.k == 1 and sample.columns.shape[-1] == 1
+    if line_path:
+        lines = sample.line_array()
+        pts = np.stack([pt.frame.columns[:, 0] for pt in points], axis=1)
+    else:
+        pts = np.stack([pt.frame.columns for pt in points])
+    flagged = []
+    for index in elements:
+        word, mat, r = ball.elements[index]
+        if line_path:
+            moved = mat @ pts
+            moved /= np.linalg.norm(moved, axis=0, keepdims=True)
+            cos = np.abs(lines @ moved)
+            residuals = np.sqrt(np.clip(1 - np.max(cos, axis=0) ** 2, 0.0, 1.0))
+        else:
+            residuals = np.min(principal_sines(
+                sample.columns, push_forward(mat, pts)[:, None])[..., 0], axis=1)
+        hits = [(int(idx), float(residuals[idx]))
+                for idx in np.flatnonzero(residuals > tol)]
+        if hits:
+            flagged.append((index, hits))
+    group_tag = "opq" if sample.form is not None else "gl"
+    decs = ball.decompose([index for index, _ in flagged], group_tag, sample.form)
+    flags = []
+    for (index, hits), dec in zip(flagged, decs):
+        word, _, r = ball.elements[index]
+        gaps = mu_gaps(dec.mu, sample.theta.root_system)
+        gap = min(gaps[a] for a in sample.theta.members)
+        flags.extend((idx, word, r, gap, resid) for idx, resid in hits)
+    return flags
+
+
+def assert_scan_matches_per_hit_loop(points, ball, sample, **kwargs):
+    flags = dynamical_relation_scan(points, ball, sample, **kwargs)
+    assert [tuple(f) for f in flags] == per_hit_scan(points, ball, sample,
+                                                     **kwargs)
+    # numpy scalars would make the report unserializable
+    for f in flags:
+        assert [type(x) for x in f] == [int, str, int, float, float]
+        assert (f.point_index, f.word, f.word_length, f.min_gap,
+                f.residual) == tuple(f)
+    return flags
+
+
+def test_scan_matches_per_hit_loop_on_mixed_o21_lines():
+    form, gens = mixed_o21()
+    ball = enumerate_ball(gens, 5)
+    sample = sample_limit_set(ball, THETA1, form, min_gap=1.0)
+    rng = np.random.default_rng(0)
+    points = []
+    while len(points) < 100:
+        pt = gaussian_domain_sampler(form, rng)
+        if pt.is_interior and not in_bad_set(pt, sample, "intersect")[0]:
+            points.append(pt)
+    flags = assert_scan_matches_per_hit_loop(points, ball, sample)
+    assert len(flags) > 10000
+
+
+def test_scan_matches_per_hit_loop_on_o32_planes(rng):
+    from test_cartan import opq_chamber, random_opq_K
+    form = make_witt_form(3, 2)
+    gens = [(name, k @ opq_chamber(form, [6.0, 2.0]) @ k.T)
+            for name, k in zip("ab", (random_opq_K(rng, 3, 2) for _ in "ab"))]
+    ball = enumerate_ball(gens, 3)
+    sample = sample_limit_set(ball, ThetaSet(build_root_system("B", 2),
+                                             frozenset({1})), form)
+    points = [p for p in (gaussian_domain_sampler(form, rng) for _ in range(30))
+              if p.is_interior]
+    assert points[0].frame.k == 2
+    for tol in (0.0, 1e-4, ACCUMULATION_TOL):
+        assert_scan_matches_per_hit_loop(points, ball, sample, tol=tol,
+                                         min_word_length=1)
 
 
 # ---------------------------------------------------------------------------

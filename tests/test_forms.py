@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anoctl.forms import (
     DEFAULT_TOL,
@@ -473,3 +477,62 @@ def test_dump_json_rejects_non_finite_numbers(tmp_path):
     for value in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             dump_json({"radius": value}, tmp_path / "report.json")
+        # a flat record inside a list, and a nested dict
+        for obj in ({"flags": [{"point": 1, "residual": value}]},
+                    {"a": {"b": {"c": [1.0, value]}, "d": [[]]}},
+                    [np.float64(value)], {value: 1}, value):
+            with pytest.raises(ValueError):
+                dump_json(obj, tmp_path / "report.json")
+
+
+def test_dump_json_rejects_what_json_rejects(tmp_path):
+    path = tmp_path / "report.json"
+    loop = [1, 2]
+    loop.append(loop)
+    cases = [
+        (TypeError, {"count": np.int64(3)}),
+        (TypeError, [{"count": np.int64(3)}, [1]]),
+        (TypeError, {"members": {1, 2}}),
+        (TypeError, {(1, 2): "tuple key"}),
+        (TypeError, {"a": {(1, 2): "tuple key", (3,): [1]}}),
+        (ValueError, loop),
+        (ValueError, {"a": [{"b": loop}]}),
+    ]
+    for error, obj in cases:
+        with pytest.raises(error):      # json's own verdict ...
+            json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(error):      # ... is dump_json's
+            dump_json(obj, path)
+
+
+_TRICKY = '"\\{}[],: \n\t\r\x00\x1f\x7f\u00e9\u20ac\U0001f600'
+_STRINGS = st.one_of(st.text(max_size=8), st.text(_TRICKY, max_size=8))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2 ** 63, 2 ** 100),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64), _STRINGS)
+# the keys of one dict must sort against each other, as with json
+_NUMBER_KEYS = st.one_of(st.booleans(), st.integers(),
+                         st.floats(allow_nan=False, allow_infinity=False))
+_EMPTY = st.sampled_from([[], (), {}])
+
+
+def _containers(members):
+    return st.one_of(
+        st.lists(members, max_size=5),
+        st.lists(members, max_size=5).map(tuple),
+        *(st.dictionaries(keys, members, max_size=5)
+          for keys in (_STRINGS, _NUMBER_KEYS, st.none())))
+
+
+JSON_VALUES = st.recursive(st.one_of(_SCALARS, _EMPTY), _containers,
+                           max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=JSON_VALUES)
+def test_dump_json_writes_the_bytes_of_json_dump(tmp_path, obj):
+    dump_json(obj, tmp_path / "report.json")
+    expected = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert (tmp_path / "report.json").read_text() == expected
