@@ -52,11 +52,13 @@ samplex = sample_limit_set(ballx, theta, formx, min_gap=1.0)
 clean = [p for p in interior[:40] if not in_bad_set(p, samplex)[0]]
 flagsx = dynamical_relation_scan(clean, ballx, samplex)
 print(f"relation flags for the non-discrete control: {len(flagsx)}")
-small_gap = [f for f in flagsx if f.min_gap < 1.0]
+small_gap = [(word, gap, residual) for word, gap, residual
+             in zip(flagsx["word"], flagsx["min_gap"], flagsx["residual"])
+             if gap < 1.0]
 if small_gap:
-    f = small_gap[0]
-    print(f"  example: word {f.word!r} with gap {f.min_gap:.2f} "
-          f"left a point at residual {f.residual:.3f}")
+    word, gap, residual = small_gap[0]
+    print(f"  example: word {word!r} with gap {gap:.2f} "
+          f"left a point at residual {residual:.3f}")
 
 # Expansion certificates around sampled limit flags: inverses of the
 # quasigeodesic ray expand incidence distances near the flag.

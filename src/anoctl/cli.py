@@ -81,6 +81,8 @@ class RunConfig:
 
     def parsed_form(self):
         parts = self.form.split(",")
+        if len(parts) not in (2, 3):
+            raise ValueError(f"form must be P,Q or P,Q,C, got {self.form!r}")
         p, q = int(parts[0]), int(parts[1])
         complex_tag = len(parts) > 2 and parts[2].strip().upper() == "C"
         return make_witt_form(p, q, "complex" if complex_tag else "real")
@@ -152,9 +154,18 @@ def load_generators(config):
 
 
 def _named_matrices(config):
+    """A builtin preset brings its own form, which a --form (the default
+    "2,1" included) must not contradict; a file takes the --form."""
     form, gens = load_generators(config)
-    if form is None and config.form:
-        form = config.parsed_form()
+    if config.form:
+        given = config.parsed_form()
+        if form is None:
+            form = given
+        elif (given.p, given.q, given.is_complex) != \
+                (form.p, form.q, form.is_complex):
+            raise ValueError(f"form {config.form} contradicts {config.gens}, "
+                             f"whose form is {form.p},{form.q}"
+                             f"{',C' if form.is_complex else ''}")
     return form, gens
 
 
@@ -321,7 +332,6 @@ def cmd_domain(config):
     if sample is None:
         report.update({"sample_size": 0, "bad_set_hits": 0,
                        "relation_flags": [], "expansion_certificates": []})
-        flags = []
     else:
         hits = [i for i, pt in enumerate(interior)
                 if in_bad_set(pt, sample, "intersect", config.tol)[0]]
@@ -345,10 +355,7 @@ def cmd_domain(config):
                 sample.covering_radius() if len(sample) > 1 else None,
             "bad_set_hits": len(hits),
             "transversality_margin": trans.margin if trans else None,
-            "relation_flags": [
-                {"point": point, "word": word, "min_gap": gap,
-                 "residual": residual}
-                for point, word, _, gap, residual in flags],
+            "relation_flags": flags,
             "expansion_certificates": certs,
         })
 

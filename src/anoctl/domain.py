@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
 from .algebras import get_algebra
 from .forms import (
     Frame,
+    Records,
     contains,
     cosines,
     dist_grassmann,
@@ -161,14 +161,6 @@ def bad_set_distance(frame, sample):
 # dynamical relation scan
 
 
-class RelationFlag(NamedTuple):
-    point_index: int
-    word: str
-    word_length: int
-    min_gap: float           # smallest relevant root gap of the element
-    residual: float          # distance of the image to the sampled bad set
-
-
 def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
                             min_word_length=None, max_elements=None):
     """Push every point with every long ball element and flag pairs whose
@@ -180,9 +172,15 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     exposes an infinite bounded-projection family (non-divergence); a
     flag with a large gap contradicts the accumulation statement itself.
     Points must be members of the compactification outside the bad set.
+
+    The flags are a Records table with one row per flag: ``point`` (the
+    index of the point), ``word`` (the element), ``min_gap`` (its
+    smallest relevant root gap) and ``residual`` (the distance of the
+    image to the sampled bad set).
     """
+    flags = Records({"point": [], "word": [], "min_gap": [], "residual": []})
     if not points:
-        return []
+        return flags
     if min_word_length is None:
         min_word_length = max(ball.radius, 1)
     for idx, pt in enumerate(points):
@@ -224,14 +222,14 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     group_tag = "opq" if sample.form is not None else "gl"
     decs = ball.decompose([index for index, _, _ in flagged], group_tag,
                           sample.form)
-    flags = []
     for (index, hit, resids), dec in zip(flagged, decs):
-        word, _, r = ball.elements[index]
         gaps = mu_gaps(dec.mu, sample.theta.root_system)
-        gap = min(gaps[a] for a in sample.theta.members)
         n = len(hit)
-        flags.extend(map(RelationFlag, hit, repeat(word, n), repeat(r, n),
-                         repeat(gap, n), resids))
+        flags["point"].extend(hit)
+        flags["word"].extend(repeat(ball.words[index], n))
+        flags["min_gap"].extend(
+            repeat(min(gaps[a] for a in sample.theta.members), n))
+        flags["residual"].extend(resids)
     return flags
 
 

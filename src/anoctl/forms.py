@@ -520,21 +520,58 @@ def matrix_from_json(d):
 # string (joining mixed-o21's 3 MB domain report raised the peak RSS by
 # 23 MiB)
 _WRITE_BATCH = 1024
-_NESTED = (list, tuple, dict)
+# rows of a Records table encoded and written at a time: on mixed-o21's
+# radius-8 report (129,476 rows) this batch keeps the writer under the
+# relation scan's peak RSS of 81 MiB, where 16,384 rows reached 89 MiB
+# and 65,536 rows 122 MiB
+_RECORD_BATCH = 4096
+
+
+class Records:
+    """A table of scalar rows kept as columns: ``columns`` maps each key to
+    a list with one value per row, and ``len()`` is the row count.
+    dump_json writes it as the list of one dict per row that json would
+    write, without building those dicts."""
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __eq__(self, other):
+        return isinstance(other, Records) and self.columns == other.columns
+
+    def __len__(self):
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, key):
+        return self.columns[key]
+
+
+_NESTED = (list, tuple, dict, Records)
+
+
+def _encoder(item_separator):
+    """json's C encoder with sorted keys and no NaN.  It also encodes
+    single scalars and raises json's own errors (ValueError for a NaN or
+    infinity, TypeError for other values).  It returns a list of chunks:
+    one, or several once a container has about 50,000 members."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", item_separator, True, False, False)
+
+
+# a list of scalars one per line: an encoded scalar holds no raw newline,
+# so splitting the text at "\n" gives the members
+_COLUMN = _encoder("\n")
 
 
 @cache
 def _layout(depth):
-    """For a container at nesting ``depth``: json's C encoder for its
-    members when they are all scalars, whose item separator carries the
-    indent of the next line, and the line breaks that open and close it.
-    The encoder also encodes single scalars and raises json's own errors
-    (ValueError for a NaN or infinity, TypeError for other values)."""
+    """For a container at nesting ``depth``: the encoder for its members
+    when they are all scalars, whose item separator carries the indent of
+    the next line, and the line breaks that open and close it."""
     pad = "\n" + "  " * (depth + 1)
-    enc = json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-        None, ": ", "," + pad, True, False, False)
-    return enc, pad, pad[:-2]
+    return _encoder("," + pad), pad, pad[:-2]
 
 
 def _key_head(key):
@@ -548,32 +585,79 @@ def _key_head(key):
     return json.encoder.encode_basestring_ascii(key) + ": "
 
 
+def _cells(values):
+    """The JSON text of each of ``values``, from one encoder call.  Only a
+    container's text starts with a bracket, so one search of the whole
+    text rejects containers."""
+    text = "".join(_COLUMN(values, 0))
+    if text.startswith(("[[", "[{")) or "\n[" in text or "\n{" in text:
+        raise TypeError("Records values must be JSON scalars")
+    cells = text.split("\n")
+    cells[0] = cells[0][1:]
+    cells[-1] = cells[-1][:-1]
+    return cells
+
+
+def _record_batches(records, depth):
+    """The text of ``records`` at nesting ``depth``, a batch of rows at a
+    time: each column of a batch is one encoder call, and each row fills
+    one template that holds the sorted keys and the indents."""
+    keys = sorted(records.columns)
+    columns = [records.columns[k] for k in keys]
+    rows = len(records)
+    if any(len(c) != rows for c in columns):
+        raise ValueError("Records columns differ in length")
+    if not rows:
+        yield "[]"
+        return
+    _, pad, end = _layout(depth)
+    inner = _layout(depth + 1)[1]
+    template = ("{" + inner + ("," + inner).join(
+        _key_head(k).replace("%", "%%") + "%s" for k in keys) + pad + "}")
+    sep = "[" + pad
+    for start in range(0, rows, _RECORD_BATCH):
+        cells = [_cells(c[start:start + _RECORD_BATCH]) for c in columns]
+        yield sep + ("," + pad).join(map(template.__mod__, zip(*cells)))
+        sep = "," + pad
+    yield end + "]"
+
+
 def dump_json(obj, path):
     """Write ``obj`` with the bytes of ``json.dump(obj, fh, sort_keys=True,
-    indent=2, allow_nan=False)`` and a final newline.  A NaN or infinity
-    raises ValueError, because JSON has no literal for them.
+    indent=2, allow_nan=False)`` and a final newline, where a Records
+    table stands for its list of row dicts.  A NaN or infinity raises
+    ValueError, because JSON has no literal for them.
 
     json.dump runs its pure-Python encoder whenever it indents, one small
     chunk at a time.  Here every container of scalars is one call of
-    json's C encoder, and only containers of containers recurse in
-    Python."""
+    json's C encoder, every column of a Records batch is one call, and
+    only containers of containers recurse in Python."""
     out = []
     active = set()
 
+    def flush():
+        fh.write("".join(out))
+        out.clear()
+
     def emit(o, depth):
         enc, pad, end = _layout(depth)
+        if isinstance(o, Records):
+            for text in _record_batches(o, depth):
+                out.append(text)
+                flush()
+            return
         if isinstance(o, dict):
             members = o.values()
         elif isinstance(o, (list, tuple)):
             members = o
         else:
-            out.append(enc(o, depth)[0])
+            out.append("".join(enc(o, depth)))
             return
         for v in members:
             if isinstance(v, _NESTED):
                 break
         else:
-            text = enc(o, depth)[0]
+            text = "".join(enc(o, depth))
             out.append(f"{text[0]}{pad}{text[1:-1]}{end}{text[-1]}"
                        if o else text)
             return
@@ -593,12 +677,11 @@ def dump_json(obj, path):
             emit(value, depth + 1)
             sep = "," + pad
             if len(out) >= _WRITE_BATCH:
-                fh.write("".join(out))
-                out.clear()
+                flush()
         out.append(end + brackets[1])
         active.discard(id(o))
 
     with open(path, "w") as fh:
         emit(obj, 0)
         out.append("\n")
-        fh.write("".join(out))
+        flush()

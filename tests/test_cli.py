@@ -10,6 +10,7 @@ from anoctl.cli import domain_check_main, main
 from anoctl.forms import dump_json, make_witt_form, matrix_to_json
 from anoctl.presets import o21_boost, schottky_o21
 from test_cartan import opq_chamber, random_opq_K
+from test_forms import json_dump_text
 
 
 def read(path):
@@ -94,6 +95,17 @@ def test_malformed_chart_exits_2(tmp_path, capsys, chart):
     assert not (tmp_path / "limitset.csv").exists()
     assert main(["limitset", "--radius", "3", "--chart", "2,0",
                  "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("form", ["3,2", "2,1,C", "3"])
+def test_form_contradicting_a_builtin_preset_exits_2(tmp_path, capsys, form):
+    args = ["divergence", "--gens", "builtin:schottky-o21", "--radius", "3",
+            "--out", str(tmp_path)]
+    assert main([*args, "--form", form]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "form" in err and form in err
+    assert not (tmp_path / "divergence.csv").exists()
+    assert main([*args, "--form", "2,1"]) == 0      # the preset's own form
 
 
 def test_ball_command(tmp_path):
@@ -327,8 +339,7 @@ def test_pinned_reports_are_the_bytes_of_json_dump(tmp_path, monkeypatch, name):
 
     def checked_dump(obj, path):
         dump_json(obj, path)
-        expected = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-        assert read(path) == expected + "\n"
+        assert read(path) == json_dump_text(obj)
         written.append(os.path.basename(path))
 
     monkeypatch.setattr(cli, "dump_json", checked_dump)

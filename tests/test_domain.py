@@ -214,7 +214,7 @@ def test_scan_schottky_has_no_flags(rng):
     points = [p for p in (gaussian_domain_sampler(form, rng) for _ in range(60))
               if p.is_interior]
     flags = dynamical_relation_scan(points, ball, sample)
-    assert flags == []
+    assert len(flags) == 0
 
 
 def test_scan_flags_nondiscrete_control(rng):
@@ -225,7 +225,7 @@ def test_scan_flags_nondiscrete_control(rng):
               if p.is_interior]
     flags = dynamical_relation_scan(points, ballm, sample)
     assert len(flags) >= 1
-    assert all(f.residual > 1e-3 for f in flags)
+    assert all(r > 1e-3 for r in flags["residual"])
 
 
 def test_scan_rejects_bad_points():
@@ -237,7 +237,9 @@ def test_scan_rejects_bad_points():
 
 def test_scan_empty_inputs():
     form, gens, ball, sample = schottky_setup()
-    assert dynamical_relation_scan([], ball, sample) == []
+    flags = dynamical_relation_scan([], ball, sample)
+    assert len(flags) == 0
+    assert sorted(flags.columns) == ["min_gap", "point", "residual", "word"]
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +358,11 @@ def test_stretched_plane_keeps_its_dimension(rng):
     # at tolerance 0 every pushed point is flagged with its residual
     flags = dynamical_relation_scan([pt], ball, sample, tol=0.0,
                                     min_word_length=1)
-    assert [f.word for f in flags] == [w for w, _, r in ball.elements if r]
-    for f in flags:
-        expected = min(principal_sines(p.frame, moved[f.word])[0]
+    assert flags["word"] == [w for w, _, r in ball.elements if r]
+    for word, residual in zip(flags["word"], flags["residual"]):
+        expected = min(principal_sines(p.frame, moved[word])[0]
                        for p in sample.points)
-        assert f.residual == pytest.approx(expected, rel=1e-6, abs=1e-9)
+        assert residual == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
 def test_scan_residuals_equal_per_point_bad_set_distance(rng):
@@ -381,8 +383,8 @@ def test_scan_residuals_equal_per_point_bad_set_distance(rng):
                 for w, m, r in ball.elements if r
                 for i, moved in enumerate(push_forward(m, pts))]
     assert len(flags) == len(expected) > len(ball)
-    assert [(f.point_index, f.word) for f in flags] == [e[:2] for e in expected]
-    assert np.array_equal([f.residual for f in flags], [e[2] for e in expected])
+    assert list(zip(flags["point"], flags["word"])) == [e[:2] for e in expected]
+    assert np.array_equal(flags["residual"], [e[2] for e in expected])
 
 
 def per_hit_scan(points, ball, sample, tol=ACCUMULATION_TOL,
@@ -426,13 +428,17 @@ def per_hit_scan(points, ball, sample, tol=ACCUMULATION_TOL,
 
 def assert_scan_matches_per_hit_loop(points, ball, sample, **kwargs):
     flags = dynamical_relation_scan(points, ball, sample, **kwargs)
-    assert [tuple(f) for f in flags] == per_hit_scan(points, ball, sample,
-                                                     **kwargs)
+    columns = ("point", "word", "min_gap", "residual")
+    rows = list(zip(*(flags[key] for key in columns)))
+    expected = per_hit_scan(points, ball, sample, **kwargs)
+    assert rows == [(point, word, gap, residual)
+                    for point, word, _, gap, residual in expected]
+    # the flags keep no word length: a reduced word is its own length
+    assert all(r == len(word) for _, word, r, _, _ in expected)
+    assert sorted(flags.columns) == sorted(columns) and len(rows) == len(flags)
     # numpy scalars would make the report unserializable
-    for f in flags:
-        assert [type(x) for x in f] == [int, str, int, float, float]
-        assert (f.point_index, f.word, f.word_length, f.min_gap,
-                f.residual) == tuple(f)
+    for row in rows:
+        assert [type(x) for x in row] == [int, str, float, float]
     return flags
 
 

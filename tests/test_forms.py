@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from anoctl import forms
 from anoctl.forms import (
     DEFAULT_TOL,
     Frame,
     FlagPoint,
+    Records,
     WittForm,
     check_orthonormal,
     contains,
@@ -257,9 +260,65 @@ def random_isotropic_line(rng, form):
     return Frame.from_spanning(a + b)
 
 
+PLANE_BLOCK = 32
+
+
 def random_nonpositive_plane(rng, form, q, boundary=False):
     """Random q-plane with nonpositive restriction (rejection sampling),
-    or a plane through an isotropic line when boundary=True."""
+    or a plane through an isotropic line when boundary=True.
+
+    Tries are screened PLANE_BLOCK at a time with one stacked SVD and
+    ``eigvalsh``, whose slices are bit for bit the one-try values.  At the
+    first try that may pass, the rng is rewound and advanced by exactly
+    the tries up to it, and that try is decided alone, so the planes and
+    the rng's state are those of ``one_try_nonpositive_plane``."""
+    n = form.n
+    if boundary:
+        l = random_isotropic_line(rng, form)
+        perp = orthogonal_complement(form, l)
+
+        def through_l(draws):
+            lines = np.broadcast_to(l.columns, (*draws.shape[:-2], n, 1))
+            return np.concatenate([lines, perp.columns @ draws], axis=-1)
+
+        w = _first_passing(rng, form, 500, (perp.k, q - 1), through_l,
+                           lambda k, top: (k == q) & (top <= 1e-10))
+        if w is not None:
+            return w
+    w = _first_passing(rng, form, 5000, (n, q), lambda draws: draws,
+                       lambda k, top: top < -1e-8)
+    if w is None:
+        raise RuntimeError("sampling failed")
+    return w
+
+
+def _first_passing(rng, form, tries, shape, span, passes):
+    """The frame of the first of ``tries`` Gaussian draws of ``shape``
+    whose span ``span(draw)`` ``passes(rank, top restricted eigenvalue)``,
+    or None.  A slice short of full rank is decided alone, because its
+    frame keeps fewer columns."""
+    done = 0
+    while done < tries:
+        state = rng.bit_generator.state
+        size = min(PLANE_BLOCK, tries - done)
+        frames, ranks = orthonormalize(span(rng.standard_normal((size, *shape))))
+        top = np.linalg.eigvalsh(
+            np.swapaxes(frames, -1, -2) @ form.gram @ frames)[:, -1]
+        maybe = np.flatnonzero((ranks < frames.shape[-1]) | passes(ranks, top))
+        if not maybe.size:
+            done += size
+            continue
+        rng.bit_generator.state = state
+        w = Frame.from_spanning(span(rng.standard_normal((maybe[0] + 1, *shape))[-1]))
+        done += maybe[0] + 1
+        if passes(w.k, np.max(np.linalg.eigvalsh(w.columns.T @ form.gram @ w.columns))):
+            return w
+    return None
+
+
+def one_try_nonpositive_plane(rng, form, q, boundary=False):
+    """random_nonpositive_plane's former loop, one try at a time: the
+    reference for its draws."""
     n = form.n
     if boundary:
         l = random_isotropic_line(rng, form)
@@ -278,6 +337,23 @@ def random_nonpositive_plane(rng, form, q, boundary=False):
         if np.max(vals) < -1e-8:
             return w
     raise RuntimeError("sampling failed")
+
+
+def test_stacked_plane_draws_equal_the_one_try_loop():
+    # criterion 4's draws: 10,000 planes, every other one through an
+    # isotropic line, each followed by an isotropic line
+    digests = []
+    for draw in (random_nonpositive_plane, one_try_nonpositive_plane):
+        rng = np.random.default_rng(74220 + 2)      # criterion 4's seed
+        form = make_witt_form(3, 2)
+        h = hashlib.sha256()
+        for trial in range(10000):
+            w = draw(rng, form, 2, boundary=(trial % 2 == 0))
+            h.update(np.ascontiguousarray(w.columns).tobytes())
+            h.update(random_isotropic_line(rng, form).columns.tobytes())
+        h.update(repr(rng.bit_generator.state).encode())
+        digests.append(h.hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_incidence_lemma_equivalence_randomized(rng):
@@ -536,3 +612,85 @@ def test_dump_json_writes_the_bytes_of_json_dump(tmp_path, obj):
     dump_json(obj, tmp_path / "report.json")
     expected = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     assert (tmp_path / "report.json").read_text() == expected
+
+
+def record_dicts(records):
+    """The list of row dicts that a Records table stands for, as
+    ``json.dumps(..., default=record_dicts)`` expects."""
+    return [dict(zip(records.columns, row))
+            for row in zip(*records.columns.values())]
+
+
+def json_dump_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=record_dicts) + "\n"
+
+
+@pytest.mark.parametrize("size", [60_000, 200_000])
+def test_dump_json_writes_every_chunk_of_a_long_flat_container(tmp_path, size):
+    # json's C encoder returns a second chunk past about 50,000 members
+    obj = {"a": [i / 7 for i in range(size)]}
+    dump_json(obj, tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_text() == json_dump_text(obj)
+
+
+_CELLS = st.one_of(_SCALARS, st.text(_TRICKY + "%s", max_size=8))
+_RECORD_KEYS = st.one_of(st.text(max_size=4), st.text(_TRICKY + "%s", max_size=6))
+
+
+def _nested(records, depth):
+    obj = records
+    for level in range(depth):
+        obj = {"flags": obj, "n": level} if level % 2 else [obj, []]
+    return obj
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, forms._RECORD_BATCH - 1,
+                                  forms._RECORD_BATCH, forms._RECORD_BATCH + 1])
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pools=st.dictionaries(_RECORD_KEYS, st.lists(_CELLS, min_size=1, max_size=5),
+                             max_size=4),
+       depth=st.integers(0, 3))
+def test_records_write_the_bytes_of_json_dump(tmp_path, rows, pools, depth):
+    # each column repeats a small pool of values down the rows
+    records = Records({key: [pool[i % len(pool)] for i in range(rows)]
+                       for key, pool in pools.items()})
+    assert len(records) == (rows if pools else 0)
+    obj = _nested(records, depth)
+    dump_json(obj, tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_text() == json_dump_text(obj)
+
+
+@pytest.mark.parametrize("batch", [None, 60_000])
+def test_records_past_the_encoder_chunk_threshold(tmp_path, monkeypatch, batch):
+    # with a batch of 60,000 rows each column is one encoder call that
+    # returns several chunks
+    if batch:
+        monkeypatch.setattr(forms, "_RECORD_BATCH", batch)
+    rows = 50_001
+    records = Records({"gap": [i / 7 for i in range(rows)],
+                       "word": ["ab\n%s"[:i % 5] for i in range(rows)]})
+    dump_json({"flags": records}, tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_text() == \
+        json_dump_text({"flags": records})
+
+
+def test_records_reject_what_json_rejects(tmp_path):
+    path = tmp_path / "report.json"
+    late = forms._RECORD_BATCH + 1         # a row in the second batch
+    for value in (float("nan"), float("inf"), np.float64("-inf")):
+        for at in (0, late):
+            column = [1.0] * (late + 1)
+            column[at] = value
+            with pytest.raises(ValueError):
+                dump_json({"r": Records({"a": column, "b": [1] * len(column)})},
+                          path)
+    # a value that is no JSON scalar, first, alone or after a batch
+    for value in ([], {}, [1, 2], (3,), {"a": 1}, [[]], np.int64(3), {1, 2}):
+        for column in ([value], [value, "x"], ["x", value],
+                       [0.5] * late + [value]):
+            with pytest.raises(TypeError):
+                dump_json(Records({"a": column}), path)
+    with pytest.raises(ValueError):
+        dump_json(Records({"a": [1, 2], "b": [1]}), path)
