@@ -17,7 +17,7 @@ rng = np.random.default_rng(0)
 # GL_5: mu is the vector of log singular values.
 g = rng.standard_normal((5, 5))
 rs_a = build_root_system("A", 4)
-dec = kak(g, "gl")
+dec = kak(g)
 print("mu(g) for a random g in GL_5:", np.round(dec.mu.values, 3))
 print("simple root gaps:", {k: round(v, 3)
                             for k, v in mu_gaps(dec.mu, rs_a).items()})
@@ -28,7 +28,7 @@ print("reconstruction error:",
 # the i-th gap of the original element.
 gaps = mu_gaps(dec.mu, rs_a)
 for i in (1, 2, 3):
-    mu_w = kak(exterior_power(g, i), "gl").mu.values
+    mu_w = kak(exterior_power(g, i)).mu.values
     print(f"  wedge {i}: top gap {mu_w[0] - mu_w[1]:.6f}"
           f"  vs  gap alpha_{i} = {gaps[i]:.6f}")
 

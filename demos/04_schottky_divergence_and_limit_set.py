@@ -24,7 +24,7 @@ theta = ThetaSet(rs, frozenset({1}))
 ball = enumerate_ball(gens, 6)
 print(f"ball of radius 6: {len(ball)} elements")
 
-profile = divergence_profile(ball, rs, "opq", form)
+profile = divergence_profile(ball, rs, form)
 print("\nminimum root gap per sphere:")
 for entry in profile.per_radius:
     print(f"  radius {entry.radius}: {entry.min_gap[1]:8.3f}"

@@ -46,7 +46,7 @@ for orb in orbit_decomposition(b2, ThetaSet(b2, frozenset({2}))):
 # Chamber limits, evaluated twice: by classifying the pairings and by
 # the numeric matrix limit; the rank of the limit matrix identifies the
 # orbit.
-group = MatrixGroup("opq", 5, make_witt_form(3, 2))
+group = MatrixGroup(5, make_witt_form(3, 2))
 thresholds = ChamberThresholds(divergence=30.0)
 print("\nchamber sequences in O(3,2) under the wedge-2 embedding:")
 for label, seq in (

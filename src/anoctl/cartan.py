@@ -1,9 +1,10 @@
 """KAK decompositions, Cartan projections, flag maps, exterior powers.
 
-Supported group tags: "gl" (real invertible matrices), "opq" (orthogonal
-group of a real Witt form), "onC" (complex orthogonal group of the
-canonical complex Witt form, handled with complex matrices and realified
-flags).
+``kak(g, form)`` takes a form, and the form picks the group (``tag_of``):
+no form is "gl" (real invertible matrices), a real Witt form "opq" (its
+orthogonal group), a complex one "onC" (the complex orthogonal group of
+the canonical complex Witt form, handled with complex matrices and
+realified flags).
 
 The chamber representative mu(g) is the vector of log singular values in
 a root-adapted order: all of them, weakly decreasing, for gl; the top q,
@@ -98,24 +99,24 @@ class KakTriple:
         return self.k @ self.chamber_matrix() @ self.l
 
 
+def tag_of(form):
+    """The ``group_tag`` of the group that ``form`` picks: "gl" for
+    None, "opq" for a real Witt form, "onC" for a complex one."""
+    if form is None:
+        return "gl"
+    return "onC" if form.is_complex else "opq"
+
+
 def chamber_exp(mu, form=None):
     """exp of the chamber element with the given projection value."""
     v = mu.values
-    if mu.group_tag == "gl":
+    if form is None:
         return np.diag(np.exp(v))
-    if mu.group_tag == "opq":
-        n = form.n
-        d = np.ones(n)
-        d[:len(v)] = np.exp(v)
-        d[n - len(v):] = np.exp(-v[::-1])
-        return np.diag(d)
-    if mu.group_tag == "onC":
-        n = form.n
-        d = np.ones(n, dtype=complex)
-        d[:len(v)] = np.exp(v)
-        d[n - len(v):] = np.exp(-v[::-1])
-        return np.diag(d)
-    raise ValueError(f"unknown group tag {mu.group_tag!r}")
+    n = form.n
+    d = np.ones(n, dtype=complex if form.is_complex else float)
+    d[:len(v)] = np.exp(v)
+    d[n - len(v):] = np.exp(-v[::-1])
+    return np.diag(d)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +198,9 @@ def _canonicalize_signs(u, vt=None):
     return u, np.where(flip_rows, -vt, vt)
 
 
-def _triples(k, mu, l, group_tag, form=None):
-    return [KakTriple(kj, MuVector(group_tag, mj), lj, form)
+def _triples(k, mu, l, form=None):
+    tag = tag_of(form)
+    return [KakTriple(kj, MuVector(tag, mj), lj, form)
             for kj, mj, lj in zip(k, mu, l)]
 
 
@@ -223,7 +225,7 @@ def _kak_gl(g):
                  lambda j: "g has non-finite entries" if not finite[j]
                  else "g is not invertible")
     u, vt = _canonicalize_signs(u, vt)
-    return _triples(u, np.log(s), vt, "gl")
+    return _triples(u, np.log(s), vt)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +376,7 @@ def _kak_opq(g, form):
             kdbl[rows], lam[rows], k1[rows] = assemble(gp[rows], ipq, p, q)
     k = c @ kdbl @ c.T
     l = c @ np.swapaxes(k1, 1, 2) @ c.T
-    return _triples(k, lam, l, "opq", form)
+    return _triples(k, lam, l, form)
 
 
 def _assemble_opq_moderate(gp, ipq, p, q):
@@ -596,39 +598,34 @@ def _kak_onC(g, form):
 # dispatch, gaps, flags
 
 
-def kak(g, group_tag, form=None):
-    """Cartan decomposition dispatch; see the group tags in the module
-    docstring.  ``g`` is one matrix, which gives one KakTriple, or a
-    stack (N, n, n), which gives a list of them."""
-    if group_tag == "gl":
+def kak(g, form=None):
+    """Cartan decomposition in the group that ``form`` picks (see the
+    module docstring).  ``g`` is one matrix, which gives one KakTriple,
+    or a stack (N, n, n), which gives a list of them."""
+    tag = tag_of(form)
+    if tag == "gl":
         return kak_gl(g)
-    if group_tag == "opq":
-        if form is None:
-            raise ValueError("opq requires a WittForm")
+    if tag == "opq":
         return kak_opq(g, form)
-    if group_tag == "onC":
-        if form is None or not form.is_complex:
-            raise ValueError("onC requires a complex WittForm")
-        if np.ndim(g) == 3:
-            return [kak_onC(m, form) for m in g]
-        return kak_onC(g, form)
-    raise ValueError(f"unknown group tag {group_tag!r}")
+    if np.ndim(g) == 3:
+        return [kak_onC(m, form) for m in g]
+    return kak_onC(g, form)
 
 
-def _check_root_system(group_tag, length, rs):
-    if group_tag == "gl":
+def _check_root_system(mu, length, rs):
+    if mu.group_tag == "gl":
         if rs.type_label != "A" or rs.rank != length - 1:
             raise ValueError(
                 f"gl mu of length {length} needs root system A_{length - 1}")
     elif rs.type_label not in ("B", "D") or rs.rank != length:
         raise ValueError(
-            f"{group_tag} mu of length {length} needs type B or D of rank {length}")
+            f"{mu.group_tag} mu of length {length} needs type B or D of rank {length}")
 
 
 def mu_gaps(mu, rs):
     """Pairings of mu with each simple root, as a 1-based dict."""
     v = mu.values
-    _check_root_system(mu.group_tag, len(v), rs)
+    _check_root_system(mu, len(v), rs)
     if mu.group_tag == "gl":
         return {i: float(v[i - 1] - v[i]) for i in range(1, len(v))}
     return {i: rs.pair_eps(i, v) for i in range(1, rs.rank + 1)}
@@ -673,7 +670,7 @@ class MuBatch:
         in root order, and bounds on their distance from mu_gaps of kak
         (0 where both are exactly 0)."""
         r = self.mu.shape[1]
-        _check_root_system(self.group_tag, r, rs)
+        _check_root_system(self, r, rs)
         if self.group_tag == "gl":
             coeffs = np.eye(r, r - 1) - np.eye(r, r - 1, -1)
         else:
@@ -685,9 +682,9 @@ class MuBatch:
         return self.mu @ coeffs, slack
 
 
-def cartan_mu_batch(mats, group_tag, form=None):
+def cartan_mu_batch(mats, form=None):
     """mu of every matrix of an (N, n, n) stack from one stacked SVD,
-    for the "gl" and "opq" tags.
+    in the group that ``form`` picks: "gl" or "opq".
 
     The input checks of kak run on the whole stack and raise kak's
     ValueError for the first offending matrix.  For opq, kak_opq's scale
@@ -698,11 +695,10 @@ def cartan_mu_batch(mats, group_tag, form=None):
     s_m the smallest singular value that enters mu.  See MuBatch.
     """
     mats = np.asarray(mats, dtype=float)
-    if group_tag not in ("gl", "opq"):
-        raise ValueError(f"no batched Cartan projection for {group_tag!r}")
-    if group_tag == "opq" and form is None:
-        raise ValueError("opq requires a WittForm")
-    n = form.n if group_tag == "opq" else mats.shape[-1]
+    tag = tag_of(form)
+    if tag == "onC":
+        raise ValueError("no batched Cartan projection for onC")
+    n = form.n if tag == "opq" else mats.shape[-1]
     if mats.ndim != 3 or mats.shape[1:] != (n, n):
         raise ValueError(f"expected a stack of {n}x{n} matrices")
     eps = np.finfo(float).eps
@@ -710,12 +706,12 @@ def cartan_mu_batch(mats, group_tag, form=None):
     # non-finite matrices are offenders; the identity stands in for them
     # so that the SVD runs (LAPACK does not return on infinite entries)
     g = mats if finite.all() else np.where(finite[:, None, None], mats, np.eye(n))
-    if group_tag == "gl":
+    if tag == "gl":
         # kak_gl: finite entries, then invertibility
         u, s = np.linalg.svd(g)[:2]
         kak_gl(mats[~finite | ~(s[:, -1] > 0)])
         bound = SCREEN_MARGIN + _SCREEN_GROWTH * eps * s[:, 0] / s[:, -1]
-        return MuBatch(group_tag, np.log(s),
+        return MuBatch(tag, np.log(s),
                        np.repeat(bound[:, None], n, axis=1), u, bound)
 
     p, q, gram = form.p, form.q, form.gram
@@ -743,22 +739,23 @@ def cartan_mu_batch(mats, group_tag, form=None):
     kappa = np.where(extreme, ratio, np.maximum(s0, ratio ** 2))
     bound = np.where(near, np.inf, SCREEN_MARGIN + _SCREEN_GROWTH * eps * kappa)
     exact = ~resolved & ~near[:, None]
-    return MuBatch(group_tag, mu, np.where(exact, 0.0, bound[:, None]),
+    return MuBatch(tag, mu, np.where(exact, 0.0, bound[:, None]),
                    c @ u, bound)
 
 
-def _theta_to_plane_dim(theta, group_tag, form):
+def _theta_to_plane_dim(theta, form):
     """Numeric scope of the flag map: a singleton {alpha_i}; for p = q the
     (p-1)-plane case is indexed by {alpha_{p-1}, alpha_p}."""
     members = sorted(theta.members)
     if not members:
         raise ValueError("theta must be nonempty")
-    if group_tag == "gl":
+    tag = tag_of(form)
+    if tag == "gl":
         if len(members) != 1:
             raise ValueError("gl flag maps support a single simple root")
         return members[0]
-    q = form.q if group_tag == "opq" else form.n // 2
-    p_eq_q = group_tag == "opq" and form.p == form.q
+    q = form.q if tag == "opq" else form.n // 2
+    p_eq_q = tag == "opq" and form.p == form.q
     if len(members) == 1:
         i = members[0]
         if p_eq_q and i >= q - 1:
@@ -770,24 +767,23 @@ def _theta_to_plane_dim(theta, group_tag, form):
     raise ValueError(f"unsupported theta {members} for this group")
 
 
-def xi_theta(g, theta, form=None, tol=1e-6, group_tag=None, decomposition=None):
+def xi_theta(g, theta, form=None, tol=1e-6, decomposition=None):
     """Flag map: the span of the leading columns of the compact left factor.
 
     Requires every gap <alpha, mu(g)> for alpha in theta to exceed tol;
     otherwise GapTooSmallError is raised, because the flag would depend on
     the tie-breaking inside the decomposition.
     """
-    if group_tag is None:
-        group_tag = "gl" if form is None else ("onC" if form.is_complex else "opq")
-    i = _theta_to_plane_dim(theta, group_tag, form)
-    dec = decomposition if decomposition is not None else kak(g, group_tag, form)
+    tag = tag_of(form)
+    i = _theta_to_plane_dim(theta, form)
+    dec = decomposition if decomposition is not None else kak(g, form)
     gaps = mu_gaps(dec.mu, theta.root_system)
     for a in sorted(theta.members):
         if gaps[a] <= tol:
             raise GapTooSmallError(a, gaps[a], tol)
-    if group_tag == "gl":
+    if tag == "gl":
         return Frame.from_spanning(dec.k[:, :i])
-    if group_tag == "opq":
+    if tag == "opq":
         return FlagPoint(Frame.from_spanning(dec.k[:, :i]), form, i)
     cols = dec.k[:, :i]
     real_cols = np.concatenate(

@@ -18,8 +18,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .cartan import GapTooSmallError, kak, mu_gaps, witt_pm_basis, xi_theta
+from .cartan import GapTooSmallError, kak, mu_gaps, tag_of, witt_pm_basis, \
+    xi_theta
 from .domain import (
+    ACCUMULATION_TOL,
     NotInCompactificationError,
     dynamical_relation_scan,
     expansion_certificate,
@@ -81,11 +83,11 @@ class RunConfig:
 
     def parsed_form(self):
         parts = self.form.split(",")
-        if len(parts) not in (2, 3):
+        if len(parts) not in (2, 3) or \
+                parts[2:] and parts[2].strip().upper() != "C":
             raise ValueError(f"form must be P,Q or P,Q,C, got {self.form!r}")
         p, q = int(parts[0]), int(parts[1])
-        complex_tag = len(parts) > 2 and parts[2].strip().upper() == "C"
-        return make_witt_form(p, q, "complex" if complex_tag else "real")
+        return make_witt_form(p, q, "complex" if parts[2:] else "real")
 
     def rng(self):
         return np.random.default_rng(self.seed)
@@ -170,14 +172,13 @@ def _named_matrices(config):
 
 
 def _group_setup(form, n):
-    """(group_tag, root system) for a form or a plain matrix size."""
-    if form is None:
-        return "gl", build_root_system("A", n - 1)
-    if form.is_complex:
-        m = form.n // 2
-        return "onC", build_root_system("B" if form.n % 2 else "D", m)
-    label = "B" if form.p > form.q else "D"
-    return "opq", build_root_system(label, form.q)
+    """Root system of the group that ``form`` picks for n x n matrices."""
+    tag = tag_of(form)
+    if tag == "gl":
+        return build_root_system("A", n - 1)
+    if tag == "onC":
+        return build_root_system("B" if form.n % 2 else "D", form.n // 2)
+    return build_root_system("B" if form.p > form.q else "D", form.q)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +187,12 @@ def _group_setup(form, n):
 
 def cmd_cartan(config):
     form, named = _named_matrices(config)
-    group_tag, rs = _group_setup(form, named[0][1].shape[0])
+    rs = _group_setup(form, named[0][1].shape[0])
     theta = ThetaSet(rs, frozenset({config.xi_root}))
     records, errors = [], []
     for name, mat in named:
         try:
-            dec = kak(mat, group_tag, form)
+            dec = kak(mat, form)
         except ValueError as exc:
             errors.append({"name": name, "error": str(exc)})
             continue
@@ -202,8 +203,7 @@ def cmd_cartan(config):
             "gaps": {f"alpha_{k}": float(v) for k, v in sorted(gaps.items())},
         }
         try:
-            flag = xi_theta(mat, theta, form, tol=config.tol,
-                            group_tag=group_tag, decomposition=dec)
+            flag = xi_theta(mat, theta, form, tol=config.tol, decomposition=dec)
             frame = flag if isinstance(flag, Frame) else flag.frame
             record["flag_frame"] = frame.to_json()
         except GapTooSmallError as exc:
@@ -245,9 +245,9 @@ def cmd_ball(config):
 
 def cmd_divergence(config):
     form, gens = _named_matrices(config)
-    group_tag, rs = _group_setup(form, gens[0][1].shape[0])
+    rs = _group_setup(form, gens[0][1].shape[0])
     ball, truncated = _enumerate(config, gens)
-    profile = divergence_profile(ball, rs, group_tag, form)
+    profile = divergence_profile(ball, rs, form)
     path = os.path.join(config.out, "divergence.csv")
     with open(path, "w") as fh:
         fh.write(profile.to_csv())
@@ -275,11 +275,9 @@ def cmd_limitset(config):
     form, gens = _named_matrices(config)
     n = gens[0][1].shape[0]
     chart = _chart(config.chart, n)
-    group_tag, rs = _group_setup(form, n)
-    theta = ThetaSet(rs, frozenset({config.xi_root}))
+    theta = ThetaSet(_group_setup(form, n), frozenset({config.xi_root}))
     ball, truncated = _enumerate(config, gens)
-    sample = sample_limit_set(ball, theta, form, min_gap=config.min_gap,
-                              group_tag=group_tag)
+    sample = sample_limit_set(ball, theta, form, min_gap=config.min_gap)
     csv_path = os.path.join(config.out, "limitset.csv")
     with open(csv_path, "w") as fh:
         fh.write(sample_to_csv(sample))
@@ -302,14 +300,12 @@ def cmd_domain(config):
     form, gens = _named_matrices(config)
     if form is None:
         raise ValueError("domain check needs a form (use --form P,Q)")
-    group_tag, rs = _group_setup(form, gens[0][1].shape[0])
-    theta = ThetaSet(rs, frozenset({1}))
+    theta = ThetaSet(_group_setup(form, gens[0][1].shape[0]), frozenset({1}))
     ball, truncated = _enumerate(config, gens)
     rng = config.rng()
 
     try:
-        sample = sample_limit_set(ball, theta, form, min_gap=config.min_gap,
-                                  group_tag=group_tag)
+        sample = sample_limit_set(ball, theta, form, min_gap=config.min_gap)
     except EmptyLimitSampleError:
         sample = None
 
@@ -333,9 +329,11 @@ def cmd_domain(config):
         report.update({"sample_size": 0, "bad_set_hits": 0,
                        "relation_flags": [], "expansion_certificates": []})
     else:
-        hits = [i for i, pt in enumerate(interior)
-                if in_bad_set(pt, sample, "intersect", config.tol)[0]]
-        clean = [pt for i, pt in enumerate(interior) if i not in hits]
+        hits = sum(in_bad_set(pt, sample, "intersect", config.tol)[0]
+                   for pt in interior)
+        # the scan rejects points within its own tolerance of the bad set
+        clean = [pt for pt in interior
+                 if not in_bad_set(pt, sample, "intersect", ACCUMULATION_TOL)[0]]
         flags = dynamical_relation_scan(clean[:config.scan_points], ball, sample)
         certs = []
         for p in sample.points[:config.expansion_flags]:
@@ -353,7 +351,7 @@ def cmd_domain(config):
             # infinity
             "sample_covering_radius":
                 sample.covering_radius() if len(sample) > 1 else None,
-            "bad_set_hits": len(hits),
+            "bad_set_hits": hits,
             "transversality_margin": trans.margin if trans else None,
             "relation_flags": flags,
             "expansion_certificates": certs,

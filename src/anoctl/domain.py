@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,19 +64,19 @@ def in_Xbar(w, form, tol=MEMBERSHIP_TOL):
     if w.k != form.q:
         raise ValueError(f"frame must have q = {form.q} columns")
     restricted, kernel = restrict_kernel(form, w, tol)
-    top, positive = _positive_part(form, restricted, tol)
+    top, positive = _positive_part(restricted, tol, form.gram_norm)
     if positive:
         raise NotInCompactificationError(
             f"restriction has positive eigenvalue {top:.3e}", float(top))
     return CompactPoint(w, kernel.k, form)
 
 
-def _positive_part(form, restricted, tol):
+def _positive_part(restricted, tol, scale):
     """in_Xbar's nonpositivity rule on stacked restricted grams
     (..., k, k): the largest eigenvalue of each (-inf when k = 0) and
-    whether it exceeds tol times the gram's spectral norm."""
+    whether it exceeds tol times ``scale``, the gram's spectral norm."""
     top = np.max(np.linalg.eigvalsh(restricted), axis=-1, initial=-np.inf)
-    return top, top > tol * form.gram_norm
+    return top, top > tol * scale
 
 
 def complex_in_Xbar(w, bC, tol=MEMBERSHIP_TOL):
@@ -96,13 +95,13 @@ def complex_in_Xbar(w, bC, tol=MEMBERSHIP_TOL):
     if im_norm > tol * scale:
         raise NotInCompactificationError(
             f"imaginary part does not vanish on the span ({im_norm:.3e})", im_norm)
-    # Re(bC) on the doubled real space, as a real form for in_Xbar
-    real_gram = bC.re_gram()
-    real = SimpleNamespace(is_complex=False, gram=real_gram, q=n,
-                           isotropy_scale=bC.isotropy_scale,
-                           gram_norm=np.linalg.norm(real_gram, 2))
-    in_Xbar(w, real, tol)      # nonpositivity of the real part
-    kernel = restrict_kernel(real, w, tol)[1]
+    # nonpositivity of the real part, on the doubled real space
+    restricted, kernel = restrict_kernel(bC, w, tol)
+    top, positive = _positive_part(restricted, tol,
+                                   np.linalg.norm(bC.real_gram, 2))
+    if positive:
+        raise NotInCompactificationError(
+            f"restriction has positive eigenvalue {top:.3e}", float(top))
     if kernel.k:
         rotated = Frame.from_spanning(bC.j_matrix() @ kernel.columns)
         if not (rotated.k == kernel.k and dist_grassmann(rotated, kernel) < 1e3 * tol):
@@ -162,7 +161,7 @@ def bad_set_distance(frame, sample):
 
 
 def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
-                            min_word_length=None, max_elements=None):
+                            min_word_length=None):
     """Push every point with every long ball element and flag pairs whose
     image stays outside the sampled bad set at the accumulation
     tolerance.
@@ -189,9 +188,6 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
             raise ValueError(f"scan point {idx} is already in the bad set "
                              f"(witness {witness!r})")
     elements = np.flatnonzero(ball.lengths >= min_word_length).tolist()
-    if max_elements is not None and len(elements) > max_elements:
-        stride = len(elements) / max_elements
-        elements = [elements[int(i * stride)] for i in range(max_elements)]
 
     # lines against line flags print |cos|-based residuals in full; every
     # other case pushes all points forward and measures them in one call
@@ -219,9 +215,7 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     # only flagged elements need a gap; the ball keeps the sampler's
     # decompositions and decomposes the others in one call
     from .cartan import mu_gaps
-    group_tag = "opq" if sample.form is not None else "gl"
-    decs = ball.decompose([index for index, _, _ in flagged], group_tag,
-                          sample.form)
+    decs = ball.decompose([index for index, _, _ in flagged], sample.form)
     for (index, hit, resids), dec in zip(flagged, decs):
         gaps = mu_gaps(dec.mu, sample.theta.root_system)
         n = len(hit)
@@ -393,7 +387,7 @@ def gaussian_domain_sampler(form, rng, tol=MEMBERSHIP_TOL, max_tries=5000):
         state = rng.bit_generator.state
         size = min(SAMPLER_BLOCK, max_tries - start)
         frames, ranks = orthonormalize(rng.standard_normal((size, n, q)))
-        positive = _positive_part(form, restrict(form, frames), tol)[1]
+        positive = _positive_part(restrict(form, frames), tol, form.gram_norm)[1]
         # a frame short of q columns is decided too: in_Xbar raises the
         # ValueError the try-by-try loop raised
         decided = np.flatnonzero((ranks < q) | ~positive)

@@ -106,11 +106,16 @@ class WittForm:
             raise ValueError("operation requires a complex form")
 
     @cached_property
+    def real_gram(self):
+        """The real gram that frames are measured with: ``gram`` for a
+        real form, ``re_gram()`` on R^{2n} for a complex one."""
+        return self.re_gram() if self.is_complex else self.gram
+
+    @cached_property
     def isotropy_scale(self):
-        """max(|gram|_2, 1) of the real gram (the doubled real one for a
-        complex form), the scale of FlagPoint's isotropy test."""
-        gram = self.re_gram() if self.is_complex else self.gram
-        return max(np.linalg.norm(gram, 2), 1.0)
+        """max(|real_gram|_2, 1), the scale of FlagPoint's isotropy
+        test."""
+        return max(np.linalg.norm(self.real_gram, 2), 1.0)
 
     @cached_property
     def gram_norm(self):
@@ -272,7 +277,7 @@ class FlagPoint:
             iso_dim = frame.k
         if frame.k != iso_dim:
             raise ValueError(f"frame has {frame.k} columns, expected {iso_dim}")
-        gram = form.re_gram() if form.is_complex else form.gram
+        gram = form.real_gram
         if frame.ambient_dim != gram.shape[0]:
             raise ValueError("frame ambient dimension does not match the form")
         if iso_dim:
@@ -298,7 +303,7 @@ def restrict(form, columns):
     """The form restricted to stacked frames (..., n, k): the
     symmetrized (..., k, k) grams, each slice bit for bit the one-frame
     value."""
-    gram = form.re_gram() if form.is_complex else form.gram
+    gram = form.real_gram
     if columns.shape[-2] != gram.shape[0]:
         raise ValueError("frame ambient dimension does not match the form")
     restricted = np.swapaxes(columns, -1, -2) @ gram @ columns
@@ -481,7 +486,7 @@ def contains(inner, outer, tol=DEFAULT_TOL):
 
 def orthogonal_complement(form, w, tol=DEFAULT_TOL):
     """Frame of the b-orthogonal complement of span(w)."""
-    gram = form.re_gram() if form.is_complex else form.gram
+    gram = form.real_gram
     if w.k == 0:
         return Frame(np.eye(gram.shape[0]))
     constraints = (gram @ w.columns).T

@@ -104,8 +104,7 @@ class LimitSample:
         return len(self.points)
 
 
-def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
-                     group_tag=None):
+def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
     """Flags of every ball element whose theta-gaps exceed min_gap,
     merged at flag distance merge_tol (shortlex-first representative
     kept).  Raises EmptyLimitSampleError if nothing clears the floor.
@@ -116,12 +115,10 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
     stacked kak call and runs the exact gap, flag and merge steps on
     them in order; a flag kept within a block screens only later
     blocks, which costs a decomposition, never a different result."""
-    if group_tag is None:
-        group_tag = "gl" if form is None else ("onC" if form.is_complex else "opq")
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
     rs = theta.root_system
-    batch = ball.cartan_batch(group_tag, form) if ball.radius else None
+    batch = ball.cartan_batch(form) if ball.radius else None
     candidates = np.flatnonzero(ball.lengths > 0)
     if batch is not None:
         approx, slack = batch.gaps(rs)
@@ -133,7 +130,7 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
         # bounds flags where the gap exceeds 1)
         candidates = candidates[approx_gap[candidates] + gap_slack[candidates] > min_gap]
         bounded = approx_gap - gap_slack > max(min_gap, 1.0)
-        frames = batch.u[:, :, :_theta_to_plane_dim(theta, group_tag, form)]
+        frames = batch.u[:, :, :_theta_to_plane_dim(theta, form)]
     points, kept = [], None     # kept: the points' frames, preallocated
     start, size = 0, 1
     while start < len(candidates):
@@ -144,14 +141,13 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL,
             near[near] = _surely_within(frames[block[near]], kept[:len(points)],
                                         merge_tol, batch.flag_margin[block[near]])
             block = block[~near]
-        for idx, dec in zip(block, ball.decompose(block, group_tag, form)):
+        for idx, dec in zip(block, ball.decompose(block, form)):
             word, mat, r = ball.elements[idx]
             gaps = mu_gaps(dec.mu, rs)
             gap = min(gaps[a] for a in theta.members)
             if gap <= min_gap:
                 continue
-            flag = xi_theta(mat, theta, form, tol=min_gap, group_tag=group_tag,
-                            decomposition=dec)
+            flag = xi_theta(mat, theta, form, tol=min_gap, decomposition=dec)
             cols = flag.columns if isinstance(flag, Frame) else flag.frame.columns
             if kept is None:
                 kept = np.empty((len(ball.elements),) + cols.shape)
@@ -194,7 +190,7 @@ def _surely_within(cols, kept, tol, margin):
 
 
 def boundary_map_free_group(ball, theta, form=None, depth=1, tail_length=10,
-                            min_gap=1.0, group_tag=None):
+                            min_gap=1.0):
     """Cylinder evaluation of the boundary map of a free group.
 
     For each reduced word w of the given length, evaluates the flag of
@@ -210,7 +206,7 @@ def boundary_map_free_group(ball, theta, form=None, depth=1, tail_length=10,
     for w in words:
         mat = ball.matrix(w) @ np.linalg.matrix_power(
             ball.matrix(w[-1]), tail_length)
-        out[w] = xi_theta(mat, theta, form, tol=min_gap, group_tag=group_tag)
+        out[w] = xi_theta(mat, theta, form, tol=min_gap)
     return out
 
 
@@ -255,7 +251,7 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
     if len(sample) < 2:
         raise ValueError("need at least two sample points")
     cols = sample.columns
-    gram = form.re_gram() if form.is_complex else form.gram
+    gram = form.real_gram
     # orthonormal bases of G F_i, whose complements transversality_margin
     # takes for each flag F_i
     u = np.linalg.svd(gram @ cols, full_matrices=False)[0]

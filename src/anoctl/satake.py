@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebras import adjoint_rep, get_algebra
-from .cartan import exterior_power
+from .cartan import exterior_power, tag_of
 from .roots import (
     ThetaSet,
     admissible_lattice_dot,
@@ -156,10 +156,13 @@ def _block_diag(blocks):
 @dataclass(frozen=True)
 class MatrixGroup:
     """Ambient group context for chamber evaluation: maps epsilon
-    coordinates to Cartan matrices."""
-    tag: str                      # "gl" or "opq"
+    coordinates to Cartan matrices of the group that ``form`` picks."""
     n: int
     form: object = None
+
+    @property
+    def tag(self):
+        return tag_of(self.form)
 
     def chamber_matrix(self, h_eps):
         h = np.asarray(h_eps, dtype=float)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cartan import cartan_mu_batch, kak, mu_gaps
+from .cartan import cartan_mu_batch, kak, mu_gaps, tag_of
 
 DEDUP_TOL = 1e-8
 
@@ -48,8 +48,8 @@ class GroupBall:
     matrices: np.ndarray
     dedup_tol: float = DEDUP_TOL
     truncated: bool = False
-    # kak of single elements and cartan_mu_batch of the whole ball, per
-    # (group tag, form), so that every consumer shares them
+    # kak of single elements per (index, form) and cartan_mu_batch of
+    # the whole ball per form, so that every consumer shares them
     _kak: dict = field(default_factory=dict, repr=False, compare=False)
     _batches: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -64,31 +64,30 @@ class GroupBall:
     def _positions(self):
         return {w: i for i, w in enumerate(self.words)}
 
-    def decompose(self, indices, group_tag, form=None):
+    def decompose(self, indices, form=None):
         """kak of the elements at ``indices``, as a list in their order.
         The ball keeps every decomposition: the elements it has not
         decomposed yet go through one stacked kak call, the others are
         read back, so consumers that share the ball share the work."""
-        keys = [(int(i), group_tag, form) for i in indices]
+        keys = [(int(i), form) for i in indices]
         missing = list(dict.fromkeys(k for k in keys if k not in self._kak))
         if missing:
             stack = self.matrices[[k[0] for k in missing]]
-            self._kak.update(zip(missing, kak(stack, group_tag, form)))
+            self._kak.update(zip(missing, kak(stack, form)))
         return [self._kak[k] for k in keys]
 
-    def decomposed(self, index, group_tag, form=None):
+    def decomposed(self, index, form=None):
         """Whether the element at ``index`` has been decomposed."""
-        return (index, group_tag, form) in self._kak
+        return (index, form) in self._kak
 
-    def cartan_batch(self, group_tag, form=None):
-        """cartan_mu_batch of the whole ball, computed once; None for
-        onC, which has no batched path (its callers decompose every
-        element)."""
-        key = (group_tag, form)
-        if key not in self._batches:
-            self._batches[key] = None if group_tag == "onC" else \
-                cartan_mu_batch(self.matrices, group_tag, form)
-        return self._batches[key]
+    def cartan_batch(self, form=None):
+        """cartan_mu_batch of the whole ball, computed once; None for a
+        complex form, which has no batched path (its callers decompose
+        every element)."""
+        if form not in self._batches:
+            self._batches[form] = None if tag_of(form) == "onC" else \
+                cartan_mu_batch(self.matrices, form)
+        return self._batches[form]
 
     @property
     def radius(self):
@@ -273,13 +272,13 @@ class DivergenceProfile:
         return out.getvalue()
 
 
-def divergence_profile(ball, rs, group_tag, form=None):
+def divergence_profile(ball, rs, form=None):
     """Per-radius minima of the root gaps of mu over each sphere, with
     the achieving words.  Growing minima are finite-radius evidence of
     divergence; no asymptotic verdict is implied."""
     if not ball.elements:
         raise ValueError("empty ball")
-    batch = ball.cartan_batch(group_tag, form)
+    batch = ball.cartan_batch(form)
     if batch is not None:
         approx, slack = batch.gaps(rs)
     spheres = []
@@ -290,8 +289,7 @@ def divergence_profile(ball, rs, group_tag, form=None):
         if batch is not None:
             sphere = sphere[_possible_minima(approx[sphere], slack[sphere])]
         spheres.append((r, sphere))
-    decs = iter(ball.decompose(np.concatenate([s for _, s in spheres]),
-                               group_tag, form))
+    decs = iter(ball.decompose(np.concatenate([s for _, s in spheres]), form))
     entries = []
     for r, sphere in spheres:
         best, best_word = {}, {}

@@ -188,7 +188,7 @@ def test_criterion_7_schottky_pipeline(schottky_pipeline):
     assert len(ball) <= 100000
 
     # (a) divergence slope
-    profile = divergence_profile(ball, rs, "opq", form)
+    profile = divergence_profile(ball, rs, form)
     slope, shape = fit_divergence_slope(profile, 1)
     assert slope > 0.5
 
@@ -286,11 +286,11 @@ def test_criterion_10_satake_limit_consistency():
     cases = []
     a2 = build_root_system("A", 2)
     cases.append((a2, ThetaSet(a2, frozenset({1, 2})), TauSpec.adjoint("sl3"),
-                  MatrixGroup("gl", 3)))
+                  MatrixGroup(3)))
     b2 = build_root_system("B", 2)
     form = make_witt_form(3, 2)
     cases.append((b2, ThetaSet(b2, frozenset({2})), TauSpec.exterior(2),
-                  MatrixGroup("opq", 5, form)))
+                  MatrixGroup(5, form)))
     for rs, support, tau, group in cases:
         rng = np.random.default_rng(RNG_SEED + 6)
         agreements = 0

@@ -334,14 +334,24 @@ def test_exterior_gap_identity(rng):
             assert abs((mu_w[0] - mu_w[1]) - gaps[i]) < 1e-8
 
 
-def test_kak_dispatch():
-    form = make_witt_form(2, 1)
-    assert kak(np.eye(3), "opq", form).mu.group_tag == "opq"
-    assert kak(np.eye(3), "gl").mu.group_tag == "gl"
-    with pytest.raises(ValueError):
-        kak(np.eye(3), "opq")
-    with pytest.raises(ValueError):
-        kak(np.eye(3), "nope")
+def test_kak_dispatch(rng):
+    """The form picks the group: kak equals kak_gl, kak_opq and kak_onC
+    bit for bit, on one matrix and on a stack."""
+    real, complex_form = make_witt_form(2, 1), make_witt_form(2, 1, "complex")
+    tmat = complex_pm_basis(3)
+    onC = tmat @ random_orthogonal(rng, 3) @ tmat.conj().T @ \
+        chamber_exp(MuVector("onC", [1.5]), complex_form)
+    for form, g, reference, tag in (
+            (None, rng.standard_normal((3, 3)), kak_gl, "gl"),
+            (real, random_opq(rng, real), lambda g: kak_opq(g, real), "opq"),
+            (complex_form, onC, lambda g: kak_onC(g, complex_form), "onC")):
+        expected, got = reference(g), kak(g, form)
+        assert got.mu.group_tag == tag and got.form is form
+        for a, b in ((got.k, expected.k), (got.mu.values, expected.mu.values),
+                     (got.l, expected.l)):
+            assert a.tobytes() == b.tobytes()
+        stacked = kak(np.stack([g, g]), form)
+        assert [t.k.tobytes() for t in stacked] == [expected.k.tobytes()] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +370,13 @@ def assert_batch_matches_kak(mats, form=None):
     """cartan_mu_batch against kak and xi_theta, element by element: mu
     and flags within the reported margins, and within 1e-12 wherever the
     margin is at its floor."""
-    group_tag = "gl" if form is None else "opq"
     n = mats.shape[-1]
     rs = build_root_system("A", n - 1) if form is None else \
         build_root_system("B" if form.p > form.q else "D", form.q)
-    batch = cartan_mu_batch(mats, group_tag, form)
+    batch = cartan_mu_batch(mats, form)
     tight = SCREEN_MARGIN + 1e-12
     for j, g in enumerate(mats):
-        dec = kak(g, group_tag, form)
+        dec = kak(g, form)
         diff = np.abs(batch.mu[j] - dec.mu.values)
         assert np.all(diff <= batch.margin[j]), (j, diff, batch.margin[j])
         assert np.all(diff[batch.margin[j] <= tight] <= 1e-12)
@@ -375,8 +384,7 @@ def assert_batch_matches_kak(mats, form=None):
         for th in flag_thetas(rs, form):
             if min(gaps[a] for a in th.members) <= 1.0:
                 continue
-            flag = xi_theta(g, th, form, tol=1.0, group_tag=group_tag,
-                            decomposition=dec)
+            flag = xi_theta(g, th, form, tol=1.0, decomposition=dec)
             cols = flag.columns if isinstance(flag, Frame) else flag.frame.columns
             sine = principal_sines(cols, batch.u[j][:, :cols.shape[1]])[-1]
             assert sine <= batch.flag_margin[j], (j, sine, batch.flag_margin[j])
@@ -446,24 +454,24 @@ def test_mu_batch_leaves_scale_thresholds_undecided():
     form = make_witt_form(3, 2)
     at_switch = opq_chamber(form, [np.log(1e6), 1.0])
     below = opq_chamber(form, [np.log(1e6) - 1e-3, 1.0])
-    batch = cartan_mu_batch(np.stack([at_switch, below]), "opq", form)
+    batch = cartan_mu_batch(np.stack([at_switch, below]), form)
     assert np.all(np.isinf(batch.margin[0])) and np.isinf(batch.flag_margin[0])
     assert np.all(np.isfinite(batch.margin[1]))
     band = 3e6 * np.finfo(float).eps * np.exp(30.0)
     at_band = opq_chamber(form, [30.0, np.log1p(band)])
-    assert np.isinf(cartan_mu_batch(at_band[None], "opq", form).margin[0, 1])
+    assert np.isinf(cartan_mu_batch(at_band[None], form).margin[0, 1])
     # an exponent that the band rule zeroes is exact
     g = opq_chamber(form, [30.0, 1e-3])
-    tiny = cartan_mu_batch(g[None], "opq", form)
+    tiny = cartan_mu_batch(g[None], form)
     assert tiny.mu[0, 1] == 0.0 == kak_opq(g, form).mu.values[1]
     assert tiny.margin[0, 1] == 0.0
     # every gap of an undecided element is undecided (no 0 * inf = nan)
     assert np.all(np.isinf(batch.gaps(build_root_system("B", 2))[1][0]))
 
 
-def kak_error(g, group_tag, form=None):
+def kak_error(g, form=None):
     with pytest.raises(ValueError) as exc:
-        kak(g, group_tag, form)
+        kak(g, form)
     return str(exc.value)
 
 
@@ -478,8 +486,8 @@ def test_mu_batch_raises_kak_error_of_first_offender(bad):
     non_preserving = np.diag([3.0, 1.0, 1.0])
     stack = np.stack([good, bad, non_preserving, np.diag([np.nan] * 3)])
     with pytest.raises(ValueError) as exc:
-        cartan_mu_batch(stack, "opq", form)
-    assert str(exc.value) == kak_error(bad, "opq", form)
+        cartan_mu_batch(stack, form)
+    assert str(exc.value) == kak_error(bad, form)
 
 
 @pytest.mark.parametrize("bad", [
@@ -490,5 +498,5 @@ def test_mu_batch_raises_kak_error_of_first_offender(bad):
 def test_mu_batch_gl_raises_kak_error_of_first_offender(bad):
     stack = np.stack([np.eye(3), bad, np.ones((3, 3)), np.diag([np.inf] * 3)])
     with pytest.raises(ValueError) as exc:
-        cartan_mu_batch(stack, "gl")
-    assert str(exc.value) == kak_error(bad, "gl")
+        cartan_mu_batch(stack)
+    assert str(exc.value) == kak_error(bad)

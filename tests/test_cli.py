@@ -108,6 +108,38 @@ def test_form_contradicting_a_builtin_preset_exits_2(tmp_path, capsys, form):
     assert main([*args, "--form", "2,1"]) == 0      # the preset's own form
 
 
+@pytest.mark.parametrize("form", ["2,1,X", "2,1,complex", "2,1,", "2,1,C,C"])
+def test_unknown_third_form_field_exits_2(tmp_path, capsys, form):
+    gens = write_gens(tmp_path / "gens.json", schottky_o21()[1])
+    assert main(["divergence", "--gens", gens, "--form", form, "--radius", "3",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "P,Q,C" in err and form in err
+    assert not (tmp_path / "divergence.csv").exists()
+
+
+@pytest.mark.parametrize("form,field", [
+    ("2,1", "real"), ("2,1,C", "complex"), ("2,1,c", "complex"),
+    ("2, 1, c ", "complex")])
+def test_form_spellings_accepted(tmp_path, form, field):
+    parsed = cli.RunConfig(form=form).parsed_form()
+    assert (parsed.p, parsed.q, parsed.field_tag) == (2, 1, field)
+    gens = write_gens(tmp_path / "gens.json", [("a", o21_boost(1.0))])
+    assert main(["cartan", "--gens", gens, "--form", form,
+                 "--out", str(tmp_path)]) == 0
+
+
+def test_domain_scans_only_points_clear_at_its_tolerance(tmp_path):
+    # seed 93 draws an interior point clear of the bad set at --tol but
+    # within the scan's ACCUMULATION_TOL of it (witness 'AbaBa'); the
+    # scan raises on such a point, so it must not reach the scan
+    assert main(["domain", "--gens", "builtin:mixed-o21", "--radius", "5",
+                 "--seed", "93", "--out", str(tmp_path)]) == 0
+    report = json.loads(read(tmp_path / "domain.json"))
+    assert report["bad_set_hits"] == 0
+    assert max(flag["point"] for flag in report["relation_flags"]) < 100
+
+
 def test_ball_command(tmp_path):
     code = main(["ball", "--radius", "2", "--out", str(tmp_path)])
     assert code == 0

@@ -415,8 +415,7 @@ def per_hit_scan(points, ball, sample, tol=ACCUMULATION_TOL,
                 for idx in np.flatnonzero(residuals > tol)]
         if hits:
             flagged.append((index, hits))
-    group_tag = "opq" if sample.form is not None else "gl"
-    decs = ball.decompose([index for index, _ in flagged], group_tag, sample.form)
+    decs = ball.decompose([index for index, _ in flagged], sample.form)
     flags = []
     for (index, hits), dec in zip(flagged, decs):
         word, _, r = ball.elements[index]

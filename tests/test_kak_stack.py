@@ -45,12 +45,12 @@ def onC_stack():
     for lam in (0.5, 1.5, 4.0):
         k1 = tmat @ random_orthogonal(rng, 3) @ tmat.conj().T
         stack.append(k1 @ chamber_exp(MuVector("onC", np.array([lam])), form))
-    return np.stack(stack), "onC", form
+    return np.stack(stack), form
 
 
 def ball_case(build, radius):
     form, gens = build()
-    return enumerate_ball(gens, radius).matrices, "opq", form
+    return enumerate_ball(gens, radius).matrices, form
 
 
 CASES = {
@@ -59,8 +59,8 @@ CASES = {
     # mostly the extreme path
     "schottky-o21": lambda: ball_case(schottky_o21, 5),
     "pingpong-o32": lambda: ball_case(lambda: (make_witt_form(3, 2), pingpong_o32(0)), 4),
-    "gl3": lambda: (gl_stack(3, 3), "gl", None),
-    "gl4": lambda: (gl_stack(4, 4), "gl", None),
+    "gl3": lambda: (gl_stack(3, 3), None),
+    "gl4": lambda: (gl_stack(4, 4), None),
     # one matrix at a time
     "onC-21": onC_stack,
 }
@@ -106,15 +106,15 @@ def bits(triple):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stacked_kak_reproduces_the_pinned_digests(name):
-    mats, tag, form = CASES[name]()
-    triples = kak(mats, tag, form)
+    mats, form = CASES[name]()
+    triples = kak(mats, form)
     assert len(triples) == len(mats)
     assert digests(triples) == DIGESTS[name]
 
 
 def test_one_matrix_calls_reproduce_the_pinned_digests():
-    mats, tag, form = CASES["pingpong-o32"]()
-    assert digests([kak(m, tag, form) for m in mats]) == DIGESTS["pingpong-o32"]
+    mats, form = CASES["pingpong-o32"]()
+    assert digests([kak(m, form) for m in mats]) == DIGESTS["pingpong-o32"]
 
 
 # top exponents around log(1e3), where g^T g starts to be peeled, and
@@ -131,13 +131,13 @@ def test_stacked_kak_matches_one_matrix_calls_bitwise(elements):
     for form in (make_witt_form(2, 1), make_witt_form(3, 2)):
         stack = np.stack([opq_element(form, [top, fraction * top][:form.q], seed)
                           for top, fraction, seed in elements])
-        stacked = kak(stack, "opq", form)
-        assert [bits(t) for t in stacked] == [bits(kak(g, "opq", form)) for g in stack]
+        stacked = kak(stack, form)
+        assert [bits(t) for t in stacked] == [bits(kak(g, form)) for g in stack]
 
 
-def kak_error(g, group_tag, form=None):
+def kak_error(g, form=None):
     with pytest.raises(ValueError) as exc:
-        kak(g, group_tag, form)
+        kak(g, form)
     return str(exc.value)
 
 
@@ -150,7 +150,7 @@ def test_stacked_opq_raises_the_error_of_the_first_bad_matrix(bad):
     form = make_witt_form(2, 1)
     good = opq_element(form, [2.0], 0)
     stack = np.stack([good, bad, np.diag([3.0, 1.0, 1.0]), np.full((3, 3), np.nan)])
-    assert kak_error(stack, "opq", form) == kak_error(bad, "opq", form)
+    assert kak_error(stack, form) == kak_error(bad, form)
 
 
 @pytest.mark.parametrize("bad", [
@@ -160,13 +160,13 @@ def test_stacked_opq_raises_the_error_of_the_first_bad_matrix(bad):
 ])
 def test_stacked_gl_raises_the_error_of_the_first_bad_matrix(bad):
     stack = np.stack([np.eye(3), bad, np.zeros((3, 3)), np.diag([np.inf] * 3)])
-    assert kak_error(stack, "gl") == kak_error(bad, "gl")
+    assert kak_error(stack) == kak_error(bad)
 
 
 def test_empty_stacks_give_no_decompositions():
-    assert kak(np.zeros((0, 3, 3)), "opq", make_witt_form(2, 1)) == []
-    assert kak(np.zeros((0, 4, 4)), "gl") == []
-    assert kak(np.zeros((0, 3, 3)), "onC", make_witt_form(2, 1, "complex")) == []
+    assert kak(np.zeros((0, 3, 3)), make_witt_form(2, 1)) == []
+    assert kak(np.zeros((0, 4, 4))) == []
+    assert kak(np.zeros((0, 3, 3)), make_witt_form(2, 1, "complex")) == []
 
 
 # the sampler's decomposed index sets on the benchmark's limitset runs
@@ -190,6 +190,6 @@ def test_sampler_decomposes_the_same_elements(name):
     ball = enumerate_ball(gens, radius)
     rs = build_root_system("B" if form.p > form.q else "D", form.q)
     sample_limit_set(ball, ThetaSet(rs, frozenset({1})), form)
-    done = [i for i in range(len(ball)) if ball.decomposed(i, "opq", form)]
+    done = [i for i in range(len(ball)) if ball.decomposed(i, form)]
     assert len(done) == count
     assert hashlib.sha256(np.array(done, dtype=np.int64).tobytes()).hexdigest() == digest

@@ -126,7 +126,7 @@ def test_surely_within_does_not_depend_on_the_slices(monkeypatch):
     # every other kept flag, so that some frames of the stack are not
     # settled by any of them
     kept = sample_limit_set(ball, THETA1, form).columns[::2]
-    batch = ball.cartan_batch("opq", form)
+    batch = ball.cartan_batch(form)
     stack = np.flatnonzero(batch.gaps(B1)[0][:, 0] > 1.0)
     stack = stack[::max(1, len(stack) // 128)][:128]
     frames, margins = batch.u[stack][:, :, :1], batch.flag_margin[stack]
@@ -157,7 +157,7 @@ def test_inverse_sampling_lands_in_sample():
     from anoctl.cartan import kak, mu_gaps, xi_theta
     for p in sample.points[:10]:
         ginv = np.linalg.inv(ball.matrix(p.source_word))
-        dec = kak(ginv, "opq", form)
+        dec = kak(ginv, form)
         if mu_gaps(dec.mu, B1)[1] <= 1.0:
             continue
         flag = xi_theta(ginv, THETA1, form, tol=1.0, decomposition=dec)

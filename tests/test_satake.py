@@ -82,9 +82,19 @@ def test_satake_point_validation():
         SatakePoint(np.diag([1.0, -2.0]))
 
 
+def test_matrix_group_takes_its_group_from_the_form():
+    form = make_witt_form(3, 2)
+    assert MatrixGroup(2).tag == "gl"
+    assert MatrixGroup(5, form).tag == "opq"
+    assert np.array_equal(MatrixGroup(2).chamber_matrix([1.0, -2.0]),
+                          np.diag([1.0, -2.0]))
+    assert np.array_equal(MatrixGroup(5, form).chamber_matrix([1.0, 0.5]),
+                          np.diag([1.0, 0.5, 0.0, -0.5, -1.0]))
+
+
 def test_chamber_embedding_matches_direct_at_moderate_scale():
     form = make_witt_form(3, 2)
-    group = MatrixGroup("opq", 5, form)
+    group = MatrixGroup(5, form)
     tau = TauSpec.exterior(2)
     h = np.array([1.2, 0.4])
     direct = satake_embed(scipy.linalg.expm(group.chamber_matrix(h)), tau)
@@ -93,7 +103,7 @@ def test_chamber_embedding_matches_direct_at_moderate_scale():
 
 
 def test_chamber_embedding_survives_huge_exponents():
-    group = MatrixGroup("gl", 2)
+    group = MatrixGroup(2)
     p = satake_embed_chamber(np.array([4000.0, -4000.0]), TauSpec.identity(),
                              group)
     assert np.allclose(p.hermitian, np.diag([1.0, 0.0]))
@@ -198,7 +208,7 @@ def test_orbit_emission():
 
 def test_limit_gl2_closed_orbit():
     a1 = build_root_system("A", 1)
-    group = MatrixGroup("gl", 2)
+    group = MatrixGroup(2)
     seq = [np.array([float(n), -float(n)]) for n in range(60)]
     lim = satake_limit(a1, theta(a1, 1), seq, TauSpec.identity(), group, THRESH)
     assert lim.orbit.is_closed
@@ -208,7 +218,7 @@ def test_limit_gl2_closed_orbit():
 
 def test_limit_constant_interior():
     a1 = build_root_system("A", 1)
-    group = MatrixGroup("gl", 2)
+    group = MatrixGroup(2)
     lim = satake_limit(a1, theta(a1, 1), [np.array([0.7, -0.7])] * 8,
                        TauSpec.identity(), group, THRESH)
     assert lim.orbit.is_open
@@ -219,7 +229,7 @@ def test_limit_constant_interior():
 def test_limit_opq_boundary_orbit_rank_drop():
     b2 = build_root_system("B", 2)
     form = make_witt_form(3, 2)
-    group = MatrixGroup("opq", 5, form)
+    group = MatrixGroup(5, form)
     seq = [np.array([2.0 * n + 1.0, 1.0]) for n in range(60)]
     lim = satake_limit(b2, theta(b2, 2), seq, TauSpec.exterior(2), group, THRESH)
     assert lim.orbit.theta.members == {1}
@@ -229,7 +239,7 @@ def test_limit_opq_boundary_orbit_rank_drop():
 def test_limit_rank_profile_is_function_of_theta(rng):
     b2 = build_root_system("B", 2)
     form = make_witt_form(3, 2)
-    group = MatrixGroup("opq", 5, form)
+    group = MatrixGroup(5, form)
     support = theta(b2, 2)
     ranks = {}
     for _ in range(12):
@@ -258,7 +268,7 @@ def test_limit_rank_profile_is_function_of_theta(rng):
 def test_limit_ambiguity_propagates():
     from anoctl.roots import AmbiguousChamberSequence
     a1 = build_root_system("A", 1)
-    group = MatrixGroup("gl", 2)
+    group = MatrixGroup(2)
     seq = [np.array([np.sqrt(n), -np.sqrt(n)]) for n in range(60)]
     with pytest.raises(AmbiguousChamberSequence):
         satake_limit(a1, theta(a1, 1), seq, TauSpec.identity(), group, THRESH)
@@ -270,7 +280,7 @@ def test_subalgebra_consistency_sl2():
     # with matching kernel profile transitions
     from anoctl.domain import subalgebra_kernel_dimension, subalgebra_point
     a1 = build_root_system("A", 1)
-    group = MatrixGroup("gl", 2)
+    group = MatrixGroup(2)
     orbits = orbit_decomposition(a1, theta(a1, 1))
     assert len(orbits) == 2
     kernel_dims = set()
@@ -293,7 +303,7 @@ def test_subalgebra_consistency_sl2():
 def test_weights_are_integral():
     b2 = build_root_system("B", 2)
     form = make_witt_form(3, 2)
-    group = MatrixGroup("opq", 5, form)
+    group = MatrixGroup(5, form)
     w = tau_weights(TauSpec.exterior(2), group, 2)
     assert len(w) == 10
     assert (1, 1) in w and (0, 0) in w

@@ -55,11 +55,11 @@ def kak_calls(monkeypatch):
     calls = []
     decompose = GroupBall.decompose
 
-    def counting(ball, indices, group_tag, form=None):
+    def counting(ball, indices, form=None):
         indices = [int(i) for i in indices]
         calls.extend(i for i in dict.fromkeys(indices)
-                     if not ball.decomposed(i, group_tag, form))
-        return decompose(ball, indices, group_tag, form)
+                     if not ball.decomposed(i, form))
+        return decompose(ball, indices, form)
     monkeypatch.setattr(GroupBall, "decompose", counting)
     return calls
 
@@ -83,21 +83,21 @@ def sample_record(sample):
 def test_screened_results_equal_unscreened(name, unscreened):
     form, rs, ball = setup(name)
     theta = ThetaSet(rs, frozenset({1}))
-    profile = divergence_profile(ball, rs, "opq", form)
+    profile = divergence_profile(ball, rs, form)
     sample = sample_limit_set(ball, theta, form)
     points = domain_points(form, sample)
     flags = dynamical_relation_scan(points, ball, sample)
 
     unscreened()
     _, _, fresh = setup(name)
-    assert divergence_profile(fresh, rs, "opq", form) == profile
+    assert divergence_profile(fresh, rs, form) == profile
     reference = sample_limit_set(fresh, theta, form)
     assert sample_record(reference) == sample_record(sample)
     # a fresh ball has no decompositions to share with the scan
     _, _, fresh = setup(name)
     assert dynamical_relation_scan(points, fresh, reference) == flags
     for word, min_gap in zip(flags["word"], flags["min_gap"]):
-        gaps = mu_gaps(kak(fresh.matrix(word), "opq", form).mu, rs)
+        gaps = mu_gaps(kak(fresh.matrix(word), form).mu, rs)
         assert min_gap == min(gaps[a] for a in theta.members)
     if name == "mixed-o21":
         assert flags     # the non-discrete control does produce flags
@@ -124,7 +124,7 @@ def test_schottky_kak_calls(kak_calls):
     assert len(dynamical_relation_scan(points, ball, sample)) == 0
     assert len(kak_calls) == sampled
     # the divergence screen decomposes a few elements per sphere
-    divergence_profile(ball, rs, "opq", form)
+    divergence_profile(ball, rs, form)
     assert len(kak_calls) - sampled <= 4 * (ball.radius + 1)
 
 

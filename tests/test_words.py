@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import anoctl.words
 from anoctl.cartan import kak, mu_gaps
-from anoctl.forms import dist_projective, Frame
+from anoctl.forms import dist_projective, Frame, make_witt_form
 from anoctl.presets import mixed_o21, o21_boost, o21_rotation, schottky_o21
 from anoctl.roots import build_root_system
 from test_cli import pingpong_o32
@@ -23,6 +23,20 @@ from anoctl.words import (
 def rotation2(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def test_ball_keeps_decompositions_per_form():
+    form, gens = schottky_o21()
+    ball = enumerate_ball(gens, 1)
+    opq, = ball.decompose([1], form)
+    assert ball.decomposed(1, form) and not ball.decomposed(1)
+    gl, = ball.decompose([1])
+    assert ball.decomposed(1) and not ball.decomposed(2, form)
+    assert (opq.mu.group_tag, gl.mu.group_tag) == ("opq", "gl")
+    assert ball.decompose([1], form)[0] is opq and ball.decompose([1])[0] is gl
+    assert ball.cartan_batch(form).group_tag == "opq"
+    assert ball.cartan_batch().group_tag == "gl"
+    assert ball.cartan_batch(make_witt_form(2, 1, "complex")) is None
 
 
 def test_free_ball_counts():
@@ -240,7 +254,7 @@ def test_schottky_divergence_profile_slope():
     form, gens = schottky_o21(translation=3.0)
     rs = build_root_system("B", 1)
     ball = enumerate_ball(gens, 5)
-    prof = divergence_profile(ball, rs, "opq", form)
+    prof = divergence_profile(ball, rs, form)
     slope, shape = fit_divergence_slope(prof, 1)
     assert slope > 0.5
     assert shape == "linear"
@@ -253,9 +267,9 @@ def test_divergence_profile_brute_force_cross_check():
     form, gens = schottky_o21(translation=2.0)
     rs = build_root_system("B", 1)
     ball = enumerate_ball(gens, 3)
-    prof = divergence_profile(ball, rs, "opq", form)
+    prof = divergence_profile(ball, rs, form)
     for entry in prof.per_radius:
-        vals = [mu_gaps(kak(m, "opq", form).mu, rs)[1]
+        vals = [mu_gaps(kak(m, form).mu, rs)[1]
                 for _, m, r in ball.elements if r == entry.radius]
         assert abs(min(vals) - entry.min_gap[1]) < 1e-12
 
@@ -264,7 +278,7 @@ def test_unipotent_growth_flagged_sublinear():
     u = np.array([[1.0, 1.0], [0.0, 1.0]])
     ball = enumerate_ball([("a", u)], 10)
     rs = build_root_system("A", 1)
-    prof = divergence_profile(ball, rs, "gl")
+    prof = divergence_profile(ball, rs)
     slope, shape = fit_divergence_slope(prof, 1, skip=2)
     assert shape == "sublinear"
 
@@ -272,7 +286,7 @@ def test_unipotent_growth_flagged_sublinear():
 def test_identity_only_profile():
     ball = enumerate_ball([("a", np.eye(2))], 4)
     rs = build_root_system("A", 1)
-    prof = divergence_profile(ball, rs, "gl")
+    prof = divergence_profile(ball, rs)
     assert len(prof.per_radius) == 1
     assert prof.per_radius[0].min_gap[1] == pytest.approx(0.0)
 
@@ -284,9 +298,9 @@ def test_profile_duality_on_inverse_words():
     form, gens = schottky_o21(translation=2.0)
     rs = build_root_system("B", 1)
     ball = enumerate_ball(gens, 3)
-    prof = divergence_profile(ball, rs, "opq", form)
+    prof = divergence_profile(ball, rs, form)
     for entry in prof.per_radius:
-        inv_vals = [mu_gaps(kak(np.linalg.inv(m), "opq", form).mu, rs)[1]
+        inv_vals = [mu_gaps(kak(np.linalg.inv(m), form).mu, rs)[1]
                     for _, m, r in ball.elements if r == entry.radius]
         assert abs(min(inv_vals) - entry.min_gap[1]) < 1e-9
 
@@ -298,8 +312,8 @@ def test_profile_conjugation_coarse_invariance():
     conj = [(name, h @ m @ np.linalg.inv(h)) for name, m in gens]
     b1 = enumerate_ball(gens, 3)
     b2 = enumerate_ball(conj, 3)
-    p1 = divergence_profile(b1, rs, "opq", form)
-    p2 = divergence_profile(b2, rs, "opq", form)
+    p1 = divergence_profile(b1, rs, form)
+    p2 = divergence_profile(b2, rs, form)
     slack = 2 * np.log(np.linalg.cond(h))
     for e1, e2 in zip(p1.per_radius, p2.per_radius):
         assert abs(e1.min_gap[1] - e2.min_gap[1]) <= slack + 1e-9
@@ -308,7 +322,7 @@ def test_profile_conjugation_coarse_invariance():
 def test_profile_csv_format():
     form, gens = schottky_o21(translation=2.0)
     rs = build_root_system("B", 1)
-    prof = divergence_profile(enumerate_ball(gens, 2), rs, "opq", form)
+    prof = divergence_profile(enumerate_ball(gens, 2), rs, form)
     csv = prof.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "radius,root,min_gap,word"
