@@ -20,6 +20,13 @@ factors are assembled from the singular directions that are resolvable
 in float64 (unresolvable directions contribute below the reconstruction
 tolerance by construction and are completed orthogonally).
 
+onC is factored as opq is past that scale, at every scale: T^H g T
+(T = complex_pm_basis) has maximal compact O(n, R), and its singular
+triples pair up by conjugation, (sigma, u, v) with (1/sigma, conj u,
+conj v).  The imaginary and real parts of a resolved u and v are the
+columns of a slot pair of the real compact factors; the other slots
+are filled as opq's pool is.
+
 Word-length balls are screened with ``cartan_mu_batch``: one stacked SVD
 gives mu, the left singular vectors and margins that bound their
 distance from what ``kak`` reports.  The batch only settles decisions
@@ -122,16 +129,16 @@ def chamber_exp(mu, form=None):
 # ---------------------------------------------------------------------------
 # stacks
 #
-# kak_gl and kak_opq work on stacks (N, n, n); one matrix is the one-slice
-# case.  Every stacked LAPACK, BLAS and elementwise call gives each slice
+# kak_gl, kak_opq and kak_onC work on stacks (N, n, n); one matrix is the
+# one-slice case.  Every stacked LAPACK, BLAS and elementwise call gives each slice
 # the bits of the same call on that slice alone, so steps that depend on
 # the data run once per group of slices that take the same branch.
 
 
-def _per_slice(g, decompose):
+def _per_slice(g, decompose, dtype=float):
     """One KakTriple per matrix of a stack (N, n, n); one matrix is the
     one-slice case and gives one KakTriple."""
-    g = np.asarray(g, dtype=float)
+    g = np.asarray(g, dtype=dtype)
     return decompose(g) if g.ndim == 3 else decompose(g[None])[0]
 
 
@@ -249,10 +256,10 @@ def witt_pm_basis(p, q):
     return c
 
 
-def _check_opq_input(g, form):
-    """kak_opq's input checks on a stack, in order: shape, finite
-    entries, and preservation of the form at FORM_PRESERVATION_TOL; the
-    first offending matrix raises."""
+def _check_form_input(g, form):
+    """kak_opq's and kak_onC's input checks on a stack, in order: shape,
+    finite entries, and preservation of the (real or complex bilinear)
+    form at FORM_PRESERVATION_TOL; the first offending matrix raises."""
     n, gram = form.n, form.gram
     if g.shape[1:] != (n, n):
         raise ValueError(f"g must be {n}x{n}")
@@ -326,8 +333,8 @@ def _reciprocal_log(m, ipq, cutoff=1e6):
 def _complete_orthogonal(known, slots, n):
     """Complete known orthonormal vectors to n x n orthogonal matrices,
     for a stack: ``known`` (N, len(slots), n) holds the vectors of the
-    sorted column ``slots``; the other columns are filled from the
-    nullspace."""
+    column ``slots``, in that order; the other columns are filled from
+    the nullspace."""
     out = np.zeros((len(known), n, n))
     missing = [j for j in range(n) if j not in slots]
     if slots:
@@ -364,7 +371,7 @@ def kak_opq(g, form):
 
 def _kak_opq(g, form):
     p, q = form.p, form.q
-    _check_opq_input(g, form)
+    _check_form_input(g, form)
     c = witt_pm_basis(p, q)
     gp = c.T @ g @ c
     ipq = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
@@ -411,15 +418,23 @@ def _assemble_opq_extreme(gp, ipq, p, q):
     triple for 1/sigma is (left ipq u, right ipq v), so the canonical
     factor columns are the +-block parts of v and u."""
     u, s, vt = np.linalg.svd(gp)
-    band = np.maximum(1e-4, 3e6 * np.finfo(float).eps * s[:, 0])
-    nbig = np.sum(s[:, :q] >= 1.0 + band[:, None], axis=1)
-    with np.errstate(divide="ignore"):
-        lam = np.where(np.arange(q) < nbig[:, None], np.log(s[:, :q]), 0.0)
+    resolved = _band_rule(s, q)[0]
+    nbig = np.sum(resolved, axis=1)
+    lam = np.where(resolved, np.log(s[:, :q]), 0.0)
     kdbl, k1 = np.zeros(gp.shape), np.zeros(gp.shape)
     for big, rows in _groups(nbig):
         kdbl[rows], k1[rows] = _extreme_factors(gp[rows], u[rows], vt[rows],
                                                 p, q, big)
     return kdbl, lam, k1
+
+
+def _band_rule(s, r):
+    """(resolved, band) for singular values s (N, n) in descending order:
+    which of the top r clear 1 + band, band = 3e6 eps s_0.  Below it
+    float64 cannot separate an exponent from 0 at that scale, and reading
+    it as 0 perturbs the reconstruction by less than its tolerance."""
+    band = 3e6 * np.finfo(float).eps * s[:, 0]
+    return s[:, :r] >= 1.0 + band[:, None], band
 
 
 def _normalize(vectors):
@@ -509,89 +524,62 @@ def complex_pm_basis(n):
 
 def kak_onC(g, form):
     """KAK of an element of the complex orthogonal group of the canonical
-    complex Witt form.  There is no deflation, so it holds only at
-    moderate scales: a decomposition that does not reconstruct g to
-    relative accuracy _RECONSTRUCTION_TOL in the spectral norm, or whose
-    eigensolver fails, raises ValueError."""
-    g = np.asarray(g, dtype=complex)
-    n = form.n
-    if g.shape != (n, n):
-        raise ValueError(f"g must be {n}x{n} complex")
-    scale = np.linalg.norm(g, 2)
-    defect = np.linalg.norm(g.T @ form.gram @ g - form.gram, 2)
-    if defect > FORM_PRESERVATION_TOL * max(1.0, scale ** 2):
-        raise ValueError("matrix does not preserve the complex form")
-    try:
-        with np.errstate(all="ignore"):
-            triple = _kak_onC(g, form)
-            error = np.linalg.norm(triple.reconstruct() - g, 2)
-    except np.linalg.LinAlgError:
-        error = np.nan
-    if not error <= _RECONSTRUCTION_TOL * scale:
-        raise ValueError(
-            f"onC KAK is not accurate at spectral norm {scale:.3g}: its "
-            f"reconstruction misses the relative tolerance {_RECONSTRUCTION_TOL:g}")
-    return triple
+    complex Witt form, from one SVD at any scale (see the module
+    docstring); a stack (N, n, n) gives one KakTriple per matrix.  The
+    first bad matrix, or the first that a decomposition does not
+    reconstruct to relative accuracy _RECONSTRUCTION_TOL in the spectral
+    norm, raises ValueError."""
+    return _per_slice(g, lambda stack: _kak_onC(stack, form), complex)
 
 
 def _kak_onC(g, form):
-    n = form.n
-    m = n // 2
+    n, m = form.n, form.n // 2
+    _check_form_input(g, form)
     t = complex_pm_basis(n)
     gs = t.conj().T @ g @ t
-
-    # polar part: S = 1/2 log(g* g) is i * (real skew)
-    h = gs.conj().T @ gs
-    h = 0.5 * (h + h.conj().T)
-    vals, vecs = np.linalg.eigh(h)
-    s = (vecs * (0.5 * np.log(vals))) @ vecs.conj().T
-    bskew = np.imag(s)
-    bskew = 0.5 * (bskew - bskew.T)
-
-    # canonical form of the real skew matrix: eigh of i*B
-    bvals, bvecs = np.linalg.eigh(1j * bskew)
-    order = np.argsort(-bvals)
-    lam, rot_cols = [], {}
-    pair_positions = [(i, n - m + i) for i in range(m)]
-    rank = 0
-    for idx in order:
-        if bvals[idx] <= 1e-12 or rank >= m:
-            break
-        z = bvecs[:, idx]
-        x = np.sqrt(2.0) * np.real(z)
-        y = np.sqrt(2.0) * np.imag(z)
-        # orthonormalize against drift
-        x /= np.linalg.norm(x)
-        y -= x * (x @ y)
-        y /= np.linalg.norm(y)
-        a_pos, b_pos = pair_positions[rank]
-        rot_cols[a_pos] = y
-        rot_cols[b_pos] = x
-        lam.append(float(bvals[idx]))
-        rank += 1
-    lam = np.array(lam + [0.0] * (m - rank))
-    slots = sorted(rot_cols)
-    known = np.array([[rot_cols[j] for j in slots]]).reshape(1, len(slots), n)
-    rot = _complete_orthogonal(known, slots, n)[0]
-
-    # exp of the canonical element with exponents lam
-    expa = np.eye(n, dtype=complex)
-    for i in range(m):
-        a_pos, b_pos = pair_positions[i]
-        chl, shl = np.cosh(lam[i]), np.sinh(lam[i])
-        expa[a_pos, a_pos] = expa[b_pos, b_pos] = chl
-        expa[a_pos, b_pos] = 1j * shl
-        expa[b_pos, a_pos] = -1j * shl
-
-    kss = gs @ rot @ np.linalg.inv(expa)
-    # K = U(n) cap O(n, C) = O(n, R): polish onto real orthogonal
-    kre = np.real(kss)
-    uu, _, vvt = np.linalg.svd(kre)
-    kss = uu @ vvt
-
+    u, s, vh = np.linalg.svd(gs)
+    resolved = _band_rule(s, m)[0]
+    lam = np.where(resolved, np.log(s[:, :m]), 0.0)
+    kss, rot = np.zeros(g.shape), np.zeros(g.shape)
+    for big, rows in _groups(np.sum(resolved, axis=1)):
+        kss[rows], rot[rows] = _onC_factors(gs[rows], u[rows], vh[rows], big)
     k = t @ kss @ t.conj().T
-    l = t @ rot.T @ t.conj().T
-    return KakTriple(k, MuVector("onC", lam), l, form)
+    l = t @ np.swapaxes(rot, 1, 2) @ t.conj().T
+    d = np.concatenate([np.exp(lam), np.ones((len(g), n - 2 * m)),
+                        np.exp(-lam[:, ::-1])], axis=1)
+    error = np.linalg.norm((k * d[:, None, :]) @ l - g, 2, axis=(1, 2))
+    _first_error(~(error <= _RECONSTRUCTION_TOL * s[:, 0]), lambda j: (
+        f"onC KAK is not accurate at spectral norm {s[j, 0]:.3g}: its "
+        f"reconstruction misses the relative tolerance {_RECONSTRUCTION_TOL:g}"))
+    return _triples(k, lam, l, form)
+
+
+def _onC_factors(gs, u, vh, nbig):
+    """kak_onC's real orthogonal factors kss, rot with gs = kss exp(a) rot^T
+    (a the chamber element in the T basis), for a stack whose first
+    ``nbig`` exponents are resolved.  Slot pair i is (i, n - n // 2 + i);
+    its columns are sqrt(2) times the imaginary and real parts of the
+    i-th singular vectors."""
+    n = gs.shape[-1]
+    big = list(range(nbig)) + list(range(n - n // 2, n - n // 2 + nbig))
+
+    def slot_columns(vectors):
+        """The columns of the slots ``big`` from singular vectors (N, nbig, n)."""
+        return np.sqrt(2.0) * np.concatenate([vectors.imag, vectors.real], axis=1)
+
+    rot = _complete_orthogonal(slot_columns(vh[:, :nbig].conj()), big, n)
+    # pool slots act by the identity exponent: their left columns are
+    # the real images of rot's, where resolvable
+    groups = [(np.arange(len(gs)), big,
+               slot_columns(np.swapaxes(u[:, :, :nbig], 1, 2)))]
+    for slot in sorted(set(range(n)) - set(big)):
+        img = np.real(_matvec(gs, rot[:, :, slot]))
+        groups = [part for rows, known, vecs in groups
+                  for part in _try_add_column(rows, known, vecs, slot, img[rows])]
+    kss = np.zeros(gs.shape)
+    for rows, known, vecs in groups:
+        kss[rows] = _complete_orthogonal(vecs, known, n)
+    return kss, rot
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +593,7 @@ def kak(g, form=None):
     tag = tag_of(form)
     if tag == "gl":
         return kak_gl(g)
-    if tag == "opq":
-        return kak_opq(g, form)
-    if np.ndim(g) == 3:
-        return [kak_onC(m, form) for m in g]
-    return kak_onC(g, form)
+    return (kak_opq if tag == "opq" else kak_onC)(g, form)
 
 
 def _check_root_system(mu, length, rs):
@@ -651,13 +635,15 @@ class MuBatch:
     """Cartan projections of a stack of matrices from one stacked SVD.
 
     ``mu`` (N, r) is in kak's chamber order, and ``margin`` (N, r)
-    bounds |mu - kak(g).mu| entrywise: it is 0 where kak_opq's band rule
+    bounds |mu - kak(g).mu| entrywise: it is 0 where kak's band rule
     surely reads 0, and inf where the batch cannot tell which side of a
-    scale-rule threshold kak's own norms land on.  ``u`` (N, n, n) holds
-    the left singular vectors in descending order, so ``u[j][:, :i]``
+    scale-rule threshold kak's own norms land on.  ``u`` holds the left
+    singular vectors in descending order: (N, n, n) for gl and opq, and
+    for onC (N, 2n, 2n) realified in xi_theta's order.  ``frames(i)``
     spans the i-plane that xi_theta reads off ``kak(g).k``; where the
     defining gap exceeds 1, ``flag_margin`` (N,) bounds the largest
-    principal-angle sine between the two.
+    principal-angle sine between the two (inf for onC).  A batch whose
+    margins are all inf settles nothing.
     """
     group_tag: str
     mu: np.ndarray
@@ -681,24 +667,31 @@ class MuBatch:
         slack[np.any(undecided, axis=1)] = np.inf
         return self.mu @ coeffs, slack
 
+    def frames(self, i):
+        """(N, *, k) orthonormal columns of the flags that xi_theta reads
+        off the first i columns of kak(g).k, for plane dimension i."""
+        if self.group_tag != "onC":
+            return self.u[:, :, :i]
+        n = self.u.shape[-1] // 2
+        return np.concatenate([self.u[:, :, :i], self.u[:, :, n:n + i]], axis=2)
+
 
 def cartan_mu_batch(mats, form=None):
     """mu of every matrix of an (N, n, n) stack from one stacked SVD,
-    in the group that ``form`` picks: "gl" or "opq".
+    in the group that ``form`` picks.
 
     The input checks of kak run on the whole stack and raise kak's
-    ValueError for the first offending matrix.  For opq, kak_opq's scale
-    rules are applied: past spectral norm 1e6, exponents whose singular
-    value is below 1 + band read 0.  kak_opq squares g below that norm,
-    so there its error grows with (s_0 / s_{q-1})^2; above it, and for
-    gl, kak works from the same SVD and the error grows with s_0 / s_m,
-    s_m the smallest singular value that enters mu.  See MuBatch.
+    ValueError for the first offending matrix.  For opq past spectral
+    norm 1e6, and for onC at every scale, kak's band rule is applied:
+    exponents whose singular value is below 1 + band read 0.  kak_opq
+    squares g below that norm, so there its error grows with
+    (s_0 / s_{q-1})^2; above it, for onC and for gl, kak works from the
+    same SVD and the error grows with s_0 / s_m, s_m the smallest
+    singular value that enters mu.  See MuBatch.
     """
-    mats = np.asarray(mats, dtype=float)
     tag = tag_of(form)
-    if tag == "onC":
-        raise ValueError("no batched Cartan projection for onC")
-    n = form.n if tag == "opq" else mats.shape[-1]
+    mats = np.asarray(mats, dtype=complex if tag == "onC" else float)
+    n = mats.shape[-1] if tag == "gl" else form.n
     if mats.ndim != 3 or mats.shape[1:] != (n, n):
         raise ValueError(f"expected a stack of {n}x{n} matrices")
     eps = np.finfo(float).eps
@@ -714,24 +707,27 @@ def cartan_mu_batch(mats, form=None):
         return MuBatch(tag, np.log(s),
                        np.repeat(bound[:, None], n, axis=1), u, bound)
 
-    p, q, gram = form.p, form.q, form.gram
-    c = witt_pm_basis(p, q)
-    u, s = np.linalg.svd(c.T @ g @ c)[:2]
+    gram = form.gram
+    r, c = (form.q, witt_pm_basis(form.p, form.q)) if tag == "opq" else \
+        (n // 2, complex_pm_basis(n))
+    u, s = np.linalg.svd(c.conj().T @ g @ c)[:2]
     s0 = s[:, 0]
-    # kak_opq's form check with a factor 2 of slack for rounding; the
+    # kak's form check with a factor 2 of slack for rounding; the
     # suspects go through its exact check
     defect = np.linalg.norm(np.swapaxes(g, 1, 2) @ gram @ g - gram, 2,
                             axis=(1, 2))
     scale = np.maximum(1.0, s0 ** 2) * max(1.0, np.linalg.norm(gram, 2))
-    _check_opq_input(mats[~finite | (defect > 0.5 * FORM_PRESERVATION_TOL * scale)],
-                     form)
+    _check_form_input(mats[~finite | (defect > 0.5 * FORM_PRESERVATION_TOL * scale)],
+                      form)
 
-    extreme = s0 > _MODERATE_NORM
-    band = np.maximum(1e-4, 3e6 * eps * s0)
-    top = s[:, :q]
-    resolved = ~extreme[:, None] | (top >= 1.0 + band[:, None])
+    # onC has one path, kak_opq's extreme one
+    extreme = (tag == "onC") | (s0 > _MODERATE_NORM)
+    banded, band = _band_rule(s, r)
+    top = s[:, :r]
+    resolved = ~extreme[:, None] | banded
     mu = np.where(resolved, np.log(top), 0.0)
-    near = np.abs(s0 - _MODERATE_NORM) <= _THRESHOLD_WIDTH * _MODERATE_NORM
+    near = (tag == "opq") & (np.abs(s0 - _MODERATE_NORM) <=
+                             _THRESHOLD_WIDTH * _MODERATE_NORM)
     near |= extreme & np.any(np.abs(top - (1.0 + band[:, None])) <=
                              _THRESHOLD_WIDTH * (1.0 + band[:, None]), axis=1)
     smallest = s[np.arange(len(s)), np.maximum(np.sum(resolved, axis=1), 1) - 1]
@@ -739,8 +735,10 @@ def cartan_mu_batch(mats, form=None):
     kappa = np.where(extreme, ratio, np.maximum(s0, ratio ** 2))
     bound = np.where(near, np.inf, SCREEN_MARGIN + _SCREEN_GROWTH * eps * kappa)
     exact = ~resolved & ~near[:, None]
+    # no bound is known for onC's realified flags
     return MuBatch(tag, mu, np.where(exact, 0.0, bound[:, None]),
-                   c @ u, bound)
+                   c @ u if tag == "opq" else _realify(c @ u),
+                   bound if tag == "opq" else np.full(len(s), np.inf))
 
 
 def _theta_to_plane_dim(theta, form):
@@ -785,11 +783,15 @@ def xi_theta(g, theta, form=None, tol=1e-6, decomposition=None):
         return Frame.from_spanning(dec.k[:, :i])
     if tag == "opq":
         return FlagPoint(Frame.from_spanning(dec.k[:, :i]), form, i)
-    cols = dec.k[:, :i]
-    real_cols = np.concatenate(
-        [np.concatenate([np.real(cols), np.imag(cols)], axis=0),
-         np.concatenate([-np.imag(cols), np.real(cols)], axis=0)], axis=1)
-    return FlagPoint(Frame.from_spanning(real_cols), form, 2 * i)
+    return FlagPoint(Frame.from_spanning(_realify(dec.k[:, :i])), form, 2 * i)
+
+
+def _realify(cols):
+    """The real columns [[Re, -Im], [Im, Re]] (..., 2n, 2k) of complex
+    columns (..., n, k): a real spanning set of their complex span."""
+    re, im = np.real(cols), np.imag(cols)
+    return np.concatenate([np.concatenate([re, im], axis=-2),
+                           np.concatenate([-im, re], axis=-2)], axis=-1)
 
 
 # ---------------------------------------------------------------------------

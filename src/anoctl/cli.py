@@ -251,8 +251,9 @@ def cmd_divergence(config):
     path = os.path.join(config.out, "divergence.csv")
     with open(path, "w") as fh:
         fh.write(profile.to_csv())
+    # the fit skips radius 0
     slope, shape = fit_divergence_slope(profile, 1) \
-        if len(profile.per_radius) >= 3 else (float("nan"), "n/a")
+        if np.sum(profile.radii() >= 1) >= 3 else (float("nan"), "n/a")
     print(f"divergence: ball of {len(ball)} elements"
           f"{' (truncated)' if truncated else ''}, "
           f"alpha_1 slope {slope:.3g} ({shape}) -> {path}")
@@ -300,6 +301,8 @@ def cmd_domain(config):
     form, gens = _named_matrices(config)
     if form is None:
         raise ValueError("domain check needs a form (use --form P,Q)")
+    if form.is_complex:
+        raise ValueError("domain check needs a real form")
     theta = ThetaSet(_group_setup(form, gens[0][1].shape[0]), frozenset({1}))
     ball, truncated = _enumerate(config, gens)
     rng = config.rng()

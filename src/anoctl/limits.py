@@ -117,33 +117,32 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
     blocks, which costs a decomposition, never a different result."""
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
-    rs = theta.root_system
-    batch = ball.cartan_batch(form) if ball.radius else None
+    batch = ball.cartan_batch(form)
+    approx, slack = batch.gaps(theta.root_system)
+    members = [a - 1 for a in sorted(theta.members)]
+    approx_gap = np.min(approx[:, members], axis=1)
+    gap_slack = np.max(slack[:, members], axis=1)
+    # skip what the batch settles: a gap clearly at most min_gap, or a
+    # flag clearly within merge_tol of a kept flag (the batch bounds
+    # flags where the gap exceeds 1, within their flag margin)
     candidates = np.flatnonzero(ball.lengths > 0)
-    if batch is not None:
-        approx, slack = batch.gaps(rs)
-        members = [a - 1 for a in sorted(theta.members)]
-        approx_gap = np.min(approx[:, members], axis=1)
-        gap_slack = np.max(slack[:, members], axis=1)
-        # skip what the batch settles: a gap clearly at most min_gap, or
-        # a flag clearly within merge_tol of a kept flag (the batch
-        # bounds flags where the gap exceeds 1)
-        candidates = candidates[approx_gap[candidates] + gap_slack[candidates] > min_gap]
-        bounded = approx_gap - gap_slack > max(min_gap, 1.0)
-        frames = batch.u[:, :, :_theta_to_plane_dim(theta, form)]
+    candidates = candidates[approx_gap[candidates] + gap_slack[candidates] > min_gap]
+    bounded = (approx_gap - gap_slack > max(min_gap, 1.0)) & \
+        (batch.flag_margin < merge_tol / 2)
+    frames = batch.frames(_theta_to_plane_dim(theta, form))
     points, kept = [], None     # kept: the points' frames, preallocated
     start, size = 0, 1
     while start < len(candidates):
         block = candidates[start:start + size]
         start, size = start + size, min(2 * size, _PREFETCH)
-        if points and batch is not None:
+        if points:
             near = bounded[block]
             near[near] = _surely_within(frames[block[near]], kept[:len(points)],
                                         merge_tol, batch.flag_margin[block[near]])
             block = block[~near]
         for idx, dec in zip(block, ball.decompose(block, form)):
             word, mat, r = ball.elements[idx]
-            gaps = mu_gaps(dec.mu, rs)
+            gaps = mu_gaps(dec.mu, theta.root_system)
             gap = min(gaps[a] for a in theta.members)
             if gap <= min_gap:
                 continue

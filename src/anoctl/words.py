@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cartan import cartan_mu_batch, kak, mu_gaps, tag_of
+from .cartan import cartan_mu_batch, kak, mu_gaps
 
 DEDUP_TOL = 1e-8
 
@@ -81,12 +81,10 @@ class GroupBall:
         return (index, form) in self._kak
 
     def cartan_batch(self, form=None):
-        """cartan_mu_batch of the whole ball, computed once; None for a
-        complex form, which has no batched path (its callers decompose
-        every element)."""
+        """cartan_mu_batch of the whole ball in the group that ``form``
+        picks, computed once per form."""
         if form not in self._batches:
-            self._batches[form] = None if tag_of(form) == "onC" else \
-                cartan_mu_batch(self.matrices, form)
+            self._batches[form] = cartan_mu_batch(self.matrices, form)
         return self._batches[form]
 
     @property
@@ -278,17 +276,12 @@ def divergence_profile(ball, rs, form=None):
     divergence; no asymptotic verdict is implied."""
     if not ball.elements:
         raise ValueError("empty ball")
-    batch = ball.cartan_batch(form)
-    if batch is not None:
-        approx, slack = batch.gaps(rs)
+    approx, slack = ball.cartan_batch(form).gaps(rs)
     spheres = []
     for r in range(ball.radius + 1):
         sphere = np.flatnonzero(ball.lengths == r)
-        if not sphere.size:
-            continue
-        if batch is not None:
-            sphere = sphere[_possible_minima(approx[sphere], slack[sphere])]
-        spheres.append((r, sphere))
+        if sphere.size:
+            spheres.append((r, sphere[_possible_minima(approx[sphere], slack[sphere])]))
     decs = iter(ball.decompose(np.concatenate([s for _, s in spheres]), form))
     entries = []
     for r, sphere in spheres:

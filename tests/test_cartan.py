@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from anoctl.cartan import (
     SCREEN_MARGIN,
+    _theta_to_plane_dim,
     GapTooSmallError,
     MuVector,
     cartan_mu_batch,
@@ -21,6 +22,7 @@ from anoctl.cartan import (
     witt_pm_basis,
     xi_theta,
 )
+from anoctl.cli import _group_setup
 from anoctl.forms import Frame, dist_projective, make_witt_form, principal_sines
 from anoctl.presets import mixed_o21, schottky_o21
 from anoctl.roots import ThetaSet, build_root_system
@@ -130,20 +132,65 @@ def test_kak_onC_reconstruction(rng):
         assert np.linalg.norm(t.k.T @ form.gram @ t.k - form.gram) < 1e-10
 
 
-def test_kak_onC_raises_where_it_cannot_reconstruct():
-    # without deflation the schottky boost a (norm 8.1e3) came back with
-    # mu = 8.954 instead of 9, and a^2 (norm 6.6e7) failed in eigh
+def test_kak_onC_decomposes_the_preset_boosts():
+    # the eigen-log of g* g without deflation gave mu = 8.954 for the
+    # schottky boost a (norm 8.1e3), failed in eigh on a^2 (norm 6.6e7),
+    # and missed the tolerance on mixed-o21's a^3 (norm 403)
     form = make_witt_form(2, 1, field_tag="complex")
     a = schottky_o21()[1][0][1]
-    for g in (a, a @ a):
+    cases = [(a, 9.0), (a @ a, 18.0)]
+    b = mixed_o21()[1][0][1]
+    cases += [(np.linalg.matrix_power(b, k), 2.0 * k) for k in range(1, 13)]
+    for g, mu in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="spectral norm"):
-                kak_onC(g, form)
-    g = mixed_o21()[1][0][1]
-    t = kak_onC(g, form)
-    assert abs(t.mu.values[0] - 2.0) < 1e-9
-    assert np.linalg.norm(t.reconstruct() - g, 2) <= 1e-9 * np.linalg.norm(g, 2)
+            t = kak_onC(g, form)
+        assert abs(t.mu.values[0] - mu) < 1e-9 * mu
+        assert np.linalg.norm(t.reconstruct() - g, 2) <= 1e-9 * np.linalg.norm(g, 2)
+
+
+def complex_form(n):
+    return make_witt_form(n - n // 2, n // 2, field_tag="complex")
+
+
+def onC_element(n, lams, seed):
+    """k1 exp(a(lams)) k2 for random compact k1, k2 of the complex
+    orthogonal group of dimension n."""
+    rng = np.random.default_rng(seed)
+    tmat = complex_pm_basis(n)
+    k1, k2 = (tmat @ random_orthogonal(rng, n) @ tmat.conj().T for _ in range(2))
+    mu = MuVector("onC", np.asarray(lams, dtype=float))
+    return k1 @ chamber_exp(mu, complex_form(n)) @ k2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_kak_onC_against_an_80_digit_svd(n):
+    """mu is the log of the top n // 2 singular values of g from an
+    80-digit SVD, and exactly 0 where that singular value lies inside
+    kak's band about 1; g reconstructs to 1e-9 at norms 1 to 1e12, with
+    equal, zero and spread exponents."""
+    mpmath = pytest.importorskip("mpmath")
+    form, m = complex_form(n), n // 2
+    seed = 0
+    for top in np.log([1.0, 1e3, 1e6, 1e9, 1e12]):
+        for lams in ([top] * m, [top] + [0.0] * (m - 1), np.linspace(top, top / 2, m)):
+            seed += 1
+            g = onC_element(n, lams, seed)
+            t = kak_onC(g, form)
+            with mpmath.workdps(80):
+                sv = mpmath.svd_c(mpmath.matrix(g.tolist()), compute_uv=False)
+                logs = sorted((mpmath.log(x) for x in sv), reverse=True)[:m]
+                oracle = np.array([float(x) for x in logs])
+            band = 3e6 * np.finfo(float).eps * np.exp(oracle[0])
+            inside = oracle < np.log1p(band)
+            assert np.all(inside == (np.asarray(lams) == 0.0))
+            assert np.all(np.abs(oracle[inside]) < 0.5 * band)
+            assert np.all(t.mu.values[inside] == 0.0)
+            assert np.all(np.abs(t.mu.values - oracle)[~inside] <= 1e-9)
+            assert np.linalg.norm(t.reconstruct() - g, 2) <= 1e-9 * np.linalg.norm(g, 2)
+            for f in (t.k, t.l):
+                assert np.linalg.norm(f.conj().T @ f - np.eye(n)) < 1e-12
+                assert np.linalg.norm(f.T @ form.gram @ f - form.gram) < 1e-12
 
 
 def test_kak_bi_invariance(rng):
@@ -366,13 +413,11 @@ def flag_thetas(rs, form):
     return [theta(rs, i) for i in range(1, rs.rank + 1)]
 
 
-def assert_batch_matches_kak(mats, form=None):
+def assert_batch_matches_kak(mats, form=None, flag_tol=np.inf):
     """cartan_mu_batch against kak and xi_theta, element by element: mu
-    and flags within the reported margins, and within 1e-12 wherever the
-    margin is at its floor."""
-    n = mats.shape[-1]
-    rs = build_root_system("A", n - 1) if form is None else \
-        build_root_system("B" if form.p > form.q else "D", form.q)
+    and flags within the reported margins, within 1e-12 wherever the
+    margin is at its floor, and flags within flag_tol."""
+    rs = _group_setup(form, mats.shape[-1])
     batch = cartan_mu_batch(mats, form)
     tight = SCREEN_MARGIN + 1e-12
     for j, g in enumerate(mats):
@@ -386,8 +431,9 @@ def assert_batch_matches_kak(mats, form=None):
                 continue
             flag = xi_theta(g, th, form, tol=1.0, decomposition=dec)
             cols = flag.columns if isinstance(flag, Frame) else flag.frame.columns
-            sine = principal_sines(cols, batch.u[j][:, :cols.shape[1]])[-1]
-            assert sine <= batch.flag_margin[j], (j, sine, batch.flag_margin[j])
+            frame = batch.frames(_theta_to_plane_dim(th, form))[j]
+            sine = principal_sines(cols, frame)[-1]
+            assert sine <= min(batch.flag_margin[j], flag_tol), (j, sine)
             if batch.flag_margin[j] <= tight:
                 assert sine <= 1e-12
     return batch
@@ -403,6 +449,26 @@ def test_mu_batch_matches_kak_on_balls():
         ball = enumerate_ball(gens, radius)
         batch = assert_batch_matches_kak(ball.matrices, form)
         assert np.all(np.isfinite(batch.margin))
+
+
+def test_mu_batch_matches_kak_on_onC_balls():
+    """onC's batch takes kak_onC's SVD and band rule: the same mu bit for
+    bit, and frames that span kak's flags, for which it claims no
+    bound."""
+    from anoctl.words import enumerate_ball
+    form = make_witt_form(2, 1, "complex")
+    for setup, radius in ((schottky_o21, 4), (mixed_o21, 5)):
+        ball = enumerate_ball(setup()[1], radius)
+        # measured up to 1.9e-15
+        batch = assert_batch_matches_kak(ball.matrices, form, flag_tol=1e-12)
+        # only elements within 1e-9 of kak's band, here those of norm
+        # about 1, are left undecided
+        norms = np.linalg.norm(ball.matrices, 2, axis=(1, 2))
+        assert np.all(np.isfinite(batch.margin[norms > 2.0]))
+        assert np.all(np.isinf(batch.flag_margin))
+        mus = np.array([t.mu.values for t in kak(ball.matrices, form)])
+        assert batch.mu.tobytes() == mus.tobytes()
+        assert batch.frames(1).shape == (len(ball), 6, 2)
 
 
 def opq_element(form, lams, seed):

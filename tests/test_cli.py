@@ -8,7 +8,7 @@ import pytest
 from anoctl import cli
 from anoctl.cli import domain_check_main, main
 from anoctl.forms import dump_json, make_witt_form, matrix_to_json
-from anoctl.presets import o21_boost, schottky_o21
+from anoctl.presets import mixed_o21, o21_boost, schottky_o21
 from test_cartan import opq_chamber, random_opq_K
 from test_forms import json_dump_text
 
@@ -292,14 +292,56 @@ def test_overflowing_ball_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "'aaaa'" in err
 
 
-def test_inaccurate_onC_kak_exits_2(tmp_path, capsys):
-    # the schottky boosts lie past the scales kak_onC decomposes accurately
+def test_onC_divergence_of_the_schottky_boosts_exits_0(tmp_path):
+    # past the scales that the eigen-log of g* g decomposed accurately;
+    # O(2,1) lies in O(3, C), and both groups print the same profile
     gens = write_gens(tmp_path / "gens.json", schottky_o21()[1])
-    code = main(["divergence", "--gens", gens, "--form", "2,1,C", "--radius", "2",
-                 "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "spectral norm" in err
+    for form in ("2,1,C", "2,1"):
+        out = tmp_path / form
+        assert main(["divergence", "--gens", gens, "--form", form, "--radius", "4",
+                     "--out", str(out)]) == 0
+    assert read(tmp_path / "2,1,C" / "divergence.csv") == \
+        read(tmp_path / "2,1" / "divergence.csv")
+
+
+def test_divergence_below_three_fitted_radii_prints_na(tmp_path, capsys):
+    # the fit skips radius 0, so radius 2 leaves two radii to fit
+    for radius in ("1", "2"):
+        assert main(["divergence", "--radius", radius, "--out", str(tmp_path)]) == 0
+        assert "slope nan (n/a)" in capsys.readouterr().out
+        rows = read(tmp_path / "divergence.csv").splitlines()[1:]
+        radii = [int(row.split(",")[0]) for row in rows]
+        assert radii == list(range(int(radius) + 1))
+    assert main(["divergence", "--radius", "3", "--out", str(tmp_path)]) == 0
+    assert "(n/a)" not in capsys.readouterr().out
+
+
+def test_domain_with_a_complex_form_exits_2_before_the_ball(tmp_path, capsys,
+                                                           monkeypatch):
+    def enumerate_(*args):
+        raise AssertionError("the ball was enumerated")
+    monkeypatch.setattr(cli, "_enumerate", enumerate_)
+    gens = write_gens(tmp_path / "gens.json", schottky_o21()[1])
+    assert main(["domain", "--gens", gens, "--form", "2,1,C", "--radius", "3",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: domain check needs a real form\n"
+    assert not (tmp_path / "domain.json").exists()
+
+
+# sha256 of the onC reports of mixed-o21's generators at radius 8
+ONC_GOLDEN = {
+    "divergence.csv": "1c894121a01413f6fc3a575a7bf0d17cbb712bfd5fe238d567583449acba7571",
+    "limitset.csv": "cd6f1e0293e502daedea3cc4d074a3a623439d057f5ac2afa032eb75effc2e00",
+}
+
+
+def test_onC_reports_match_golden_digests(tmp_path):
+    gens = write_gens(tmp_path / "gens.json", mixed_o21()[1])
+    for command in ("divergence", "limitset"):
+        assert main([command, "--gens", gens, "--form", "2,1,C", "--radius", "8",
+                     "--out", str(tmp_path)]) == 0
+    assert {out: hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+            for out in ONC_GOLDEN} == ONC_GOLDEN
 
 
 def test_sampler_failure_exits_2(tmp_path, capsys):

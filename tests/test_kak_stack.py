@@ -61,12 +61,12 @@ CASES = {
     "pingpong-o32": lambda: ball_case(lambda: (make_witt_form(3, 2), pingpong_o32(0)), 4),
     "gl3": lambda: (gl_stack(3, 3), None),
     "gl4": lambda: (gl_stack(4, 4), None),
-    # one matrix at a time
     "onC-21": onC_stack,
 }
 
 # sha256 of the bytes of every k, mu.values and l in stack order, from
-# the one-matrix-at-a-time kak that the stacked one replaced
+# the one-matrix-at-a-time kak that the stacked one replaced (onC: from
+# the stacked SVD path that replaced the eigen-log of g* g)
 DIGESTS = {
     "mixed-o21": (
         "8d39aabadfd2692d69cab62dd111420d30deeaf2fced18172ced981666f335d6",
@@ -89,9 +89,9 @@ DIGESTS = {
         "268908655a63f2a181d781887b18cd53d669559fb7898cd817476ae6b482d32a",
         "05edf9321f6025c782e626d15ca9ab6f286e3e3cef4d3d2f61c5d1ddeab2186d"),
     "onC-21": (
-        "1284e82ff942ade8cbe32d072bdcf1ea9eba5cd389b25ca28933a76c4bdfb80a",
-        "d412132f067142121bda51a1a2bffec026b61ffe3be1912f326b64d1a0300527",
-        "889d51d07be8d68769a2bf0278495a337dc4f93824c70a583bb77daa2547ba71"),
+        "d927ca3446046dbb118ffff614d430f2c17cfc834cee32f3bd2375796e498a65",
+        "f4e6244bad7895626d84bc5b5881e2fede671ae003acbdefed1a43593f94d6be",
+        "37f538f56675ad82dba598555a112b4be51bea706c9dd0d5140d5045f08fddf8"),
 }
 
 
@@ -133,6 +133,19 @@ def test_stacked_kak_matches_one_matrix_calls_bitwise(elements):
                           for top, fraction, seed in elements])
         stacked = kak(stack, form)
         assert [bits(t) for t in stacked] == [bits(kak(g, form)) for g in stack]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_stacked_onC_kak_matches_one_matrix_calls_bitwise(n):
+    # norms 1 to 1e12 with zero, equal and spread exponents, so that the
+    # slices resolve different numbers of exponents
+    from test_cartan import complex_form, onC_element
+    lams = [[top, fraction * top] for top in (0.0, 1e-6, 2.0, 14.0, 27.6)
+            for fraction in (0.0, 0.5, 1.0)]
+    stack = np.stack([onC_element(n, lam, seed) for seed, lam in enumerate(lams)])
+    stacked = kak(stack, complex_form(n))
+    assert sorted({int(np.count_nonzero(t.mu.values)) for t in stacked}) == [0, 1, 2]
+    assert [bits(t) for t in stacked] == [bits(kak(g, complex_form(n))) for g in stack]
 
 
 def kak_error(g, form=None):

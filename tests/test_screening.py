@@ -2,6 +2,8 @@
 limit samples and relation scans equal the unscreened scalar
 computation, in which every ball element goes through kak."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,10 +44,23 @@ def setup(name, radius=None):
 
 @pytest.fixture
 def unscreened(monkeypatch):
-    """Turn the screen off: every element is decomposed, as for onC."""
+    """Turn the screen off: the ball's batch has all-inf margins, which
+    settle nothing, so every element is decomposed."""
+    batch = GroupBall.cartan_batch
+
+    def blind(ball, form=None):
+        b = batch(ball, form)
+        return dataclasses.replace(b, margin=np.full_like(b.margin, np.inf),
+                                   flag_margin=np.full_like(b.flag_margin, np.inf))
+
     def off():
-        monkeypatch.setattr(GroupBall, "cartan_batch", lambda *args: None)
+        monkeypatch.setattr(GroupBall, "cartan_batch", blind)
     return off
+
+
+def assert_all_decomposed(ball, form=None):
+    """Every element but the identity went through kak."""
+    assert all(ball.decomposed(i, form) for i in np.flatnonzero(ball.lengths))
 
 
 @pytest.fixture
@@ -93,6 +108,7 @@ def test_screened_results_equal_unscreened(name, unscreened):
     assert divergence_profile(fresh, rs, form) == profile
     reference = sample_limit_set(fresh, theta, form)
     assert sample_record(reference) == sample_record(sample)
+    assert_all_decomposed(fresh, form)
     # a fresh ball has no decompositions to share with the scan
     _, _, fresh = setup(name)
     assert dynamical_relation_scan(points, fresh, reference) == flags
@@ -110,9 +126,29 @@ def test_gl_screened_sample_equals_unscreened(root, unscreened):
     theta = ThetaSet(build_root_system("A", 2), frozenset({root}))
     sample = sample_limit_set(enumerate_ball(gens, 5), theta)
     unscreened()
-    reference = sample_limit_set(enumerate_ball(gens, 5), theta)
+    fresh = enumerate_ball(gens, 5)
+    reference = sample_limit_set(fresh, theta)
     assert len(sample) > 100
     assert sample_record(reference) == sample_record(sample)
+    assert_all_decomposed(fresh)
+
+
+def test_onC_screened_results_equal_unscreened(unscreened):
+    # mixed-o21's generators in the complex orthogonal group
+    form, gens = make_witt_form(2, 1, "complex"), mixed_o21()[1]
+    rs = build_root_system("B", 1)
+    theta = ThetaSet(rs, frozenset({1}))
+    ball = enumerate_ball(gens, 6)
+    profile = divergence_profile(ball, rs, form)
+    # the profile's screen leaves most elements undecomposed
+    assert sum(ball.decomposed(i, form) for i in range(len(ball))) < len(ball) / 10
+    sample = sample_limit_set(ball, theta, form)
+    unscreened()
+    fresh = enumerate_ball(gens, 6)
+    assert divergence_profile(fresh, rs, form) == profile
+    assert sample_record(sample_limit_set(fresh, theta, form)) == sample_record(sample)
+    assert_all_decomposed(fresh, form)
+    assert len(sample) > 100
 
 
 def test_schottky_kak_calls(kak_calls):

@@ -36,7 +36,7 @@ def test_ball_keeps_decompositions_per_form():
     assert ball.decompose([1], form)[0] is opq and ball.decompose([1])[0] is gl
     assert ball.cartan_batch(form).group_tag == "opq"
     assert ball.cartan_batch().group_tag == "gl"
-    assert ball.cartan_batch(make_witt_form(2, 1, "complex")) is None
+    assert ball.cartan_batch(make_witt_form(2, 1, "complex")).group_tag == "onC"
 
 
 def test_free_ball_counts():
