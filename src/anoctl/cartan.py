@@ -27,12 +27,15 @@ conj v).  The imaginary and real parts of a resolved u and v are the
 columns of a slot pair of the real compact factors; the other slots
 are filled as opq's pool is.
 
-Word-length balls are screened with ``cartan_mu_batch``: one stacked SVD
-gives mu, the left singular vectors and margins that bound their
-distance from what ``kak`` reports.  The batch only settles decisions
-that its margins settle (an element is not a sphere minimum, its gap is
-below the floor, its flag merges into a kept one); every gap and flag
-that is reported comes from kak (stacked).
+Every path starts from one front end (``_front``): kak's input checks
+and one stacked SVD of b^H g b, b the chamber basis, under the band
+rule.  Word-length balls are screened with ``cartan_mu_batch``, which
+reads the same SVD: its mu is kak's bit for bit wherever kak reads mu
+off it (gl, onC, opq past spectral norm 1e6), and only opq's moderate
+rows, where kak squares g, carry a margin.  The batch only settles
+decisions that its margins settle (an element is not a sphere minimum,
+its gap is below the floor, its flag merges into a kept one); every gap
+and flag that is reported comes from kak (stacked).
 """
 
 from __future__ import annotations
@@ -184,6 +187,49 @@ def _first_error(bad, message):
         raise ValueError(message(bad[0]))
 
 
+def _front(g, form):
+    """The start of every Cartan path, for a stack (N, n, n): kak's input
+    checks in its order and with its messages (shape, then for the first
+    offending matrix finite entries and invertibility, or preservation
+    of the form at FORM_PRESERVATION_TOL), and the one SVD of b^H g b, b
+    the chamber basis of the form (none for gl).
+
+    Returns (b, gb, u, s, vh, resolved), where resolved (N, r) says which
+    of the r exponents of mu clear the band rule: all of them for gl; for
+    opq and onC those whose singular value is at least 1 + band, band =
+    3e6 eps s_0.  Below it float64 cannot separate an exponent from 0 at
+    that scale, and reading it as 0 perturbs the reconstruction by less
+    than its tolerance."""
+    n = g.shape[-1] if form is None else form.n
+    if g.shape[1:] != (n, n):
+        raise ValueError("g must be square" if form is None else f"g must be {n}x{n}")
+    finite = np.all(np.isfinite(g), axis=(1, 2))
+    # the identity stands in for non-finite matrices, which LAPACK rejects
+    g = np.where(finite[:, None, None], g, np.eye(n))
+    b = None if form is None else (
+        complex_pm_basis(n) if form.is_complex else witt_pm_basis(form.p, form.q))
+    gb = g if b is None else b.conj().T @ g @ b
+    u, s, vh = np.linalg.svd(gb)
+    if form is None:
+        _first_error(~finite | ~(s[:, -1] > 0) | ~np.all(np.isfinite(s), axis=1),
+                     lambda j: "g has non-finite entries" if not finite[j]
+                     else "g is not invertible")
+        return b, gb, u, s, vh, np.ones(s.shape, dtype=bool)
+    # |g^T G g - G| > tol max(1, |g|)^2 max(1, |G|) on operands scaled by
+    # powers of two, which is exact and does not overflow past |g| ~ 1e154
+    top = np.maximum(1.0, s[:, 0])
+    scale = np.ldexp(1.0, np.frexp(top)[1])[:, None, None]
+    gs = g / scale
+    defect = np.linalg.norm(np.swapaxes(gs, 1, 2) @ form.gram @ gs -
+                            form.gram / scale / scale, 2, axis=(1, 2))
+    limit = FORM_PRESERVATION_TOL * (top / scale[:, 0, 0]) ** 2 * max(1.0, form.gram_norm)
+    _first_error(~finite | ~(defect <= limit), lambda j: "g has non-finite entries"
+                 if not finite[j] else "matrix does not preserve the form (defect "
+                 f"{float(defect[j]) * scale[j].item() * scale[j].item():.2e})")
+    r = n // 2 if form.is_complex else form.q
+    return b, gb, u, s, vh, s[:, :r] >= 1.0 + 3e6 * np.finfo(float).eps * s[:, :1]
+
+
 # ---------------------------------------------------------------------------
 # sign canonicalization
 
@@ -222,15 +268,7 @@ def kak_gl(g):
 
 
 def _kak_gl(g):
-    n = g.shape[-1]
-    if g.shape[1:] != (n, n):
-        raise ValueError("g must be square")
-    finite = np.all(np.isfinite(g), axis=(1, 2))
-    # the identity stands in for non-finite matrices, which LAPACK rejects
-    u, s, vt = np.linalg.svd(np.where(finite[:, None, None], g, np.eye(n)))
-    _first_error(~finite | ~(s[:, -1] > 0) | ~np.all(np.isfinite(s), axis=1),
-                 lambda j: "g has non-finite entries" if not finite[j]
-                 else "g is not invertible")
+    _, _, u, s, vt, _ = _front(g, None)
     u, vt = _canonicalize_signs(u, vt)
     return _triples(u, np.log(s), vt)
 
@@ -254,25 +292,6 @@ def witt_pm_basis(p, q):
     for j in range(q, p):
         c[j, j] = 1.0
     return c
-
-
-def _check_form_input(g, form):
-    """kak_opq's and kak_onC's input checks on a stack, in order: shape,
-    finite entries, and preservation of the (real or complex bilinear)
-    form at FORM_PRESERVATION_TOL; the first offending matrix raises."""
-    n, gram = form.n, form.gram
-    if g.shape[1:] != (n, n):
-        raise ValueError(f"g must be {n}x{n}")
-    finite = np.all(np.isfinite(g), axis=(1, 2))
-    if not finite.all():
-        g = np.where(finite[:, None, None], g, np.eye(n))
-    scale = np.maximum(1.0, np.linalg.norm(g, 2, axis=(1, 2)) ** 2) * \
-        max(1.0, np.linalg.norm(gram, 2))
-    defect = np.linalg.norm(np.swapaxes(g, 1, 2) @ gram @ g - gram, 2,
-                            axis=(1, 2))
-    _first_error(~finite | (defect > FORM_PRESERVATION_TOL * scale),
-                 lambda j: "g has non-finite entries" if not finite[j] else
-                 f"matrix does not preserve the form (defect {defect[j]:.2e})")
 
 
 def _reciprocal_log(m, ipq, cutoff=1e6):
@@ -371,16 +390,17 @@ def kak_opq(g, form):
 
 def _kak_opq(g, form):
     p, q = form.p, form.q
-    _check_form_input(g, form)
-    c = witt_pm_basis(p, q)
-    gp = c.T @ g @ c
+    c, gp, u, s, vt, resolved = _front(g, form)
     ipq = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-    kdbl, lam, k1 = np.zeros(g.shape), np.zeros((len(g), q)), np.zeros(g.shape)
-    moderate = np.linalg.norm(gp, 2, axis=(1, 2)) <= _MODERATE_NORM
-    for rows, assemble in ((moderate, _assemble_opq_moderate),
-                           (~moderate, _assemble_opq_extreme)):
-        if rows.any():
-            kdbl[rows], lam[rows], k1[rows] = assemble(gp[rows], ipq, p, q)
+    kdbl, k1 = np.zeros(g.shape), np.zeros(g.shape)
+    lam = np.where(resolved, np.log(s[:, :q]), 0.0)
+    moderate = s[:, 0] <= _MODERATE_NORM
+    for big, rows in _groups(np.where(moderate, -1, np.sum(resolved, axis=1))):
+        if big < 0:
+            kdbl[rows], lam[rows], k1[rows] = _assemble_opq_moderate(gp[rows], ipq, p, q)
+        else:
+            kdbl[rows], k1[rows] = _extreme_factors(gp[rows], u[rows], vt[rows],
+                                                    p, q, big)
     k = c @ kdbl @ c.T
     l = c @ np.swapaxes(k1, 1, 2) @ c.T
     return _triples(k, lam, l, form)
@@ -413,63 +433,56 @@ def _assemble_opq_moderate(gp, ipq, p, q):
     return kdbl, lam, k1
 
 
-def _assemble_opq_extreme(gp, ipq, p, q):
-    """Pair the SVD of gp itself via the mirror symmetry: the singular
-    triple for 1/sigma is (left ipq u, right ipq v), so the canonical
-    factor columns are the +-block parts of v and u."""
-    u, s, vt = np.linalg.svd(gp)
-    resolved = _band_rule(s, q)[0]
-    nbig = np.sum(resolved, axis=1)
-    lam = np.where(resolved, np.log(s[:, :q]), 0.0)
-    kdbl, k1 = np.zeros(gp.shape), np.zeros(gp.shape)
-    for big, rows in _groups(nbig):
-        kdbl[rows], k1[rows] = _extreme_factors(gp[rows], u[rows], vt[rows],
-                                                p, q, big)
-    return kdbl, lam, k1
-
-
-def _band_rule(s, r):
-    """(resolved, band) for singular values s (N, n) in descending order:
-    which of the top r clear 1 + band, band = 3e6 eps s_0.  Below it
-    float64 cannot separate an exponent from 0 at that scale, and reading
-    it as 0 perturbs the reconstruction by less than its tolerance."""
-    band = 3e6 * np.finfo(float).eps * s[:, 0]
-    return s[:, :r] >= 1.0 + band[:, None], band
-
-
 def _normalize(vectors):
     return vectors / np.sqrt(_dot(vectors, vectors))[..., None]
 
 
 def _extreme_factors(gp, u, vt, p, q, nbig):
     """kak_opq's compact factors past the moderate norm, for a stack
-    whose first ``nbig`` exponents are resolved."""
-    n, big = p + q, list(range(nbig))
+    whose first ``nbig`` exponents are resolved: the singular triple of
+    gp for 1/sigma is (ipq u, ipq v), so the canonical factor columns
+    are the +-block parts of v and u."""
+    big = list(range(nbig))
     k1pp = _complete_orthogonal(_normalize(vt[:, :nbig, :p]), big, p)
     k1qq = _complete_orthogonal(_normalize(vt[:, :nbig, p:]), big, q)
     k1 = np.zeros(gp.shape)
     k1[:, :p, :p] = k1pp
     k1[:, p:, p:] = k1qq
 
-    # pool slots act by the identity exponent; recover their left images
-    # from gp where resolvable, falling back to orthogonal completion
+    # pool slots act by the identity exponent; their left columns are
+    # the images of k1's under gp
     left = np.swapaxes(u[:, :, :nbig], 1, 2)
     kdbl = np.zeros(gp.shape)
-    for blk, right, slots in ((slice(0, p), k1pp, range(nbig, p)),
-                              (slice(p, n), k1qq, range(nbig, q))):
-        # (rows, known slots, their vectors) per pattern of kept slots
-        groups = [(np.arange(len(gp)), big,
-                   _normalize(np.ascontiguousarray(left[:, :, blk])))]
-        for slot in slots:
+    for blk, right in ((slice(0, p), k1pp), (slice(p, p + q), k1qq)):
+        size = blk.stop - blk.start
+
+        def image(slot):
             x = np.zeros(gp.shape[:2])
             x[:, blk] = right[:, :, slot]
-            img = _matvec(gp, x)[:, blk]
-            groups = [part for rows, known, vecs in groups
-                      for part in _try_add_column(rows, known, vecs, slot, img[rows])]
-        size = blk.stop - blk.start
-        for rows, known, vecs in groups:
-            kdbl[rows, blk, blk] = _complete_orthogonal(vecs, known, size)
+            return _matvec(gp, x)[:, blk]
+
+        kdbl[:, blk, blk] = _pool_factor(
+            big, _normalize(np.ascontiguousarray(left[:, :, blk])),
+            range(nbig, size), image, size)
     return kdbl, k1
+
+
+def _pool_factor(known, vecs, slots, image, size):
+    """Orthogonal matrices (N, size, size) whose columns ``known`` are
+    the orthonormal vectors ``vecs`` (N, len(known), size).  Each pool
+    slot in turn takes the Gram-Schmidt image ``image(slot)`` (N, size)
+    where that is resolvable; the other columns are completed
+    orthogonally."""
+    # (rows, known slots, their vectors) per pattern of kept slots
+    groups = [(np.arange(len(vecs)), known, vecs)]
+    for slot in slots:
+        img = image(slot)
+        groups = [part for rows, kept, v in groups
+                  for part in _try_add_column(rows, kept, v, slot, img[rows])]
+    out = np.zeros((len(vecs), size, size))
+    for rows, kept, v in groups:
+        out[rows] = _complete_orthogonal(v, kept, size)
+    return out
 
 
 def _try_add_column(rows, known, vecs, slot, img):
@@ -534,11 +547,7 @@ def kak_onC(g, form):
 
 def _kak_onC(g, form):
     n, m = form.n, form.n // 2
-    _check_form_input(g, form)
-    t = complex_pm_basis(n)
-    gs = t.conj().T @ g @ t
-    u, s, vh = np.linalg.svd(gs)
-    resolved = _band_rule(s, m)[0]
+    t, gs, u, s, vh, resolved = _front(g, form)
     lam = np.where(resolved, np.log(s[:, :m]), 0.0)
     kss, rot = np.zeros(g.shape), np.zeros(g.shape)
     for big, rows in _groups(np.sum(resolved, axis=1)):
@@ -570,15 +579,9 @@ def _onC_factors(gs, u, vh, nbig):
     rot = _complete_orthogonal(slot_columns(vh[:, :nbig].conj()), big, n)
     # pool slots act by the identity exponent: their left columns are
     # the real images of rot's, where resolvable
-    groups = [(np.arange(len(gs)), big,
-               slot_columns(np.swapaxes(u[:, :, :nbig], 1, 2)))]
-    for slot in sorted(set(range(n)) - set(big)):
-        img = np.real(_matvec(gs, rot[:, :, slot]))
-        groups = [part for rows, known, vecs in groups
-                  for part in _try_add_column(rows, known, vecs, slot, img[rows])]
-    kss = np.zeros(gs.shape)
-    for rows, known, vecs in groups:
-        kss[rows] = _complete_orthogonal(vecs, known, n)
+    kss = _pool_factor(big, slot_columns(np.swapaxes(u[:, :, :nbig], 1, 2)),
+                       sorted(set(range(n)) - set(big)),
+                       lambda slot: np.real(_matvec(gs, rot[:, :, slot])), n)
     return kss, rot
 
 
@@ -625,19 +628,15 @@ SCREEN_MARGIN = 1e-9
 # is below 11 on random O(2,1), O(3,2), O(4,2), O(3,3), O(5,3) elements
 # at exponents up to 40 and on the preset balls
 _SCREEN_GROWTH = 100.0
-# relative distance from a scale-rule threshold below which the batch
-# cannot tell which side kak's own norm lands on
-_THRESHOLD_WIDTH = 1e-9
 
 
 @dataclass(frozen=True)
 class MuBatch:
-    """Cartan projections of a stack of matrices from one stacked SVD.
+    """Cartan projections of a stack of matrices from kak's own SVD.
 
     ``mu`` (N, r) is in kak's chamber order, and ``margin`` (N, r)
-    bounds |mu - kak(g).mu| entrywise: it is 0 where kak's band rule
-    surely reads 0, and inf where the batch cannot tell which side of a
-    scale-rule threshold kak's own norms land on.  ``u`` holds the left
+    bounds |mu - kak(g).mu| entrywise: it is 0 (the same bits) except on
+    opq's moderate rows, where kak squares g.  ``u`` holds the left
     singular vectors in descending order: (N, n, n) for gl and opq, and
     for onC (N, 2n, 2n) realified in xi_theta's order.  ``frames(i)``
     spans the i-plane that xi_theta reads off ``kak(g).k``; where the
@@ -654,7 +653,7 @@ class MuBatch:
     def gaps(self, rs):
         """(gaps, slack): (N, rank) pairings of mu with the simple roots,
         in root order, and bounds on their distance from mu_gaps of kak
-        (0 where both are exactly 0)."""
+        (0 where the gaps are kak's own bits)."""
         r = self.mu.shape[1]
         _check_root_system(self, r, rs)
         if self.group_tag == "gl":
@@ -677,68 +676,36 @@ class MuBatch:
 
 
 def cartan_mu_batch(mats, form=None):
-    """mu of every matrix of an (N, n, n) stack from one stacked SVD,
-    in the group that ``form`` picks.
+    """mu of every matrix of an (N, n, n) stack, in the group that
+    ``form`` picks, from the stacked SVD that kak starts from (its input
+    checks raise kak's ValueError for the first offending matrix).
 
-    The input checks of kak run on the whole stack and raise kak's
-    ValueError for the first offending matrix.  For opq past spectral
-    norm 1e6, and for onC at every scale, kak's band rule is applied:
-    exponents whose singular value is below 1 + band read 0.  kak_opq
-    squares g below that norm, so there its error grows with
-    (s_0 / s_{q-1})^2; above it, for onC and for gl, kak works from the
-    same SVD and the error grows with s_0 / s_m, s_m the smallest
-    singular value that enters mu.  See MuBatch.
+    Where kak reads mu off that SVD (gl, onC, and opq past spectral norm
+    1e6, under kak's band rule) the batch's mu is kak's, bit for bit.
+    kak_opq squares g below that norm, so there the error grows with
+    (s_0 / s_{q-1})^2.  The flags of gl and opq are bounded with a growth
+    of s_0 / s_m, s_m the smallest singular value that enters mu.  See
+    MuBatch.
     """
     tag = tag_of(form)
     mats = np.asarray(mats, dtype=complex if tag == "onC" else float)
-    n = mats.shape[-1] if tag == "gl" else form.n
-    if mats.ndim != 3 or mats.shape[1:] != (n, n):
-        raise ValueError(f"expected a stack of {n}x{n} matrices")
-    eps = np.finfo(float).eps
-    finite = np.all(np.isfinite(mats), axis=(1, 2))
-    # non-finite matrices are offenders; the identity stands in for them
-    # so that the SVD runs (LAPACK does not return on infinite entries)
-    g = mats if finite.all() else np.where(finite[:, None, None], mats, np.eye(n))
-    if tag == "gl":
-        # kak_gl: finite entries, then invertibility
-        u, s = np.linalg.svd(g)[:2]
-        kak_gl(mats[~finite | ~(s[:, -1] > 0)])
-        bound = SCREEN_MARGIN + _SCREEN_GROWTH * eps * s[:, 0] / s[:, -1]
-        return MuBatch(tag, np.log(s),
-                       np.repeat(bound[:, None], n, axis=1), u, bound)
-
-    gram = form.gram
-    r, c = (form.q, witt_pm_basis(form.p, form.q)) if tag == "opq" else \
-        (n // 2, complex_pm_basis(n))
-    u, s = np.linalg.svd(c.conj().T @ g @ c)[:2]
+    b, _, u, s, _, resolved = _front(mats, form)
+    r = resolved.shape[1]
     s0 = s[:, 0]
-    # kak's form check with a factor 2 of slack for rounding; the
-    # suspects go through its exact check
-    defect = np.linalg.norm(np.swapaxes(g, 1, 2) @ gram @ g - gram, 2,
-                            axis=(1, 2))
-    scale = np.maximum(1.0, s0 ** 2) * max(1.0, np.linalg.norm(gram, 2))
-    _check_form_input(mats[~finite | (defect > 0.5 * FORM_PRESERVATION_TOL * scale)],
-                      form)
-
-    # onC has one path, kak_opq's extreme one
-    extreme = (tag == "onC") | (s0 > _MODERATE_NORM)
-    banded, band = _band_rule(s, r)
-    top = s[:, :r]
-    resolved = ~extreme[:, None] | banded
-    mu = np.where(resolved, np.log(top), 0.0)
-    near = (tag == "opq") & (np.abs(s0 - _MODERATE_NORM) <=
-                             _THRESHOLD_WIDTH * _MODERATE_NORM)
-    near |= extreme & np.any(np.abs(top - (1.0 + band[:, None])) <=
-                             _THRESHOLD_WIDTH * (1.0 + band[:, None]), axis=1)
-    smallest = s[np.arange(len(s)), np.maximum(np.sum(resolved, axis=1), 1) - 1]
-    ratio = s0 / smallest
-    kappa = np.where(extreme, ratio, np.maximum(s0, ratio ** 2))
-    bound = np.where(near, np.inf, SCREEN_MARGIN + _SCREEN_GROWTH * eps * kappa)
-    exact = ~resolved & ~near[:, None]
-    # no bound is known for onC's realified flags
-    return MuBatch(tag, mu, np.where(exact, 0.0, bound[:, None]),
-                   c @ u if tag == "opq" else _realify(c @ u),
-                   bound if tag == "opq" else np.full(len(s), np.inf))
+    moderate = (tag == "opq") & (s0 <= _MODERATE_NORM)
+    # kak_opq's squared path reads no exponent as 0
+    resolved |= moderate[:, None]
+    mu = np.where(resolved, np.log(s[:, :r]), 0.0)
+    # s_m, the smallest singular value that enters mu
+    m = np.maximum(np.sum(resolved, axis=1), 1)
+    ratio = s0 / s[np.arange(len(s)), m - 1]
+    with np.errstate(over="ignore"):    # the square is kept only below 1e6
+        kappa = np.where(moderate, np.maximum(s0, ratio ** 2), ratio)
+    bound = SCREEN_MARGIN + _SCREEN_GROWTH * np.finfo(float).eps * kappa
+    margin = np.repeat(np.where(moderate, bound, 0.0)[:, None], r, axis=1)
+    if tag == "onC":    # no bound is known for its realified flags
+        return MuBatch(tag, mu, margin, _realify(b @ u), np.full(len(s), np.inf))
+    return MuBatch(tag, mu, margin, u if b is None else b @ u, bound)
 
 
 def _theta_to_plane_dim(theta, form):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -415,16 +416,31 @@ def flag_thetas(rs, form):
 
 def assert_batch_matches_kak(mats, form=None, flag_tol=np.inf):
     """cartan_mu_batch against kak and xi_theta, element by element: mu
-    and flags within the reported margins, within 1e-12 wherever the
-    margin is at its floor, and flags within flag_tol."""
+    bit for bit with margin 0 except on kak_opq's squared path (spectral
+    norm up to 1e6), and within the finite margin there; flags within
+    the reported margins, within 1e-12 wherever the margin is at its
+    floor, and within flag_tol."""
     rs = _group_setup(form, mats.shape[-1])
     batch = cartan_mu_batch(mats, form)
+    assert np.all(np.isfinite(batch.margin))
+    approx, slack = batch.gaps(rs)
     tight = SCREEN_MARGIN + 1e-12
     for j, g in enumerate(mats):
         dec = kak(g, form)
         diff = np.abs(batch.mu[j] - dec.mu.values)
         assert np.all(diff <= batch.margin[j]), (j, diff, batch.margin[j])
         assert np.all(diff[batch.margin[j] <= tight] <= 1e-12)
+        zero = slack[j] == 0
+        exact = np.array(list(mu_gaps(dec.mu, rs).values()))[zero]
+        assert np.array_equal(approx[j][zero], exact)
+        # which side of 1e6 kak's own s_0 lands on is left to the test
+        # of the threshold
+        norm = np.linalg.norm(g, 2)
+        if form is None or form.is_complex or norm > 1e6 * (1 + 1e-12):
+            assert not np.any(batch.margin[j])
+            assert batch.mu[j].tobytes() == dec.mu.values.tobytes()
+        elif norm < 1e6 * (1 - 1e-12):
+            assert np.all(batch.margin[j] > 0)
         gaps = mu_gaps(dec.mu, rs)
         for th in flag_thetas(rs, form):
             if min(gaps[a] for a in th.members) <= 1.0:
@@ -447,28 +463,28 @@ def test_mu_batch_matches_kak_on_balls():
                           (lambda: (make_witt_form(3, 2), pingpong_o32(0)), 5)):
         form, gens = setup()
         ball = enumerate_ball(gens, radius)
-        batch = assert_batch_matches_kak(ball.matrices, form)
-        assert np.all(np.isfinite(batch.margin))
+        assert_batch_matches_kak(ball.matrices, form)
 
 
 def test_mu_batch_matches_kak_on_onC_balls():
     """onC's batch takes kak_onC's SVD and band rule: the same mu bit for
-    bit, and frames that span kak's flags, for which it claims no
-    bound."""
+    bit with margin 0, and frames that span kak's flags, for which it
+    claims no bound."""
     from anoctl.words import enumerate_ball
     form = make_witt_form(2, 1, "complex")
     for setup, radius in ((schottky_o21, 4), (mixed_o21, 5)):
         ball = enumerate_ball(setup()[1], radius)
         # measured up to 1.9e-15
         batch = assert_batch_matches_kak(ball.matrices, form, flag_tol=1e-12)
-        # only elements within 1e-9 of kak's band, here those of norm
-        # about 1, are left undecided
-        norms = np.linalg.norm(ball.matrices, 2, axis=(1, 2))
-        assert np.all(np.isfinite(batch.margin[norms > 2.0]))
         assert np.all(np.isinf(batch.flag_margin))
-        mus = np.array([t.mu.values for t in kak(ball.matrices, form)])
-        assert batch.mu.tobytes() == mus.tobytes()
         assert batch.frames(1).shape == (len(ball), 6, 2)
+    # elements of norm about 1 sit within a relative 1e-9 of the band
+    # rule's threshold, and are decided as kak decides them
+    ball = enumerate_ball(mixed_o21()[1], 6)
+    batch = cartan_mu_batch(ball.matrices, form)
+    assert not np.any(batch.margin)
+    mus = np.array([t.mu.values for t in kak(ball.matrices, form)])
+    assert batch.mu.tobytes() == mus.tobytes()
 
 
 def opq_element(form, lams, seed):
@@ -516,23 +532,57 @@ def test_mu_batch_parity_gl(n, spread, seed):
     assert_batch_matches_kak(g[None])
 
 
-def test_mu_batch_leaves_scale_thresholds_undecided():
+def test_mu_batch_is_exact_at_the_scale_thresholds():
+    """Where kak's own SVD is at its path switch or its band rule, the
+    batch takes the same side: margin 0 and kak's bits off the squared
+    path, a finite margin on it."""
     form = make_witt_form(3, 2)
-    at_switch = opq_chamber(form, [np.log(1e6), 1.0])
-    below = opq_chamber(form, [np.log(1e6) - 1e-3, 1.0])
-    batch = cartan_mu_batch(np.stack([at_switch, below]), form)
-    assert np.all(np.isinf(batch.margin[0])) and np.isinf(batch.flag_margin[0])
-    assert np.all(np.isfinite(batch.margin[1]))
+    c = witt_pm_basis(3, 2)
     band = 3e6 * np.finfo(float).eps * np.exp(30.0)
-    at_band = opq_chamber(form, [30.0, np.log1p(band)])
-    assert np.isinf(cartan_mu_batch(at_band[None], form).margin[0, 1])
-    # an exponent that the band rule zeroes is exact
-    g = opq_chamber(form, [30.0, 1e-3])
-    tiny = cartan_mu_batch(g[None], form)
-    assert tiny.mu[0, 1] == 0.0 == kak_opq(g, form).mu.values[1]
-    assert tiny.margin[0, 1] == 0.0
-    # every gap of an undecided element is undecided (no 0 * inf = nan)
-    assert np.all(np.isinf(batch.gaps(build_root_system("B", 2))[1][0]))
+    # spectral norm 1e6 (exactly, up to rounding), a second singular value
+    # at 1 + band, and an exponent below the band, where the squared path
+    # (norm 100) reads its log and the SVD path 0
+    mats = np.stack([opq_chamber(form, [np.log(1e6), 1.0])] +
+                    [opq_element(form, [np.log(1e6) + d, 1.0], 0)
+                     for d in (-2e-16, 0.0, 2e-16, 1e-15)] +
+                    [opq_element(form, [np.log(100.0), 5e-8], 0)] +
+                    [opq_element(form, [30.0, np.log1p(band)], seed)
+                     for seed in range(3)] +
+                    [opq_chamber(form, [30.0, 1e-3])])
+    batch = assert_batch_matches_kak(mats, form)
+    decs = kak(mats, form)
+    squared = np.linalg.svd(c.T @ mats @ c)[1][:, 0] <= 1e6
+    assert squared.any() and not squared.all()
+    for j, dec in enumerate(decs):
+        if squared[j]:
+            assert np.all(np.isfinite(batch.margin[j]) & (batch.margin[j] > 0))
+        else:
+            assert not np.any(batch.margin[j])
+            assert batch.mu[j].tobytes() == dec.mu.values.tobytes()
+    assert batch.mu[-1, 1] == 0.0
+    # a batch whose margins are inf settles no gap (no 0 * inf = nan)
+    blind = dataclasses.replace(batch, margin=np.full_like(batch.margin, np.inf))
+    assert np.all(np.isinf(blind.gaps(build_root_system("B", 2))[1]))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_form_check_does_not_overflow(field):
+    """The form check compares |g^T G g - G| with 1e-8 |g|^2 on scaled
+    operands: 1e200 I fails it and diag(1e200, 1, 1e-200) passes, both
+    without a numpy warning."""
+    form = make_witt_form(2, 1, field)
+    member = np.diag([1e200, 1.0, 1e-200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda g: kak(g, form), lambda g: cartan_mu_batch(g[None], form)):
+            with pytest.raises(ValueError, match="does not preserve the form"):
+                call(1e200 * np.eye(3))
+        dec = kak(member, form)
+        batch = cartan_mu_batch(member[None], form)
+    assert dec.mu.values[0] == pytest.approx(200 * np.log(10.0), rel=1e-15)
+    assert batch.mu[0].tobytes() == dec.mu.values.tobytes()
+    assert not np.any(batch.margin)
+    assert np.linalg.norm(dec.reconstruct() - member, 2) <= 1e-9 * 1e200
 
 
 def kak_error(g, form=None):

@@ -19,7 +19,7 @@ from test_cli import pingpong_o32
 
 def switching_pair():
     """An O(3,2) pair whose cube a^3 sits at spectral norm 1e6, where
-    kak_opq switches paths, so the screen must leave it undecided."""
+    kak_opq switches paths, so the screen must take kak's side."""
     form = make_witt_form(3, 2)
     a = opq_chamber(form, [np.log(1e6) / 3, 0.5])
     k = random_opq_K(np.random.default_rng(3), 3, 2)
