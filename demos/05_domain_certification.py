@@ -32,10 +32,11 @@ print("boundary:", in_Xbar(Frame.standard(3, [0]), form))
 ball = enumerate_ball(gens, 6)
 sample = sample_limit_set(ball, theta, form, min_gap=1.0)
 
-rng = np.random.default_rng(1)
+# The sampler is an endless stream of points of the compactification.
+points = gaussian_domain_sampler(form, np.random.default_rng(1))
 interior = []
 while len(interior) < 200:
-    pt = gaussian_domain_sampler(form, rng)
+    pt = next(points)
     if pt.is_interior:
         interior.append(pt)
 hits = sum(in_bad_set(pt, sample)[0] for pt in interior)

@@ -80,6 +80,8 @@ class RunConfig:
         for name in ("samples", "scan_points", "expansion_flags"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {self.cap}")
 
     def parsed_form(self):
         parts = self.form.split(",")
@@ -305,7 +307,8 @@ def cmd_domain(config):
         raise ValueError("domain check needs a real form")
     theta = ThetaSet(_group_setup(form, gens[0][1].shape[0]), frozenset({1}))
     ball, truncated = _enumerate(config, gens)
-    rng = config.rng()
+    # one stream feeds the interior points, then the coverage trials
+    points = gaussian_domain_sampler(form, config.rng(), config.tol)
 
     try:
         sample = sample_limit_set(ball, theta, form, min_gap=config.min_gap)
@@ -316,7 +319,7 @@ def cmd_domain(config):
     attempts = 0
     while len(interior) < config.samples and attempts < 50 * config.samples:
         attempts += 1
-        pt = gaussian_domain_sampler(form, rng, config.tol)
+        pt = next(points)
         if pt.is_interior:
             interior.append(pt)
 
@@ -361,10 +364,8 @@ def cmd_domain(config):
         })
 
     core = [_base_point(form)]
-    curve = orbit_coverage(core, ball,
-                           lambda: gaussian_domain_sampler(form, rng, config.tol),
-                           trials=min(config.samples, 100), sample=sample,
-                           d_core=0.3)
+    curve = orbit_coverage(core, ball, points, trials=min(config.samples, 100),
+                           sample=sample, d_core=0.3)
     report["coverage_curve"] = [
         {"margin": m, "fraction": (None if np.isnan(f) else f), "count": c}
         for m, f, c in zip(curve.margins, curve.fractions, curve.counts)]

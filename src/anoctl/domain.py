@@ -14,7 +14,7 @@ properness scan reports flags, never a boolean theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -261,34 +261,25 @@ def _lines(v, draws, max_angle):
 def _draw_grid(rng, v, max_angle, q, grid):
     """One grid's pairs (W, L), drawn in the order of a pair-by-pair
     loop: per pair a near line, q - 1 extra columns when q > 1, and the
-    line L, except that a W that drops rank is skipped before L is
-    drawn.  A rank drop is only seen after the stacked SVD, so the grid
-    is then redrawn from its start state with that pair skipped.
-    Returns the full-rank planes (m, n, q) and their lines (m, n, 1)."""
+    line L.  The planes take one stacked SVD, and the pairs whose W
+    drops rank are left out.  Returns the full-rank planes (m, n, q)
+    and their lines (m, n, 1)."""
     n = v.shape[0]
-    state = rng.bit_generator.state
-    skipped = set()
-    while True:
-        near, extra, lines = [], [], []
-        for i in range(grid):
-            near.append(_line_draw(rng, n))
-            if q > 1:
-                extra.append(rng.standard_normal((n, q - 1)))
-            if i not in skipped:
-                lines.append(_line_draw(rng, n))
-        spans = _lines(v, near, max_angle)
+    near, extra, lines = [], [], []
+    for _ in range(grid):
+        near.append(_line_draw(rng, n))
         if q > 1:
-            spans = np.concatenate(
-                [spans, np.reshape(extra, (-1, n, q - 1))], axis=-1)
-        # W's SVD re-spans the near line's orthonormal column when q = 1;
-        # dropping it would move the factors in the last bit
-        planes, ranks = orthonormalize(spans)
-        drops = [i for i in np.flatnonzero(ranks < q) if i not in skipped]
-        if not drops:
-            break
-        skipped.add(drops[0])
-        rng.bit_generator.state = state
-    return planes[ranks == q], _lines(v, lines, max_angle)
+            extra.append(rng.standard_normal((n, q - 1)))
+        lines.append(_line_draw(rng, n))
+    spans = _lines(v, near, max_angle)
+    if q > 1:
+        spans = np.concatenate(
+            [spans, np.reshape(extra, (-1, n, q - 1))], axis=-1)
+    # W's SVD re-spans the near line's orthonormal column when q = 1;
+    # dropping it would move the factors in the last bit
+    planes, ranks = orthonormalize(spans)
+    full = ranks == q
+    return planes[full], _lines(v, lines, max_angle)[full]
 
 
 DEFAULT_EXPANSION_RADII = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
@@ -309,11 +300,11 @@ def expansion_certificate(flag, ray, ball, c, q=1, grid=8, rng=None,
     record with the best factor found.
 
     Each (word, radius) grid is one batch: its pairs are drawn one by
-    one, in the order and with the rng calls of a pair-by-pair loop, and
-    then measured with one stacked SVD per kind of frame and one
-    ``principal_sines`` call each before and after ``word``.  The factors,
-    the pair count and the rng's final state are bit for bit those of
-    the pair-by-pair loop.
+    one, in the order and with the rng calls of a pair-by-pair loop that
+    draws L for every pair, and then measured with one stacked SVD per
+    kind of frame and one ``principal_sines`` call each before and after
+    ``word``.  The factors, the pair count and the rng's final state are
+    bit for bit those of that pair-by-pair loop.
     """
     if c <= 0:
         raise ValueError("c must be positive")
@@ -371,37 +362,40 @@ SAMPLER_BLOCK = 32
 
 
 def gaussian_domain_sampler(form, rng, tol=MEMBERSHIP_TOL, max_tries=5000):
-    """Uniform-frame sampler rejected onto the compactification: frames
-    from orthonormalized Gaussian matrices, accepted when nonpositive.
+    """Uniform-frame sampler rejected onto the compactification: an
+    endless stream of the nonpositive frames of orthonormalized Gaussian
+    matrices, which raises RuntimeError after max_tries rejected tries
+    in a row.
 
-    Tries are decided SAMPLER_BLOCK at a time, with one stacked SVD,
-    restriction and ``eigvalsh``, each slice bit for bit the one-try
-    value, and with in_Xbar's own rule (``_positive_part``).  The rng is
-    then rewound and advanced by exactly the tries up to the first
-    accepted one, and that frame goes through ``in_Xbar``, so the point
-    and the rng's final state are those of a try-by-try loop.  This
-    relies on in_Xbar accepting that frame: a rejection there would
-    raise out of the sampler where the try-by-try loop went on."""
+    Tries are drawn and decided SAMPLER_BLOCK at a time, with one
+    stacked SVD, restriction and ``eigvalsh``, each slice bit for bit
+    the one-try value, and with in_Xbar's own rule (``_positive_part``).
+    Each accepted try goes, in order, through ``in_Xbar`` on the columns
+    that ``orthonormalize`` shares with ``Frame.from_spanning``, so the
+    points are a try-by-try loop's (as long as in_Xbar accepts them)."""
     n, q = form.n, form.q
-    for start in range(0, max_tries, SAMPLER_BLOCK):
-        state = rng.bit_generator.state
-        size = min(SAMPLER_BLOCK, max_tries - start)
-        frames, ranks = orthonormalize(rng.standard_normal((size, n, q)))
+    rejected = 0
+    while True:
+        frames, ranks = orthonormalize(rng.standard_normal((SAMPLER_BLOCK, n, q)))
         positive = _positive_part(restrict(form, frames), tol, form.gram_norm)[1]
         # a frame short of q columns is decided too: in_Xbar raises the
         # ValueError the try-by-try loop raised
-        decided = np.flatnonzero((ranks < q) | ~positive)
-        if decided.size:
-            rng.bit_generator.state = state
-            tries = rng.standard_normal((decided[0] + 1, n, q))
-            return in_Xbar(Frame.from_spanning(tries[-1]), form, tol)
-    raise RuntimeError("rejection sampling failed")
+        for frame, rank, accept in zip(frames, ranks, (ranks < q) | ~positive):
+            if rejected >= max_tries:
+                raise RuntimeError("rejection sampling failed")
+            if accept:
+                rejected = 0
+                yield in_Xbar(Frame(frame[:, :rank]), form, tol)
+            else:
+                rejected += 1
 
 
-def orbit_coverage(core, ball, domain_sampler, trials, sample=None,
+def orbit_coverage(core, ball, points, trials, sample=None,
                    d_core=0.1, margins=(0.3, 0.1, 0.03, 0.01)):
-    """Fraction of sampled domain points moved within d_core of the core
-    by some ball element, reported as a curve over bad-set margins.
+    """Fraction of the first ``trials`` domain points (CompactPoints or
+    Frames) that the iterable ``points`` yields moved within d_core of
+    the core by some ball element, reported as a curve over bad-set
+    margins.
 
     With a limit sample, points are bucketed by their bad-set distance
     and the fraction is computed among points at margin at least m; the
@@ -416,8 +410,7 @@ def orbit_coverage(core, ball, domain_sampler, trials, sample=None,
     """
     core_frames = [p.frame if isinstance(p, CompactPoint) else p for p in core]
     kept, covered = [], []
-    for _ in range(trials):
-        pt = domain_sampler()
+    for pt in islice(points, trials):
         frame = pt.frame if isinstance(pt, CompactPoint) else pt
         if sample is None:
             kept.append([True] * len(margins))

@@ -198,10 +198,10 @@ def test_criterion_7_schottky_pipeline(schottky_pipeline):
     assert trans.margin > 1e-3
 
     # (c) interior points avoid the bad set
-    rng = np.random.default_rng(RNG_SEED + 3)
+    stream = gaussian_domain_sampler(form, np.random.default_rng(RNG_SEED + 3))
     interior = []
     while len(interior) < 1000:
-        pt = gaussian_domain_sampler(form, rng)
+        pt = next(stream)
         if pt.is_interior:
             interior.append(pt)
     hits = sum(in_bad_set(pt, sample)[0] for pt in interior)
@@ -233,10 +233,10 @@ def test_criterion_8_negative_control():
     rs = build_root_system("B", 1)
     theta = ThetaSet(rs, frozenset({1}))
     sample = sample_limit_set(ball, theta, form, min_gap=1.0)
-    rng = np.random.default_rng(RNG_SEED + 5)
+    stream = gaussian_domain_sampler(form, np.random.default_rng(RNG_SEED + 5))
     interior = []
     while len(interior) < 100:
-        pt = gaussian_domain_sampler(form, rng)
+        pt = next(stream)
         if pt.is_interior and not in_bad_set(pt, sample)[0]:
             interior.append(pt)
     flags = dynamical_relation_scan(interior, ball, sample, tol=1e-3)

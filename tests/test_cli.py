@@ -223,6 +223,7 @@ def test_unknown_config_key_rejected(tmp_path):
     ("min_gap", "nan"), ("min_gap", "inf"),
     ("expansion_factor", "nan"), ("expansion_factor", "inf"),
     ("samples", "-1"), ("scan_points", "-5"), ("expansion_flags", "-1"),
+    ("cap", "-1"), ("cap", "0"),
 ])
 def test_malformed_option_exits_2(tmp_path, capsys, option, value):
     cfg = tmp_path / "run.cfg"

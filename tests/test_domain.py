@@ -67,8 +67,8 @@ def test_interior_preserved_by_group(rng):
     # stratum-0 points stay stratum 0 under form-preserving elements
     from test_cartan import random_opq
     form = make_witt_form(3, 2)
-    for _ in range(30):
-        pt = gaussian_domain_sampler(form, rng)
+    # the stream and random_opq share the rng
+    for pt in itertools.islice(gaussian_domain_sampler(form, rng), 30):
         if not pt.is_interior:
             continue
         g = random_opq(rng, form)
@@ -119,8 +119,7 @@ def test_complex_in_xbar_rejects_imaginary_part():
 
 def test_interior_points_avoid_bad_set(rng):
     form, gens, ball, sample = schottky_setup()
-    for _ in range(200):
-        pt = gaussian_domain_sampler(form, rng)
+    for pt in itertools.islice(gaussian_domain_sampler(form, rng), 200):
         if pt.is_interior:
             hit, witness = in_bad_set(pt, sample)
             assert not hit and witness is None
@@ -166,8 +165,7 @@ def witt_cone_point(v, form):
 
 def test_intersect_and_contain_agree_for_lines(rng):
     form, gens, ball, sample = schottky_setup()
-    for _ in range(50):
-        pt = gaussian_domain_sampler(form, rng)
+    for pt in itertools.islice(gaussian_domain_sampler(form, rng), 50):
         a = in_bad_set(pt, sample, "intersect", tol=1e-4)[0]
         b = in_bad_set(pt, sample, "contain", tol=1e-4)[0]
         assert a == b
@@ -193,8 +191,7 @@ def test_bad_set_equivariance(rng):
     boost = o21_boost(0.5)
     boost_sample = moved_sample_for(boost)
     distortion = np.exp(2 * 0.5)
-    for _ in range(40):
-        pt = gaussian_domain_sampler(form, rng)
+    for pt in itertools.islice(gaussian_domain_sampler(form, rng), 40):
         hit = in_bad_set(pt, sample, tol=1e-5)[0]
         moved = in_Xbar(Frame.from_spanning(rot @ pt.frame.columns), form)
         assert in_bad_set(moved, rot_sample, tol=1e-5)[0] == hit
@@ -211,7 +208,7 @@ def test_bad_set_equivariance(rng):
 
 def test_scan_schottky_has_no_flags(rng):
     form, gens, ball, sample = schottky_setup()
-    points = [p for p in (gaussian_domain_sampler(form, rng) for _ in range(60))
+    points = [p for p in itertools.islice(gaussian_domain_sampler(form, rng), 60)
               if p.is_interior]
     flags = dynamical_relation_scan(points, ball, sample)
     assert len(flags) == 0
@@ -221,7 +218,7 @@ def test_scan_flags_nondiscrete_control(rng):
     formm, gensm = mixed_o21()
     ballm = enumerate_ball(gensm, 5)
     sample = sample_limit_set(ballm, THETA1, formm, min_gap=1.0)
-    points = [p for p in (gaussian_domain_sampler(formm, rng) for _ in range(40))
+    points = [p for p in itertools.islice(gaussian_domain_sampler(formm, rng), 40)
               if p.is_interior]
     flags = dynamical_relation_scan(points, ballm, sample)
     assert len(flags) >= 1
@@ -298,18 +295,14 @@ def test_orbit_coverage_monotone_in_radius(rng):
     # cover more of them
     form, gens, ball, sample = schottky_setup(radius=4)
     small = enumerate_ball(gens, 1)
-    core = [gaussian_domain_sampler(form, np.random.default_rng(5))
-            for _ in range(3)]
+    core = [next(gaussian_domain_sampler(form, np.random.default_rng(5)))]
 
     def seeded_sampler():
-        r = np.random.default_rng(99)
-        while True:
-            yield gaussian_domain_sampler(form, r)
+        return gaussian_domain_sampler(form, np.random.default_rng(99))
 
-    gen_small, gen_big = seeded_sampler(), seeded_sampler()
-    curve_small = orbit_coverage(core, small, lambda: next(gen_small), 40,
+    curve_small = orbit_coverage(core, small, seeded_sampler(), 40,
                                  sample=sample, d_core=0.3)
-    curve_big = orbit_coverage(core, ball, lambda: next(gen_big), 40,
+    curve_big = orbit_coverage(core, ball, seeded_sampler(), 40,
                                sample=sample, d_core=0.3)
     for fs, fb in zip(curve_small.fractions, curve_big.fractions):
         if not (np.isnan(fs) or np.isnan(fb)):
@@ -318,14 +311,11 @@ def test_orbit_coverage_monotone_in_radius(rng):
 
 def test_orbit_coverage_empty_ball_is_core_fraction(rng):
     form, gens, ball, sample = schottky_setup(radius=4)
-    core = [gaussian_domain_sampler(form, np.random.default_rng(5))]
+    core = [next(gaussian_domain_sampler(form, np.random.default_rng(5)))]
     identity_ball = enumerate_ball(gens, 0)
-
-    def sampler():
-        return gaussian_domain_sampler(form, rng)
-
-    curve = orbit_coverage(core, identity_ball, sampler, 30, sample=sample,
-                           d_core=0.2)
+    curve = orbit_coverage(core, identity_ball,
+                           gaussian_domain_sampler(form, rng), 30,
+                           sample=sample, d_core=0.2)
     # with only the identity, coverage counts points already near the core
     assert all(0.0 <= f <= 1.0 for f in curve.fractions if not np.isnan(f))
 
@@ -341,9 +331,7 @@ def test_stretched_plane_keeps_its_dimension(rng):
     ball = enumerate_ball([("a", g)], 4)
     sample = sample_limit_set(ball, ThetaSet(build_root_system("B", 2),
                                              frozenset({1})), form)
-    pt = gaussian_domain_sampler(form, rng)
-    while not pt.is_interior:
-        pt = gaussian_domain_sampler(form, rng)
+    pt = next(p for p in gaussian_domain_sampler(form, rng) if p.is_interior)
     moved = {w: np.linalg.qr(m @ pt.frame.columns)[0]
              for w, m, _ in ball.elements}
     a4 = ball.matrix("aaaa")
@@ -351,8 +339,8 @@ def test_stretched_plane_keeps_its_dimension(rng):
 
     # the core is the image of the point under a^4, so every trial hits
     core = Frame(moved["aaaa"])
-    curve = orbit_coverage([core], ball, lambda: pt, 3, sample=sample,
-                           d_core=1e-6)
+    curve = orbit_coverage([core], ball, itertools.repeat(pt), 3,
+                           sample=sample, d_core=1e-6)
     assert curve.fractions[0] == 1.0 and curve.counts[0] == 3
 
     # at tolerance 0 every pushed point is flagged with its residual
@@ -374,7 +362,7 @@ def test_scan_residuals_equal_per_point_bad_set_distance(rng):
     ball = enumerate_ball([("a", g)], 4)
     sample = sample_limit_set(ball, ThetaSet(build_root_system("B", 2),
                                              frozenset({1})), form)
-    points = [p for p in (gaussian_domain_sampler(form, rng) for _ in range(12))
+    points = [p for p in itertools.islice(gaussian_domain_sampler(form, rng), 12)
               if p.is_interior]
     flags = dynamical_relation_scan(points, ball, sample, tol=0.0,
                                     min_word_length=1)
@@ -445,10 +433,10 @@ def test_scan_matches_per_hit_loop_on_mixed_o21_lines():
     form, gens = mixed_o21()
     ball = enumerate_ball(gens, 5)
     sample = sample_limit_set(ball, THETA1, form, min_gap=1.0)
-    rng = np.random.default_rng(0)
+    stream = gaussian_domain_sampler(form, np.random.default_rng(0))
     points = []
     while len(points) < 100:
-        pt = gaussian_domain_sampler(form, rng)
+        pt = next(stream)
         if pt.is_interior and not in_bad_set(pt, sample, "intersect")[0]:
             points.append(pt)
     flags = assert_scan_matches_per_hit_loop(points, ball, sample)
@@ -463,7 +451,7 @@ def test_scan_matches_per_hit_loop_on_o32_planes(rng):
     ball = enumerate_ball(gens, 3)
     sample = sample_limit_set(ball, ThetaSet(build_root_system("B", 2),
                                              frozenset({1})), form)
-    points = [p for p in (gaussian_domain_sampler(form, rng) for _ in range(30))
+    points = [p for p in itertools.islice(gaussian_domain_sampler(form, rng), 30)
               if p.is_interior]
     assert points[0].frame.k == 2
     for tol in (0.0, 1e-4, ACCUMULATION_TOL):

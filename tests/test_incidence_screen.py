@@ -4,6 +4,7 @@ the full-stack principal_sines rule of in_bad_set and the push-forward
 loop of orbit_coverage, kept here as the references."""
 
 from functools import lru_cache
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,14 +42,13 @@ def reference_in_bad_set(point, sample, variant="intersect", tol=domain.BAD_SET_
         else (False, None)
 
 
-def reference_orbit_coverage(core, ball, domain_sampler, trials, sample=None,
+def reference_orbit_coverage(core, ball, stream, trials, sample=None,
                              d_core=0.1, margins=MARGINS):
     """orbit_coverage before the screen: bad_set_distance for the buckets
     and the whole ball pushed forward once per trial."""
     core_frames = [p.frame if isinstance(p, CompactPoint) else p for p in core]
     residuals, covered = [], []
-    for _ in range(trials):
-        pt = domain_sampler()
+    for pt in islice(stream, trials):
         frame = pt.frame if isinstance(pt, CompactPoint) else pt
         resid = bad_set_distance(frame, sample) if sample is not None else np.inf
         moved = push_forward(ball.matrices, frame.columns)
@@ -85,8 +85,7 @@ def ulps(value, count=2):
 
 
 def points(form, seed, count):
-    rng = np.random.default_rng(seed)
-    return [gaussian_domain_sampler(form, rng) for _ in range(count)]
+    return list(islice(seeded(form, seed), count))
 
 
 def sample_near(plane, k, rng, count=60):
@@ -192,8 +191,7 @@ CASES = ["schottky-o21", "mixed-o21", "pingpong", "huge"]
 
 
 def seeded(form, seed):
-    rng = np.random.default_rng(seed)
-    return lambda: gaussian_domain_sampler(form, rng)
+    return gaussian_domain_sampler(form, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("d_core", [1e-6, 0.1, 0.3])
@@ -221,8 +219,8 @@ def test_orbit_coverage_at_d_core_and_the_margins(name):
         resid = bad_set_distance(pt.frame, sample)
         for d_core in ulps(nearest):
             margins = tuple(ulps(resid))
-            got = curve(orbit_coverage(core, ball, lambda: pt, 1, sample, d_core, margins))
-            expected = reference_orbit_coverage(core, ball, lambda: pt, 1, sample,
+            got = curve(orbit_coverage(core, ball, [pt], 1, sample, d_core, margins))
+            expected = reference_orbit_coverage(core, ball, [pt], 1, sample,
                                                 d_core, margins)
             assert same_curve(got, expected)
             decided.add((tuple(got[1]), tuple(got[2])))

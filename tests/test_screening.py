@@ -80,10 +80,10 @@ def kak_calls(monkeypatch):
 
 
 def domain_points(form, sample, count=8, seed=0):
-    rng = np.random.default_rng(seed)
+    stream = gaussian_domain_sampler(form, np.random.default_rng(seed))
     points = []
     while len(points) < count:
-        pt = gaussian_domain_sampler(form, rng)
+        pt = next(stream)
         if pt.is_interior and not in_bad_set(pt, sample, "intersect", 1e-9)[0]:
             points.append(pt)
     return points
