@@ -46,5 +46,5 @@ print("\nO(2,1) hyperbolic element, flag of h^n vs eigenline:")
 for n in (1, 3, 6, 10):
     flag = xi_theta(np.linalg.matrix_power(h, n), theta, form)
     from anoctl.forms import Frame
-    d = dist_projective(flag.frame, Frame.from_spanning(top))
+    d = dist_projective(flag, Frame.from_spanning(top))
     print(f"  n = {n:2d}: distance {d:.2e}")

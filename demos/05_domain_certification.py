@@ -64,9 +64,9 @@ if small_gap:
 # Expansion certificates around sampled limit flags: inverses of the
 # quasigeodesic ray expand incidence distances near the flag.
 print("\nexpansion certificates (factor 2):")
-for p in sample.points[:4]:
-    ray = [p.source_word[:k] for k in range(1, len(p.source_word) + 1)]
-    res = expansion_certificate(p.flag, ray, ball, c=2.0,
+for word, cols in zip(sample.words, sample.columns[:4]):
+    ray = [word[:k] for k in range(1, len(word) + 1)]
+    res = expansion_certificate(Frame(cols), ray, ball, c=2.0,
                                 rng=np.random.default_rng(5))
-    print(f"  flag {p.source_word!r}: certified by {res.word!r} on "
+    print(f"  flag {word!r}: certified by {res.word!r} on "
           f"radius {res.neighborhood_radius:g} with factor {res.factor:.2f}")

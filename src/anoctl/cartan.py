@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import KillingForm, adjoint_rep  # noqa: F401  (re-exported)
-from .forms import Frame, FlagPoint, WittForm
+from .forms import Frame, WittForm, check_isotropic
 
 FORM_PRESERVATION_TOL = 1e-8
 _SIGNIFICANT = 1e-9
@@ -132,17 +132,11 @@ def chamber_exp(mu, form=None):
 # ---------------------------------------------------------------------------
 # stacks
 #
-# kak_gl, kak_opq and kak_onC work on stacks (N, n, n); one matrix is the
-# one-slice case.  Every stacked LAPACK, BLAS and elementwise call gives each slice
-# the bits of the same call on that slice alone, so steps that depend on
-# the data run once per group of slices that take the same branch.
-
-
-def _per_slice(g, decompose, dtype=float):
-    """One KakTriple per matrix of a stack (N, n, n); one matrix is the
-    one-slice case and gives one KakTriple."""
-    g = np.asarray(g, dtype=dtype)
-    return decompose(g) if g.ndim == 3 else decompose(g[None])[0]
+# _kak_gl, _kak_opq and _kak_onC work on stacks (N, n, n); kak passes one
+# matrix as the one-slice case.  Every stacked LAPACK, BLAS and
+# elementwise call gives each slice the bits of the same call on that
+# slice alone, so steps that depend on the data run once per group of
+# slices that take the same branch.
 
 
 def _dot(a, b):
@@ -261,13 +255,8 @@ def _triples(k, mu, l, form=None):
 # gl
 
 
-def kak_gl(g):
-    """KAK of an invertible real matrix via SVD; a stack (N, n, n) gives
-    one KakTriple per matrix, and the first bad matrix raises."""
-    return _per_slice(g, _kak_gl)
-
-
-def _kak_gl(g):
+def _kak_gl(g, form=None):
+    """KAK of invertible real matrices via SVD."""
     _, _, u, s, vt, _ = _front(g, None)
     u, vt = _canonicalize_signs(u, vt)
     return _triples(u, np.log(s), vt)
@@ -373,10 +362,8 @@ def _complete_orthogonal(known, slots, n):
 _MODERATE_NORM = 1e6
 
 
-def kak_opq(g, form):
-    """KAK of an element of O(b) for a real Witt form b; a stack
-    (N, n, n) gives one KakTriple per matrix, and the first bad matrix
-    raises.
+def _kak_opq(g, form):
+    """KAK of elements of O(b) for a real Witt form b.
 
     Up to spectral norm 1e6 all exponents are recovered to full precision
     through the deflated logarithm of g^T g.  Beyond that the singular
@@ -385,10 +372,6 @@ def kak_opq(g, form):
     from 0 at that scale are reported as 0, which perturbs the
     reconstruction by less than its relative tolerance.
     """
-    return _per_slice(g, lambda stack: _kak_opq(stack, form))
-
-
-def _kak_opq(g, form):
     p, q = form.p, form.q
     c, gp, u, s, vt, resolved = _front(g, form)
     ipq = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
@@ -438,7 +421,7 @@ def _normalize(vectors):
 
 
 def _extreme_factors(gp, u, vt, p, q, nbig):
-    """kak_opq's compact factors past the moderate norm, for a stack
+    """_kak_opq's compact factors past the moderate norm, for a stack
     whose first ``nbig`` exponents are resolved: the singular triple of
     gp for 1/sigma is (ipq u, ipq v), so the canonical factor columns
     are the +-block parts of v and u."""
@@ -535,17 +518,12 @@ def complex_pm_basis(n):
     return t
 
 
-def kak_onC(g, form):
-    """KAK of an element of the complex orthogonal group of the canonical
-    complex Witt form, from one SVD at any scale (see the module
-    docstring); a stack (N, n, n) gives one KakTriple per matrix.  The
-    first bad matrix, or the first that a decomposition does not
-    reconstruct to relative accuracy _RECONSTRUCTION_TOL in the spectral
-    norm, raises ValueError."""
-    return _per_slice(g, lambda stack: _kak_onC(stack, form), complex)
-
-
 def _kak_onC(g, form):
+    """KAK of elements of the complex orthogonal group of the canonical
+    complex Witt form, from one SVD at any scale (see the module
+    docstring).  The first matrix that a decomposition does not
+    reconstruct to relative accuracy _RECONSTRUCTION_TOL in the spectral
+    norm raises ValueError."""
     n, m = form.n, form.n // 2
     t, gs, u, s, vh, resolved = _front(g, form)
     lam = np.where(resolved, np.log(s[:, :m]), 0.0)
@@ -564,7 +542,7 @@ def _kak_onC(g, form):
 
 
 def _onC_factors(gs, u, vh, nbig):
-    """kak_onC's real orthogonal factors kss, rot with gs = kss exp(a) rot^T
+    """_kak_onC's real orthogonal factors kss, rot with gs = kss exp(a) rot^T
     (a the chamber element in the T basis), for a stack whose first
     ``nbig`` exponents are resolved.  Slot pair i is (i, n - n // 2 + i);
     its columns are sqrt(2) times the imaginary and real parts of the
@@ -591,12 +569,14 @@ def _onC_factors(gs, u, vh, nbig):
 
 def kak(g, form=None):
     """Cartan decomposition in the group that ``form`` picks (see the
-    module docstring).  ``g`` is one matrix, which gives one KakTriple,
-    or a stack (N, n, n), which gives a list of them."""
+    module docstring), the one entry point of every group's path.  ``g``
+    is one matrix, which gives one KakTriple, or a stack (N, n, n), which
+    gives a list of them, each slice bit for bit its own one-matrix
+    result; the first bad matrix raises ValueError."""
     tag = tag_of(form)
-    if tag == "gl":
-        return kak_gl(g)
-    return (kak_opq if tag == "opq" else kak_onC)(g, form)
+    g = np.asarray(g, dtype=complex if tag == "onC" else float)
+    decompose = {"gl": _kak_gl, "opq": _kak_opq, "onC": _kak_onC}[tag]
+    return decompose(g, form) if g.ndim == 3 else decompose(g[None], form)[0]
 
 
 def _check_root_system(mu, length, rs):
@@ -682,7 +662,7 @@ def cartan_mu_batch(mats, form=None):
 
     Where kak reads mu off that SVD (gl, onC, and opq past spectral norm
     1e6, under kak's band rule) the batch's mu is kak's, bit for bit.
-    kak_opq squares g below that norm, so there the error grows with
+    kak's opq path squares g below that norm, so there the error grows with
     (s_0 / s_{q-1})^2.  The flags of gl and opq are bounded with a growth
     of s_0 / s_m, s_m the smallest singular value that enters mu.  See
     MuBatch.
@@ -693,7 +673,7 @@ def cartan_mu_batch(mats, form=None):
     r = resolved.shape[1]
     s0 = s[:, 0]
     moderate = (tag == "opq") & (s0 <= _MODERATE_NORM)
-    # kak_opq's squared path reads no exponent as 0
+    # kak's squared opq path reads no exponent as 0
     resolved |= moderate[:, None]
     mu = np.where(resolved, np.log(s[:, :r]), 0.0)
     # s_m, the smallest singular value that enters mu
@@ -733,24 +713,26 @@ def _theta_to_plane_dim(theta, form):
 
 
 def xi_theta(g, theta, form=None, tol=1e-6, decomposition=None):
-    """Flag map: the span of the leading columns of the compact left factor.
+    """Flag map: the Frame spanned by the leading columns of the compact
+    left factor, realified (2n, 2i) for onC.  For opq and onC the span
+    must be isotropic for the form (check_isotropic).
 
     Requires every gap <alpha, mu(g)> for alpha in theta to exceed tol;
     otherwise GapTooSmallError is raised, because the flag would depend on
     the tie-breaking inside the decomposition.
     """
-    tag = tag_of(form)
     i = _theta_to_plane_dim(theta, form)
     dec = decomposition if decomposition is not None else kak(g, form)
     gaps = mu_gaps(dec.mu, theta.root_system)
     for a in sorted(theta.members):
         if gaps[a] <= tol:
             raise GapTooSmallError(a, gaps[a], tol)
-    if tag == "gl":
+    if form is None:
         return Frame.from_spanning(dec.k[:, :i])
-    if tag == "opq":
-        return FlagPoint(Frame.from_spanning(dec.k[:, :i]), form, i)
-    return FlagPoint(Frame.from_spanning(_realify(dec.k[:, :i])), form, 2 * i)
+    frame = Frame.from_spanning(_realify(dec.k[:, :i]) if form.is_complex
+                                else dec.k[:, :i])
+    check_isotropic(frame.columns, form)
+    return frame
 
 
 def _realify(cols):

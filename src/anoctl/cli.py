@@ -205,9 +205,8 @@ def cmd_cartan(config):
             "gaps": {f"alpha_{k}": float(v) for k, v in sorted(gaps.items())},
         }
         try:
-            flag = xi_theta(mat, theta, form, tol=config.tol, decomposition=dec)
-            frame = flag if isinstance(flag, Frame) else flag.frame
-            record["flag_frame"] = frame.to_json()
+            record["flag_frame"] = xi_theta(mat, theta, form, tol=config.tol,
+                                            decomposition=dec).to_json()
         except GapTooSmallError as exc:
             record["flag_error"] = str(exc)
         records.append(record)
@@ -342,12 +341,12 @@ def cmd_domain(config):
                  if not in_bad_set(pt, sample, "intersect", ACCUMULATION_TOL)[0]]
         flags = dynamical_relation_scan(clean[:config.scan_points], ball, sample)
         certs = []
-        for p in sample.points[:config.expansion_flags]:
-            ray = [p.source_word[:k] for k in range(1, len(p.source_word) + 1)]
-            res = expansion_certificate(p.flag, ray, ball,
+        for word, cols in zip(sample.words, sample.columns[:config.expansion_flags]):
+            ray = [word[:k] for k in range(1, len(word) + 1)]
+            res = expansion_certificate(Frame(cols), ray, ball,
                                         config.expansion_factor,
                                         rng=np.random.default_rng(config.seed))
-            certs.append({"flag_word": p.source_word, "success": res.success,
+            certs.append({"flag_word": word, "success": res.success,
                           "word": res.word, "radius": res.neighborhood_radius,
                           "factor": res.factor})
         trans = transversality_report(sample, form) if len(sample) > 1 else None

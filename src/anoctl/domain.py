@@ -133,7 +133,7 @@ def in_bad_set(point, sample, variant="intersect", tol=BAD_SET_TOL):
         return False, None
     hit = _first_flag_below(cosines(frame.columns, flags), flags, frame, tol,
                             smallest=variant == "intersect", first=True)
-    return (False, None) if hit is None else (True, sample.points[hit].source_word)
+    return (False, None) if hit is None else (True, sample.words[hit])
 
 
 def _first_flag_below(c, flags, frame, tol, smallest, first):
@@ -193,7 +193,7 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     # other case pushes all points forward and measures them in one call
     line_path = points[0].frame.k == 1 and sample.columns.shape[-1] == 1
     if line_path:
-        lines = sample.line_array()
+        lines = sample.columns[:, :, 0]
         pts = np.stack([pt.frame.columns[:, 0] for pt in points], axis=1)
     else:
         pts = np.stack([pt.frame.columns for pt in points])
@@ -290,7 +290,7 @@ def expansion_certificate(flag, ray, ball, c, q=1, grid=8, rng=None,
                           radii=DEFAULT_EXPANSION_RADII):
     """Search the inverses of a quasigeodesic ray for an element
     expanding incidence distances by the factor c on a measured
-    neighborhood of the incidence set of the flag.
+    neighborhood of the incidence set of the flag (a Frame).
 
     ``q`` is the plane dimension of the Grassmannian being certified.
     The grid samples pairs (W, L): planes W at incidence distance below
@@ -309,9 +309,8 @@ def expansion_certificate(flag, ray, ball, c, q=1, grid=8, rng=None,
     if c <= 0:
         raise ValueError("c must be positive")
     rng = rng or np.random.default_rng(0)
-    frame = flag if isinstance(flag, Frame) else flag.frame
-    v = frame.columns[:, 0]
-    n = frame.ambient_dim
+    v = flag.columns[:, 0]
+    n = flag.ambient_dim
     candidates = [("", np.eye(n))]
     from .words import word_inverse
     for w in ray:

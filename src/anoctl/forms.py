@@ -113,7 +113,7 @@ class WittForm:
 
     @cached_property
     def isotropy_scale(self):
-        """max(|real_gram|_2, 1), the scale of FlagPoint's isotropy
+        """max(|real_gram|_2, 1), the scale of check_isotropic's
         test."""
         return max(np.linalg.norm(self.real_gram, 2), 1.0)
 
@@ -268,31 +268,15 @@ def orthonormalize(vectors, tol=DEFAULT_TOL):
     return u, ranks
 
 
-class FlagPoint:
-    """A point of an isotropic-subspace flag variety: a frame whose span
-    is isotropic for the referenced form."""
-
-    def __init__(self, frame, form, iso_dim=None, tol=DEFAULT_TOL):
-        if iso_dim is None:
-            iso_dim = frame.k
-        if frame.k != iso_dim:
-            raise ValueError(f"frame has {frame.k} columns, expected {iso_dim}")
-        gram = form.real_gram
-        if frame.ambient_dim != gram.shape[0]:
-            raise ValueError("frame ambient dimension does not match the form")
-        if iso_dim:
-            restricted = frame.columns.T @ gram @ frame.columns
-            bound = tol * form.isotropy_scale
-            # the Frobenius norm bounds the spectral one and needs no SVD
-            if np.linalg.norm(restricted) > bound and \
-                    np.linalg.norm(restricted, 2) > bound:
-                raise ValueError("frame span is not isotropic for the form")
-        self.frame = frame
-        self.form = form
-        self.iso_dim = iso_dim
-
-    def __repr__(self):
-        return f"FlagPoint(iso_dim={self.iso_dim}, ambient={self.frame.ambient_dim})"
+def check_isotropic(columns, form, tol=DEFAULT_TOL):
+    """Raise unless the span of the orthonormal columns (n, k) is
+    isotropic for the form, measured with its real gram: the restricted
+    gram's spectral norm must not exceed tol times isotropy_scale."""
+    restricted = columns.T @ form.real_gram @ columns
+    bound = tol * form.isotropy_scale
+    # the Frobenius norm bounds the spectral one and needs no SVD
+    if np.linalg.norm(restricted) > bound and np.linalg.norm(restricted, 2) > bound:
+        raise ValueError("frame span is not isotropic for the form")
 
 
 # ---------------------------------------------------------------------------

@@ -45,33 +45,20 @@ class EmptyLimitSampleError(ValueError):
     """No ball element cleared the gap floor; the ball is too small."""
 
 
-@dataclass(frozen=True)
-class LimitPoint:
-    flag: object                # FlagPoint or Frame
-    source_word: str
-    word_length: int
-    gap_at_source: float
-
-    @property
-    def frame(self):
-        return self.flag if isinstance(self.flag, Frame) else self.flag.frame
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitSample:
-    points: list
+    """The sampled flags as one table, row j for the ball element
+    ``words[j]`` (shortlex order): its word length ``lengths[j]``, its
+    smallest theta-gap ``gaps[j]`` and the orthonormal columns
+    ``columns[j]`` of its flag, bit for bit the Frame that xi_theta
+    returns for it; ``columns`` is (N, n, k)."""
+    words: list
+    lengths: np.ndarray
+    gaps: np.ndarray
+    columns: np.ndarray
     theta: object
     form: object = None
     merge_tol: float = MERGE_TOL
-
-    @cached_property
-    def columns(self):
-        """The flag frames stacked as one (N, n, k) array."""
-        return np.stack([p.frame.columns for p in self.points])
-
-    def line_array(self):
-        """Stacked unit row vectors; only for one-dimensional flags."""
-        return self.columns[:, :, 0]
 
     def distances_from(self, frame):
         """Flag distance (largest principal-angle sine) from a frame to
@@ -101,7 +88,7 @@ class LimitSample:
         return float(np.min(self.distances_from(frame)))
 
     def __len__(self):
-        return len(self.points)
+        return len(self.words)
 
 
 def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
@@ -130,34 +117,36 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
     bounded = (approx_gap - gap_slack > max(min_gap, 1.0)) & \
         (batch.flag_margin < merge_tol / 2)
     frames = batch.frames(_theta_to_plane_dim(theta, form))
-    points, kept = [], None     # kept: the points' frames, preallocated
+    rows, gaps, kept = [], [], None     # kept: the rows' flags, preallocated
     start, size = 0, 1
     while start < len(candidates):
         block = candidates[start:start + size]
         start, size = start + size, min(2 * size, _PREFETCH)
-        if points:
+        if rows:
             near = bounded[block]
-            near[near] = _surely_within(frames[block[near]], kept[:len(points)],
+            near[near] = _surely_within(frames[block[near]], kept[:len(rows)],
                                         merge_tol, batch.flag_margin[block[near]])
             block = block[~near]
         for idx, dec in zip(block, ball.decompose(block, form)):
-            word, mat, r = ball.elements[idx]
-            gaps = mu_gaps(dec.mu, theta.root_system)
-            gap = min(gaps[a] for a in theta.members)
+            pairings = mu_gaps(dec.mu, theta.root_system)
+            gap = min(pairings[a] for a in theta.members)
             if gap <= min_gap:
                 continue
-            flag = xi_theta(mat, theta, form, tol=min_gap, decomposition=dec)
-            cols = flag.columns if isinstance(flag, Frame) else flag.frame.columns
+            cols = xi_theta(ball.matrices[idx], theta, form, tol=min_gap,
+                            decomposition=dec).columns
             if kept is None:
                 kept = np.empty((len(ball.elements),) + cols.shape)
-            if _within(cols, kept[:len(points)], merge_tol):
+            if _within(cols, kept[:len(rows)], merge_tol):
                 continue
-            kept[len(points)] = cols
-            points.append(LimitPoint(flag, word, r, gap))
-    if not points:
+            kept[len(rows)] = cols
+            rows.append(idx)
+            gaps.append(gap)
+    if not rows:
         raise EmptyLimitSampleError(
             f"no ball element has theta-gaps above {min_gap}; enlarge the ball")
-    return LimitSample(points, theta, form, merge_tol)
+    return LimitSample([ball.words[i] for i in rows], ball.lengths[rows],
+                       np.array(gaps), kept[:len(rows)].copy(), theta, form,
+                       merge_tol)
 
 
 def _within(cols, kept, tol):
@@ -264,12 +253,11 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
             near_min = np.flatnonzero(screened <= bound)
             if not near_min.size:
                 continue
-            svs = transversality_margin(sample.points[i].frame, cols[near_min], form)
+            svs = transversality_margin(Frame(cols[i]), cols[near_min], form)
             j = int(np.argmin(svs))
             if svs[j] < margin:
                 margin = float(svs[j])
-                worst = (sample.points[i].source_word,
-                         sample.points[near_min[j]].source_word)
+                worst = (sample.words[i], sample.words[near_min[j]])
     return TransversalityReport(margin, worst, tested, pair_floor,
                                 sample.covering_radius())
 
@@ -396,13 +384,13 @@ def dynamics_preserving_check(sample, proximals, ball, neighborhood=0.5):
 
 def sample_to_csv(sample):
     out = io.StringIO()
-    n = sample.points[0].frame.ambient_dim if sample.points else 0
-    k = sample.points[0].frame.k if sample.points else 0
+    _, n, k = sample.columns.shape
     coords = ",".join(f"f{i}_{j}" for j in range(k) for i in range(n))
     out.write(f"word,word_length,gap,{coords}\n")
-    for p in sample.points:
-        flat = ",".join(f"{x:.12g}" for x in p.frame.columns.T.reshape(-1))
-        out.write(f"{p.source_word},{p.word_length},{p.gap_at_source:.12g},{flat}\n")
+    for word, r, gap, cols in zip(sample.words, sample.lengths, sample.gaps,
+                                  sample.columns):
+        flat = ",".join(f"{x:.12g}" for x in cols.T.reshape(-1))
+        out.write(f"{word},{r},{gap:.12g},{flat}\n")
     return out.getvalue()
 
 
@@ -413,8 +401,8 @@ def sample_to_svg(sample, chart=(0, 1), size=600, radius=2.5):
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">',
              f'<rect width="{size}" height="{size}" fill="white"/>']
-    for p in sample.points:
-        v = p.frame.columns[:, 0]
+    for cols in sample.columns:
+        v = cols[:, 0]
         idx = int(np.argmax(np.abs(v) > 1e-9))
         if v[idx] < 0:
             v = -v

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from anoctl.algebras import get_algebra
-from anoctl.cartan import exterior_power, kak, kak_gl, kak_opq, mu_gaps
+from anoctl.cartan import exterior_power, kak, mu_gaps
 from anoctl.domain import (
     dynamical_relation_scan,
     expansion_certificate,
@@ -62,11 +62,11 @@ def test_criterion_1_kak_reconstruction(corpus):
     start = time.perf_counter()
     worst = 0.0
     for g in gl:
-        t = kak_gl(g)
+        t = kak(g)
         worst = max(worst, np.linalg.norm(t.reconstruct() - g, 2)
                     / np.linalg.norm(g, 2))
     for g in opq:
-        t = kak_opq(g, form)
+        t = kak(g, form)
         worst = max(worst, np.linalg.norm(t.reconstruct() - g, 2)
                     / np.linalg.norm(g, 2))
     elapsed = time.perf_counter() - start
@@ -82,13 +82,13 @@ def test_criterion_2_duality(corpus):
     rs_b = build_root_system("B", 2)
     worst = 0.0
     for g in gl:
-        gaps = mu_gaps(kak_gl(g).mu, rs_a)
-        gaps_inv = mu_gaps(kak_gl(np.linalg.inv(g)).mu, rs_a)
+        gaps = mu_gaps(kak(g).mu, rs_a)
+        gaps_inv = mu_gaps(kak(np.linalg.inv(g)).mu, rs_a)
         for a in range(1, 5):
             worst = max(worst, abs(gaps[a] - gaps_inv[rs_a.opposition[a - 1]]))
     for g in opq:
-        gaps = mu_gaps(kak_opq(g, form).mu, rs_b)
-        gaps_inv = mu_gaps(kak_opq(np.linalg.inv(g), form).mu, rs_b)
+        gaps = mu_gaps(kak(g, form).mu, rs_b)
+        gaps_inv = mu_gaps(kak(np.linalg.inv(g), form).mu, rs_b)
         for a in (1, 2):
             worst = max(worst, abs(gaps[a] - gaps_inv[rs_b.opposition[a - 1]]))
     assert worst <= 1e-9
@@ -101,9 +101,9 @@ def test_criterion_3_exterior_gap_identity():
     worst = 0.0
     for _ in range(100):
         g = rng.standard_normal((5, 5))
-        gaps = mu_gaps(kak_gl(g).mu, rs)
+        gaps = mu_gaps(kak(g).mu, rs)
         for i in (1, 2, 3):
-            mu_w = kak_gl(exterior_power(g, i)).mu.values
+            mu_w = kak(exterior_power(g, i)).mu.values
             worst = max(worst, abs((mu_w[0] - mu_w[1]) - gaps[i]))
     assert worst <= 1e-8
     print(f"\nPASS 3: exterior gap identity, 100 x GL_5, i in 1..3 "
@@ -213,9 +213,9 @@ def test_criterion_7_schottky_pipeline(schottky_pipeline):
 
     # (e) expansion certificates with factor 2 for 8 sampled flags
     successes = 0
-    for p in sample.points[:8]:
-        ray = [p.source_word[:k] for k in range(1, len(p.source_word) + 1)]
-        res = expansion_certificate(p.flag, ray, ball, c=2.0,
+    for word, cols in zip(sample.words, sample.columns[:8]):
+        ray = [word[:k] for k in range(1, len(word) + 1)]
+        res = expansion_certificate(Frame(cols), ray, ball, c=2.0,
                                     rng=np.random.default_rng(RNG_SEED + 4))
         successes += res.success
     assert successes == 8

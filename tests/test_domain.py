@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -127,10 +128,9 @@ def test_interior_points_avoid_bad_set(rng):
 
 def test_constructed_point_hits_bad_set():
     form, gens, ball, sample = schottky_setup()
-    target = sample.points[3]
-    pt = CompactPoint(target.frame, 1, form)
+    pt = CompactPoint(Frame(sample.columns[3]), 1, form)
     hit, witness = in_bad_set(pt, sample, "intersect")
-    assert hit and witness == target.source_word
+    assert hit and witness == sample.words[3]
     hit, witness = in_bad_set(pt, sample, "contain")
     assert hit
 
@@ -140,7 +140,7 @@ def test_boundary_gap_point_not_in_bad_set():
     # between the attracting shadows of a and of b (the a/A midpoint
     # would land on the b-axis instead)
     form, gens, ball, sample = schottky_setup()
-    by_word = {p.source_word: p.frame.columns[:, 0] for p in sample.points}
+    by_word = dict(zip(sample.words, sample.columns[:, :, 0]))
     va, vb = by_word["a"], by_word["b"]
     mid = va + vb
     mid /= np.linalg.norm(mid)
@@ -176,15 +176,12 @@ def test_bad_set_equivariance(rng):
     # is exactly equivariant; a mild boost distorts distances by at most
     # exp(2t), so equivariance holds with the correspondingly slackened
     # tolerance
-    from anoctl.limits import LimitPoint, LimitSample
     from anoctl.presets import o21_boost
     form, gens, ball, sample = schottky_setup()
 
     def moved_sample_for(g):
-        return LimitSample(
-            [LimitPoint(Frame.from_spanning(g @ p.frame.columns),
-                        p.source_word, p.word_length, p.gap_at_source)
-             for p in sample.points], sample.theta, form, sample.merge_tol)
+        return dataclasses.replace(sample, columns=np.stack(
+            [Frame.from_spanning(g @ cols).columns for cols in sample.columns]))
 
     rot = o21_rotation(0.77)
     rot_sample = moved_sample_for(rot)
@@ -227,7 +224,7 @@ def test_scan_flags_nondiscrete_control(rng):
 
 def test_scan_rejects_bad_points():
     form, gens, ball, sample = schottky_setup()
-    bad = CompactPoint(sample.points[0].frame, 1, form)
+    bad = CompactPoint(Frame(sample.columns[0]), 1, form)
     with pytest.raises(ValueError):
         dynamical_relation_scan([bad], ball, sample)
 
@@ -245,9 +242,9 @@ def test_scan_empty_inputs():
 
 def test_expansion_certificate_on_limit_flags():
     form, gens, ball, sample = schottky_setup()
-    for p in sample.points[:4]:
-        ray = [p.source_word[:k] for k in range(1, len(p.source_word) + 1)]
-        res = expansion_certificate(p.flag, ray, ball, c=2.0,
+    for word, cols in zip(sample.words, sample.columns[:4]):
+        ray = [word[:k] for k in range(1, len(word) + 1)]
+        res = expansion_certificate(Frame(cols), ray, ball, c=2.0,
                                     rng=np.random.default_rng(7))
         assert res.success and res.factor >= 2.0
         assert res.word != ""
@@ -259,7 +256,7 @@ def test_expansion_factor_grows_with_ray_depth():
     form, gens = schottky_o21(translation=2.0)
     ball = enumerate_ball(gens, 3)
     sample = sample_limit_set(ball, THETA1, form, min_gap=0.5)
-    flag = next(p.flag for p in sample.points if p.source_word == "a")
+    flag = Frame(sample.columns[sample.words.index("a")])
     factors = []
     for n, radius in [(1, 5e-3), (2, 1e-4), (3, 2e-6)]:
         res = expansion_certificate(flag, ["a" * n], ball, c=2.0,
@@ -272,7 +269,7 @@ def test_expansion_factor_grows_with_ray_depth():
 
 def test_expansion_identity_certifies_c_equal_one():
     form, gens, ball, sample = schottky_setup()
-    res = expansion_certificate(sample.points[0].flag, ["a"], ball, c=1.0,
+    res = expansion_certificate(Frame(sample.columns[0]), ["a"], ball, c=1.0,
                                 rng=np.random.default_rng(7))
     assert res.success and res.word == ""
 
@@ -280,7 +277,7 @@ def test_expansion_identity_certifies_c_equal_one():
 def test_expansion_rotation_ray_fails():
     form, gens, ball, sample = schottky_setup()
     rball = enumerate_ball([("r", o21_rotation(0.7))], 3)
-    res = expansion_certificate(sample.points[0].flag, ["r", "rr"], rball,
+    res = expansion_certificate(Frame(sample.columns[0]), ["r", "rr"], rball,
                                 c=2.0, rng=np.random.default_rng(7))
     assert not res.success
     assert res.factor < 2.0
@@ -348,8 +345,8 @@ def test_stretched_plane_keeps_its_dimension(rng):
                                     min_word_length=1)
     assert flags["word"] == [w for w, _, r in ball.elements if r]
     for word, residual in zip(flags["word"], flags["residual"]):
-        expected = min(principal_sines(p.frame, moved[word])[0]
-                       for p in sample.points)
+        expected = min(principal_sines(cols, moved[word])[0]
+                       for cols in sample.columns)
         assert residual == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
@@ -384,7 +381,7 @@ def per_hit_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     elements = np.flatnonzero(ball.lengths >= min_word_length).tolist()
     line_path = points[0].frame.k == 1 and sample.columns.shape[-1] == 1
     if line_path:
-        lines = sample.line_array()
+        lines = sample.columns[:, :, 0]
         pts = np.stack([pt.frame.columns[:, 0] for pt in points], axis=1)
     else:
         pts = np.stack([pt.frame.columns for pt in points])

@@ -41,8 +41,7 @@ def _perturbed_line(rng, line, max_angle, ambient):
 
 def expansion_reference(flag, ray, ball, c, q=1, grid=8, rng=None, radii=RADII):
     rng = rng or np.random.default_rng(0)
-    frame = flag if isinstance(flag, Frame) else flag.frame
-    n = frame.ambient_dim
+    n = flag.ambient_dim
     candidates = [("", np.eye(n))]
     for w in ray:
         iw = word_inverse(w)
@@ -53,11 +52,11 @@ def expansion_reference(flag, ray, ball, c, q=1, grid=8, rng=None, radii=RADII):
         for radius in radii:
             factors = []
             for _ in range(grid):
-                near = _perturbed_line(rng, frame, 0.9 * radius, n)
+                near = _perturbed_line(rng, flag, 0.9 * radius, n)
                 extra = rng.standard_normal((n, q - 1)) if q > 1 else \
                     np.zeros((n, 0))
                 wplane = Frame.from_spanning(np.hstack([near.columns, extra]))
-                lline = _perturbed_line(rng, frame, 0.9 * radius, n)
+                lline = _perturbed_line(rng, flag, 0.9 * radius, n)
                 if wplane.k != q:
                     continue
                 before = float(principal_sines(lline, wplane)[0])
@@ -115,8 +114,8 @@ CASES = {
 
 
 def rays(sample, count=8):
-    for p in sample.points[:count]:
-        yield p.flag, [p.source_word[:k] for k in range(1, len(p.source_word) + 1)]
+    for word, cols in zip(sample.words, sample.columns[:count]):
+        yield Frame(cols), [word[:k] for k in range(1, len(word) + 1)]
 
 
 def assert_same_certificate(ball, flag, ray, c, q=1, seed=0, **kwargs):
@@ -185,7 +184,7 @@ class ParallelExtraRng:
 def test_expansion_certificate_skips_planes_that_drop_rank(parallel_draws):
     ball, sample = pingpong_case()
     flag, ray = next(rays(sample))
-    v = flag.frame.columns[:, 0]
+    v = flag.columns[:, 0]
     radii = (0.01, 1e-3)
 
     def stub():

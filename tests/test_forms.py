@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -10,9 +9,9 @@ from anoctl import forms
 from anoctl.forms import (
     DEFAULT_TOL,
     Frame,
-    FlagPoint,
     Records,
     WittForm,
+    check_isotropic,
     check_orthonormal,
     contains,
     dist_grassmann,
@@ -260,65 +259,10 @@ def random_isotropic_line(rng, form):
     return Frame.from_spanning(a + b)
 
 
-PLANE_BLOCK = 32
-
-
 def random_nonpositive_plane(rng, form, q, boundary=False):
-    """Random q-plane with nonpositive restriction (rejection sampling),
-    or a plane through an isotropic line when boundary=True.
-
-    Tries are screened PLANE_BLOCK at a time with one stacked SVD and
-    ``eigvalsh``, whose slices are bit for bit the one-try values.  At the
-    first try that may pass, the rng is rewound and advanced by exactly
-    the tries up to it, and that try is decided alone, so the planes and
-    the rng's state are those of ``one_try_nonpositive_plane``."""
-    n = form.n
-    if boundary:
-        l = random_isotropic_line(rng, form)
-        perp = orthogonal_complement(form, l)
-
-        def through_l(draws):
-            lines = np.broadcast_to(l.columns, (*draws.shape[:-2], n, 1))
-            return np.concatenate([lines, perp.columns @ draws], axis=-1)
-
-        w = _first_passing(rng, form, 500, (perp.k, q - 1), through_l,
-                           lambda k, top: (k == q) & (top <= 1e-10))
-        if w is not None:
-            return w
-    w = _first_passing(rng, form, 5000, (n, q), lambda draws: draws,
-                       lambda k, top: top < -1e-8)
-    if w is None:
-        raise RuntimeError("sampling failed")
-    return w
-
-
-def _first_passing(rng, form, tries, shape, span, passes):
-    """The frame of the first of ``tries`` Gaussian draws of ``shape``
-    whose span ``span(draw)`` ``passes(rank, top restricted eigenvalue)``,
-    or None.  A slice short of full rank is decided alone, because its
-    frame keeps fewer columns."""
-    done = 0
-    while done < tries:
-        state = rng.bit_generator.state
-        size = min(PLANE_BLOCK, tries - done)
-        frames, ranks = orthonormalize(span(rng.standard_normal((size, *shape))))
-        top = np.linalg.eigvalsh(
-            np.swapaxes(frames, -1, -2) @ form.gram @ frames)[:, -1]
-        maybe = np.flatnonzero((ranks < frames.shape[-1]) | passes(ranks, top))
-        if not maybe.size:
-            done += size
-            continue
-        rng.bit_generator.state = state
-        w = Frame.from_spanning(span(rng.standard_normal((maybe[0] + 1, *shape))[-1]))
-        done += maybe[0] + 1
-        if passes(w.k, np.max(np.linalg.eigvalsh(w.columns.T @ form.gram @ w.columns))):
-            return w
-    return None
-
-
-def one_try_nonpositive_plane(rng, form, q, boundary=False):
-    """random_nonpositive_plane's former loop, one try at a time: the
-    reference for its draws."""
+    """Random q-plane with nonpositive restriction (rejection sampling,
+    one try at a time), or a plane through an isotropic line when
+    boundary=True."""
     n = form.n
     if boundary:
         l = random_isotropic_line(rng, form)
@@ -337,23 +281,6 @@ def one_try_nonpositive_plane(rng, form, q, boundary=False):
         if np.max(vals) < -1e-8:
             return w
     raise RuntimeError("sampling failed")
-
-
-def test_stacked_plane_draws_equal_the_one_try_loop():
-    # criterion 4's draws: 10,000 planes, every other one through an
-    # isotropic line, each followed by an isotropic line
-    digests = []
-    for draw in (random_nonpositive_plane, one_try_nonpositive_plane):
-        rng = np.random.default_rng(74220 + 2)      # criterion 4's seed
-        form = make_witt_form(3, 2)
-        h = hashlib.sha256()
-        for trial in range(10000):
-            w = draw(rng, form, 2, boundary=(trial % 2 == 0))
-            h.update(np.ascontiguousarray(w.columns).tobytes())
-            h.update(random_isotropic_line(rng, form).columns.tobytes())
-        h.update(repr(rng.bit_generator.state).encode())
-        digests.append(h.hexdigest())
-    assert digests[0] == digests[1]
 
 
 def test_incidence_lemma_equivalence_randomized(rng):
@@ -427,11 +354,11 @@ def test_frame_span_equality(rng):
     assert w.span_equals(mixed)
 
 
-def test_flag_point_isotropy_enforced():
+def test_check_isotropic_enforces_isotropy():
     f = make_witt_form(2, 1)
-    FlagPoint(Frame.standard(3, [0]), f, 1)
-    with pytest.raises(ValueError):
-        FlagPoint(Frame.standard(3, [1]), f, 1)
+    check_isotropic(Frame.standard(3, [0]).columns, f)
+    with pytest.raises(ValueError, match="not isotropic"):
+        check_isotropic(Frame.standard(3, [1]).columns, f)
 
 
 def test_complex_form_realization():

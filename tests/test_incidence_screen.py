@@ -20,10 +20,11 @@ from anoctl.domain import (
 )
 from anoctl.forms import Frame, first_below, make_witt_form, orthonormalize, \
     principal_sines, push_forward
-from anoctl.limits import LimitPoint, LimitSample, sample_limit_set
+from anoctl.limits import sample_limit_set
 from anoctl.presets import BUILTIN_GENERATORS, o21_boost, o21_rotation
 from anoctl.roots import ThetaSet, build_root_system
 from anoctl.words import enumerate_ball
+from conftest import limit_sample
 from test_cli import pingpong_o32
 
 
@@ -38,8 +39,7 @@ def reference_in_bad_set(point, sample, variant="intersect", tol=domain.BAD_SET_
         return False, None
     sines = principal_sines(sample.columns, point.frame)
     hits = np.flatnonzero(sines[:, 0 if variant == "intersect" else -1] < tol)
-    return (True, sample.points[hits[0]].source_word) if hits.size \
-        else (False, None)
+    return (True, sample.words[hits[0]]) if hits.size else (False, None)
 
 
 def reference_orbit_coverage(core, ball, stream, trials, sample=None,
@@ -99,8 +99,8 @@ def sample_near(plane, k, rng, count=60):
         tilt * rng.standard_normal((count, n, k))
     spans = np.concatenate([spans, rng.standard_normal((count // 3, n, k))])
     cols = orthonormalize(spans[rng.permutation(len(spans))])[0]
-    return LimitSample([LimitPoint(Frame(c), f"w{j}", 1, 2.0)
-                        for j, c in enumerate(cols)], None)
+    return limit_sample([Frame(c).columns for c in cols],
+                        [f"w{j}" for j in range(len(cols))])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_in_bad_set_on_the_presets_equals_the_full_stack_rule():
                                   ThetaSet(build_root_system("B", 1), frozenset({1})), form)
         # flags themselves as points: each is its own first witness
         for j in (0, 5, len(sample) - 1):
-            pt = CompactPoint(sample.points[j].frame, 1, form)
+            pt = CompactPoint(Frame(sample.columns[j]), 1, form)
             for tol in (1e-12, 1e-6, 1e-3):
                 assert in_bad_set(pt, sample, "intersect", tol) == \
                     reference_in_bad_set(pt, sample, "intersect", tol)

@@ -118,7 +118,7 @@ def test_one_matrix_calls_reproduce_the_pinned_digests():
 
 
 # top exponents around log(1e3), where g^T g starts to be peeled, and
-# log(1e6), where kak_opq switches to the SVD of g itself
+# log(1e6), where kak's opq path switches to the SVD of g itself
 NEAR_SWITCHES = st.sampled_from([np.log(1e3), np.log(1e6)]).flatmap(
     lambda x: st.floats(x - 1e-3, x + 1e-3))
 

@@ -41,7 +41,7 @@ def test_cyclic_proximal_sample_concentrates(rng):
     line = Frame.from_spanning(np.real(v[:, np.argmax(np.abs(w))]))
     # all positive-power samples sit near the attracting line; inverse
     # powers contribute the repelling line
-    dists = sorted(dist_projective(p.frame, line) for p in sample.points)
+    dists = sorted(dist_projective(Frame(cols), line) for cols in sample.columns)
     assert dists[0] < 1e-4
     assert len(sample) <= 3
 
@@ -56,29 +56,29 @@ def test_identity_ball_raises():
 def test_schottky_sample_isotropic_and_cantor_gaps():
     form, gens, ball, sample = schottky_sample()
     # isotropy invariant
-    for p in sample.points:
-        v = p.frame.columns[:, 0]
+    for v in sample.columns[:, :, 0]:
         assert abs(v @ form.gram @ v) <= 1e-8
     # the four ping-pong shadows around the generators' fixed lines are
     # pairwise separated and every sample lies in exactly one of them
     prox = proximal_elements(ball, gap_threshold=1.0)
     fixed = {w: fr for w, fr, _ in prox if w in ("a", "A", "b", "B")}
     assert len(fixed) == 4
+    flags = [Frame(cols) for cols in sample.columns]
     shadows = {}
     for w, fr in fixed.items():
-        members = [p for p in sample.points if p.source_word[0] == w]
-        shadows[w] = max(dist_projective(p.frame, fr) for p in members)
+        members = [f for f, word in zip(flags, sample.words) if word[0] == w]
+        shadows[w] = max(dist_projective(f, fr) for f in members)
     for w1, f1 in fixed.items():
         for w2, f2 in fixed.items():
             if w1 < w2:
                 sep = dist_projective(f1, f2)
                 assert sep > 3 * (shadows[w1] + shadows[w2])
-    for p in sample.points:
+    for f in flags:
         inside = [w for w, fr in fixed.items()
-                  if dist_projective(p.frame, fr) <= shadows[w] + 1e-12]
+                  if dist_projective(f, fr) <= shadows[w] + 1e-12]
         assert len(inside) == 1
     # gap midpoints between shadows are genuinely far from every sample
-    lines = sample.line_array()
+    lines = sample.columns[:, :, 0]
     va = fixed["a"].columns[:, 0]
     vb = fixed["b"].columns[:, 0]
     mid = va + vb
@@ -89,10 +89,47 @@ def test_schottky_sample_isotropic_and_cantor_gaps():
 
 def test_sample_merges_duplicates():
     form, gens, ball, sample = schottky_sample(translation=6.0, radius=6)
-    lines = sample.line_array()
+    lines = sample.columns[:, :, 0]
     cos = np.abs(lines @ lines.T) - np.eye(len(lines))
     max_cos = np.sqrt(1 - sample.merge_tol ** 2)
     assert np.max(cos) <= max_cos + 1e-12
+
+
+def table_cases():
+    """(form, generators, theta) for both presets, the O(3,2) ping-pong
+    pair, mixed-o21's generators as plain GL(3) matrices and in the
+    complex orthogonal group of (2, 1)."""
+    from test_cli import pingpong_o32
+    mixed = BUILTIN_GENERATORS["mixed-o21"]()[1]
+    return {
+        "schottky-o21": (*BUILTIN_GENERATORS["schottky-o21"](), THETA1),
+        "mixed-o21": (*BUILTIN_GENERATORS["mixed-o21"](), THETA1),
+        "pingpong-o32": (make_witt_form(3, 2), pingpong_o32(1),
+                         ThetaSet(build_root_system("B", 2), frozenset({1}))),
+        "gl": (None, mixed, ThetaSet(build_root_system("A", 2), frozenset({1}))),
+        "2,1,C": (make_witt_form(2, 1, "complex"), mixed, THETA1),
+    }
+
+
+@pytest.mark.parametrize("name", ["schottky-o21", "mixed-o21", "pingpong-o32",
+                                  "gl", "2,1,C"])
+def test_sample_rows_are_the_flags_and_gaps_of_their_words(name):
+    # every row of the table is its word's own xi_theta Frame, bit for
+    # bit, with the smallest theta-gap of that word's kak
+    from anoctl.cartan import kak, mu_gaps, xi_theta
+    form, gens, theta = table_cases()[name]
+    ball = enumerate_ball(gens, 6)
+    sample = sample_limit_set(ball, theta, form)
+    assert len(sample) == len(sample.words) == len(sample.lengths) == \
+        len(sample.gaps) == len(sample.columns) > 1
+    for j, word in enumerate(sample.words):
+        g = ball.matrix(word)
+        flag = xi_theta(g, theta, form, tol=1.0)
+        assert sample.columns[j].tobytes() == flag.columns.tobytes()
+        assert sample.columns[j].shape == flag.columns.shape
+        gaps = mu_gaps(kak(g, form).mu, theta.root_system)
+        assert sample.gaps[j] == min(gaps[a] for a in theta.members)
+        assert sample.lengths[j] == len(word)
 
 
 @pytest.mark.parametrize("preset,radius", [("schottky-o21", 6), ("mixed-o21", 5)])
@@ -102,13 +139,13 @@ def test_pruned_merge_matches_unpruned_reference(preset, radius):
     form, gens = BUILTIN_GENERATORS[preset]()
     ball = enumerate_ball(gens, radius)
     sample = sample_limit_set(ball, THETA1, form)
-    candidates = sample_limit_set(ball, THETA1, form, merge_tol=0.0).points
+    candidates = sample_limit_set(ball, THETA1, form, merge_tol=0.0)
     kept = []
-    for p in candidates:
-        if all(dist_grassmann(p.frame, q.frame) >= MERGE_TOL for q in kept):
-            kept.append(p)
+    for word, cols in zip(candidates.words, candidates.columns):
+        if all(dist_grassmann(Frame(cols), f) >= MERGE_TOL for _, f in kept):
+            kept.append((word, Frame(cols)))
     assert len(kept) < len(candidates)
-    assert [p.source_word for p in sample.points] == [p.source_word for p in kept]
+    assert sample.words == [word for word, _ in kept]
 
 
 @pytest.mark.parametrize("preset,radius", [("schottky-o21", 6), ("mixed-o21", 5)])
@@ -147,21 +184,21 @@ def test_sample_equivariance():
     form, gens, ball5, sample5 = schottky_sample(radius=5)
     _, _, _, sample6 = schottky_sample(radius=6)
     a = gens[0][1]
-    for p in sample5.points:
-        moved = Frame.from_spanning(a @ p.frame.columns)
+    for cols in sample5.columns:
+        moved = Frame.from_spanning(a @ cols)
         assert sample6.nearest_distance(moved) < 5 * sample6.merge_tol
 
 
 def test_inverse_sampling_lands_in_sample():
     form, gens, ball, sample = schottky_sample()
     from anoctl.cartan import kak, mu_gaps, xi_theta
-    for p in sample.points[:10]:
-        ginv = np.linalg.inv(ball.matrix(p.source_word))
+    for word in sample.words[:10]:
+        ginv = np.linalg.inv(ball.matrix(word))
         dec = kak(ginv, form)
         if mu_gaps(dec.mu, B1)[1] <= 1.0:
             continue
         flag = xi_theta(ginv, THETA1, form, tol=1.0, decomposition=dec)
-        assert sample.nearest_distance(flag.frame) < 5 * sample.merge_tol
+        assert sample.nearest_distance(flag) < 5 * sample.merge_tol
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +213,7 @@ def test_boundary_map_depth_one_matches_fixed_lines():
     prox = proximal_elements(ball, gap_threshold=1.0)
     fixed = {w: fr for w, fr, _ in prox if len(w) == 1}
     for w, flag in cyl.items():
-        assert dist_projective(flag.frame, fixed[w]) < 1e-4
+        assert dist_projective(flag, fixed[w]) < 1e-4
 
 
 def test_boundary_map_equivariance_shift():
@@ -188,8 +225,8 @@ def test_boundary_map_equivariance_shift():
     for w, flag in cyl1.items():
         if w[0] in ("a", "A"):
             continue
-        moved = Frame.from_spanning(a @ flag.frame.columns)
-        assert dist_projective(moved, cyl2["a" + w].frame) < 1e-4
+        moved = Frame.from_spanning(a @ flag.columns)
+        assert dist_projective(moved, cyl2["a" + w]) < 1e-4
 
 
 def test_boundary_map_injective_on_cylinders():
@@ -199,7 +236,7 @@ def test_boundary_map_injective_on_cylinders():
     words = sorted(cyl)
     for i, w1 in enumerate(words):
         for w2 in words[i + 1:]:
-            assert dist_projective(cyl[w1].frame, cyl[w2].frame) > 1e-8
+            assert dist_projective(cyl[w1], cyl[w2]) > 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The screened all-pairs pass behind transversality_report and
 LimitSample.covering_radius, against the per-row loops it replaced."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 
 from anoctl import limits
 from anoctl.forms import Frame, make_witt_form, principal_sines
-from anoctl.limits import LimitPoint, LimitSample, sample_limit_set, transversality_report
+from anoctl.limits import sample_limit_set, transversality_report
 from anoctl.presets import BUILTIN_GENERATORS, o21_rotation
 from anoctl.roots import ThetaSet, build_root_system
 from anoctl.words import enumerate_ball
+from conftest import limit_sample
 from test_cli import pingpong_o32
 
 
@@ -31,11 +33,11 @@ def case(name):
         # order is decided by the last bits of transversality_margin
         form, sample = case("mixed-o21:5")
         worst = transversality_report(fresh(sample), form).worst_pair
-        pair = [p.frame.columns for p in sample.points if p.source_word in worst]
-        points = [LimitPoint(Frame(o21_rotation(t) @ f), f"{w}{i}", 1, 2.0)
-                  for i, t in enumerate((0.0, 1.1, 2.3, 3.7, 5.2))
-                  for f, w in zip(pair, "ab")]
-        return form, LimitSample(points, sample.theta, form)
+        pair = [cols for cols, w in zip(sample.columns, sample.words) if w in worst]
+        turns = list(enumerate((0.0, 1.1, 2.3, 3.7, 5.2)))
+        return form, limit_sample(
+            [Frame(o21_rotation(t) @ f).columns for _, t in turns for f in pair],
+            [f"{w}{i}" for i, _ in turns for w in "ab"], sample.theta, form)
     if kind == "pingpong":
         seed, radius, member = map(int, args)
         form, gens, theta = make_witt_form(3, 2), pingpong_o32(seed), ThetaSet(B2, frozenset({member}))
@@ -46,25 +48,25 @@ def case(name):
 
 
 def fresh(sample):
-    """The same points without the cached pass."""
-    return LimitSample(sample.points, sample.theta, sample.form, sample.merge_tol)
+    """The same flags without the cached pass."""
+    return dataclasses.replace(sample)
 
 
 def reference_report(sample, form, pair_floor):
     """The per-row loops: every flag against every other through the
     exact kernels; the first strict minimum in row order is kept."""
     margin, worst, tested = np.inf, None, 0
-    for i, p in enumerate(sample.points):
-        far = sample.distances_from(p.frame) > pair_floor
+    for i, frame in enumerate(map(Frame, sample.columns)):
+        far = sample.distances_from(frame) > pair_floor
         far[i] = False
         if not np.any(far):
             continue
         tested += int(np.sum(far))
-        svs = limits.transversality_margin(p.frame, sample.columns[far], form)
+        svs = limits.transversality_margin(frame, sample.columns[far], form)
         j = int(np.argmin(svs))
         if svs[j] < margin:
-            other = sample.points[np.flatnonzero(far)[j]]
-            margin, worst = float(svs[j]), (p.source_word, other.source_word)
+            other = sample.words[np.flatnonzero(far)[j]]
+            margin, worst = float(svs[j]), (sample.words[i], other)
     if tested == 0:
         raise ValueError("no pair clears the distance floor")
     return margin, worst, tested, reference_covering_radius(sample)
@@ -113,8 +115,7 @@ def test_pair_at_the_floor_is_decided_by_the_exact_distance():
     form = make_witt_form(2, 1)
     t = 1e-3
     frames = [line(1, 0, 0), line(np.cos(t), np.sin(t), 0), line(0, 0.6, 0.8)]
-    sample = LimitSample([LimitPoint(f, w, 1, 2.0) for f, w in zip(frames, "abc")],
-                         None, form)
+    sample = limit_sample([f.columns for f in frames], "abc", None, form)
     dist = float(principal_sines(frames[0], frames[1])[-1])
     tested = []
     for floor in (np.nextafter(dist, 0.0), dist, np.nextafter(dist, 1.0)):

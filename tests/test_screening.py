@@ -19,7 +19,7 @@ from test_cli import pingpong_o32
 
 def switching_pair():
     """An O(3,2) pair whose cube a^3 sits at spectral norm 1e6, where
-    kak_opq switches paths, so the screen must take kak's side."""
+    kak's opq path switches, so the screen must take kak's side."""
     form = make_witt_form(3, 2)
     a = opq_chamber(form, [np.log(1e6) / 3, 0.5])
     k = random_opq_K(np.random.default_rng(3), 3, 2)
@@ -30,7 +30,7 @@ SETUPS = {
     "schottky-o21": (schottky_o21, 5),
     "mixed-o21": (mixed_o21, 5),
     "switching-o32": (switching_pair, 3),
-    # radius 5 reaches elements whose second exponent kak_opq reads as 0
+    # radius 5 reaches elements whose second exponent kak's opq path reads as 0
     "pingpong-o32": (lambda: (make_witt_form(3, 2), pingpong_o32(0)), 5),
 }
 
@@ -90,8 +90,9 @@ def domain_points(form, sample, count=8, seed=0):
 
 
 def sample_record(sample):
-    return [(p.source_word, p.word_length, p.gap_at_source, p.frame.columns.tobytes())
-            for p in sample.points]
+    return [(word, r, gap, cols.tobytes()) for word, r, gap, cols in
+            zip(sample.words, sample.lengths.tolist(), sample.gaps.tolist(),
+                sample.columns)]
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))
