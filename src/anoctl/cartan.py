@@ -34,8 +34,9 @@ reads the same SVD: its mu is kak's bit for bit wherever kak reads mu
 off it (gl, onC, opq past spectral norm 1e6), and only opq's moderate
 rows, where kak squares g, carry a margin.  The batch only settles
 decisions that its margins settle (an element is not a sphere minimum,
-its gap is below the floor, its flag merges into a kept one); every gap
-and flag that is reported comes from kak (stacked).
+its gap is below the floor, its flag merges into a kept one).  Every
+reported flag comes from kak (stacked), every reported gap from
+``GroupBall.gaps``: off the batch where its margin is 0, else from kak.
 """
 
 from __future__ import annotations
@@ -82,13 +83,6 @@ class MuVector:
             raise ValueError("mu must be weakly decreasing")
         if self.group_tag in ("opq", "onC") and v.size and v[-1] < -1e-9:
             raise ValueError("opq/onC mu must be nonnegative")
-
-    def gaps(self, rs):
-        """Per-simple-root pairings (1-based dict); see mu_gaps."""
-        return mu_gaps(self, rs)
-
-    def gap(self, rs, alpha):
-        return mu_gaps(self, rs)[alpha]
 
     def __len__(self):
         return len(self.values)
@@ -579,23 +573,28 @@ def kak(g, form=None):
     return decompose(g, form) if g.ndim == 3 else decompose(g[None], form)[0]
 
 
-def _check_root_system(mu, length, rs):
-    if mu.group_tag == "gl":
-        if rs.type_label != "A" or rs.rank != length - 1:
-            raise ValueError(
-                f"gl mu of length {length} needs root system A_{length - 1}")
-    elif rs.type_label not in ("B", "D") or rs.rank != length:
-        raise ValueError(
-            f"{mu.group_tag} mu of length {length} needs type B or D of rank {length}")
+def _root_coeffs(length, rs, tag):
+    """The simple roots of rs in epsilon coordinates (length, rank), for
+    a mu of ``length`` entries in the group of ``tag``; ValueError if
+    rs does not fit that group."""
+    if tag == "gl" and (rs.type_label != "A" or rs.rank != length - 1):
+        raise ValueError(f"gl mu of length {length} needs root system A_{length - 1}")
+    if tag != "gl" and (rs.type_label not in ("B", "D") or rs.rank != length):
+        raise ValueError(f"{tag} mu of length {length} needs type B or D of rank {length}")
+    return np.array([[float(c) for c in row] for row in rs.simple_root_coords]).T
+
+
+def root_gaps(mu, rs, tag):
+    """Gaps (..., rank) of stacked mu values (..., r) in the group of
+    ``tag``: each has at most two terms +-mu_j, so it is rounded once,
+    and a row gives the same bits alone or in any stack."""
+    mu = np.asarray(mu, dtype=float)
+    return mu @ _root_coeffs(mu.shape[-1], rs, tag)
 
 
 def mu_gaps(mu, rs):
-    """Pairings of mu with each simple root, as a 1-based dict."""
-    v = mu.values
-    _check_root_system(mu, len(v), rs)
-    if mu.group_tag == "gl":
-        return {i: float(v[i - 1] - v[i]) for i in range(1, len(v))}
-    return {i: rs.pair_eps(i, v) for i in range(1, rs.rank + 1)}
+    """Pairings of a MuVector with each simple root, as a 1-based dict."""
+    return dict(enumerate(root_gaps(mu.values, rs, mu.group_tag).tolist(), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -632,19 +631,13 @@ class MuBatch:
 
     def gaps(self, rs):
         """(gaps, slack): (N, rank) pairings of mu with the simple roots,
-        in root order, and bounds on their distance from mu_gaps of kak
-        (0 where the gaps are kak's own bits)."""
-        r = self.mu.shape[1]
-        _check_root_system(self, r, rs)
-        if self.group_tag == "gl":
-            coeffs = np.eye(r, r - 1) - np.eye(r, r - 1, -1)
-        else:
-            coeffs = np.array([[float(c) for c in row]
-                               for row in rs.simple_root_coords]).T
+        in root order (root_gaps of mu), and bounds on their distance from
+        root_gaps of kak's mu (0 where the gaps are kak's own bits)."""
+        coeffs = _root_coeffs(self.mu.shape[1], rs, self.group_tag)
         undecided = np.isinf(self.margin)
         slack = np.where(undecided, 0.0, self.margin) @ np.abs(coeffs)
         slack[np.any(undecided, axis=1)] = np.inf
-        return self.mu @ coeffs, slack
+        return root_gaps(self.mu, rs, self.group_tag), slack
 
     def frames(self, i):
         """(N, *, k) orthonormal columns of the flags that xi_theta reads
@@ -712,25 +705,30 @@ def _theta_to_plane_dim(theta, form):
     raise ValueError(f"unsupported theta {members} for this group")
 
 
-def xi_theta(g, theta, form=None, tol=1e-6, decomposition=None):
-    """Flag map: the Frame spanned by the leading columns of the compact
-    left factor, realified (2n, 2i) for onC.  For opq and onC the span
-    must be isotropic for the form (check_isotropic).
+def xi_theta(g, theta, form=None, tol=1e-6):
+    """Flag map: flag_of the compact left factor of kak(g, form), for the
+    plane dimension of theta.
 
     Requires every gap <alpha, mu(g)> for alpha in theta to exceed tol;
     otherwise GapTooSmallError is raised, because the flag would depend on
     the tie-breaking inside the decomposition.
     """
     i = _theta_to_plane_dim(theta, form)
-    dec = decomposition if decomposition is not None else kak(g, form)
+    dec = kak(g, form)
     gaps = mu_gaps(dec.mu, theta.root_system)
     for a in sorted(theta.members):
         if gaps[a] <= tol:
             raise GapTooSmallError(a, gaps[a], tol)
+    return flag_of(dec.k, i, form)
+
+
+def flag_of(k, i, form=None):
+    """The Frame spanned by the first i columns of a compact left factor
+    k, realified (2n, 2i) for onC.  For opq and onC the span must be
+    isotropic for the form (check_isotropic)."""
     if form is None:
-        return Frame.from_spanning(dec.k[:, :i])
-    frame = Frame.from_spanning(_realify(dec.k[:, :i]) if form.is_complex
-                                else dec.k[:, :i])
+        return Frame.from_spanning(k[:, :i])
+    frame = Frame.from_spanning(_realify(k[:, :i]) if form.is_complex else k[:, :i])
     check_isotropic(frame.columns, form)
     return frame
 

@@ -189,24 +189,25 @@ def _group_setup(form, n):
 
 def cmd_cartan(config):
     form, named = _named_matrices(config)
-    rs = _group_setup(form, named[0][1].shape[0])
+    n = named[0][1].shape[0] if form is None else form.n
+    rs = _group_setup(form, n)
     theta = ThetaSet(rs, frozenset({config.xi_root}))
     records, errors = [], []
     for name, mat in named:
         try:
+            if mat.shape[0] != n:
+                raise ValueError(f"g must be {n}x{n}")
             dec = kak(mat, form)
         except ValueError as exc:
             errors.append({"name": name, "error": str(exc)})
             continue
-        gaps = mu_gaps(dec.mu, rs)
         record = {
             "name": name,
             "mu": [float(x) for x in dec.mu.values],
-            "gaps": {f"alpha_{k}": float(v) for k, v in sorted(gaps.items())},
+            "gaps": {f"alpha_{k}": v for k, v in mu_gaps(dec.mu, rs).items()},
         }
         try:
-            record["flag_frame"] = xi_theta(mat, theta, form, tol=config.tol,
-                                            decomposition=dec).to_json()
+            record["flag_frame"] = xi_theta(mat, theta, form, tol=config.tol).to_json()
         except GapTooSmallError as exc:
             record["flag_error"] = str(exc)
         records.append(record)

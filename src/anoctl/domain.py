@@ -212,17 +212,15 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         if hit.size:
             flagged.append((index, hit.tolist(), residuals[hit].tolist()))
 
-    # only flagged elements need a gap; the ball keeps the sampler's
-    # decompositions and decomposes the others in one call
-    from .cartan import mu_gaps
-    decs = ball.decompose([index for index, _, _ in flagged], sample.form)
-    for (index, hit, resids), dec in zip(flagged, decs):
-        gaps = mu_gaps(dec.mu, sample.theta.root_system)
+    # only flagged elements need a gap
+    members = [a - 1 for a in sorted(sample.theta.members)]
+    gaps = ball.gaps([index for index, _, _ in flagged], sample.theta.root_system,
+                     sample.form)[:, members]
+    for (index, hit, resids), gap in zip(flagged, np.min(gaps, axis=1).tolist()):
         n = len(hit)
         flags["point"].extend(hit)
         flags["word"].extend(repeat(ball.words[index], n))
-        flags["min_gap"].extend(
-            repeat(min(gaps[a] for a in sample.theta.members), n))
+        flags["min_gap"].extend(repeat(gap, n))
         flags["residual"].extend(resids)
     return flags
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .cartan import (  # noqa: F401  (kak re-exported)
-    _theta_to_plane_dim, kak, mu_gaps, xi_theta)
+    _theta_to_plane_dim, flag_of, kak, xi_theta)
 from .forms import (
     Frame,
     cosine_band,
@@ -98,12 +98,14 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
 
     The candidates go in blocks of 1, 2, 4, ... up to _PREFETCH elements.
     A block first drops the elements whose batched flags are clearly
-    within merge_tol of a kept flag, then decomposes the rest in one
-    stacked kak call and runs the exact gap, flag and merge steps on
-    them in order; a flag kept within a block screens only later
-    blocks, which costs a decomposition, never a different result."""
+    within merge_tol of a kept flag, then drops those whose exact gap
+    (GroupBall.gaps) is at most min_gap, decomposes the others and runs
+    the flag and merge steps on them in order; a flag kept within a
+    block screens only later blocks, which costs a decomposition, never
+    a different result."""
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
+    i = _theta_to_plane_dim(theta, form)
     batch = ball.cartan_batch(form)
     approx, slack = batch.gaps(theta.root_system)
     members = [a - 1 for a in sorted(theta.members)]
@@ -116,7 +118,7 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
     candidates = candidates[approx_gap[candidates] + gap_slack[candidates] > min_gap]
     bounded = (approx_gap - gap_slack > max(min_gap, 1.0)) & \
         (batch.flag_margin < merge_tol / 2)
-    frames = batch.frames(_theta_to_plane_dim(theta, form))
+    frames = batch.frames(i)
     rows, gaps, kept = [], [], None     # kept: the rows' flags, preallocated
     start, size = 0, 1
     while start < len(candidates):
@@ -127,13 +129,10 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
             near[near] = _surely_within(frames[block[near]], kept[:len(rows)],
                                         merge_tol, batch.flag_margin[block[near]])
             block = block[~near]
-        for idx, dec in zip(block, ball.decompose(block, form)):
-            pairings = mu_gaps(dec.mu, theta.root_system)
-            gap = min(pairings[a] for a in theta.members)
-            if gap <= min_gap:
-                continue
-            cols = xi_theta(ball.matrices[idx], theta, form, tol=min_gap,
-                            decomposition=dec).columns
+        exact = np.min(ball.gaps(block, theta.root_system, form)[:, members], axis=1)
+        block, exact = block[exact > min_gap], exact[exact > min_gap]
+        for idx, dec, gap in zip(block, ball.decompose(block, form), exact.tolist()):
+            cols = flag_of(dec.k, i, form).columns
             if kept is None:
                 kept = np.empty((len(ball.elements),) + cols.shape)
             if _within(cols, kept[:len(rows)], merge_tol):

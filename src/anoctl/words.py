@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cartan import cartan_mu_batch, kak, mu_gaps
+from .cartan import cartan_mu_batch, kak, root_gaps
 
 DEDUP_TOL = 1e-8
 
@@ -86,6 +86,18 @@ class GroupBall:
         if form not in self._batches:
             self._batches[form] = cartan_mu_batch(self.matrices, form)
         return self._batches[form]
+
+    def gaps(self, indices, rs, form=None):
+        """root_gaps (m, rank) of kak's mu for the elements at ``indices``,
+        read off the batch where its margin is 0 (kak's bits there); only
+        the other elements are decomposed."""
+        indices = np.asarray(indices, dtype=int)
+        batch = self.cartan_batch(form)
+        mu = batch.mu[indices]
+        inexact = np.flatnonzero(np.any(batch.margin[indices], axis=1))
+        if inexact.size:
+            mu[inexact] = [dec.mu.values for dec in self.decompose(indices[inexact], form)]
+        return root_gaps(mu, rs, batch.group_tag)
 
     @property
     def radius(self):
@@ -282,14 +294,13 @@ def divergence_profile(ball, rs, form=None):
         sphere = np.flatnonzero(ball.lengths == r)
         if sphere.size:
             spheres.append((r, sphere[_possible_minima(approx[sphere], slack[sphere])]))
-    decs = iter(ball.decompose(np.concatenate([s for _, s in spheres]), form))
+    gaps = iter(ball.gaps(np.concatenate([s for _, s in spheres]), rs, form).tolist())
     entries = []
     for r, sphere in spheres:
         best, best_word = {}, {}
-        for idx, dec in zip(sphere, decs):
+        for idx, row in zip(sphere, gaps):
             word = ball.words[idx]
-            gaps = mu_gaps(dec.mu, rs)
-            for root, val in gaps.items():
+            for root, val in enumerate(row, 1):
                 if val < -1e-9:
                     raise ValueError(
                         f"gap {val} of {word!r} leaves the closed chamber")
@@ -310,22 +321,15 @@ def _possible_minima(approx, slack):
     """Sorted sphere positions whose exact gaps may be a sphere minimum
     or leave the chamber, given batched gaps within ``slack`` of them.
 
-    Every exact gap left out either exceeds the exact minimum T by more
-    than (len + 1) * _TIE_REACH, or repeats a gap known exactly (slack 0)
-    earlier in the sphere.  The first kind lies above a gap-free slot of
-    width _TIE_REACH inside that reach, and no element above the slot
-    displaces one below it in the scan; the second never passes the tie
-    rule.  So the scan over the positions returned picks the same words
-    and values as the scan over the whole sphere.
+    Every exact gap left out exceeds the exact minimum T by more than
+    (len + 1) * _TIE_REACH, so it lies above a gap-free slot of width
+    _TIE_REACH inside that reach, and no element above the slot displaces
+    one below it in the scan.  So the scan over the positions returned
+    picks the same words and values as the scan over the whole sphere.
     """
     lo = approx - slack
     reach = np.min(approx + slack, axis=0) + (len(approx) + 1) * _TIE_REACH
-    keep = (lo <= reach) | (lo < -1e-9)
-    for root in range(approx.shape[1]):
-        exact = np.flatnonzero(keep[:, root] & (slack[:, root] == 0))
-        first = np.unique(approx[exact, root], return_index=True)[1]
-        keep[np.delete(exact, first), root] = False
-    return np.flatnonzero(np.any(keep, axis=1))
+    return np.flatnonzero(np.any((lo <= reach) | (lo < -1e-9), axis=1))
 
 
 def fit_divergence_slope(profile, root, skip=1):

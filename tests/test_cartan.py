@@ -15,8 +15,11 @@ from anoctl.cartan import (
     chamber_exp,
     complex_pm_basis,
     exterior_power,
+    flag_of,
     kak,
     mu_gaps,
+    root_gaps,
+    tag_of,
     witt_pm_basis,
     xi_theta,
 )
@@ -248,8 +251,100 @@ def test_mu_gaps_examples():
 
 def test_mu_gaps_type_mismatch():
     rs = build_root_system("A", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gl mu of length 2 needs root system A_1"):
         mu_gaps(MuVector("gl", np.array([1.0, 0.0])), rs)
+    with pytest.raises(ValueError, match="opq mu of length 2 needs type B or D of rank 2"):
+        mu_gaps(MuVector("opq", np.array([1.0, 0.0])), rs)
+    with pytest.raises(ValueError, match="onC mu of length 2 needs type B or D of rank 2"):
+        mu_gaps(MuVector("onC", np.array([1.0, 0.0])), build_root_system("B", 3))
+
+
+def per_root_gaps(mu, rs, tag):
+    """The per-root formula that root_gaps replaced: consecutive
+    differences for gl, rs.pair_eps for B and D."""
+    if tag == "gl":
+        return [float(mu[i - 1] - mu[i]) for i in range(1, len(mu))]
+    return [rs.pair_eps(i, mu) for i in range(1, rs.rank + 1)]
+
+
+def random_gl(n, seed, count=40):
+    """Gaussian matrices and products U diag(e^x) V with exponents spread
+    over [-25, 25]."""
+    rng = np.random.default_rng(seed)
+    out = [rng.standard_normal((n, n)) for _ in range(count // 2)]
+    for _ in range(count - len(out)):
+        logs = np.sort(rng.uniform(-25, 25, n))[::-1]
+        out.append(random_orthogonal(rng, n) @ np.diag(np.exp(logs)) @
+                   random_orthogonal(rng, n))
+    return np.stack(out)
+
+
+def random_opq_stack(p, q, seed, count=40):
+    """Elements of O(p,q) on kak's squared path (products of chamber
+    elements with exponents up to 3) and past it (exponents up to 40)."""
+    form = make_witt_form(p, q)
+    rng = np.random.default_rng(seed)
+    mats = [random_opq(rng, form, lam_max=3.0) for _ in range(count // 2)]
+    mats += [opq_element(form, np.sort(rng.uniform(0, 40, q))[::-1], seed + j)
+             for j in range(count - len(mats))]
+    return np.stack(mats), form
+
+
+def random_onC(n, seed, top, count=40):
+    """Elements k exp(a) l of the complex orthogonal group of order n,
+    k and l from O(n, R) in the basis complex_pm_basis(n), exponents up
+    to top."""
+    form = make_witt_form(n - n // 2, n // 2, "complex")
+    t = complex_pm_basis(n)
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(count):
+        lams = np.sort(rng.uniform(0, top, n // 2))[::-1]
+        k1, k2 = (t @ random_orthogonal(rng, n) @ t.conj().T for _ in range(2))
+        mats.append(k1 @ chamber_exp(MuVector("onC", lams), form) @ k2)
+    return np.stack(mats), form
+
+
+def preset_ball(setup, radius):
+    from anoctl.words import enumerate_ball
+    form, gens = setup()
+    return enumerate_ball(gens, radius).matrices, form
+
+
+def pingpong_ball():
+    from test_cli import pingpong_o32
+    return preset_ball(lambda: (make_witt_form(3, 2), pingpong_o32(1)), 5)
+
+
+GAP_CASES = {
+    "schottky-o21": lambda: preset_ball(schottky_o21, 6),
+    "mixed-o21": lambda: preset_ball(mixed_o21, 6),
+    "pingpong-o32": pingpong_ball,
+    "O(2,2)": lambda: random_opq_stack(2, 2, 1),
+    "O(3,3)": lambda: random_opq_stack(3, 3, 2),
+    "O(5,3)": lambda: random_opq_stack(5, 3, 3),
+    **{f"GL({n})": (lambda n=n: (random_gl(n, n), None)) for n in range(2, 6)},
+    "O(3,C)": lambda: random_onC(3, 4, 40.0),
+    # from order 4 on, kak's onC reconstruction check fails on some
+    # elements whose top gap mu_1 - mu_2 exceeds about 18
+    "O(4,C)": lambda: random_onC(4, 5, 15.0),
+}
+
+
+@pytest.mark.parametrize("name", list(GAP_CASES))
+def test_root_gaps_equal_the_per_root_formula(name):
+    # each gap has at most two terms +-mu_j, so the matrix product rounds
+    # it once, as the per-root formula does, alone or stacked
+    mats, form = GAP_CASES[name]()
+    rs, tag = _group_setup(form, mats.shape[-1]), tag_of(form)
+    decs = kak(mats, form)
+    mus = np.array([dec.mu.values for dec in decs])
+    expected = np.array([per_root_gaps(mu, rs, tag) for mu in mus])
+    assert root_gaps(mus, rs, tag).tobytes() == expected.tobytes()
+    for dec, row in zip(decs, expected):
+        assert root_gaps(dec.mu.values, rs, tag).tobytes() == row.tobytes()
+        assert np.array(list(mu_gaps(dec.mu, rs).values())).tobytes() == row.tobytes()
+        assert list(mu_gaps(dec.mu, rs)) == list(range(1, rs.rank + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +517,7 @@ def assert_batch_matches_kak(mats, form=None, flag_tol=np.inf):
         for th in flag_thetas(rs, form):
             if min(gaps[a] for a in th.members) <= 1.0:
                 continue
-            cols = xi_theta(g, th, form, tol=1.0, decomposition=dec).columns
+            cols = flag_of(dec.k, _theta_to_plane_dim(th, form), form).columns
             frame = batch.frames(_theta_to_plane_dim(th, form))[j]
             sine = principal_sines(cols, frame)[-1]
             assert sine <= min(batch.flag_margin[j], flag_tol), (j, sine)

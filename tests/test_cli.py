@@ -76,6 +76,24 @@ def test_cartan_batch_preserves_order_and_flags_errors(tmp_path):
     assert data["errors"][0]["name"] == "x"
 
 
+@pytest.mark.parametrize("form, size", [("", 3), ("3,2", 5)])
+def test_cartan_records_matrices_of_the_wrong_size_as_errors(tmp_path, form, size):
+    # without a form the first matrix sets the size, as a form sets it
+    mats = [("a", np.diag([3.0, 2.0, 0.5])), ("b", np.diag([2.0, 0.5])),
+            ("c", np.eye(3))]
+    gens_path = tmp_path / "gens.json"
+    gens_path.write_text(json.dumps([{"name": n, **matrix_to_json(m)} for n, m in mats]))
+    code = main(["cartan", "--gens", str(gens_path), "--form", form,
+                 "--out", str(tmp_path)])
+    assert code == 1
+    data = json.loads(read(tmp_path / "cartan.json"))
+    wrong = ["b"] if size == 3 else ["a", "b", "c"]
+    assert [r["name"] for r in data["records"]] == \
+        [n for n, _ in mats if n not in wrong]
+    assert data["errors"] == [{"name": n, "error": f"g must be {size}x{size}"}
+                              for n in wrong]
+
+
 def test_limitset_builtin_emits_csv_and_svg(tmp_path):
     code = main(["limitset", "--radius", "4", "--out", str(tmp_path)])
     assert code == 0

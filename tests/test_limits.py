@@ -191,13 +191,13 @@ def test_sample_equivariance():
 
 def test_inverse_sampling_lands_in_sample():
     form, gens, ball, sample = schottky_sample()
-    from anoctl.cartan import kak, mu_gaps, xi_theta
+    from anoctl.cartan import flag_of, kak, mu_gaps
     for word in sample.words[:10]:
         ginv = np.linalg.inv(ball.matrix(word))
         dec = kak(ginv, form)
         if mu_gaps(dec.mu, B1)[1] <= 1.0:
             continue
-        flag = xi_theta(ginv, THETA1, form, tol=1.0, decomposition=dec)
+        flag = flag_of(dec.k, 1, form)
         assert sample.nearest_distance(flag) < 5 * sample.merge_tol
 
 

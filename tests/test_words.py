@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anoctl.words
-from anoctl.cartan import kak, mu_gaps
+from anoctl.cartan import kak, mu_gaps, root_gaps, tag_of
 from anoctl.forms import dist_projective, Frame, make_witt_form
 from anoctl.presets import mixed_o21, o21_boost, o21_rotation, schottky_o21
 from anoctl.roots import build_root_system
 from test_cli import pingpong_o32
+from test_limits import table_cases
 from anoctl.words import (
     DEDUP_TOL,
     CapExceededError,
@@ -37,6 +38,28 @@ def test_ball_keeps_decompositions_per_form():
     assert ball.cartan_batch(form).group_tag == "opq"
     assert ball.cartan_batch().group_tag == "gl"
     assert ball.cartan_batch(make_witt_form(2, 1, "complex")).group_tag == "onC"
+
+
+@pytest.mark.parametrize("name", ["schottky-o21", "mixed-o21", "pingpong-o32",
+                                  "gl", "2,1,C"])
+def test_ball_gaps_are_root_gaps_of_kak(name):
+    form, gens, theta = table_cases()[name]
+    ball = enumerate_ball(gens, 6)
+    rs, tag = theta.root_system, tag_of(form)
+    gaps = ball.gaps(np.arange(len(ball)), rs, form)
+    # the zero-margin rows come off the batch, undecomposed
+    exact = ~np.any(ball.cartan_batch(form).margin, axis=1)
+    assert [ball.decomposed(i, form) for i in range(len(ball))] == (~exact).tolist()
+    mus = np.array([dec.mu.values for dec in kak(ball.matrices, form)])
+    assert gaps.tobytes() == root_gaps(mus, rs, tag).tobytes()
+    # any rows, in any order, are the same bits
+    rows = np.arange(len(ball))[::-3]
+    assert ball.gaps(rows, rs, form).tobytes() == gaps[rows].tobytes()
+    assert ball.gaps([], rs, form).shape == (0, rs.rank)
+    # divergence_profile decomposes no zero-margin element
+    fresh = enumerate_ball(gens, 6)
+    divergence_profile(fresh, rs, form)
+    assert not any(fresh.decomposed(i, form) for i in np.flatnonzero(exact))
 
 
 def test_free_ball_counts():
