@@ -180,6 +180,10 @@ def _group_setup(form, n):
         return build_root_system("A", n - 1)
     if tag == "onC":
         return build_root_system("B" if form.n % 2 else "D", form.n // 2)
+    if form.q == 0 or form.p == 1:
+        why = "is compact" if form.q == 0 else "has no restricted roots"
+        raise ValueError(f"form {form.p},{form.q} is not supported: "
+                         f"O({form.p},{form.q}) {why}")
     return build_root_system("B" if form.p > form.q else "D", form.q)
 
 
@@ -305,7 +309,9 @@ def cmd_domain(config):
         raise ValueError("domain check needs a form (use --form P,Q)")
     if form.is_complex:
         raise ValueError("domain check needs a real form")
-    theta = ThetaSet(_group_setup(form, gens[0][1].shape[0]), frozenset({1}))
+    # the line flag, which for p = q = 2 is indexed by {alpha_1, alpha_2}
+    roots = {1, 2} if (form.p, form.q) == (2, 2) else {1}
+    theta = ThetaSet(_group_setup(form, gens[0][1].shape[0]), frozenset(roots))
     ball, truncated = _enumerate(config, gens)
     # one stream feeds the interior points, then the coverage trials
     points = gaussian_domain_sampler(form, config.rng(), config.tol)
@@ -329,7 +335,7 @@ def cmd_domain(config):
               "interior_samples": len(interior),
               # signatures excluded by the properness/cocompactness
               # statements; runs are permitted but tagged
-              "outside_theorem_hypotheses": (form.p, form.q) in ((1, 1), (2, 2))}
+              "outside_theorem_hypotheses": (form.p, form.q) == (2, 2)}
 
     if sample is None:
         report.update({"sample_size": 0, "bad_set_hits": 0,

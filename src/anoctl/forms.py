@@ -20,8 +20,8 @@ pair of real forms (its real and imaginary parts).
 from __future__ import annotations
 
 import json
-from functools import cache, cached_property
-from itertools import repeat
+import os
+from functools import cached_property
 
 import numpy as np
 
@@ -497,7 +497,7 @@ def matrix_to_json(m):
     if m.ndim == 1:
         m = m[:, None]
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
-            "data": [float(x) for x in m.reshape(-1)]}
+            "data": m.reshape(-1).tolist()}
 
 
 def matrix_from_json(d):
@@ -505,10 +505,6 @@ def matrix_from_json(d):
     return m
 
 
-# chunks of text held before one write: a report is never built as one
-# string (joining mixed-o21's 3 MB domain report raised the peak RSS by
-# 23 MiB)
-_WRITE_BATCH = 1024
 # rows of a Records table encoded and written at a time: on mixed-o21's
 # radius-8 report (129,476 rows) this batch keeps the writer under the
 # relation scan's peak RSS of 81 MiB, where 16,384 rows reached 89 MiB
@@ -517,10 +513,10 @@ _RECORD_BATCH = 4096
 
 
 class Records:
-    """A table of scalar rows kept as columns: ``columns`` maps each key to
-    a list with one value per row, and ``len()`` is the row count.
-    dump_json writes it as the list of one dict per row that json would
-    write, without building those dicts."""
+    """A table of scalar rows kept as columns: ``columns`` maps each str
+    key to a list with one value per row, and ``len()`` is the row count.
+    At a top-level key, dump_json writes it as the list of one dict per
+    row that json would write, without building those dicts."""
     __slots__ = ("columns",)
 
     def __init__(self, columns):
@@ -536,42 +532,13 @@ class Records:
         return self.columns[key]
 
 
-_NESTED = (list, tuple, dict, Records)
-
-
-def _encoder(item_separator):
-    """json's C encoder with sorted keys and no NaN.  It also encodes
-    single scalars and raises json's own errors (ValueError for a NaN or
-    infinity, TypeError for other values).  It returns a list of chunks:
-    one, or several once a container has about 50,000 members."""
-    return json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-        None, ": ", item_separator, True, False, False)
-
-
-# a list of scalars one per line: an encoded scalar holds no raw newline,
-# so splitting the text at "\n" gives the members
-_COLUMN = _encoder("\n")
-
-
-@cache
-def _layout(depth):
-    """For a container at nesting ``depth``: the encoder for its members
-    when they are all scalars, whose item separator carries the indent of
-    the next line, and the line breaks that open and close it."""
-    pad = "\n" + "  " * (depth + 1)
-    return _encoder("," + pad), pad, pad[:-2]
-
-
-def _key_head(key):
-    """A dict key as json writes it before the value: str as is; int,
-    float, bool and None as their JSON literal, quoted."""
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = _layout(0)[0](key, 0)[0]
-    return json.encoder.encode_basestring_ascii(key) + ": "
+# json's C encoder, with its own errors and no NaN, for a list of scalars
+# one per line: an encoded scalar holds no raw newline, so splitting the
+# text at "\n" gives the members
+_COLUMN = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ": ", "\n", True, False, False)
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
 
 
 def _cells(values):
@@ -587,90 +554,56 @@ def _cells(values):
     return cells
 
 
-def _record_batches(records, depth):
-    """The text of ``records`` at nesting ``depth``, a batch of rows at a
-    time: each column of a batch is one encoder call, and each row fills
-    one template that holds the sorted keys and the indents."""
+def _record_batches(records):
+    """The text of ``records`` as the value of a top-level key, a batch of
+    rows at a time: each column of a batch is one encoder call, and each
+    row fills one template that holds the sorted keys and the indents."""
     keys = sorted(records.columns)
     columns = [records.columns[k] for k in keys]
     rows = len(records)
     if any(len(c) != rows for c in columns):
         raise ValueError("Records columns differ in length")
-    if not rows:
-        yield "[]"
-        return
-    _, pad, end = _layout(depth)
-    inner = _layout(depth + 1)[1]
-    template = ("{" + inner + ("," + inner).join(
-        _key_head(k).replace("%", "%%") + "%s" for k in keys) + pad + "}")
-    sep = "[" + pad
+    template = "{\n      " + ",\n      ".join(
+        json.encoder.encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+        for k in keys) + "\n    }"
+    sep = "[\n    "
     for start in range(0, rows, _RECORD_BATCH):
         cells = [_cells(c[start:start + _RECORD_BATCH]) for c in columns]
-        yield sep + ("," + pad).join(map(template.__mod__, zip(*cells)))
-        sep = "," + pad
-    yield end + "]"
+        yield sep + ",\n    ".join(map(template.__mod__, zip(*cells)))
+        sep = ",\n    "
+    yield "\n  ]" if rows else "[]"
+
+
+def _top_level(obj):
+    """The text of a dict that holds Records, walked at its top level over
+    its str keys.  json indents the other values for depth 0, so two
+    spaces go after each line break, which never falls inside a JSON
+    string."""
+    sep = "{\n  "
+    for key in sorted(obj):
+        yield sep + json.encoder.encode_basestring_ascii(key) + ": "
+        if isinstance(obj[key], Records):
+            yield from _record_batches(obj[key])
+        else:
+            for chunk in _JSON.iterencode(obj[key]):
+                yield chunk.replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "\n}"
 
 
 def dump_json(obj, path):
     """Write ``obj`` with the bytes of ``json.dump(obj, fh, sort_keys=True,
-    indent=2, allow_nan=False)`` and a final newline, where a Records
-    table stands for its list of row dicts.  A NaN or infinity raises
-    ValueError, because JSON has no literal for them.
-
-    json.dump runs its pure-Python encoder whenever it indents, one small
-    chunk at a time.  Here every container of scalars is one call of
-    json's C encoder, every column of a Records batch is one call, and
-    only containers of containers recurse in Python."""
-    out = []
-    active = set()
-
-    def flush():
-        fh.write("".join(out))
-        out.clear()
-
-    def emit(o, depth):
-        enc, pad, end = _layout(depth)
-        if isinstance(o, Records):
-            for text in _record_batches(o, depth):
-                out.append(text)
-                flush()
-            return
-        if isinstance(o, dict):
-            members = o.values()
-        elif isinstance(o, (list, tuple)):
-            members = o
-        else:
-            out.append("".join(enc(o, depth)))
-            return
-        for v in members:
-            if isinstance(v, _NESTED):
-                break
-        else:
-            text = "".join(enc(o, depth))
-            out.append(f"{text[0]}{pad}{text[1:-1]}{end}{text[-1]}"
-                       if o else text)
-            return
-        if id(o) in active:
-            raise ValueError("Circular reference detected")
-        active.add(id(o))
-        if isinstance(o, dict):
-            brackets = "{}"
-            pairs = ((_key_head(k), v) for k, v in sorted(o.items()))
-        else:
-            brackets = "[]"
-            pairs = zip(repeat(""), o)
-        out.append(brackets[0])
-        sep = pad
-        for head, value in pairs:
-            out.append(sep + head)
-            emit(value, depth + 1)
-            sep = "," + pad
-            if len(out) >= _WRITE_BATCH:
-                flush()
-        out.append(end + brackets[1])
-        active.discard(id(o))
-
+    indent=2, allow_nan=False)`` and a final newline, where a Records at a
+    top-level key stands for its list of row dicts.  A NaN or infinity
+    raises ValueError, and a Records anywhere else json's TypeError; a
+    report that fails is removed, not left partly written."""
+    walk = isinstance(obj, dict) and any(isinstance(v, Records)
+                                         for v in obj.values())
     with open(path, "w") as fh:
-        emit(obj, 0)
-        out.append("\n")
-        flush()
+        try:
+            fh.writelines(_top_level(obj) if walk else _JSON.iterencode(obj))
+            fh.write("\n")
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise

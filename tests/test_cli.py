@@ -335,6 +335,29 @@ def test_divergence_below_three_fitted_radii_prints_na(tmp_path, capsys):
     assert "(n/a)" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("form, why", [("1,1", "O(1,1) has no restricted roots"),
+                                       ("2,0", "O(2,0) is compact")])
+def test_forms_without_restricted_roots_exit_2(tmp_path, capsys, form, why):
+    gens = write_gens(tmp_path / "gens.json", [("a", np.eye(2))])
+    for command in ("domain", "cartan"):
+        assert main([command, "--gens", gens, "--form", form, "--radius", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: form {form} is not supported: {why}\n"
+
+
+def test_domain_on_O22_is_tagged_outside_the_theorem(tmp_path):
+    form = make_witt_form(2, 2)
+    gens = write_gens(tmp_path / "gens.json",
+                      [("a", opq_chamber(form, [3.0, 1.0])),
+                       ("b", opq_chamber(form, [2.0, 0.5]))])
+    assert main(["domain", "--gens", gens, "--form", "2,2", "--radius", "2",
+                 "--samples", "20", "--out", str(tmp_path)]) == 0
+    data = json.loads(read(tmp_path / "domain.json"))
+    assert data["outside_theorem_hypotheses"] is True
+    assert data["sample_size"] > 0
+
+
 def test_domain_with_a_complex_form_exits_2_before_the_ball(tmp_path, capsys,
                                                            monkeypatch):
     def enumerate_(*args):

@@ -565,26 +565,20 @@ _CELLS = st.one_of(_SCALARS, st.text(_TRICKY + "%s", max_size=8))
 _RECORD_KEYS = st.one_of(st.text(max_size=4), st.text(_TRICKY + "%s", max_size=6))
 
 
-def _nested(records, depth):
-    obj = records
-    for level in range(depth):
-        obj = {"flags": obj, "n": level} if level % 2 else [obj, []]
-    return obj
-
-
 @pytest.mark.parametrize("rows", [0, 1, 2, forms._RECORD_BATCH - 1,
                                   forms._RECORD_BATCH, forms._RECORD_BATCH + 1])
 @settings(max_examples=20, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pools=st.dictionaries(_RECORD_KEYS, st.lists(_CELLS, min_size=1, max_size=5),
                              max_size=4),
-       depth=st.integers(0, 3))
-def test_records_write_the_bytes_of_json_dump(tmp_path, rows, pools, depth):
-    # each column repeats a small pool of values down the rows
+       at=_STRINGS, others=st.dictionaries(_STRINGS, JSON_VALUES, max_size=3))
+def test_records_write_the_bytes_of_json_dump(tmp_path, rows, pools, at, others):
+    # each column repeats a small pool of values down the rows; the table
+    # sits at a top-level key next to other values, which are re-indented
     records = Records({key: [pool[i % len(pool)] for i in range(rows)]
                        for key, pool in pools.items()})
     assert len(records) == (rows if pools else 0)
-    obj = _nested(records, depth)
+    obj = {**others, at: records}
     dump_json(obj, tmp_path / "report.json")
     assert (tmp_path / "report.json").read_text() == json_dump_text(obj)
 
@@ -618,6 +612,21 @@ def test_records_reject_what_json_rejects(tmp_path):
         for column in ([value], [value, "x"], ["x", value],
                        [0.5] * late + [value]):
             with pytest.raises(TypeError):
-                dump_json(Records({"a": column}), path)
+                dump_json({"r": Records({"a": column})}, path)
     with pytest.raises(ValueError):
-        dump_json(Records({"a": [1, 2], "b": [1]}), path)
+        dump_json({"r": Records({"a": [1, 2], "b": [1]})}, path)
+
+
+def test_records_only_at_a_top_level_str_key(tmp_path):
+    path = tmp_path / "report.json"
+    records = Records({"a": [1.0, 2.0]})
+    big = Records({"a": [0.5] * 5000})     # fills the file buffer first
+    for obj in (records, [records], {"n": 1, "r": {"flags": records}},
+                {"a": big, "b": [records]}, {"a": big, "b": {"c": records}},
+                {"a": big, 1: records}, {"a": big, None: 1}, {1: records}):
+        with pytest.raises(TypeError):
+            dump_json(obj, path)
+        assert not path.exists()        # no partial report is left
+    with pytest.raises(ValueError):
+        dump_json({"a": big, "b": [1.0] * 5000 + [float("nan")]}, path)
+    assert not path.exists()
