@@ -179,12 +179,26 @@ def _group_setup(form, n):
     if tag == "gl":
         return build_root_system("A", n - 1)
     if tag == "onC":
+        if form.n < 3:
+            why = "is finite" if form.n == 1 else "has no restricted roots"
+            raise ValueError(f"form {form.p},{form.q},C is not supported: "
+                             f"O({form.n}, C) {why}")
         return build_root_system("B" if form.n % 2 else "D", form.n // 2)
     if form.q == 0 or form.p == 1:
         why = "is compact" if form.q == 0 else "has no restricted roots"
         raise ValueError(f"form {form.p},{form.q} is not supported: "
                          f"O({form.p},{form.q}) {why}")
     return build_root_system("B" if form.p > form.q else "D", form.q)
+
+
+def _theta(form, n, root):
+    """The theta of the flag of the simple root ``root`` for n x n
+    matrices: {root}, except that for p = q the (q-1)-plane flag is
+    indexed by {alpha_{q-1}, alpha_q}."""
+    roots = {root}
+    if tag_of(form) == "opq" and form.p == form.q and root == form.q - 1:
+        roots.add(form.q)
+    return ThetaSet(_group_setup(form, n), frozenset(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +208,8 @@ def _group_setup(form, n):
 def cmd_cartan(config):
     form, named = _named_matrices(config)
     n = named[0][1].shape[0] if form is None else form.n
-    rs = _group_setup(form, n)
-    theta = ThetaSet(rs, frozenset({config.xi_root}))
+    theta = _theta(form, n, config.xi_root)
+    rs = theta.root_system
     records, errors = [], []
     for name, mat in named:
         try:
@@ -282,7 +296,7 @@ def cmd_limitset(config):
     form, gens = _named_matrices(config)
     n = gens[0][1].shape[0]
     chart = _chart(config.chart, n)
-    theta = ThetaSet(_group_setup(form, n), frozenset({config.xi_root}))
+    theta = _theta(form, n, config.xi_root)
     ball, truncated = _enumerate(config, gens)
     sample = sample_limit_set(ball, theta, form, min_gap=config.min_gap)
     csv_path = os.path.join(config.out, "limitset.csv")
@@ -309,9 +323,7 @@ def cmd_domain(config):
         raise ValueError("domain check needs a form (use --form P,Q)")
     if form.is_complex:
         raise ValueError("domain check needs a real form")
-    # the line flag, which for p = q = 2 is indexed by {alpha_1, alpha_2}
-    roots = {1, 2} if (form.p, form.q) == (2, 2) else {1}
-    theta = ThetaSet(_group_setup(form, gens[0][1].shape[0]), frozenset(roots))
+    theta = _theta(form, gens[0][1].shape[0], 1)
     ball, truncated = _enumerate(config, gens)
     # one stream feeds the interior points, then the coverage trials
     points = gaussian_domain_sampler(form, config.rng(), config.tol)

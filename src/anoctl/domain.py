@@ -23,6 +23,7 @@ from .forms import (
     Frame,
     Records,
     contains,
+    cosine_cuts,
     cosines,
     dist_grassmann,
     first_below,
@@ -137,13 +138,15 @@ def in_bad_set(point, sample, variant="intersect", tol=BAD_SET_TOL):
 
 
 def _first_flag_below(c, flags, frame, tol, smallest, first):
-    """first_below for flags against one frame: the index of the first
-    flag (of any, with first=False) whose smallest (or largest)
-    principal-angle sine against frame lies below tol, or None, from the
-    cosine table c = cosines(frame.columns, flags)."""
+    """first_below for flags against one frame (a Frame or an (n, k)
+    array of orthonormal columns): the index of the first flag (of any,
+    with first=False) whose smallest (or largest) principal-angle sine
+    against frame lies below tol, or None, from the cosine table
+    c = cosines(frame.columns, flags)."""
+    n, k = getattr(frame, "columns", frame).shape
     angle = 0 if smallest else -1
     return first_below(
-        c, frame.ambient_dim, min(flags.shape[-1], frame.k), tol,
+        c, n, min(flags.shape[-1], k), tol,
         lambda index: principal_sines(flags[index], frame)[:, angle] < tol,
         smallest, first)
 
@@ -172,6 +175,12 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     flag with a large gap contradicts the accumulation statement itself.
     Points must be members of the compactification outside the bad set.
 
+    Lines against line flags take |cos| against every sample line.  Every
+    other case pushes the points forward and decides them from one cosine
+    table per element (``_plane_hits``), so principal_sines runs only on
+    the pairs the table leaves in its rounding band and on the points
+    that no flag meets below tol.
+
     The flags are a Records table with one row per flag: ``point`` (the
     index of the point), ``word`` (the element), ``min_gap`` (its
     smallest relevant root gap) and ``residual`` (the distance of the
@@ -189,8 +198,7 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
                              f"(witness {witness!r})")
     elements = np.flatnonzero(ball.lengths >= min_word_length).tolist()
 
-    # lines against line flags print |cos|-based residuals in full; every
-    # other case pushes all points forward and measures them in one call
+    # lines against line flags print |cos|-based residuals in full
     line_path = points[0].frame.k == 1 and sample.columns.shape[-1] == 1
     if line_path:
         lines = sample.columns[:, :, 0]
@@ -205,12 +213,12 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
             moved /= np.linalg.norm(moved, axis=0, keepdims=True)
             cos = np.abs(lines @ moved)
             residuals = np.sqrt(np.clip(1 - np.max(cos, axis=0) ** 2, 0.0, 1.0))
+            hit = np.flatnonzero(residuals > tol)
+            residuals = residuals[hit]
         else:
-            residuals = np.min(principal_sines(
-                sample.columns, push_forward(mat, pts)[:, None])[..., 0], axis=1)
-        hit = np.flatnonzero(residuals > tol)
+            hit, residuals = _plane_hits(push_forward(mat, pts), sample.columns, tol)
         if hit.size:
-            flagged.append((index, hit.tolist(), residuals[hit].tolist()))
+            flagged.append((index, hit.tolist(), residuals.tolist()))
 
     # only flagged elements need a gap
     members = [a - 1 for a in sorted(sample.theta.members)]
@@ -223,6 +231,28 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         flags["min_gap"].extend(repeat(gap, n))
         flags["residual"].extend(resids)
     return flags
+
+
+def _plane_hits(moved, flags, tol):
+    """The pushed frames moved (P, n, k) whose smallest principal-angle
+    sine to every flag exceeds tol, as (indices, residuals), the residual
+    being that smallest sine's minimum over the flags.
+
+    A frame with a flag whose cosine lies above cosine_cuts' hi is
+    settled below tol; _first_flag_below decides the others, and only the
+    frames that no flag meets below tol are measured in full.  So NaN and
+    residual == tol are not hits, as in the full measurement."""
+    c = cosines(moved, flags)
+    hi = cosine_cuts(moved.shape[-2], min(moved.shape[-1], flags.shape[-1]),
+                     tol, smallest=True)[0]
+    open_ = np.flatnonzero(~np.any(c > hi, axis=0))
+    clear = np.array([i for i in open_.tolist() if _first_flag_below(
+        c[:, i], flags, moved[i], tol, True, False) is None], dtype=int)
+    if not clear.size:
+        return clear, np.empty(0)
+    residuals = np.min(principal_sines(flags, moved[clear][:, None])[..., 0], axis=1)
+    hit = residuals > tol
+    return clear[hit], residuals[hit]
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,19 @@ def cosine_band(n, k):
     return 64 * (n + k) * k * _EPS
 
 
+def cosine_cuts(n, k, bound, smallest=False):
+    """The cuts (hi, lo) that settle a cosine table c = |A^T B|_F^2 of
+    frames in R^n with k principal angles against bound: above hi the
+    sine of the largest principal angle (of the smallest, with
+    smallest=True) certainly lies below bound, below lo it certainly
+    does not (see first_below)."""
+    # a signed square: no sine lies below a negative bound
+    band, square = cosine_band(n, k), bound * abs(bound)
+    if smallest:
+        return k * (1.0 - square + band), 1.0 - square - band
+    return k - square + band, k * (1.0 - square - band)
+
+
 def first_below(c, n, k, bound, exact, smallest=False, first=True):
     """Index of the first pair of frames in a cosine table whose sine of
     the largest principal angle (of the smallest, with smallest=True)
@@ -373,14 +386,7 @@ def first_below(c, n, k, bound, exact, smallest=False, first=True):
     push_forward do slice by slice.  With first=False any pair below
     bound will do: a pair settled below it is returned without a call
     to exact."""
-    # a signed square: no sine lies below a negative bound
-    band, square = cosine_band(n, k), bound * abs(bound)
-    # the bounds read as cosines: above hi every such sine lies below
-    # bound, below lo none does
-    if smallest:
-        hi, lo = k * (1.0 - square + band), 1.0 - square - band
-    else:
-        hi, lo = k - square + band, k * (1.0 - square - band)
+    hi, lo = cosine_cuts(n, k, bound, smallest)
     # the pairs not settled above bound, in order: exact decides those
     # before the first one settled below it.  A NaN cosine is among them
     # (c >= lo would drop it); the mask is negated in place, because a

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -634,6 +635,20 @@ def test_mu_batch_is_exact_at_the_scale_thresholds():
     # a batch whose margins are inf settles no gap (no 0 * inf = nan)
     blind = dataclasses.replace(batch, margin=np.full_like(batch.margin, np.inf))
     assert np.all(np.isinf(blind.gaps(build_root_system("B", 2))[1]))
+
+
+def test_form_check_decides_and_reports_the_spectral_defect():
+    """The Frobenius norm only clears rows: a defect of spectral norm
+    0.8e-8 (Frobenius 1.4e-8) passes the 1e-8 limit, and a rejected
+    matrix prints its spectral defect (the Frobenius ones would be 2.60e-08
+    and 5.20e+00)."""
+    form = make_witt_form(2, 1)
+    member = np.sqrt(1 + 0.8e-8) * np.eye(3)
+    for bad, defect in ((np.sqrt(1 + 1.5e-8), "1.50e-08"), (2.0, "3.00e+00")):
+        for call in (kak, cartan_mu_batch):
+            with pytest.raises(ValueError, match=re.escape(f"form (defect {defect})")):
+                call(np.stack([member, bad * np.eye(3), member]), form)
+    assert cartan_mu_batch(np.stack([member] * 3), form).mu.shape == (3, 1)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -346,11 +346,45 @@ def test_forms_without_restricted_roots_exit_2(tmp_path, capsys, form, why):
             f"error: form {form} is not supported: {why}\n"
 
 
-def test_domain_on_O22_is_tagged_outside_the_theorem(tmp_path):
+@pytest.mark.parametrize("form, why", [
+    ("1,1,C", "O(2, C) has no restricted roots"),
+    ("2,0,C", "O(2, C) has no restricted roots"),
+    ("1,0,C", "O(1, C) is finite")])
+def test_complex_forms_without_restricted_roots_exit_2(tmp_path, capsys, form, why):
+    n = 1 if form == "1,0,C" else 2
+    gens = write_gens(tmp_path / "gens.json", [("a", np.eye(n))])
+    assert main(["cartan", "--gens", gens, "--form", form,
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: form {form} is not supported: {why}\n"
+
+
+def o22_chamber_gens(tmp_path):
     form = make_witt_form(2, 2)
-    gens = write_gens(tmp_path / "gens.json",
+    return write_gens(tmp_path / "gens.json",
                       [("a", opq_chamber(form, [3.0, 1.0])),
                        ("b", opq_chamber(form, [2.0, 0.5]))])
+
+
+def test_cartan_and_limitset_on_O22_take_the_line_flag(tmp_path, capsys):
+    # for p = q = 2 root 1 is read as the line flag {alpha_1, alpha_2}
+    gens = o22_chamber_gens(tmp_path)
+    for command in ("cartan", "limitset"):
+        assert main([command, "--gens", gens, "--form", "2,2", "--radius", "2",
+                     "--out", str(tmp_path)]) == 0
+    records = json.loads(read(tmp_path / "cartan.json"))["records"]
+    assert [r["flag_frame"]["cols"] for r in records] == [1, 1]
+    assert len(read(tmp_path / "limitset.csv").splitlines()) > 1
+    capsys.readouterr()
+    # root 2 alone still names the flag it does not index
+    assert main(["cartan", "--gens", gens, "--form", "2,2", "--xi-root", "2",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("error: for p = q the (p-1)-plane flag "
+                                       "is indexed by {alpha_{p-1}, alpha_p}\n")
+
+
+def test_domain_on_O22_is_tagged_outside_the_theorem(tmp_path):
+    gens = o22_chamber_gens(tmp_path)
     assert main(["domain", "--gens", gens, "--form", "2,2", "--radius", "2",
                  "--samples", "20", "--out", str(tmp_path)]) == 0
     data = json.loads(read(tmp_path / "domain.json"))
@@ -429,6 +463,23 @@ GOLDEN = {
         "domain.json": "51d53d085565f3ba89e18302ac29f7290f81f263602b52649e0670211b7c765e",
     },
 }
+
+
+# sha256 of the domain report of a non-discrete O(3,2) pair at radius 4,
+# whose 1,997 relation flags come from the scan's plane path
+NONDISCRETE_O32_DOMAIN = \
+    "2c58d7cd1c36fe81e3c35684f020661904e93182e8b68fc4fef1f51d9251b910"
+
+
+def test_nondiscrete_o32_domain_report_matches_golden_digest(tmp_path):
+    gens = write_gens(tmp_path / "gens.json",
+                      [("a", opq_chamber(make_witt_form(3, 2), [2.0, 0.5])),
+                       ("b", random_opq_K(np.random.default_rng(3), 3, 2))])
+    assert main(["domain", "--gens", gens, "--form", "3,2", "--radius", "4",
+                 "--samples", "20", "--seed", "0", "--out", str(tmp_path)]) == 0
+    report = tmp_path / "domain.json"
+    assert len(json.loads(read(report))["relation_flags"]) == 1997
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == NONDISCRETE_O32_DOMAIN
 
 
 def golden_args(tmp_path, name):

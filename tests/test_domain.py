@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from anoctl import domain
 from anoctl.algebras import get_algebra
 from anoctl.cartan import mu_gaps
 from anoctl.domain import (
@@ -22,7 +23,14 @@ from anoctl.domain import (
     subalgebra_kernel_dimension,
     subalgebra_point,
 )
-from anoctl.forms import Frame, make_witt_form, principal_sines, push_forward
+from anoctl.forms import (
+    Frame,
+    cosine_cuts,
+    cosines,
+    make_witt_form,
+    principal_sines,
+    push_forward,
+)
 from anoctl.limits import sample_limit_set
 from anoctl.presets import mixed_o21, o21_rotation, schottky_o21
 from anoctl.roots import ThetaSet, build_root_system
@@ -454,6 +462,76 @@ def test_scan_matches_per_hit_loop_on_o32_planes(rng):
     for tol in (0.0, 1e-4, ACCUMULATION_TOL):
         assert_scan_matches_per_hit_loop(points, ball, sample, tol=tol,
                                          min_word_length=1)
+
+
+def o32_scan_setup(gens, radius, count, seed=0):
+    """The ball of an O(3,2) pair, its line-flag sample and ``count``
+    interior 2-planes clear of the bad set at the scan's tolerance."""
+    ball = enumerate_ball(gens, radius)
+    sample = sample_limit_set(ball, ThetaSet(build_root_system("B", 2),
+                                             frozenset({1})), make_witt_form(3, 2))
+    stream = gaussian_domain_sampler(sample.form, np.random.default_rng(seed))
+    points = []
+    while len(points) < count:
+        pt = next(stream)
+        if pt.is_interior and not in_bad_set(pt, sample, "intersect",
+                                             ACCUMULATION_TOL)[0]:
+            points.append(pt)
+    return ball, sample, points
+
+
+def nondiscrete_o32(radius, count=20):
+    """A chamber element and a compact element of O(3,2): the group is
+    not discrete, so long words leave pushed planes off the bad set."""
+    from test_cartan import opq_chamber, random_opq_K
+    gens = [("a", opq_chamber(make_witt_form(3, 2), [2.0, 0.5])),
+            ("b", random_opq_K(np.random.default_rng(3), 3, 2))]
+    return o32_scan_setup(gens, radius, count)
+
+
+def test_scan_matches_per_hit_loop_on_a_nondiscrete_o32_pair():
+    ball, sample, points = nondiscrete_o32(4)
+    assert points[0].frame.k == 2 and sample.columns.shape[-1] == 1
+    flags = assert_scan_matches_per_hit_loop(points, ball, sample)
+    assert len(flags) > 1000
+
+
+def test_scan_does_not_flag_a_residual_equal_to_tol():
+    # a residual r read off a tol = 0 scan is rescanned at tol = r: the
+    # pair lies in the cosine table's band, and r > r is false
+    ball, sample, points = nondiscrete_o32(4, count=4)
+    flags = dynamical_relation_scan(points, ball, sample, tol=0.0)
+    row = len(flags) // 2
+    point, word, r = (flags[key][row] for key in ("point", "word", "residual"))
+    assert 0.0 < r < 1.0
+    moved = push_forward(ball.matrix(word), points[point].frame.columns)
+    c = cosines(moved, sample.columns)
+    hi, lo = cosine_cuts(5, 1, r, smallest=True)
+    assert np.any((lo <= c) & (c <= hi)) and not np.any(c > hi)
+    flags = assert_scan_matches_per_hit_loop(points, ball, sample, tol=r)
+    assert (point, word) not in set(zip(flags["point"], flags["word"]))
+    assert len(flags) > 0
+
+
+def test_scan_settles_a_pingpong_pair_from_the_cosine_table(rng, monkeypatch):
+    # nothing flags, and no pair is close enough to tol to need the exact
+    # kernel: the scan measures no principal angle
+    from test_cartan import opq_chamber, random_opq_K
+    chamber = opq_chamber(make_witt_form(3, 2), [6.0, 2.0])
+    gens = [(name, k @ chamber @ k.T)
+            for name, k in zip("ab", (random_opq_K(rng, 3, 2) for _ in "ab"))]
+    ball, sample, points = o32_scan_setup(gens, 3, 20)
+    calls = []
+
+    def counting(a, b):
+        calls.append((np.shape(a), np.shape(b)))
+        return principal_sines(a, b)
+    monkeypatch.setattr(domain, "principal_sines", counting)
+    assert len(dynamical_relation_scan(points, ball, sample)) == 0
+    assert calls == []
+    # the same points at tol 0 are measured in full
+    assert len(dynamical_relation_scan(points, ball, sample, tol=0.0)) > 0
+    assert calls
 
 
 # ---------------------------------------------------------------------------
