@@ -15,10 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import Frame, make_witt_form
+from .forms import Frame, make_witt_form, null_space
 from .roots import build_root_system, positive_roots
-
-KERNEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class LieAlgebra:
         """Coordinate basis of k = fixed points of X -> -X^T."""
         if not hasattr(self, "_k_basis"):
             rows = [(b + b.T).reshape(-1) for b in self.basis]
-            self._k_basis = _nullspace(np.stack(rows, axis=1))
+            self._k_basis = null_space(np.stack(rows, axis=1))
         return self._k_basis
 
     @property
@@ -105,7 +103,7 @@ class LieAlgebra:
     def zero_space(self):
         """g_0: joint kernel of ad over the Cartan subspace (coords)."""
         stacked = np.vstack(self.cartan_ad())
-        return _nullspace(stacked)
+        return null_space(stacked)
 
     def eps_pairing(self, eps_coords, h):
         """<alpha, H> for a root in epsilon coordinates and H in the
@@ -117,7 +115,7 @@ class LieAlgebra:
         coordinates (coords basis, one column per multiplicity)."""
         blocks = [adh - self.eps_pairing(eps_coords, h) * np.eye(self.dim)
                   for adh, h in zip(self.cartan_ad(), self.cartan)]
-        return _nullspace(np.vstack(blocks))
+        return null_space(np.vstack(blocks))
 
     def positive_root_list(self):
         """(eps_coords, simple-root coefficients) pairs from the attached
@@ -130,14 +128,6 @@ class LieAlgebra:
         if scale == 0:
             return True
         return np.max(np.abs(np.linalg.eigvals(adx))) <= tol * scale
-
-
-def _nullspace(a, tol=KERNEL_TOL):
-    if a.size == 0:
-        return np.zeros((a.shape[1], 0))
-    u, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > tol * (s[0] if s.size else 1.0)))
-    return vt[rank:].T
 
 
 def _sl_algebra(n):

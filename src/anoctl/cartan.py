@@ -46,16 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import KillingForm, adjoint_rep  # noqa: F401  (re-exported)
 from .forms import Frame, WittForm, check_isotropic
 
 FORM_PRESERVATION_TOL = 1e-8
 _SIGNIFICANT = 1e-9
 # relative spectral-norm error of a KAK reconstruction
 _RECONSTRUCTION_TOL = 1e-9
-# singular directions below ||g|| * _RESOLVABLE cannot be recovered in
-# float64 and are completed orthogonally
-_RESOLVABLE = 1e-13
 
 
 class GapTooSmallError(ValueError):

@@ -8,7 +8,9 @@ Grassmannian.
 All verdicts here are desk-scale evidence against finite samples: the
 bad-set test is one-sided (false negatives shrink as the limit sample
 grows, and every report carries the sample's covering radius), and the
-properness scan reports flags, never a boolean theorem.
+properness scan reports flags, never a boolean theorem.  Every
+incidence decision against the sample is one first_below call on the
+cosine table of one frame or a whole stack of them (_flag_below).
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from .forms import (
     Frame,
     Records,
     contains,
-    cosine_cuts,
     cosines,
     dist_grassmann,
     first_below,
     intersects,
+    null_space,
     orthonormalize,
     principal_sines,
     push_forward,
@@ -129,25 +131,25 @@ def in_bad_set(point, sample, variant="intersect", tol=BAD_SET_TOL):
     first_below; principal_sines runs only on those it cannot settle."""
     if variant not in ("intersect", "contain"):
         raise ValueError("variant must be 'intersect' or 'contain'")
-    flags, frame = sample.columns, point.frame
-    if variant == "contain" and flags.shape[-1] > frame.k:
+    flags, frame = sample.columns, point.frame.columns
+    if variant == "contain" and flags.shape[-1] > frame.shape[-1]:
         return False, None
-    hit = _first_flag_below(cosines(frame.columns, flags), flags, frame, tol,
-                            smallest=variant == "intersect", first=True)
-    return (False, None) if hit is None else (True, sample.words[hit])
+    hit = _flag_below(cosines(frame, flags), flags, frame, tol,
+                      smallest=variant == "intersect", first=True)
+    return (False, None) if hit < 0 else (True, sample.words[hit])
 
 
-def _first_flag_below(c, flags, frame, tol, smallest, first):
-    """first_below for flags against one frame (a Frame or an (n, k)
-    array of orthonormal columns): the index of the first flag (of any,
-    with first=False) whose smallest (or largest) principal-angle sine
-    against frame lies below tol, or None, from the cosine table
-    c = cosines(frame.columns, flags)."""
-    n, k = getattr(frame, "columns", frame).shape
+def _flag_below(c, flags, frames, tol, smallest, first):
+    """first_below for the flags (N, n, j) against one frame (n, k) or a
+    stack of frames (P, n, k) of orthonormal columns: for each frame the
+    index of the first flag (of any, with first=False) whose smallest
+    (or largest) principal-angle sine against it lies below tol, or -1,
+    from the cosine table c = cosines(frames, flags)."""
+    n, k = frames.shape[-2:]
     angle = 0 if smallest else -1
     return first_below(
         c, n, min(flags.shape[-1], k), tol,
-        lambda index: principal_sines(flags[index], frame)[:, angle] < tol,
+        lambda index: principal_sines(flags[index[0]], frames[index[1:]])[:, angle] < tol,
         smallest, first)
 
 
@@ -191,20 +193,23 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
         return flags
     if min_word_length is None:
         min_word_length = max(ball.radius, 1)
-    for idx, pt in enumerate(points):
-        hit, witness = in_bad_set(pt, sample, "intersect", tol)
-        if hit:
-            raise ValueError(f"scan point {idx} is already in the bad set "
-                             f"(witness {witness!r})")
+    pts = np.stack([pt.frame.columns for pt in points])
+    # in_bad_set's intersect test, for every point from one table
+    witness = _flag_below(cosines(pts, sample.columns), sample.columns, pts, tol,
+                          smallest=True, first=True)
+    bad = np.flatnonzero(witness >= 0)
+    if bad.size:
+        raise ValueError(f"scan point {bad[0]} is already in the bad set "
+                         f"(witness {sample.words[witness[bad[0]]]!r})")
     elements = np.flatnonzero(ball.lengths >= min_word_length).tolist()
 
     # lines against line flags print |cos|-based residuals in full
     line_path = points[0].frame.k == 1 and sample.columns.shape[-1] == 1
     if line_path:
         lines = sample.columns[:, :, 0]
-        pts = np.stack([pt.frame.columns[:, 0] for pt in points], axis=1)
-    else:
-        pts = np.stack([pt.frame.columns for pt in points])
+        # the C-ordered (n, P) points of the line path: numpy picks the
+        # BLAS routine of mat @ pts from their layout
+        pts = np.ascontiguousarray(pts[:, :, 0].T)
     flagged = []
     for index in elements:
         word, mat, r = ball.elements[index]
@@ -238,16 +243,11 @@ def _plane_hits(moved, flags, tol):
     sine to every flag exceeds tol, as (indices, residuals), the residual
     being that smallest sine's minimum over the flags.
 
-    A frame with a flag whose cosine lies above cosine_cuts' hi is
-    settled below tol; _first_flag_below decides the others, and only the
-    frames that no flag meets below tol are measured in full.  So NaN and
+    One cosine table decides which frames some flag meets below tol
+    (_flag_below), and only the others are measured in full.  So NaN and
     residual == tol are not hits, as in the full measurement."""
-    c = cosines(moved, flags)
-    hi = cosine_cuts(moved.shape[-2], min(moved.shape[-1], flags.shape[-1]),
-                     tol, smallest=True)[0]
-    open_ = np.flatnonzero(~np.any(c > hi, axis=0))
-    clear = np.array([i for i in open_.tolist() if _first_flag_below(
-        c[:, i], flags, moved[i], tol, True, False) is None], dtype=int)
+    clear = np.flatnonzero(_flag_below(cosines(moved, flags), flags, moved, tol,
+                                       smallest=True, first=False) < 0)
     if not clear.size:
         return clear, np.empty(0)
     residuals = np.min(principal_sines(flags, moved[clear][:, None])[..., 0], axis=1)
@@ -430,26 +430,25 @@ def orbit_coverage(core, ball, points, trials, sample=None,
 
     Both decisions are yes/no, so each comes from a cosine table through
     first_below: a point is at margin at least m iff no flag meets it
-    below m (in_bad_set's test at tol m), and it is covered iff some
-    moved frame lies within d_core of a core frame.  The exact kernels,
-    bad_set_distance's principal_sines and push_forward, run only on the
-    entries that the table cannot settle.
+    below m (in_bad_set's test at tol m), decided for all points from
+    one table of the points against the sample, and it is covered iff
+    some moved frame lies within d_core of a core frame.  The exact
+    kernels, bad_set_distance's principal_sines and push_forward, run
+    only on the entries that the tables cannot settle.
     """
     core_frames = [p.frame if isinstance(p, CompactPoint) else p for p in core]
-    kept, covered = [], []
-    for pt in islice(points, trials):
-        frame = pt.frame if isinstance(pt, CompactPoint) else pt
-        if sample is None:
-            kept.append([True] * len(margins))
-        else:
-            c = cosines(frame.columns, sample.columns)
-            kept.append([_first_flag_below(c, sample.columns, frame, m, True, False)
-                         is None for m in margins])
-        covered.append(any(_reaches(ball, frame, cf, d_core) for cf in core_frames))
-    kept = np.array(kept, dtype=bool).reshape(trials, len(margins))
-    covered = np.array(covered, dtype=bool)
+    frames = [pt.frame if isinstance(pt, CompactPoint) else pt
+              for pt in islice(points, trials)]
+    covered = np.array([any(_reaches(ball, frame, cf, d_core) for cf in core_frames)
+                        for frame in frames], dtype=bool)
+    kept = np.ones((len(margins), len(frames)), dtype=bool)
+    if sample is not None and frames:
+        flags, stack = sample.columns, np.stack([f.columns for f in frames])
+        c = cosines(stack, flags)
+        kept = np.array([_flag_below(c, flags, stack, m, True, False) < 0
+                         for m in margins])
     fractions, counts = [], []
-    for keep in kept.T:
+    for keep in kept:
         counts.append(int(np.sum(keep)))
         fractions.append(float(np.mean(covered[keep])) if np.any(keep) else float("nan"))
     return CoverageCurve(tuple(margins), tuple(fractions), tuple(counts))
@@ -475,8 +474,8 @@ def _reaches(ball, frame, core_frame, d_core):
     core = getattr(core_frame, "columns", core_frame)
     return first_below(
         cosines(core, moved), n, min(k, core.shape[-1]), d_core,
-        lambda index: principal_sines(pushed(index), core)[:, -1] <= d_core,
-        first=False) is not None
+        lambda index: principal_sines(pushed(index[0]), core)[:, -1] <= d_core,
+        first=False) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +531,7 @@ def subalgebra_point(algebra_tag, theta, tol=1e-9):
 def _intersect(a, b, tol):
     if a.k == 0 or b.k == 0:
         return Frame(np.zeros((a.ambient_dim, 0)))
-    stacked = np.hstack([a.columns, -b.columns])
-    _, s, vt = np.linalg.svd(stacked)
-    rank = int(np.sum(s > tol * s[0]))
-    null = vt[rank:].T
+    null = null_space(np.hstack([a.columns, -b.columns]), tol)
     if null.shape[1] == 0:
         return Frame(np.zeros((a.ambient_dim, 0)))
     return Frame.from_spanning(a.columns @ null[:a.k])

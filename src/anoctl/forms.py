@@ -11,10 +11,12 @@ projectors or Pluecker coordinates): principal-angle computations stay
 stable and storage is O(nk).  Incidence functions also take stacked
 frames: arrays of orthonormal columns of shape (..., n, k), one frame
 per leading index, so a query against a whole sample is one batched
-call whose Frame case is the single slice.  Complex vector spaces are
-realized as real spaces of doubled dimension together with an explicit
-complex-structure matrix J; a complex bilinear form is carried as the
-pair of real forms (its real and imaginary parts).
+call whose Frame case is the single slice.  One rule, first_below,
+makes every yes/no incidence decision on a whole cosine table, with the
+cuts of cosine_cuts, the only place where a bound becomes cuts.  Complex
+vector spaces are realized as real spaces of doubled dimension together
+with an explicit complex-structure matrix J; a complex bilinear form is
+carried as the pair of real forms (its real and imaginary parts).
 """
 
 from __future__ import annotations
@@ -258,6 +260,14 @@ def _svd_rank(vectors, tol):
     return u, (s > tol * s[..., :1]).sum(-1)
 
 
+def null_space(a, tol=DEFAULT_TOL):
+    """Orthonormal columns spanning the null space of a (m, n): the right
+    singular vectors past its rank, the count of singular values above
+    tol times the largest (_svd_rank's rule; all of R^n when m = 0)."""
+    _, s, vt = np.linalg.svd(a)
+    return vt[(s > tol * s[:1]).sum():].T
+
+
 def orthonormalize(vectors, tol=DEFAULT_TOL):
     """``Frame.from_spanning`` over a stack (..., n, k), k >= 0: the
     SVD's left columns (..., n, k), checked like a Frame's, and the rank
@@ -370,42 +380,48 @@ def cosine_cuts(n, k, bound, smallest=False):
 
 
 def first_below(c, n, k, bound, exact, smallest=False, first=True):
-    """Index of the first pair of frames in a cosine table whose sine of
+    """For each column of a cosine table, the first row whose sine of
     the largest principal angle (of the smallest, with smallest=True)
-    lies below bound, or None.
+    lies below bound, or -1: an int for a table c (N,), an int array
+    (P,) for a table (N, P).
 
-    c (N,) holds c = |A^T B|_F^2 for N pairs of frames in R^n with k
-    principal angles each.  It bounds the squared sines by
+    Each entry holds c = |A^T B|_F^2 for a pair of frames in R^n with k
+    principal angles.  It bounds the squared sines by
     1 - c <= sin^2 theta_min <= 1 - c/k <= sin^2 theta_max <= k - c, so
-    it settles every pair except those whose bounds straddle bound^2
-    within cosine_band and those whose cosine is not finite.
-    exact(index) decides these with the exact kernel, as a boolean array,
-    and sees only those before the first pair settled below bound.  The
-    answer is the exact kernel's as long as exact gives each pair the
-    value a call on the whole table would, as principal_sines and
-    push_forward do slice by slice.  With first=False any pair below
-    bound will do: a pair settled below it is returned without a call
-    to exact."""
+    cosine_cuts settles every entry except those whose bounds straddle
+    bound^2 within cosine_band and those that are not finite.  One call
+    exact(index) decides these with the exact kernel, as a boolean array
+    over index, the tuple of their row (and column) arrays in row-major
+    order.  The answers are the exact kernel's as long as exact gives
+    each entry the value a call on the whole table would, as
+    principal_sines and push_forward do slice by slice.  With
+    first=False any row below bound will do: a column with an entry
+    settled below it sends nothing to exact."""
     hi, lo = cosine_cuts(n, k, bound, smallest)
-    # the pairs not settled above bound, in order: exact decides those
-    # before the first one settled below it.  A NaN cosine is among them
-    # (c >= lo would drop it); the mask is negated in place, because a
+    # the entries not settled above bound: a NaN cosine is among them (c
+    # >= lo would drop it).  The mask is negated in place, because a
     # second temporary per call grows the limit sampler's peak RSS by
-    # about 0.45 MiB
+    # about 0.45 MiB; most of the sampler's calls end at the empty index
     maybe = c < lo
-    maybe = np.nonzero(np.logical_not(maybe, out=maybe))[0]
-    if not maybe.size:
-        return None
-    near = c[maybe]
-    below = np.nonzero(near > hi)[0]
-    if below.size and not near[below[0]] < np.inf:
-        below = below[near[below] < np.inf]    # a cosine of inf settles nothing
-    stop = below[0] if below.size else len(maybe)
-    if stop and (first or not below.size):
-        hits = maybe[:stop][exact(maybe[:stop])]
-        if hits.size:
-            return int(hits[0])
-    return int(maybe[stop]) if stop < len(maybe) else None
+    index = np.logical_not(maybe, out=maybe).nonzero()
+    if not index[0].size:
+        return -1 if c.ndim == 1 else np.full(c.shape[1:], -1)
+    near = c[index]
+    below = near > hi
+    below &= near < np.inf          # a cosine of inf settles nothing
+    # when every one of them is settled below, maybe is already the table
+    # of the rows below bound, and exact sees nothing
+    if np.count_nonzero(below) < below.size:
+        maybe[index] = below
+        ask = ~below
+        if not first:
+            ask &= ~maybe.any(0)[index[1:]]
+        if np.count_nonzero(ask):
+            unsure = tuple(i[ask] for i in index)
+            maybe[unsure] = exact(unsure)
+    rows = maybe.argmax(0, keepdims=True)
+    rows[~maybe.any(0, keepdims=True)] = -1
+    return rows[0]
 
 
 def push_forward(mats, columns):
@@ -476,13 +492,7 @@ def contains(inner, outer, tol=DEFAULT_TOL):
 
 def orthogonal_complement(form, w, tol=DEFAULT_TOL):
     """Frame of the b-orthogonal complement of span(w)."""
-    gram = form.real_gram
-    if w.k == 0:
-        return Frame(np.eye(gram.shape[0]))
-    constraints = (gram @ w.columns).T
-    _, s, vt = np.linalg.svd(constraints)
-    rank = int(np.sum(s > tol * (s[0] if s.size else 1.0)))
-    return Frame(vt[rank:].T)
+    return Frame(null_space((form.real_gram @ w.columns).T, tol))
 
 
 def subspace_sum_rank(frames, tol=DEFAULT_TOL):

@@ -21,6 +21,7 @@ from .cartan import (  # noqa: F401  (kak re-exported)
 from .forms import (
     Frame,
     cosine_band,
+    cosine_cuts,
     cosines,
     first_below,
     frame_products,
@@ -156,23 +157,23 @@ def _within(cols, kept, tol):
     return first_below(
         cosines(cols, kept), n, k, tol,
         lambda index: principal_sines(cols, kept[index])[:, -1] < tol,
-        first=False) is not None
+        first=False) >= 0
 
 
 def _surely_within(cols, kept, tol, margin):
     """For each frame of a stack (R, n, k) with margins (R,): True only
     if every frame within its margin lies at flag distance below tol
     from a kept frame, which _within then confirms: d(cols, F) <=
-    sqrt(k - c), and the flag distance is a metric.  The kept frames go
-    in slices of about _TABLE products each."""
-    k, n = cols.shape[-1], cols.shape[-2]
+    sqrt(k - c), and the flag distance is a metric: cosine_cuts' upper
+    cut at that reach.  The kept frames go in slices of about _TABLE
+    products each."""
+    n, k = cols.shape[-2:]
     reach = tol - 2.0 * margin
-    band = cosine_band(n, k)
+    hi = cosine_cuts(n, k, reach)[0]
     step = max(1, _TABLE // max(1, len(cols) * k * k))
     out = np.zeros(len(cols), dtype=bool)
     for first in range(0, len(kept), step):
-        c = cosines(cols, kept[first:first + step])
-        out |= np.any(c > k - reach ** 2 + band, axis=0)
+        out |= np.any(cosines(cols, kept[first:first + step]) > hi, axis=0)
     return (reach > 0) & out
 
 
@@ -317,24 +318,25 @@ def _pair_rows(cols, rows, pair_floor, u=None):
     c = |F_i^T F_j|_F^2 bounds the squared flag distance by 1 - c/k <=
     d^2 <= k - c, so principal_sines runs only on the pairs whose bounds
     reach below the row's smallest upper bound (one of them is nearest)
-    or straddle pair_floor^2.  A screened margin is transversality_margin
-    in closed form: with P the basis of the complement of span(G F_i)
-    and s = sigma_min(u_i^T F_j), sigma_min[P | F_j]^2 = 1 -
-    sigma_max(P^T F_j) = 1 - sqrt(1 - s^2)."""
+    or that cosine_cuts leaves unsettled at pair_floor.  A screened
+    margin is transversality_margin in closed form: with P the basis of
+    the complement of span(G F_i) and s = sigma_min(u_i^T F_j),
+    sigma_min[P | F_j]^2 = 1 - sigma_max(P^T F_j) = 1 - sqrt(1 - s^2)."""
     n, k = cols.shape[-2:]
-    band, floor2 = cosine_band(n, k), pair_floor ** 2
+    hi, lo = cosine_cuts(n, k, pair_floor)
     diagonal = np.arange(len(rows)), rows
     c = cosines(cols, cols[rows])
     lower, upper = 1.0 - c / k, k - c
     lower[diagonal] = upper[diagonal] = np.inf
-    near = lower <= np.min(upper, axis=1, keepdims=True) + band
-    unsure = (lower <= floor2 + band) & (upper >= floor2 - band)
+    near = lower <= np.min(upper, axis=1, keepdims=True) + cosine_band(n, k)
+    far = c < lo
+    unsure = ~far & (c <= hi)
+    unsure[diagonal] = False
     pair_row, pair_col = np.nonzero(near | unsure)
     dist = principal_sines(cols[rows[pair_row]], cols[pair_col])[:, -1]
     nearest = np.full(len(rows), np.inf)
     pick = near[pair_row, pair_col]
     np.minimum.at(nearest, pair_row[pick], dist[pick])
-    far = lower > floor2
     pick = unsure[pair_row, pair_col]
     far[pair_row[pick], pair_col[pick]] = dist[pick] > pair_floor
     far[diagonal] = False

@@ -311,19 +311,35 @@ def positive_roots(rs):
                 roots.append(eps((i, 2)))
     else:
         raise RootSystemError(f"positive_roots not available for {t}")
+    return [(r, tuple(eps_to_root_coords(rs, r))) for r in roots]
 
-    simple = np.array([[float(c) for c in row] for row in rs.simple_root_coords])
-    out = []
-    for r in roots:
-        vec = np.array([float(c) for c in r])
-        coeffs, *_ = np.linalg.lstsq(simple.T, vec, rcond=None)
-        rounded = tuple(Fraction(round(2 * c), 2) for c in coeffs)
-        recon = sum((np.array([float(x) for x in rs.simple_root_coords[k]]) * float(c)
-                     for k, c in enumerate(rounded)), np.zeros(dim))
-        if not np.allclose(recon, vec, atol=1e-9):
-            raise RootSystemError("root does not lie in the simple-root lattice")
-        out.append((r, rounded))
-    return out
+
+def eps_to_root_coords(rs, eps_vector):
+    """Exact expansion (Fractions) of a vector in epsilon coordinates in
+    the simple roots, by elimination over the rationals and checked by
+    exact reconstruction; RootSystemError without epsilon coordinates
+    or outside the root span."""
+    if rs.simple_root_coords is None:
+        raise RootSystemError(f"type {rs.type_label} has no epsilon coordinates")
+    vec = [Fraction(c) for c in eps_vector]
+    if len(vec) != rs.eps_dim:
+        raise RootSystemError(f"need {rs.eps_dim} epsilon coordinates")
+    # sum_i x_i alpha_i[j] = vec[j] for each j; the simple roots are
+    # independent, so every unknown finds a pivot
+    eqs = [[row[j] for row in rs.simple_root_coords] + [vec[j]]
+           for j in range(rs.eps_dim)]
+    for i in range(rs.rank):
+        pivot = next(r for r in range(i, len(eqs)) if eqs[r][i])
+        eqs[i], eqs[pivot] = eqs[pivot], eqs[i]
+        eqs[i] = [v / eqs[i][i] for v in eqs[i]]
+        for r, eq in enumerate(eqs):
+            if r != i and eq[i]:
+                eqs[r] = [a - eq[i] * b for a, b in zip(eq, eqs[i])]
+    coeffs = [eq[-1] for eq in eqs[:rs.rank]]
+    if any(sum(c * row[j] for c, row in zip(coeffs, rs.simple_root_coords)) != v
+           for j, v in enumerate(vec)):
+        raise RootSystemError("weight does not lie in the root span")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

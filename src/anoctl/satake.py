@@ -22,6 +22,7 @@ from .roots import (
     ThetaSet,
     admissible_lattice_dot,
     chamber_sequence_limit,
+    eps_to_root_coords,  # noqa: F401  (re-exported)
     nucleus_saturation,
     tau_admissible_sets,
 )
@@ -213,20 +214,6 @@ def support_of(rs, highest_weight):
     if any(p < 0 for p in pairings):
         raise ValueError("weight is not dominant")
     return ThetaSet(rs, frozenset(i + 1 for i, p in enumerate(pairings) if p > 0))
-
-
-def eps_to_root_coords(rs, eps_vector):
-    """Exact expansion of an epsilon-coordinate weight in the simple
-    roots (classical types)."""
-    simple = np.array([[float(c) for c in row] for row in rs.simple_root_coords])
-    vec = np.array([float(Fraction(c)) for c in eps_vector])
-    coeffs, *_ = np.linalg.lstsq(simple.T, vec, rcond=None)
-    rounded = [Fraction(round(6 * c), 6) for c in coeffs]
-    recon = sum(np.array([float(x) for x in rs.simple_root_coords[k]]) * float(c)
-                for k, c in enumerate(rounded))
-    if not np.allclose(recon, vec, atol=1e-9):
-        raise ValueError("weight does not lie in the root span")
-    return rounded
 
 
 # ---------------------------------------------------------------------------

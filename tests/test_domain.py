@@ -325,6 +325,18 @@ def test_orbit_coverage_empty_ball_is_core_fraction(rng):
     assert all(0.0 <= f <= 1.0 for f in curve.fractions if not np.isnan(f))
 
 
+def test_orbit_coverage_counts_the_points_it_takes(rng):
+    # a stream of 3 points asked for 5 trials: the curve is over the 3
+    form, gens, ball, sample = schottky_setup(radius=4)
+    points = list(itertools.islice(gaussian_domain_sampler(form, rng), 3))
+    core = points[:1]
+    for with_sample in (sample, None):
+        curve = orbit_coverage(core, ball, iter(points), 5, sample=with_sample)
+        assert curve == orbit_coverage(core, ball, iter(points), 3, sample=with_sample)
+        assert max(curve.counts) <= 3 and curve.fractions[-1] > 0
+    assert orbit_coverage(core, ball, iter(()), 5, sample=sample).counts == (0,) * 4
+
+
 def test_stretched_plane_keeps_its_dimension(rng):
     # a^4 has mu ~ (24, 2): it stretches a 2-plane's directions by about
     # e^22 relative to each other, past the 1e-9 rank tolerance; coverage

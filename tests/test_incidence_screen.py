@@ -1,7 +1,9 @@
 """The screened yes/no incidence decisions of anoctl.domain (bad-set
 membership and orbit coverage) against the exact kernels they replace:
 the full-stack principal_sines rule of in_bad_set and the push-forward
-loop of orbit_coverage, kept here as the references."""
+loop of orbit_coverage, kept here as the references.  The table rule
+first_below is checked column by column against the one-column rule it
+replaced."""
 
 from functools import lru_cache
 from itertools import islice
@@ -18,8 +20,8 @@ from anoctl.domain import (
     in_bad_set,
     orbit_coverage,
 )
-from anoctl.forms import Frame, first_below, make_witt_form, orthonormalize, \
-    principal_sines, push_forward
+from anoctl.forms import Frame, cosine_cuts, first_below, make_witt_form, \
+    orthonormalize, principal_sines, push_forward
 from anoctl.limits import sample_limit_set
 from anoctl.presets import BUILTIN_GENERATORS, o21_boost, o21_rotation
 from anoctl.roots import ThetaSet, build_root_system
@@ -245,27 +247,112 @@ def test_the_screen_pushes_few_elements_forward(monkeypatch):
 # the shared rule
 
 
+def reference_first_below(c, n, k, bound, exact, smallest=False, first=True):
+    """first_below on one column c (N,), before the table rule: the index
+    or None, and exact sees only the unsettled rows before the first row
+    settled below bound (with first=False, none when a row is)."""
+    hi, lo = cosine_cuts(n, k, bound, smallest)
+    maybe = np.nonzero(~(c < lo))[0]
+    if not maybe.size:
+        return None
+    near = c[maybe]
+    below = np.nonzero(near > hi)[0]
+    if below.size and not near[below[0]] < np.inf:
+        below = below[near[below] < np.inf]    # a cosine of inf settles nothing
+    stop = below[0] if below.size else len(maybe)
+    if stop and (first or not below.size):
+        hits = maybe[:stop][exact(maybe[:stop])]
+        if hits.size:
+            return int(hits[0])
+    return int(maybe[stop]) if stop < len(maybe) else None
+
+
 def test_first_below_sends_unsettled_and_non_finite_cosines_to_the_kernel():
     seen = []
 
     def exact(index):
-        seen.append(index.tolist())
-        return np.zeros(len(index), dtype=bool)
+        seen.append([i.tolist() for i in index])
+        return np.zeros(len(index[0]), dtype=bool)
 
     # lines: d^2 = 1 - c; bound 0.5 settles 0.0 (d = 1) and 0.9 (d = 0.32)
     c = np.array([0.0, np.nan, np.inf, 0.75, 0.9, np.nan])
     assert first_below(c, 3, 1, 0.5, exact) == 4
-    assert seen == [[1, 2, 3]]
+    # every unsettled entry, the one past the settled row too, in one call
+    assert seen == [[[1, 2, 3, 5]]]
     # any pair will do: the settled one, past the infinite cosine
     seen.clear()
     assert first_below(c, 3, 1, 0.5, exact, first=False) == 4
     assert seen == []
     # no sine lies below a negative bound, and none is decided below zero
     seen.clear()
-    assert first_below(np.array([1.0, 0.5]), 3, 1, -0.5, exact) is None
+    assert first_below(np.array([1.0, 0.5]), 3, 1, -0.5, exact) == -1
     assert seen == []
-    assert first_below(np.array([1.0, 0.5]), 3, 1, 0.0, exact) is None
-    assert seen == [[0]]
+    assert first_below(np.array([1.0, 0.5]), 3, 1, 0.0, exact) == -1
+    assert seen == [[[0]]]
+    # a table: the unsettled entries of every column, rows and columns in
+    # row-major order, and a column with a row settled below asks nothing
+    # with first=False
+    seen.clear()
+    table = np.stack([c, c[::-1], np.zeros(6)], axis=1)
+    assert first_below(table, 3, 1, 0.5, exact).tolist() == [4, 1, -1]
+    assert seen == [[[0, 1, 2, 2, 3, 3, 4, 5], [1, 0, 0, 1, 0, 1, 1, 0]]]
+    seen.clear()
+    assert first_below(table, 3, 1, 0.5, exact, first=False).tolist() == [4, 1, -1]
+    assert seen == []
+
+
+def cut_table(rng, n, k, bound, smallest, rows, cols):
+    """A table of cosines at and one ulp either side of both cuts, inside
+    the band between them, anywhere in [0, k] and non-finite."""
+    hi, lo = cosine_cuts(n, k, bound, smallest)
+    pool = [np.nan, np.inf, -np.inf, 0.0, float(k)]
+    for cut in (hi, lo):
+        pool += [cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf)]
+    pool = np.array(pool)
+    table = np.where(rng.random((rows, cols)) < 0.5,
+                     rng.choice(pool, (rows, cols)),
+                     rng.uniform(min(lo, hi), max(lo, hi), (rows, cols)))
+    spread = rng.random((rows, cols)) < 0.3
+    table[spread] = rng.uniform(0.0, k, spread.sum())
+    return table
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("smallest", [False, True])
+@pytest.mark.parametrize("cols", [1, 7])
+def test_first_below_decides_each_column_like_the_one_column_rule(cols, smallest, first):
+    # exact answers from a fixed table of kernel verdicts, so that the
+    # table rule and the reference see the same kernel entry by entry
+    rng = np.random.default_rng(20 + cols + 2 * smallest + 4 * first)
+    for n, k in ((3, 1), (5, 2), (6, 3)):
+        for bound in (-0.5, 0.0, 1e-9, 1e-6, 0.3, 1.0, 1.5):
+            for rows in (1, 5, 40):
+                table = cut_table(rng, n, k, bound, smallest, rows, cols)
+                verdict = rng.random((rows, cols)) < 0.3
+                hi, lo = cosine_cuts(n, k, bound, smallest)
+                seen = np.zeros((rows, cols), dtype=bool)
+
+                def exact(index):
+                    assert not seen[index].any()
+                    seen[index] = True
+                    return verdict[index]
+
+                got = first_below(table, n, k, bound, exact, smallest, first)
+                assert got.shape == (cols,)
+                settled = ~(table < lo) & (table > hi) & (table < np.inf)
+                unsettled = ~(table < lo) & ~settled
+                for j in range(cols):
+                    expected = reference_first_below(
+                        table[:, j], n, k, bound, lambda i: verdict[i, j],
+                        smallest, first)
+                    assert got[j] == (-1 if expected is None else expected)
+                    # exact sees every unsettled entry of a column, none
+                    # with first=False where a row is settled below
+                    asked = unsettled[:, j] & (first or not settled[:, j].any())
+                    assert np.array_equal(seen[:, j], asked)
+                if cols == 1:
+                    assert first_below(table[:, 0], n, k, bound, lambda i: verdict[i[0], 0],
+                                       smallest, first) == got[0]
 
 
 def test_first_below_band_covers_the_kernel():

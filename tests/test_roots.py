@@ -337,17 +337,27 @@ def test_nucleus_containments_all_supported_systems():
 # positive roots
 
 
+POSITIVE_ROOT_COUNTS = {"A": lambda r: r * (r + 1) // 2, "B": lambda r: r * r,
+                        "C": lambda r: r * r, "D": lambda r: r * (r - 1),
+                        "BC": lambda r: r * (r + 1)}
+
+
 def test_positive_roots_counts_and_expansions():
-    for t, r, count in [("A", 3, 6), ("B", 2, 4), ("C", 3, 9), ("D", 4, 12),
-                        ("BC", 2, 6)]:
+    # every type at every rank up to 6, checked in exact arithmetic
+    for t, r in ((t, r) for t in POSITIVE_ROOT_COUNTS
+                 for r in range(2 if t in ("C", "D") else 1, 7)):
         rs = build_root_system(t, r)
         roots = positive_roots(rs)
-        assert len(roots) == count
-        simple = np.array([[float(c) for c in row] for row in rs.simple_root_coords])
+        assert len(roots) == POSITIVE_ROOT_COUNTS[t](r)
         for eps, coeffs in roots:
-            recon = sum(float(c) * simple[i] for i, c in enumerate(coeffs))
-            assert np.allclose(recon, [float(x) for x in eps])
-            assert all(c >= 0 for c in coeffs)
+            assert all(isinstance(c, Fraction) and c.denominator == 1 and c >= 0
+                       for c in coeffs)
+            assert all(sum(c * row[j] for c, row in zip(coeffs, rs.simple_root_coords)) == x
+                       for j, x in enumerate(eps))
+        # the highest root is Table 1's, where the type has an entry
+        if rs.table1 is not None:
+            assert max((c for _, c in roots), key=sum) == \
+                tuple(Fraction(c) for c in rs.table1.chi_G_coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from anoctl.algebras import get_algebra
 from anoctl.forms import make_witt_form
 from anoctl.roots import (
     ChamberThresholds,
+    RootSystemError,
     ThetaSet,
     admissible_closure,
     build_root_system,
@@ -123,6 +124,31 @@ def test_support_exterior_q_of_opq():
     b2 = build_root_system("B", 2)
     chi = eps_to_root_coords(b2, [1, 1])
     assert support_of(b2, chi).members == {2}
+
+
+@pytest.mark.parametrize("rank,expected", [
+    (3, ("1/2", "1/4", "3/4")),
+    (5, ("1/2", "1", "3/2", "3/4", "5/4")),
+    (7, ("1/2", "1", "3/2", "2", "5/2", "5/4", "7/4")),
+])
+def test_half_spin_weight_expands_in_quarters(rank, expected):
+    # 1/2 (eps_1 + ... + eps_n) of D_n, odd n: coefficients in quarters
+    rs = build_root_system("D", rank)
+    assert eps_to_root_coords(rs, [Fraction(1, 2)] * rank) == \
+        [Fraction(c) for c in expected]
+    # the other half-spin weight swaps the last two coefficients
+    other = eps_to_root_coords(rs, [Fraction(1, 2)] * (rank - 1) + [Fraction(-1, 2)])
+    assert other[:-2] == [Fraction(c) for c in expected[:-2]]
+    assert other[-2:] == [Fraction(expected[-1]), Fraction(expected[-2])]
+
+
+def test_weights_outside_the_root_span_or_epsilon_coordinates_raise():
+    with pytest.raises(RootSystemError, match="root span"):
+        eps_to_root_coords(build_root_system("A", 2), [1, 1, 1])
+    with pytest.raises(RootSystemError, match="epsilon coordinates"):
+        eps_to_root_coords(build_root_system("G2", 2), [1, 1])
+    with pytest.raises(RootSystemError, match="epsilon coordinates"):
+        eps_to_root_coords(build_root_system("B", 2), [1, 1, 1])
 
 
 def test_support_adjoint_is_table_pair():
