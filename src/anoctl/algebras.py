@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import Frame, make_witt_form, null_space
+from .forms import make_witt_form, null_space
 from .roots import build_root_system, positive_roots
 
 
@@ -121,13 +121,6 @@ class LieAlgebra:
         """(eps_coords, simple-root coefficients) pairs from the attached
         restricted root system."""
         return positive_roots(self.root_system)
-
-    def is_nilpotent_element(self, x, tol=1e-8):
-        adx = self.ad(x)
-        scale = np.linalg.norm(adx, 2)
-        if scale == 0:
-            return True
-        return np.max(np.abs(np.linalg.eigvals(adx))) <= tol * scale
 
 
 def _sl_algebra(n):

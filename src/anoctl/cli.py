@@ -22,7 +22,6 @@ from .cartan import GapTooSmallError, kak, mu_gaps, tag_of, witt_pm_basis, \
     xi_theta
 from .domain import (
     ACCUMULATION_TOL,
-    NotInCompactificationError,
     dynamical_relation_scan,
     expansion_certificate,
     gaussian_domain_sampler,
@@ -39,7 +38,7 @@ from .limits import (
     transversality_report,
 )
 from .presets import BUILTIN_GENERATORS
-from .roots import ThetaSet, build_root_system, table1_rows, tau_admissible_sets
+from .roots import ThetaSet, build_root_system, table1_rows
 from .satake import orbit_decomposition, orbits_to_dot, orbits_to_json
 from .words import CapExceededError, divergence_profile, enumerate_ball, \
     fit_divergence_slope

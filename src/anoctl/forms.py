@@ -97,12 +97,6 @@ class WittForm:
         G = self.gram
         return np.block([[G, np.zeros_like(G)], [np.zeros_like(G), -G]])
 
-    def im_gram(self):
-        """Imaginary part of the complex form as a 2n x 2n real gram."""
-        self._require_complex()
-        G = self.gram
-        return np.block([[np.zeros_like(G), G], [G, np.zeros_like(G)]])
-
     def _require_complex(self):
         if not self.is_complex:
             raise ValueError("operation requires a complex form")

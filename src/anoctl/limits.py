@@ -2,10 +2,9 @@
 
 Samples are flags of ball elements whose relevant root gaps clear a
 floor, merged at a flag-distance tolerance (keeping the shortlex-first
-representative).  Boundary maps of free groups are evaluated on
-reduced-word cylinders.  Everything reports finite-radius evidence:
-divergence slopes, transversality margins, dynamics-preservation
-residuals; no asymptotic verdict is ever produced.
+representative); they stand for the image of the boundary map.
+Everything reports finite-radius evidence: covering radii and
+transversality margins; no asymptotic verdict is ever produced.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .cartan import (  # noqa: F401  (kak re-exported)
-    _theta_to_plane_dim, flag_of, kak, xi_theta)
+    _theta_to_plane_dim, flag_of, kak)
 from .forms import (
     Frame,
     cosine_band,
@@ -27,7 +26,6 @@ from .forms import (
     frame_products,
     orthogonal_complement,
     principal_sines,
-    push_forward,
 )
 
 MERGE_TOL = 1e-6
@@ -36,9 +34,9 @@ PAIR_FLOOR = 1e-3
 # stacks grow the heap, and so the peak resident memory, by about 1 MiB
 # on O(3,2) balls, for a gain of under 15 us per element
 _PREFETCH = 128
-# products |F^T x| per slice of the kept flags in _surely_within and per
-# row block of the all-pairs pass, which bounds their tables however many
-# flags there are
+# products |F^T x| per slice of the kept flags in _surely_within, per
+# row block of the all-pairs pass and per block of domain.orbit_coverage's
+# trials, which bounds their tables however many flags there are
 _TABLE = 2 ** 14
 
 
@@ -84,9 +82,6 @@ class LimitSample:
         if len(self) < 2:
             return float("inf")
         return float(np.max(self.nearest))
-
-    def nearest_distance(self, frame):
-        return float(np.min(self.distances_from(frame)))
 
     def __len__(self):
         return len(self.words)
@@ -175,27 +170,6 @@ def _surely_within(cols, kept, tol, margin):
     for first in range(0, len(kept), step):
         out |= np.any(cosines(cols, kept[first:first + step]) > hi, axis=0)
     return (reach > 0) & out
-
-
-def boundary_map_free_group(ball, theta, form=None, depth=1, tail_length=10,
-                            min_gap=1.0):
-    """Cylinder evaluation of the boundary map of a free group.
-
-    For each reduced word w of the given length, evaluates the flag of
-    rho(w v) with the tail v a long power of w's last letter (so that
-    w v stays reduced and heads to the periodic endpoint of the
-    cylinder); the map w -> flag approximates the boundary map on the
-    cylinder of w and is equivariant by construction.
-    """
-    words = [w for w, _, _ in ball.sphere(depth)]
-    if not words:
-        raise ValueError(f"ball has no words of length {depth}")
-    out = {}
-    for w in words:
-        mat = ball.matrix(w) @ np.linalg.matrix_power(
-            ball.matrix(w[-1]), tail_length)
-        out[w] = xi_theta(mat, theta, form, tol=min_gap)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,34 +323,6 @@ def _pair_rows(cols, rows, pair_floor, u=None):
         s = np.linalg.svd(prod.transpose(0, 2, 1, 3), compute_uv=False)[..., -1]
     s = np.clip(s, 0.0, 1.0)
     return nearest, far, np.where(far, s / np.sqrt(1.0 + np.sqrt(1.0 - s * s)), np.inf)
-
-
-# ---------------------------------------------------------------------------
-# dynamics preservation
-
-
-@dataclass(frozen=True)
-class DynamicsRecord:
-    word: str
-    distance_to_sample: float
-    contraction_ratio: float | None
-
-
-def dynamics_preserving_check(sample, proximals, ball, neighborhood=0.5):
-    """For each proximal element: distance from its attracting flag to
-    the sample, and the measured contraction of nearby sample points
-    toward it (max ratio of after/before distances).  Matrices are
-    resolved through the ball by word."""
-    records = []
-    for word, frame, _gap in proximals:
-        dist = sample.nearest_distance(frame)
-        before = principal_sines(sample.columns, frame)[:, -1]
-        near = (1e-9 < before) & (before < neighborhood)
-        moved = push_forward(ball.matrix(word), sample.columns[near])
-        ratios = principal_sines(moved, frame)[:, -1] / before[near]
-        ratio = float(np.max(ratios)) if ratios.size else None
-        records.append(DynamicsRecord(word, dist, ratio))
-    return records
 
 
 # ---------------------------------------------------------------------------

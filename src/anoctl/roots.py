@@ -433,13 +433,8 @@ class ChamberThresholds:
 
 @dataclass(frozen=True)
 class ChamberLimit:
-    status: str                  # "converges" (classifiable sequences always do)
     theta: ThetaSet
     finite_coords: dict          # 1-based root index -> limit pairing t_alpha
-
-    @property
-    def converges(self):
-        return self.status == "converges"
 
 
 def chamber_sequence_limit(rs, support, h_seq, thresholds=None):
@@ -450,11 +445,9 @@ def chamber_sequence_limit(rs, support, h_seq, thresholds=None):
     the divergent set; its minimal admissible superset is the boundary
     index theta, and the remaining pairings must be Cauchy within
     tolerance.  Oscillating or slowly growing tails raise
-    AmbiguousChamberSequence rather than guessing.
-
-    A cleanly classified sequence always converges (the chamber closure
-    is compact and the minimal admissible superset is unique), so the
-    result status is "converges"; the divergent outcome is unreachable.
+    AmbiguousChamberSequence rather than guessing.  A cleanly
+    classified sequence converges: the chamber closure is compact and
+    the minimal admissible superset is unique.
     """
     th = thresholds or ChamberThresholds()
     h_seq = [np.asarray(h, dtype=float) for h in h_seq]
@@ -486,7 +479,7 @@ def chamber_sequence_limit(rs, support, h_seq, thresholds=None):
             f"{th.divergence} nor settle within {th.cauchy_tol}", bad)
     finite = {i: float(tail[:, i - 1].mean())
               for i in sorted(set(range(1, rs.rank + 1)) - set(theta.members))}
-    return ChamberLimit("converges", theta, finite)
+    return ChamberLimit(theta, finite)
 
 
 # ---------------------------------------------------------------------------

@@ -131,18 +131,6 @@ class TauSpec:
             return get_algebra(self.algebra).ad(h)
         return _block_diag([p.d_apply(h) for p in self.parts])
 
-    def faithfulness_report(self, gens, tol=1e-8):
-        """Projective faithfulness evidence on generators only: distance
-        of each image from +-identity."""
-        out = {}
-        for name, g in gens:
-            m = self.apply(g)
-            m = m / np.abs(np.linalg.det(m)) ** (1.0 / m.shape[0])
-            eye = np.eye(m.shape[0])
-            out[name] = float(min(np.linalg.norm(m - eye),
-                                  np.linalg.norm(m + eye)))
-        return out
-
 
 def _block_diag(blocks):
     n = sum(b.shape[0] for b in blocks)

@@ -103,9 +103,6 @@ class GroupBall:
     def radius(self):
         return int(self.lengths[-1]) if len(self.lengths) else 0
 
-    def sphere(self, r):
-        return [self.elements[i] for i in np.flatnonzero(self.lengths == r)]
-
     def matrix(self, word):
         """Matrix of a reduced word (evaluated even if deduplicated away)."""
         index = self._positions.get(word)

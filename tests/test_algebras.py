@@ -113,11 +113,3 @@ def test_adjoint_rejects_outsiders():
         adjoint_rep(np.diag([2.0, 1.0, 1.0]), "sl3")
     with pytest.raises(ValueError):
         adjoint_rep(np.diag([2.0, 1.0, 1.0]), "o21")
-
-
-def test_nilpotency_check():
-    sl2 = get_algebra("sl2")
-    e = np.array([[0.0, 1.0], [0.0, 0.0]])
-    h = np.array([[1.0, 0.0], [0.0, -1.0]])
-    assert sl2.is_nilpotent_element(e)
-    assert not sl2.is_nilpotent_element(h)

@@ -12,13 +12,11 @@ from anoctl.domain import (
     CompactPoint,
     NotInCompactificationError,
     bad_set_distance,
-    complex_in_Xbar,
     dynamical_relation_scan,
     expansion_certificate,
     gaussian_domain_sampler,
     in_Xbar,
     in_bad_set,
-    nilpotent_incidence_check,
     orbit_coverage,
     subalgebra_kernel_dimension,
     subalgebra_point,
@@ -26,7 +24,9 @@ from anoctl.domain import (
 from anoctl.forms import (
     Frame,
     cosine_cuts,
+    contains,
     cosines,
+    intersects,
     make_witt_form,
     principal_sines,
     push_forward,
@@ -83,43 +83,6 @@ def test_interior_preserved_by_group(rng):
         g = random_opq(rng, form)
         moved = in_Xbar(Frame.from_spanning(g @ pt.frame.columns), form)
         assert moved.stratum == 0
-
-
-def _cvec(re, im):
-    return np.concatenate([re, im])
-
-
-def test_complex_in_xbar_interior_example():
-    # n = 3: span_R(e1 - e3, i(e1 + e3), i e2) in the complex Witt basis
-    bC = make_witt_form(2, 1, field_tag="complex")
-    cols = np.stack([
-        _cvec(np.array([1.0, 0, -1]), np.zeros(3)),
-        _cvec(np.zeros(3), np.array([1.0, 0, 1])),
-        _cvec(np.zeros(3), np.array([0.0, 1, 0]))], axis=1)
-    pt = complex_in_Xbar(Frame.from_spanning(cols), bC)
-    assert pt.stratum == 0
-
-
-def test_complex_in_xbar_boundary_kernel_j_stable():
-    bC = make_witt_form(2, 1, field_tag="complex")
-    cols = np.stack([
-        _cvec(np.array([1.0, 0, 0]), np.zeros(3)),
-        _cvec(np.zeros(3), np.array([1.0, 0, 0])),
-        _cvec(np.zeros(3), np.array([0.0, 1, 0]))], axis=1)
-    pt = complex_in_Xbar(Frame.from_spanning(cols), bC)
-    assert pt.stratum == 2  # complex kernel line = two real dimensions
-
-
-def test_complex_in_xbar_rejects_imaginary_part():
-    # complex-isotropic complex line plus a definite real direction that
-    # breaks Im-vanishing: span_R(e1, i e1, e2 + e3-ish mix)
-    bC = make_witt_form(2, 1, field_tag="complex")
-    cols = np.stack([
-        _cvec(np.array([1.0, 0, 0]), np.zeros(3)),
-        _cvec(np.zeros(3), np.array([1.0, 0, 0])),
-        _cvec(np.array([0.0, 1, 0]), np.array([0.0, 0, 1]))], axis=1)
-    with pytest.raises(NotInCompactificationError):
-        complex_in_Xbar(Frame.from_spanning(cols), bC)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +298,23 @@ def test_orbit_coverage_counts_the_points_it_takes(rng):
         assert curve == orbit_coverage(core, ball, iter(points), 3, sample=with_sample)
         assert max(curve.counts) <= 3 and curve.fractions[-1] > 0
     assert orbit_coverage(core, ball, iter(()), 5, sample=sample).counts == (0,) * 4
+
+
+def test_orbit_coverage_blocks_of_trials_give_one_curve(monkeypatch):
+    # one trial per block, the default blocks and one block of all trials
+    # give the curve whose counts in_bad_set gives point by point
+    form, gens, ball, sample = schottky_setup(radius=4)
+    points = list(itertools.islice(
+        gaussian_domain_sampler(form, np.random.default_rng(7)), 12))
+    margins = (0.3, 0.1, 0.03, 0.01)
+    curves = []
+    for table in (1, domain._TABLE, 10 ** 9):
+        monkeypatch.setattr(domain, "_TABLE", table)
+        curves.append(orbit_coverage(points[:1], ball, iter(points), 12,
+                                     sample=sample, margins=margins))
+    assert curves[0] == curves[1] == curves[2]
+    assert curves[0].counts == tuple(
+        sum(not in_bad_set(p, sample, tol=m)[0] for p in points) for m in margins)
 
 
 def test_stretched_plane_keeps_its_dimension(rng):
@@ -585,28 +565,24 @@ def test_kernel_count_equals_nilradical_dimension(tag):
 
 
 def test_nilpotent_incidence_sl2_examples():
+    # meeting the nilpotent line forces containment in r_full
     alg = get_algebra("sl2")
     rs = alg.root_system
-    kappa = alg.killing()
     e_coords = alg.coords(np.array([[0.0, 1.0], [0.0, 0.0]]))
     l = Frame.from_spanning(e_coords)
     r_full = subalgebra_point("sl2", ThetaSet(rs, frozenset({1})))
-    assert nilpotent_incidence_check(r_full, l, kappa)
-    from anoctl.forms import contains, intersects
     assert intersects(l, r_full.basis, 1e-8) and contains(l, r_full.basis, 1e-8)
     # the opposite point: Ad(w0) r_theta misses the upper nilpotent line
     w0 = np.array([[0.0, -1.0], [1.0, 0.0]])
     from anoctl.algebras import adjoint_rep
     ad_w0, _ = adjoint_rep(w0, "sl2")
     opposite = Frame.from_spanning(ad_w0 @ r_full.basis.columns)
-    assert nilpotent_incidence_check(opposite, l, kappa)  # vacuous
     assert not intersects(l, opposite, 1e-8)
 
 
 def test_nilpotent_incidence_negative_control():
     # a 2-dim nilpotent space meeting but not contained in a random span
     alg = get_algebra("sl3")
-    kappa = alg.killing()
     e12 = np.zeros((3, 3))
     e12[0, 1] = 1.0
     e13 = np.zeros((3, 3))
@@ -615,22 +591,11 @@ def test_nilpotent_incidence_negative_control():
     other = np.zeros((3, 3))
     other[1, 0] = 1.0
     w = Frame.from_spanning(np.stack([alg.coords(e12), alg.coords(other)], axis=1))
-    assert not nilpotent_incidence_check(w, l, kappa)
-
-
-def test_nilpotent_incidence_rejects_semisimple():
-    alg = get_algebra("sl2")
-    kappa = alg.killing()
-    h = alg.coords(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        nilpotent_incidence_check(
-            subalgebra_point("sl2", ThetaSet(alg.root_system, frozenset())),
-            Frame.from_spanning(h), kappa)
+    assert intersects(l, w, 1e-8) and not contains(l, w, 1e-8)
 
 
 def test_nilpotent_incidence_zero_dimensional_vacuous():
     alg = get_algebra("sl2")
-    kappa = alg.killing()
     l = Frame(np.zeros((3, 0)))
     pt = subalgebra_point("sl2", ThetaSet(alg.root_system, frozenset()))
-    assert nilpotent_incidence_check(pt, l, kappa)
+    assert not intersects(l, pt.basis) and contains(l, pt.basis)

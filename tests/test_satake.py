@@ -110,12 +110,6 @@ def test_chamber_embedding_survives_huge_exponents():
     assert np.allclose(p.hermitian, np.diag([1.0, 0.0]))
 
 
-def test_faithfulness_report():
-    tau = TauSpec.identity()
-    report = tau.faithfulness_report([("a", np.diag([2.0, 0.5]))])
-    assert report["a"] > 0.1
-
-
 # ---------------------------------------------------------------------------
 # supports
 
