@@ -22,11 +22,11 @@ from .cartan import GapTooSmallError, kak, mu_gaps, tag_of, witt_pm_basis, \
     xi_theta
 from .domain import (
     ACCUMULATION_TOL,
+    bad_set_witnesses,
     dynamical_relation_scan,
     expansion_certificate,
     gaussian_domain_sampler,
     in_Xbar,
-    in_bad_set,
     orbit_coverage,
 )
 from .forms import Frame, dump_json, make_witt_form, matrix_from_json
@@ -352,12 +352,13 @@ def cmd_domain(config):
         report.update({"sample_size": 0, "bad_set_hits": 0,
                        "relation_flags": [], "expansion_certificates": []})
     else:
-        hits = sum(in_bad_set(pt, sample, "intersect", config.tol)[0]
-                   for pt in interior)
+        # a (0, n, q) stack when --samples is 0, where np.stack raises
+        frames = np.reshape([pt.frame.columns for pt in interior], (-1, form.n, form.q))
+        hits = int(np.count_nonzero(bad_set_witnesses(frames, sample, config.tol) >= 0))
         # the scan rejects points within its own tolerance of the bad set
-        clean = [pt for pt in interior
-                 if not in_bad_set(pt, sample, "intersect", ACCUMULATION_TOL)[0]]
-        flags = dynamical_relation_scan(clean[:config.scan_points], ball, sample)
+        clean = np.flatnonzero(bad_set_witnesses(frames, sample, ACCUMULATION_TOL) < 0)
+        flags = dynamical_relation_scan([interior[i] for i in clean[:config.scan_points]],
+                                        ball, sample)
         certs = []
         for word, cols in zip(sample.words, sample.columns[:config.expansion_flags]):
             ray = [word[:k] for k in range(1, len(word) + 1)]

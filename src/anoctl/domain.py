@@ -9,8 +9,9 @@ All verdicts here are desk-scale evidence against finite samples: the
 bad-set test is one-sided (false negatives shrink as the limit sample
 grows, and every report carries the sample's covering radius), and the
 properness scan reports flags, never a boolean theorem.  Every
-incidence decision against the sample is one first_below call on the
-cosine table of one frame or a whole stack of them (_flag_below).
+yes/no question asked of the sample or the core takes a whole stack of
+frames (P, n, k): bad_set_witnesses decides the bad set and _reaches the
+core, each from one first_below call per table block (table_blocks).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .forms import (
     push_forward,
     restrict,
     restrict_kernel,
+    table_blocks,
 )
-from .limits import _TABLE
 
 MEMBERSHIP_TOL = 1e-9
 BAD_SET_TOL = 1e-6
@@ -85,36 +86,34 @@ def _positive_part(restricted, tol, scale):
 
 
 def in_bad_set(point, sample, variant="intersect", tol=BAD_SET_TOL):
-    """Scan the sampled limit flags for one meeting (variant
-    "intersect") or contained in (variant "contain") the plane; returns
-    (bool, witness word or None), taking the first witness in sample
-    order.  For one-dimensional flags inside nonpositive planes the two
-    variants agree.
-
-    One cosine table against the sample decides the flags through
-    first_below; principal_sines runs only on those it cannot settle."""
-    if variant not in ("intersect", "contain"):
-        raise ValueError("variant must be 'intersect' or 'contain'")
-    flags, frame = sample.columns, point.frame.columns
-    if variant == "contain" and flags.shape[-1] > frame.shape[-1]:
-        return False, None
-    hit = _flag_below(cosines(frame, flags), flags, frame, tol,
-                      smallest=variant == "intersect", first=True)
+    """Whether some sampled limit flag meets (variant "intersect") or is
+    contained in (variant "contain") the plane of one CompactPoint, as
+    (bool, witness word or None): bad_set_witnesses on a stack of one."""
+    hit = bad_set_witnesses(point.frame.columns[None], sample, tol, variant)[0]
     return (False, None) if hit < 0 else (True, sample.words[hit])
 
 
-def _flag_below(c, flags, frames, tol, smallest, first):
-    """first_below for the flags (N, n, j) against one frame (n, k) or a
-    stack of frames (P, n, k) of orthonormal columns: for each frame the
-    index of the first flag (of any, with first=False) whose smallest
-    (or largest) principal-angle sine against it lies below tol, or -1,
-    from the cosine table c = cosines(frames, flags)."""
-    n, k = frames.shape[-2:]
-    angle = 0 if smallest else -1
-    return first_below(
-        c, n, min(flags.shape[-1], k), tol,
-        lambda index: principal_sines(flags[index[0]], frames[index[1:]])[:, angle] < tol,
-        smallest, first)
+def bad_set_witnesses(frames, sample, tol=BAD_SET_TOL, variant="intersect"):
+    """For each frame of a stack (P, n, k) of orthonormal columns, the
+    index of the first sample flag that meets it (variant "intersect")
+    or is contained in it (variant "contain") below tol, or -1; for
+    one-dimensional flags inside nonpositive planes the two agree.  Each
+    table block is one first_below call on the cosines against the
+    sample, so principal_sines runs only on the pairs it cannot settle."""
+    if variant not in ("intersect", "contain"):
+        raise ValueError("variant must be 'intersect' or 'contain'")
+    flags, (n, k) = sample.columns, frames.shape[-2:]
+    j, angle = flags.shape[-1], 0 if variant == "intersect" else -1
+    witness = np.full(len(frames), -1)
+    if variant == "contain" and j > k:
+        return witness
+    for block in table_blocks(len(frames), len(flags) * j * k):
+        part = frames[block]
+        witness[block] = first_below(
+            cosines(part, flags), n, min(j, k), tol,
+            lambda index: principal_sines(flags[index[0]], part[index[1]])[:, angle] < tol,
+            smallest=angle == 0)
+    return witness
 
 
 def bad_set_distance(frame, sample):
@@ -142,10 +141,10 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     Points must be members of the compactification outside the bad set.
 
     Lines against line flags take |cos| against every sample line.  Every
-    other case pushes the points forward and decides them from one cosine
-    table per element (``_plane_hits``), so principal_sines runs only on
-    the pairs the table leaves in its rounding band and on the points
-    that no flag meets below tol.
+    other case pushes the points forward and decides them per element
+    with bad_set_witnesses (``_plane_hits``), so principal_sines runs only
+    on the pairs its tables leave in their rounding band and on the
+    points that no flag meets below tol.
 
     The flags are a Records table with one row per flag: ``point`` (the
     index of the point), ``word`` (the element), ``min_gap`` (its
@@ -158,9 +157,7 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     if min_word_length is None:
         min_word_length = max(ball.radius, 1)
     pts = np.stack([pt.frame.columns for pt in points])
-    # in_bad_set's intersect test, for every point from one table
-    witness = _flag_below(cosines(pts, sample.columns), sample.columns, pts, tol,
-                          smallest=True, first=True)
+    witness = bad_set_witnesses(pts, sample, tol)
     bad = np.flatnonzero(witness >= 0)
     if bad.size:
         raise ValueError(f"scan point {bad[0]} is already in the bad set "
@@ -185,7 +182,7 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
             hit = np.flatnonzero(residuals > tol)
             residuals = residuals[hit]
         else:
-            hit, residuals = _plane_hits(push_forward(mat, pts), sample.columns, tol)
+            hit, residuals = _plane_hits(push_forward(mat, pts), sample, tol)
         if hit.size:
             flagged.append((index, hit.tolist(), residuals.tolist()))
 
@@ -202,19 +199,18 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     return flags
 
 
-def _plane_hits(moved, flags, tol):
+def _plane_hits(moved, sample, tol):
     """The pushed frames moved (P, n, k) whose smallest principal-angle
-    sine to every flag exceeds tol, as (indices, residuals), the residual
-    being that smallest sine's minimum over the flags.
+    sine to every sample flag exceeds tol, as (indices, residuals), the
+    residual being that smallest sine's minimum over the flags.
 
-    One cosine table decides which frames some flag meets below tol
-    (_flag_below), and only the others are measured in full.  So NaN and
-    residual == tol are not hits, as in the full measurement."""
-    clear = np.flatnonzero(_flag_below(cosines(moved, flags), flags, moved, tol,
-                                       smallest=True, first=False) < 0)
+    bad_set_witnesses decides which frames some flag meets below tol,
+    and only the others are measured in full.  So NaN and residual ==
+    tol are not hits, as in the full measurement."""
+    clear = np.flatnonzero(bad_set_witnesses(moved, sample, tol) < 0)
     if not clear.size:
         return clear, np.empty(0)
-    residuals = np.min(principal_sines(flags, moved[clear][:, None])[..., 0], axis=1)
+    residuals = np.min(principal_sines(sample.columns, moved[clear][:, None])[..., 0], axis=1)
     hit = residuals > tol
     return clear[hit], residuals[hit]
 
@@ -392,29 +388,24 @@ def orbit_coverage(core, ball, points, trials, sample=None,
     and the fraction is computed among points at margin at least m; the
     curve is reported, not judged.
 
-    Both decisions are yes/no, so each comes from a cosine table through
-    first_below: a point is at margin at least m iff no flag meets it
-    below m (in_bad_set's test at tol m), decided for all points from
-    one table of the points against the sample, taken in blocks of
-    about _TABLE products, and it is covered iff some moved frame lies
-    within d_core of a core frame.  The exact kernels, bad_set_distance's
-    principal_sines and push_forward, run only on the entries that the
-    tables cannot settle.
+    Both decisions are yes/no and take the stack of all trial points at
+    once: a point is at margin at least m iff no flag meets it below m
+    (bad_set_witnesses at tol m), and it is covered iff some ball element
+    moves it within d_core of a core frame (_reaches).  The exact
+    kernels, bad_set_distance's principal_sines and push_forward, run
+    only on the entries that the cosine tables cannot settle.
     """
     core_frames = [p.frame if isinstance(p, CompactPoint) else p for p in core]
     frames = [pt.frame if isinstance(pt, CompactPoint) else pt
               for pt in islice(points, trials)]
-    covered = np.array([any(_reaches(ball, frame, cf, d_core) for cf in core_frames)
-                        for frame in frames], dtype=bool)
+    covered = np.zeros(len(frames), dtype=bool)
     kept = np.ones((len(margins), len(frames)), dtype=bool)
-    if sample is not None and frames:
-        flags, stack = sample.columns, np.stack([f.columns for f in frames])
-        step = max(1, _TABLE // (len(flags) * flags.shape[-1] * stack.shape[-1]))
-        for first in range(0, len(stack), step):
-            block = stack[first:first + step]
-            c = cosines(block, flags)
-            kept[:, first:first + step] = [
-                _flag_below(c, flags, block, m, True, False) < 0 for m in margins]
+    if frames:
+        stack = np.stack([f.columns for f in frames])
+        for cf in core_frames:
+            covered |= _reaches(ball, stack, getattr(cf, "columns", cf), d_core)
+        if sample is not None:
+            kept[:] = [bad_set_witnesses(stack, sample, m) < 0 for m in margins]
     fractions, counts = [], []
     for keep in kept:
         counts.append(int(np.sum(keep)))
@@ -422,28 +413,30 @@ def orbit_coverage(core, ball, points, trials, sample=None,
     return CoverageCurve(tuple(margins), tuple(fractions), tuple(counts))
 
 
-def _reaches(ball, frame, core_frame, d_core):
-    """Whether some ball element moves frame within flag distance d_core
-    of core_frame.  A moved line is the normalized product, which the
-    SVD of push_forward gives up to rounding; only the elements that
-    first_below cannot settle are pushed forward through that SVD."""
-    n, k = frame.columns.shape
-    if k == 1:
-        moved = ball.matrices @ frame.columns
-        moved /= np.linalg.norm(moved, axis=-2, keepdims=True)
-
-        def pushed(index):
-            return push_forward(ball.matrices[index], frame.columns)
-    else:
-        moved = push_forward(ball.matrices, frame.columns)
-
-        def pushed(index):
-            return moved[index]
-    core = getattr(core_frame, "columns", core_frame)
-    return first_below(
-        cosines(core, moved), n, min(k, core.shape[-1]), d_core,
-        lambda index: principal_sines(pushed(index[0]), core)[:, -1] <= d_core,
-        first=False) >= 0
+def _reaches(ball, frames, core, d_core):
+    """For each frame of a stack (P, n, k), whether some ball element
+    moves it within flag distance d_core of the core columns (n, j).
+    Each table block is one first_below call over the whole ball.  A
+    moved line is the normalized product, which push_forward's SVD gives
+    up to rounding, so only the pairs the table cannot settle take it."""
+    n, k = frames.shape[-2:]
+    mats = ball.matrices[:, None]
+    covered = np.zeros(len(frames), dtype=bool)
+    # width: the products of mats @ trial, whose temporaries are the largest
+    for block in table_blocks(len(frames), len(mats) * n * n * k):
+        trial = frames[block]
+        if k == 1:
+            moved = mats @ trial
+            moved /= np.linalg.norm(moved, axis=-2, keepdims=True)
+        else:
+            moved = push_forward(mats, trial)
+        covered[block] = first_below(
+            cosines(core, moved.reshape(-1, n, k)).reshape(moved.shape[:2]),
+            n, min(k, core.shape[-1]), d_core,
+            lambda index: principal_sines(
+                push_forward(ball.matrices[index[0]], trial[index[1]]), core)[:, -1] <= d_core,
+            first=False) >= 0
+    return covered
 
 
 # ---------------------------------------------------------------------------

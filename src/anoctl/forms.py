@@ -353,6 +353,19 @@ def cosines(x, frames):
     return np.sum(frame_products(x, frames) ** 2, axis=(1, -1))
 
 
+# products |F^T x| per block of a cosine table, which bounds every table
+# of the limit sampler, the all-pairs pass and domain's stacked incidence
+# decisions however many frames they hold
+_TABLE = 2 ** 14
+
+
+def table_blocks(count, width):
+    """Slices of range(count) in blocks of about _TABLE products, for
+    items that take ``width`` products each (at least one per block)."""
+    step = max(1, _TABLE // max(1, width))
+    return (slice(first, first + step) for first in range(0, count, step))
+
+
 def cosine_band(n, k):
     """Rounding band of c = |F^T x|_F^2 for frames in R^n with k
     principal angles, wide enough to cover that of principal_sines' d^2

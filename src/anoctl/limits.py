@@ -26,6 +26,7 @@ from .forms import (
     frame_products,
     orthogonal_complement,
     principal_sines,
+    table_blocks,
 )
 
 MERGE_TOL = 1e-6
@@ -34,10 +35,6 @@ PAIR_FLOOR = 1e-3
 # stacks grow the heap, and so the peak resident memory, by about 1 MiB
 # on O(3,2) balls, for a gain of under 15 us per element
 _PREFETCH = 128
-# products |F^T x| per slice of the kept flags in _surely_within, per
-# row block of the all-pairs pass and per block of domain.orbit_coverage's
-# trials, which bounds their tables however many flags there are
-_TABLE = 2 ** 14
 
 
 class EmptyLimitSampleError(ValueError):
@@ -160,15 +157,13 @@ def _surely_within(cols, kept, tol, margin):
     if every frame within its margin lies at flag distance below tol
     from a kept frame, which _within then confirms: d(cols, F) <=
     sqrt(k - c), and the flag distance is a metric: cosine_cuts' upper
-    cut at that reach.  The kept frames go in slices of about _TABLE
-    products each."""
+    cut at that reach.  The kept frames go in table_blocks."""
     n, k = cols.shape[-2:]
     reach = tol - 2.0 * margin
     hi = cosine_cuts(n, k, reach)[0]
-    step = max(1, _TABLE // max(1, len(cols) * k * k))
     out = np.zeros(len(cols), dtype=bool)
-    for first in range(0, len(kept), step):
-        out |= np.any(cosines(cols, kept[first:first + step]) > hi, axis=0)
+    for block in table_blocks(len(kept), len(cols) * k * k):
+        out |= np.any(cosines(cols, kept[block]) > hi, axis=0)
     return (reach > 0) & out
 
 
@@ -222,7 +217,9 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
         raise ValueError("no pair clears the distance floor")
     margin, worst = np.inf, None
     bound = np.min(least) + _margin_reach(np.min(least), *cols.shape[-2:])
-    for rows in _row_blocks(cols, np.flatnonzero(least <= bound)):
+    revisit = np.flatnonzero(least <= bound)
+    for block in table_blocks(len(revisit), len(cols) * cols.shape[-1] ** 2):
+        rows = revisit[block]
         for i, screened in zip(rows, _pair_rows(cols, rows, pair_floor, u)[2]):
             near_min = np.flatnonzero(screened <= bound)
             if not near_min.size:
@@ -257,23 +254,16 @@ def _margin_reach(least, n, k):
     return error(least) + error(least + 2.0 * error(1.0))
 
 
-def _row_blocks(cols, rows):
-    """The given rows of the all-pairs table of the frames cols (N, n, k),
-    in blocks of about _TABLE products."""
-    n_frames, _, k = cols.shape
-    step = max(1, _TABLE // (n_frames * k * k))
-    for first in range(0, len(rows), step):
-        yield rows[first:first + step]
-
-
 def _pair_pass(sample, pair_floor=PAIR_FLOOR, u=None):
     """One blocked pass over the sample's all-pairs table: the exact
     nearest-neighbor distances (N,), cached as ``sample.nearest``, the
     number of ordered pairs at distance above pair_floor and, given u,
     each row's smallest screened margin (N,)."""
     cols = sample.columns
+    index = np.arange(len(cols))
     nearest, least, tested = np.empty(len(cols)), np.full(len(cols), np.inf), 0
-    for rows in _row_blocks(cols, np.arange(len(cols))):
+    for block in table_blocks(len(cols), len(cols) * cols.shape[-1] ** 2):
+        rows = index[block]
         nearest[rows], far, screened = _pair_rows(cols, rows, pair_floor, u)
         tested += int(np.count_nonzero(far))
         if u is not None:

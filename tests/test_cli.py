@@ -482,6 +482,34 @@ def test_nondiscrete_o32_domain_report_matches_golden_digest(tmp_path):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == NONDISCRETE_O32_DOMAIN
 
 
+# sha256 of radius-5 domain reports at a --tol loose enough for bad-set
+# hits (every other pinned report has none), with their hit counts
+BAD_SET_HIT_DOMAINS = {
+    ("mixed-o21", "0.1"): (22, "107f4ef9156829fd80d2de3f35f09361b8a6d38e6dab5d5866681c7314de5ff0"),
+    ("schottky-o21", "0.3"): (31, "76c3e2e973f97e9085757f053381a1353aeb3a597e7256cff2a2eb478b9fea5c"),
+}
+
+
+@pytest.mark.parametrize("name,tol", sorted(BAD_SET_HIT_DOMAINS))
+def test_domain_reports_with_bad_set_hits_match_golden_digests(tmp_path, name, tol):
+    assert main(["domain", "--gens", f"builtin:{name}", "--radius", "5", "--tol", tol,
+                 "--seed", "0", "--out", str(tmp_path)]) == 0
+    report = tmp_path / "domain.json"
+    hits, digest = BAD_SET_HIT_DOMAINS[name, tol]
+    assert json.loads(read(report))["bad_set_hits"] == hits
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("option", ["--samples", "--scan-points"])
+def test_domain_with_no_points_to_decide(tmp_path, option):
+    assert main(["domain", "--gens", "builtin:mixed-o21", "--radius", "4", option, "0",
+                 "--seed", "0", "--out", str(tmp_path)]) == 0
+    report = json.loads(read(tmp_path / "domain.json"))
+    assert report["sample_size"] > 0
+    assert report["bad_set_hits"] == 0 and report["relation_flags"] == []
+    assert report["interior_samples"] == (0 if option == "--samples" else 200)
+
+
 def golden_args(tmp_path, name):
     if name == "pingpong-o32":
         return ["--gens", write_gens(tmp_path / "gens.json", pingpong_o32(0)),

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from anoctl import domain
+from anoctl import domain, forms
 from anoctl.algebras import get_algebra
 from anoctl.cartan import mu_gaps
 from anoctl.domain import (
@@ -198,6 +198,17 @@ def test_scan_rejects_bad_points():
     bad = CompactPoint(Frame(sample.columns[0]), 1, form)
     with pytest.raises(ValueError):
         dynamical_relation_scan([bad], ball, sample)
+    # the message names the first point in the bad set and its first
+    # witness at the scan's tolerance
+    clean = next(pt for pt in gaussian_domain_sampler(form, np.random.default_rng(1))
+                 if np.min(principal_sines(sample.columns, pt.frame)) > 0.1)
+    j = len(sample) - 1
+    first = np.flatnonzero(principal_sines(sample.columns, Frame(sample.columns[j]))[:, 0]
+                           < ACCUMULATION_TOL)[0]
+    points = [clean, CompactPoint(Frame(sample.columns[j]), 1, form), bad]
+    with pytest.raises(ValueError, match=rf"^scan point 1 is already in the bad set "
+                                         rf"\(witness '{sample.words[first]}'\)$"):
+        dynamical_relation_scan(points, ball, sample)
 
 
 def test_scan_empty_inputs():
@@ -308,8 +319,8 @@ def test_orbit_coverage_blocks_of_trials_give_one_curve(monkeypatch):
         gaussian_domain_sampler(form, np.random.default_rng(7)), 12))
     margins = (0.3, 0.1, 0.03, 0.01)
     curves = []
-    for table in (1, domain._TABLE, 10 ** 9):
-        monkeypatch.setattr(domain, "_TABLE", table)
+    for table in (1, forms._TABLE, 10 ** 9):
+        monkeypatch.setattr(forms, "_TABLE", table)
         curves.append(orbit_coverage(points[:1], ball, iter(points), 12,
                                      sample=sample, margins=margins))
     assert curves[0] == curves[1] == curves[2]

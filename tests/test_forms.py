@@ -276,11 +276,35 @@ def random_nonpositive_plane(rng, form, q, boundary=False):
             if np.max(vals) <= 1e-10:
                 return w
     for _ in range(5000):
-        w = Frame.from_spanning(rng.standard_normal((n, q)))
+        x = rng.standard_normal((n, q))
+        # a column with x^T G x > 0 is a positive vector of the span, so
+        # by Sylvester's law of inertia W^T G W has a positive Rayleigh
+        # quotient and the test below rejects it too: skip its SVD
+        if np.any(np.sum(x * (form.gram @ x), axis=0) > 0):
+            continue
+        w = Frame.from_spanning(x)
         vals = np.linalg.eigvalsh(w.columns.T @ form.gram @ w.columns)
         if np.max(vals) < -1e-8:
             return w
     raise RuntimeError("sampling failed")
+
+
+def test_nonpositive_planes_skip_only_draws_the_full_test_rejects():
+    # the same planes and rng state as the one-try loop that spans every
+    # draw before testing it
+    def one_try_plane(rng, form, q):
+        for _ in range(5000):
+            w = Frame.from_spanning(rng.standard_normal((form.n, q)))
+            if np.max(np.linalg.eigvalsh(w.columns.T @ form.gram @ w.columns)) < -1e-8:
+                return w
+        raise RuntimeError("sampling failed")
+
+    form = make_witt_form(3, 2)
+    fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(500):
+        assert np.array_equal(random_nonpositive_plane(fast, form, 2).columns,
+                              one_try_plane(slow, form, 2).columns)
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_incidence_lemma_equivalence_randomized(rng):

@@ -1,9 +1,10 @@
 """The screened yes/no incidence decisions of anoctl.domain (bad-set
 membership and orbit coverage) against the exact kernels they replace:
 the full-stack principal_sines rule of in_bad_set and the push-forward
-loop of orbit_coverage, kept here as the references.  The table rule
-first_below is checked column by column against the one-column rule it
-replaced."""
+loop of orbit_coverage, kept here as the references.  The stacked
+decisions (bad_set_witnesses, _reaches) are checked against their
+point-by-point loops, and the table rule first_below column by column
+against the one-column rule it replaced."""
 
 from functools import lru_cache
 from itertools import islice
@@ -16,11 +17,12 @@ from anoctl import domain, forms
 from anoctl.domain import (
     CompactPoint,
     bad_set_distance,
+    bad_set_witnesses,
     gaussian_domain_sampler,
     in_bad_set,
     orbit_coverage,
 )
-from anoctl.forms import Frame, cosine_cuts, first_below, make_witt_form, \
+from anoctl.forms import Frame, cosine_cuts, cosines, first_below, make_witt_form, \
     orthonormalize, principal_sines, push_forward
 from anoctl.limits import sample_limit_set
 from anoctl.presets import BUILTIN_GENERATORS, o21_boost, o21_rotation
@@ -42,6 +44,29 @@ def reference_in_bad_set(point, sample, variant="intersect", tol=domain.BAD_SET_
     sines = principal_sines(sample.columns, point.frame)
     hits = np.flatnonzero(sines[:, 0 if variant == "intersect" else -1] < tol)
     return (True, sample.words[hits[0]]) if hits.size else (False, None)
+
+
+def reference_witnesses(frames, sample, tol, variant="intersect"):
+    """bad_set_witnesses point by point, as in_bad_set decided one frame
+    before the stack: one cosine table of the frame against the sample."""
+    flags, witnesses = sample.columns, []
+    smallest, angle = variant == "intersect", 0 if variant == "intersect" else -1
+    for frame in frames:
+        if variant == "contain" and flags.shape[-1] > frame.shape[-1]:
+            witnesses.append(-1)
+            continue
+        witnesses.append(first_below(
+            cosines(frame, flags), frame.shape[0], min(flags.shape[-1], frame.shape[-1]), tol,
+            lambda index: principal_sines(flags[index[0]], frame)[:, angle] < tol,
+            smallest, first=True))
+    return np.array(witnesses, dtype=int)
+
+
+def reference_reaches(ball, frames, core, d_core):
+    """_reaches point by point: the whole ball pushed forward once per
+    frame."""
+    return np.array([np.any(principal_sines(push_forward(ball.matrices, frame), core)[:, -1]
+                            <= d_core) for frame in frames], dtype=bool)
 
 
 def reference_orbit_coverage(core, ball, stream, trials, sample=None,
@@ -241,6 +266,72 @@ def test_the_screen_pushes_few_elements_forward(monkeypatch):
     core = [points(form, 5, 1)[0]]
     orbit_coverage(core, ball, seeded(form, 2), 20, sample, 0.3)
     assert sum(pushed) < 0.01 * 20 * len(ball)
+
+
+# ---------------------------------------------------------------------------
+# stacks of points
+
+
+def witness_case(name):
+    """(sample, stack of points (P, n, q)) for a preset, the O(3,2)
+    ping-pong pair (line flags against planes) or a sample of 2-planes
+    around one of 12 O(3,2) planes (planes against planes)."""
+    if name == "planes":
+        form = make_witt_form(3, 2)
+        stack = np.stack([pt.frame.columns for pt in points(form, 4, 12)])
+        return sample_near(stack[3], 2, np.random.default_rng(5)), stack
+    form, _, sample = coverage_case(name)
+    stack = np.stack([pt.frame.columns for pt in points(form, 4, 12)])
+    if form.q == 1:     # two of the line points are sample flags (sine 0)
+        stack[[2, 7]] = sample.columns[[len(sample) // 2, -1]]
+    return sample, stack
+
+
+@pytest.mark.parametrize("table", [1, forms._TABLE, 10 ** 9])
+@pytest.mark.parametrize("variant", ["intersect", "contain"])
+@pytest.mark.parametrize("name", ["schottky-o21", "mixed-o21", "pingpong", "planes"])
+def test_bad_set_witnesses_equal_the_point_by_point_loop(monkeypatch, name, variant, table):
+    # tolerances at a point's exact sine to a flag and 2 ulps either
+    # side, with one frame per table block, the default blocks and one
+    # block of all frames
+    sample, stack = witness_case(name)
+    monkeypatch.setattr(forms, "_TABLE", table)
+    sines = principal_sines(sample.columns[:, None], stack)[..., 0 if variant == "intersect" else -1]
+    nearest = np.sort(np.min(sines, axis=0))
+    decided = set()
+    for value in nearest[[0, 1, len(nearest) // 2, -1]]:
+        for tol in ulps(float(value)) + [domain.BAD_SET_TOL]:
+            got = bad_set_witnesses(stack, sample, tol, variant)
+            assert got.dtype.kind == "i"
+            assert np.array_equal(got, reference_witnesses(stack, sample, tol, variant))
+            decided.add(tuple(got.tolist()))
+    contains_nothing = variant == "contain" and sample.columns.shape[-1] > stack.shape[-1]
+    assert len(decided) > (1 if contains_nothing else 2)
+    empty = bad_set_witnesses(stack[:0], sample, 0.3, variant)
+    assert empty.shape == (0,) and empty.dtype.kind == "i"
+    with pytest.raises(ValueError, match="variant"):
+        bad_set_witnesses(stack, sample, 0.3, variant[::-1])
+
+
+@pytest.mark.parametrize("table", [1, forms._TABLE, 10 ** 9])
+@pytest.mark.parametrize("name", CASES)
+def test_reaches_decides_the_stack_like_the_push_forward_loop(monkeypatch, name, table):
+    # d_core at the exact distance of a frame's nearest moved frame and 2
+    # ulps either side
+    form, ball, _ = coverage_case(name)
+    core = points(form, 5, 1)[0].frame.columns
+    stack = np.stack([pt.frame.columns for pt in points(form, 11, 6)])
+    monkeypatch.setattr(forms, "_TABLE", table)
+    nearest = [float(np.min(principal_sines(push_forward(ball.matrices, frame), core)[:, -1]))
+               for frame in stack]
+    decided = set()
+    for value in sorted(nearest)[::2]:
+        for d_core in ulps(value):
+            got = domain._reaches(ball, stack, core, d_core)
+            assert np.array_equal(got, reference_reaches(ball, stack, core, d_core))
+            decided.add(tuple(got.tolist()))
+    assert len(decided) > 2
+    assert domain._reaches(ball, stack[:0], core, 0.3).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anoctl import limits
+from anoctl import forms, limits
 from anoctl.forms import Frame, cosines, dist_grassmann, dist_projective, make_witt_form
 from anoctl.limits import (
     MERGE_TOL,
@@ -167,10 +167,10 @@ def test_surely_within_does_not_depend_on_the_slices(monkeypatch):
     frames, margins = batch.u[stack][:, :, :1], batch.flag_margin[stack]
 
     def answers(table):
-        monkeypatch.setattr(limits, "_TABLE", table)
+        monkeypatch.setattr(forms, "_TABLE", table)
         return limits._surely_within(frames, kept, MERGE_TOL, margins)
 
-    sliced = answers(limits._TABLE)
+    sliced = answers(forms._TABLE)
     assert 0 < sliced.sum() < len(stack)
     assert np.array_equal(answers(1), sliced)
     assert np.array_equal(answers(len(kept) * len(stack)), sliced)

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from anoctl import limits
+from anoctl import forms, limits
 from anoctl.forms import Frame, make_witt_form, principal_sines
 from anoctl.limits import sample_limit_set, transversality_report
 from anoctl.presets import BUILTIN_GENERATORS, o21_rotation
@@ -167,5 +167,5 @@ def test_the_pass_does_not_depend_on_the_table_size(monkeypatch, name):
     expected = screened_report(sample, form, 1e-3)
     k = sample.columns.shape[-1]
     for table in (1, len(sample) ** 2 * k * k):
-        monkeypatch.setattr(limits, "_TABLE", table)
+        monkeypatch.setattr(forms, "_TABLE", table)
         assert screened_report(sample, form, 1e-3) == expected
