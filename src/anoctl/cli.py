@@ -24,7 +24,7 @@ from .domain import (
     ACCUMULATION_TOL,
     bad_set_witnesses,
     dynamical_relation_scan,
-    expansion_certificate,
+    expansion_certificates,
     gaussian_domain_sampler,
     in_Xbar,
     orbit_coverage,
@@ -359,15 +359,15 @@ def cmd_domain(config):
         clean = np.flatnonzero(bad_set_witnesses(frames, sample, ACCUMULATION_TOL) < 0)
         flags = dynamical_relation_scan([interior[i] for i in clean[:config.scan_points]],
                                         ball, sample)
-        certs = []
-        for word, cols in zip(sample.words, sample.columns[:config.expansion_flags]):
-            ray = [word[:k] for k in range(1, len(word) + 1)]
-            res = expansion_certificate(Frame(cols), ray, ball,
-                                        config.expansion_factor,
-                                        rng=np.random.default_rng(config.seed))
-            certs.append({"flag_word": word, "success": res.success,
-                          "word": res.word, "radius": res.neighborhood_radius,
-                          "factor": res.factor})
+        words = sample.words[:config.expansion_flags]
+        results = expansion_certificates(
+            [Frame(cols) for cols in sample.columns[:len(words)]],
+            [[word[:k] for k in range(1, len(word) + 1)] for word in words],
+            ball, config.expansion_factor,
+            rngs=[np.random.default_rng(config.seed) for _ in words])
+        certs = [{"flag_word": word, "success": res.success, "word": res.word,
+                  "radius": res.neighborhood_radius, "factor": res.factor}
+                 for word, res in zip(words, results)]
         trans = transversality_report(sample, form) if len(sample) > 1 else None
         report.update({
             "sample_size": len(sample),

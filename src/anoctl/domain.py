@@ -12,6 +12,8 @@ properness scan reports flags, never a boolean theorem.  Every
 yes/no question asked of the sample or the core takes a whole stack of
 frames (P, n, k): bad_set_witnesses decides the bad set and _reaches the
 core, each from one first_below call per table block (table_blocks).
+The expansion certificates of many flags advance together, one stacked
+grid step at a time (expansion_certificates).
 """
 
 from __future__ import annotations
@@ -234,31 +236,36 @@ def _line_draw(rng, n):
 
 def _lines(v, draws, max_angle):
     """Orthonormal columns (m, n, 1) of the lines at angle phi in
-    [0.2, 1] max_angle from the unit vector v, one per ``_line_draw``.
+    [0.2, 1] max_angle from the unit vectors v (m, n), one row of v and
+    one ``_line_draw`` per line.
     Every dot product is the one-line ``v @ u`` (a row times a vector,
     not a matrix product), so each line is bit for bit the one-draw
     value."""
     normals, uniforms = zip(*draws) if draws else ((), ())
-    u = np.reshape(normals, (-1, 1, v.shape[0]))
-    u = u - v * (u @ v)[..., None]
+    v = v[:, None]
+    u = np.reshape(normals, v.shape)
+    u = u - v * (u @ np.swapaxes(v, -1, -2))
     u = u / np.sqrt(u @ np.swapaxes(u, -1, -2))
     phi = np.reshape(uniforms, (-1, 1, 1)) * max_angle
     return orthonormalize(np.swapaxes(np.cos(phi) * v + np.sin(phi) * u, -1, -2))[0]
 
 
-def _draw_grid(rng, v, max_angle, q, grid):
-    """One grid's pairs (W, L), drawn in the order of a pair-by-pair
-    loop: per pair a near line, q - 1 extra columns when q > 1, and the
-    line L.  The planes take one stacked SVD, and the pairs whose W
-    drops rank are left out.  Returns the full-rank planes (m, n, q)
-    and their lines (m, n, 1)."""
-    n = v.shape[0]
+def _draw_grid(rngs, v, max_angle, q, grid):
+    """One grid of pairs (W, L) per rng, around its unit vector of v
+    (m, n), each drawn in the order of a pair-by-pair loop: per pair a
+    near line, q - 1 extra columns when q > 1, and the line L.  The
+    planes take one stacked SVD, and the pairs whose W drops rank are
+    left out.  Returns the full-rank planes (M, n, q), their lines
+    (M, n, 1) and the index of each pair's rng (M,)."""
+    n = v.shape[-1]
     near, extra, lines = [], [], []
-    for _ in range(grid):
-        near.append(_line_draw(rng, n))
-        if q > 1:
-            extra.append(rng.standard_normal((n, q - 1)))
-        lines.append(_line_draw(rng, n))
+    for rng in rngs:
+        for _ in range(grid):
+            near.append(_line_draw(rng, n))
+            if q > 1:
+                extra.append(rng.standard_normal((n, q - 1)))
+            lines.append(_line_draw(rng, n))
+    v = np.repeat(v, grid, axis=0)
     spans = _lines(v, near, max_angle)
     if q > 1:
         spans = np.concatenate(
@@ -267,7 +274,26 @@ def _draw_grid(rng, v, max_angle, q, grid):
     # dropping it would move the factors in the last bit
     planes, ranks = orthonormalize(spans)
     full = ranks == q
-    return planes[full], _lines(v, lines, max_angle)[full]
+    owner = np.repeat(np.arange(len(rngs)), grid)
+    return planes[full], _lines(v, lines, max_angle)[full], owner[full]
+
+
+def _factors(mats, planes, lines, q):
+    """The expansion factor sin(L', W') / sin(L, W) of each pair, where
+    the primes are the images under the pair's matrix of mats (M, n, n),
+    and the mask of the pairs measured: those whose L lies at least
+    1e-12 from W.  Each kind of frame takes one stacked SVD and each side
+    one ``principal_sines`` call."""
+    before = principal_sines(lines, planes)[:, 0]
+    keep = ~(before < 1e-12)
+    mats = mats[keep]
+    moved_w, ranks = orthonormalize(mats @ planes[keep])
+    moved_l = orthonormalize(mats @ lines[keep])[0]
+    after = principal_sines(moved_l, moved_w)[:, 0]
+    # a matrix can squeeze a plane below the rank tolerance
+    for i in np.flatnonzero(ranks < q):
+        after[i] = principal_sines(moved_l[i], moved_w[i, :, :ranks[i]])[0]
+    return after / before[keep], keep
 
 
 DEFAULT_EXPANSION_RADII = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
@@ -285,51 +311,64 @@ def expansion_certificate(flag, ray, ball, c, q=1, grid=8, rng=None,
     the radius from the flag and lines L within the radius; by the
     distance identity both lie in the r-neighborhood of the incidence
     set.  Returns the first certified (word, radius, factor) or a failure
-    record with the best factor found.
+    record with the best factor found: expansion_certificates on one
+    flag.
+    """
+    return expansion_certificates([flag], [ray], ball, c, q, grid,
+                                  [rng or np.random.default_rng(0)], radii)[0]
 
-    Each (word, radius) grid is one batch: its pairs are drawn one by
-    one, in the order and with the rng calls of a pair-by-pair loop that
-    draws L for every pair, and then measured with one stacked SVD per
-    kind of frame and one ``principal_sines`` call each before and after
-    ``word``.  The factors, the pair count and the rng's final state are
-    bit for bit those of that pair-by-pair loop.
+
+def expansion_certificates(flags, rays, ball, c, q=1, grid=8, rngs=None,
+                           radii=DEFAULT_EXPANSION_RADII):
+    """expansion_certificate for each flag with its ray and rng (a fresh
+    ``default_rng(0)`` each when rngs is None), as a list of
+    ExpansionResults.
+
+    The certificates advance in lockstep over their (word, radius)
+    steps, in the order word by word, radius by radius.  At each step
+    every flag that has not succeeded and still has words draws its
+    grid from its own rng, in the order and with the rng calls of a
+    pair-by-pair loop that draws L for every pair, and one stacked pass
+    (``_factors``) measures the grids of all of them.  So each result
+    and each rng's final state are bit for bit those of that
+    pair-by-pair loop run on one flag at a time.
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    rng = rng or np.random.default_rng(0)
-    v = flag.columns[:, 0]
-    n = flag.ambient_dim
-    candidates = [("", np.eye(n))]
     from .words import word_inverse
-    for w in ray:
-        iw = word_inverse(w)
-        candidates.append((iw, ball.matrix(iw)))
-
-    best = (-np.inf, None, None)
-    tested = 0
-    for word, mat in candidates:
+    if rngs is None:
+        rngs = [np.random.default_rng(0) for _ in flags]
+    v = np.array([flag.columns[:, 0] for flag in flags])
+    candidates = [[("", np.eye(flag.ambient_dim))]
+                  + [(iw, ball.matrix(iw)) for iw in map(word_inverse, ray)]
+                  for flag, ray in zip(flags, rays)]
+    best = [(-np.inf, None, None)] * len(flags)
+    tested = [0] * len(flags)
+    results = [None] * len(flags)
+    for word_index in range(max(map(len, candidates), default=0)):
         for radius in radii:
-            planes, lines = _draw_grid(rng, v, 0.9 * radius, q, grid)
-            before = principal_sines(lines, planes)[:, 0]
-            keep = ~(before < 1e-12)
-            if not np.any(keep):
-                continue
-            before = before[keep]
-            moved_w, ranks = orthonormalize(mat @ planes[keep])
-            moved_l = orthonormalize(mat @ lines[keep])[0]
-            after = principal_sines(moved_l, moved_w)[:, 0]
-            # mat can squeeze a plane below the rank tolerance
-            for i in np.flatnonzero(ranks < q):
-                after[i] = principal_sines(moved_l[i], moved_w[i, :, :ranks[i]])[0]
-            factors = (after / before).tolist()
-            tested += len(factors)
-            factor = min(factors)
-            if factor >= c:
-                return ExpansionResult(True, word, radius, factor, tested)
-            if factor > best[0]:
-                best = (factor, word, radius)
-    return ExpansionResult(False, best[1], best[2] or radii[-1],
-                           best[0] if best[0] > -np.inf else 0.0, tested)
+            live = [f for f, res in enumerate(results)
+                    if res is None and word_index < len(candidates[f])]
+            if not live:
+                break
+            planes, lines, owner = _draw_grid(
+                [rngs[f] for f in live], v[live], 0.9 * radius, q, grid)
+            mats = np.array([candidates[f][word_index][1] for f in live])
+            factors, keep = _factors(mats[owner], planes, lines, q)
+            counts = np.bincount(owner[keep], minlength=len(live))
+            for f, part in zip(live, np.split(factors, np.cumsum(counts)[:-1])):
+                if not part.size:
+                    continue
+                tested[f] += part.size
+                factor = min(part.tolist())
+                word = candidates[f][word_index][0]
+                if factor >= c:
+                    results[f] = ExpansionResult(True, word, radius, factor, tested[f])
+                elif factor > best[f][0]:
+                    best[f] = (factor, word, radius)
+    return [res or ExpansionResult(False, b[1], b[2] or radii[-1],
+                                   b[0] if b[0] > -np.inf else 0.0, t)
+            for res, b, t in zip(results, best, tested)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +470,7 @@ def _reaches(ball, frames, core, d_core):
         else:
             moved = push_forward(mats, trial)
         covered[block] = first_below(
-            cosines(core, moved.reshape(-1, n, k)).reshape(moved.shape[:2]),
+            cosines(moved, core[None])[0],
             n, min(k, core.shape[-1]), d_core,
             lambda index: principal_sines(
                 push_forward(ball.matrices[index[0]], trial[index[1]]), core)[:, -1] <= d_core,

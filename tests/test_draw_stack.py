@@ -1,6 +1,7 @@
 """Parity of the stacked domain draw loops with the pair-by-pair and
 try-by-try loops they replace: the same results, bit for bit, and for
-the expansion certificates the same final rng state."""
+the expansion certificates the same final rng state, whether one flag
+or many advance together."""
 
 from itertools import islice
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from anoctl.domain import (
     ExpansionResult,
     NotInCompactificationError,
     expansion_certificate,
+    expansion_certificates,
     gaussian_domain_sampler,
     in_Xbar,
 )
@@ -213,6 +215,109 @@ def test_expansion_certificate_measures_planes_squeezed_below_the_rank_tolerance
         res = assert_same_certificate(ball, flag, ["a"], 1e9, q=2, seed=seed,
                                       radii=(1e-7,))
         assert res.word == "A" and res.factor > 1.0
+
+
+def rng_state(rng):
+    return rng.bit_generator.state
+
+
+def assert_same_certificates(ball, flags, ray_list, c, make_rng, q=1,
+                             state=rng_state, **kwargs):
+    """Run expansion_certificates on all flags at once, each with its own
+    rng from make_rng(index), against the pair loop on one flag at a
+    time, and compare the results and every rng's final state."""
+    ref_rngs = [make_rng(i) for i in range(len(flags))]
+    rngs = [make_rng(i) for i in range(len(flags))]
+    expected = [expansion_reference(flag, ray, ball, c, q=q, rng=rng, **kwargs)
+                for flag, ray, rng in zip(flags, ray_list, ref_rngs)]
+    results = expansion_certificates(flags, ray_list, ball, c, q=q, rngs=rngs,
+                                     **kwargs)
+    assert results == expected
+    assert [state(rng) for rng in rngs] == [state(rng) for rng in ref_rngs]
+    return results
+
+
+@pytest.mark.parametrize("c", [2.0, 1e9])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_expansion_certificates_of_all_flags_match_the_pair_loop(name, c):
+    ball, sample = CASES[name]()
+    flags, ray_list = zip(*rays(sample))
+    assert len(flags) == 8
+    results = assert_same_certificates(ball, flags, ray_list, c,
+                                       np.random.default_rng)
+    # factor 2 certifies every flag, 1e9 none, after every grid
+    assert [res.success for res in results] == [c == 2.0] * 8
+
+
+def test_expansion_certificates_that_stop_at_different_steps():
+    # rays cut to 0-3 words, all flags on one seed as the CLI draws them:
+    # the flags succeed or run out of words after different grids
+    ball, sample = CASES["mixed-o21"]()
+    flags, ray_list = zip(*rays(sample))
+    ray_list = [ray[:i % 4] for i, ray in enumerate(ray_list)]
+    results = assert_same_certificates(ball, flags, ray_list, 2.0,
+                                       lambda i: np.random.default_rng(7))
+    assert {res.success for res in results} == {True, False}
+    assert len({(res.word, res.neighborhood_radius) for res in results}) > 2
+    assert len({res.pairs_tested for res in results}) > 2
+
+
+def test_expansion_certificates_on_planes_of_the_o32_pair():
+    ball, sample = pingpong_case()
+    flags, ray_list = zip(*rays(sample))
+    for c in (2.0, 1e9):
+        assert_same_certificates(ball, flags, ray_list, c,
+                                 lambda i: np.random.default_rng(i + 1), q=2)
+
+
+def test_expansion_certificates_skip_planes_that_drop_rank_per_flag():
+    # each flag's rng makes its own draws parallel, or none of them
+    ball, sample = pingpong_case()
+    flags, ray_list = zip(*islice(rays(sample), 4))
+    radii = (0.01, 1e-3)
+    parallel = [(2,), (1, 3, 8), (4, 5, 11), ()]
+
+    def make_rng(i):
+        return ParallelExtraRng(3 + i, flags[i].columns[:, 0], 0.9 * radii[0],
+                                parallel[i])
+
+    results = assert_same_certificates(ball, flags, ray_list, 1e9, make_rng, q=2,
+                                       state=lambda rng: rng.bit_generator.state[:2],
+                                       radii=radii)
+    for res, ray, draws in zip(results, ray_list, parallel):
+        grids = len(radii) * (len(ray) + 1)
+        assert res.pairs_tested == 8 * grids - sum(d <= 8 for d in draws)
+
+
+def test_expansion_certificates_measure_squeezed_planes_of_every_flag():
+    # the stub of the one-flag test, on two flags whose rays differ
+    stretch = np.diag([1.0, 1e12, 1.0])
+    ball = SimpleNamespace(matrix=lambda word: stretch)
+    flag = Frame.standard(3, [0])
+    results = assert_same_certificates(ball, [flag, flag], [["a"], ["a", "aa"]],
+                                       1e9, np.random.default_rng, q=2,
+                                       radii=(1e-7,))
+    assert [res.word for res in results] == ["A", "AA"]
+    assert all(res.factor > 1.0 for res in results)
+
+
+def test_expansion_certificates_of_no_flags():
+    ball, _ = pingpong_case()
+    assert expansion_certificates([], [], ball, 2.0) == []
+    with pytest.raises(ValueError, match="c must be positive"):
+        expansion_certificates([], [], ball, 0.0)
+
+
+def test_one_flag_is_expansion_certificate():
+    ball, sample = CASES["schottky-o21"]()
+    for (flag, ray), c in zip(rays(sample, 3), (2.0, 1e9, 5.0)):
+        rng, one_rng = np.random.default_rng(11), np.random.default_rng(11)
+        [result] = expansion_certificates([flag], [ray], ball, c, rngs=[rng])
+        assert result == expansion_certificate(flag, ray, ball, c, rng=one_rng)
+        assert rng_state(rng) == rng_state(one_rng)
+        # without rngs each flag draws from a fresh default_rng(0)
+        assert expansion_certificates([flag, flag], [ray, ray], ball, c) == \
+            [expansion_certificate(flag, ray, ball, c)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -473,3 +473,13 @@ def test_cosines_of_different_widths_are_the_frobenius_table():
     expected = np.sum((np.swapaxes(flags, -1, -2) @ plane) ** 2, axis=(-2, -1))
     assert np.allclose(forms.cosines(plane, flags), expected, rtol=0, atol=1e-15)
     assert forms.cosines(plane, flags).shape == (7,)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (5, 3, 1), (2, 5, 3, 1), (2, 1, 4, 3, 2)])
+def test_frame_products_keep_the_order_of_the_leading_axes(shape):
+    rng = np.random.default_rng(5)
+    frames = orthonormalize(rng.standard_normal((4, 3, 1)))[0]
+    x = rng.standard_normal(shape)
+    expected = np.einsum("anj,...nk->aj...k", frames, x)
+    assert forms.frame_products(x, frames).shape == expected.shape
+    assert np.allclose(forms.frame_products(x, frames), expected, rtol=0, atol=1e-14)
