@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Frame, WittForm, check_isotropic
+from .forms import Frame, WittForm, check_isotropic, orthonormalize
 
 FORM_PRESERVATION_TOL = 1e-8
 _SIGNIFICANT = 1e-9
@@ -707,8 +707,8 @@ def _theta_to_plane_dim(theta, form):
 
 
 def xi_theta(g, theta, form=None, tol=1e-6):
-    """Flag map: flag_of the compact left factor of kak(g, form), for the
-    plane dimension of theta.
+    """Flag map: the Frame of flag_of the compact left factor of kak(g,
+    form), for the plane dimension of theta (flag_of's one-matrix case).
 
     Requires every gap <alpha, mu(g)> for alpha in theta to exceed tol;
     otherwise GapTooSmallError is raised, because the flag would depend on
@@ -720,18 +720,26 @@ def xi_theta(g, theta, form=None, tol=1e-6):
     for a in sorted(theta.members):
         if gaps[a] <= tol:
             raise GapTooSmallError(a, gaps[a], tol)
-    return flag_of(dec.k, i, form)
+    return Frame(flag_of(dec.k, i, form))
 
 
 def flag_of(k, i, form=None):
-    """The Frame spanned by the first i columns of a compact left factor
-    k, realified (2n, 2i) for onC.  For opq and onC the span must be
-    isotropic for the form (check_isotropic)."""
-    if form is None:
-        return Frame.from_spanning(k[:, :i])
-    frame = Frame.from_spanning(_realify(k[:, :i]) if form.is_complex else k[:, :i])
-    check_isotropic(frame.columns, form)
-    return frame
+    """The orthonormal columns (..., n, i) of the flags spanned by the
+    first i columns of compact left factors k (..., n, n), realified
+    (..., 2n, 2i) for onC.  One stacked orthonormalize takes every slice
+    (LAPACK decomposes each on its own), so each is bit for bit the Frame
+    that Frame.from_spanning builds from it.  Raises ValueError if a
+    slice has rank below its column count and, for opq and onC, unless
+    every span is isotropic for the form (check_isotropic)."""
+    cols = k[..., :i]
+    if form is not None and form.is_complex:
+        cols = _realify(cols)
+    cols, ranks = orthonormalize(cols)
+    if np.any(ranks < cols.shape[-1]):
+        raise ValueError("flag columns are linearly dependent")
+    if form is not None:
+        check_isotropic(cols, form)
+    return cols
 
 
 def _realify(cols):

@@ -274,14 +274,21 @@ def orthonormalize(vectors, tol=DEFAULT_TOL):
 
 
 def check_isotropic(columns, form, tol=DEFAULT_TOL):
-    """Raise unless the span of the orthonormal columns (n, k) is
-    isotropic for the form, measured with its real gram: the restricted
-    gram's spectral norm must not exceed tol times isotropy_scale."""
-    restricted = columns.T @ form.real_gram @ columns
+    """Raise unless the span of each frame of the orthonormal columns
+    (..., n, k) is isotropic for the form, measured with its real gram:
+    the restricted gram's spectral norm must not exceed tol times
+    isotropy_scale.  The error reports the first slice that fails."""
+    restricted = np.swapaxes(columns, -1, -2) @ form.real_gram @ columns
     bound = tol * form.isotropy_scale
-    # the Frobenius norm bounds the spectral one and needs no SVD
-    if np.linalg.norm(restricted) > bound and np.linalg.norm(restricted, 2) > bound:
-        raise ValueError("frame span is not isotropic for the form")
+    # the Frobenius norm of the whole stack bounds every slice's spectral
+    # norm and needs no SVD
+    if np.linalg.norm(restricted) <= bound:
+        return
+    defect = np.linalg.norm(restricted, 2, axis=(-2, -1)).reshape(-1)
+    bad = np.flatnonzero(defect > bound)
+    if bad.size:
+        raise ValueError(f"frame span is not isotropic for the form "
+                         f"(defect {defect[bad[0]]:.2e})")
 
 
 # ---------------------------------------------------------------------------

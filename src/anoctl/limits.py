@@ -9,7 +9,6 @@ transversality margins; no asymptotic verdict is ever produced.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,8 +45,9 @@ class LimitSample:
     """The sampled flags as one table, row j for the ball element
     ``words[j]`` (shortlex order): its word length ``lengths[j]``, its
     smallest theta-gap ``gaps[j]`` and the orthonormal columns
-    ``columns[j]`` of its flag, bit for bit the Frame that xi_theta
-    returns for it; ``columns`` is (N, n, k)."""
+    ``columns[j]`` of its flag, bit for bit those of flag_of on its kak's
+    compact factor (so those of the Frame that xi_theta returns for it);
+    ``columns`` is (N, n, k)."""
     words: list
     lengths: np.ndarray
     gaps: np.ndarray
@@ -92,10 +92,12 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
     The candidates go in blocks of 1, 2, 4, ... up to _PREFETCH elements.
     A block first drops the elements whose batched flags are clearly
     within merge_tol of a kept flag, then drops those whose exact gap
-    (GroupBall.gaps) is at most min_gap, decomposes the others and runs
-    the flag and merge steps on them in order; a flag kept within a
-    block screens only later blocks, which costs a decomposition, never
-    a different result."""
+    (GroupBall.gaps) is at most min_gap.  One stacked kak and one
+    flag_of call take the others, and _merge decides them all against
+    the flags kept so far and each other, with the verdicts of a
+    one-at-a-time merge in shortlex order.  A flag kept within a block
+    screens only later blocks, which costs a decomposition, never a
+    different result."""
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
     i = _theta_to_plane_dim(theta, form)
@@ -124,15 +126,15 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
             block = block[~near]
         exact = np.min(ball.gaps(block, theta.root_system, form)[:, members], axis=1)
         block, exact = block[exact > min_gap], exact[exact > min_gap]
-        for idx, dec, gap in zip(block, ball.decompose(block, form), exact.tolist()):
-            cols = flag_of(dec.k, i, form).columns
-            if kept is None:
-                kept = np.empty((len(ball.elements),) + cols.shape)
-            if _within(cols, kept[:len(rows)], merge_tol):
-                continue
-            kept[len(rows)] = cols
-            rows.append(idx)
-            gaps.append(gap)
+        if not block.size:
+            continue
+        cols = flag_of(np.stack([dec.k for dec in ball.decompose(block, form)]), i, form)
+        if kept is None:
+            kept = np.empty((len(ball.elements),) + cols.shape[1:])
+        keep = _merge(cols, kept[:len(rows)], merge_tol)
+        kept[len(rows):len(rows) + np.count_nonzero(keep)] = cols[keep]
+        rows.extend(block[keep].tolist())
+        gaps.extend(exact[keep].tolist())
     if not rows:
         raise EmptyLimitSampleError(
             f"no ball element has theta-gaps above {min_gap}; enlarge the ball")
@@ -141,21 +143,53 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
                        merge_tol)
 
 
-def _within(cols, kept, tol):
-    """True iff some kept frame lies at flag distance below tol from
-    cols: one cosine table against the kept frames, and principal_sines
-    only where first_below cannot settle it."""
+def _merge(cols, kept, tol):
+    """The mask (B,) of the frames of a block cols (B, n, k), in order,
+    that lie at flag distance at least tol from every kept frame and from
+    every earlier frame of the block that the mask keeps.
+
+    The kept frames go in table_blocks, each block one cosine table
+    against the block's open frames and one first_below call
+    (first=False).  One (B, B) table then keeps at once every open frame
+    whose entries against the earlier open frames all lie below
+    cosine_cuts' lo; only the others are decided in order, against the
+    earlier frames kept.  principal_sines decides what the cuts leave, so
+    every verdict is the exact kernel's."""
     n, k = cols.shape[-2:]
-    return first_below(
-        cosines(cols, kept), n, k, tol,
-        lambda index: principal_sines(cols, kept[index])[:, -1] < tol,
-        first=False) >= 0
+    keep = np.ones(len(cols), dtype=bool)
+    for block in table_blocks(len(kept), len(cols) * k * k):
+        live = np.flatnonzero(keep)
+        if not live.size:
+            break
+        keep[live] = _first_within(cols[live], kept[block], tol) < 0
+    table = cosines(cols, cols)
+    lo = cosine_cuts(n, k, tol)[1]
+    close = np.any(np.triu(~(table < lo), 1)[keep], axis=0) & keep
+    for j in np.flatnonzero(close):
+        earlier = np.flatnonzero(keep[:j])
+        keep[j] = _first_within(cols[j:j + 1], cols[earlier], tol,
+                                table[earlier, j:j + 1])[0] < 0
+    return keep
+
+
+def _first_within(cols, kept, tol, table=None):
+    """first_below (first=False) of the frames cols (P, n, k) against the
+    kept frames (N, n, k) on their cosine table (N, P), computed if not
+    given: principal_sines of the frame against the kept one decides the
+    entries that the cuts leave."""
+    n, k = cols.shape[-2:]
+
+    def exact(index):
+        return principal_sines(cols[index[1]], kept[index[0]])[:, -1] < tol
+
+    return first_below(cosines(cols, kept) if table is None else table,
+                       n, k, tol, exact, first=False)
 
 
 def _surely_within(cols, kept, tol, margin):
     """For each frame of a stack (R, n, k) with margins (R,): True only
     if every frame within its margin lies at flag distance below tol
-    from a kept frame, which _within then confirms: d(cols, F) <=
+    from a kept frame, as _merge would find: d(cols, F) <=
     sqrt(k - c), and the flag distance is a metric: cosine_cuts' upper
     cut at that reach.  The kept frames go in table_blocks."""
     n, k = cols.shape[-2:]
@@ -320,32 +354,32 @@ def _pair_rows(cols, rows, pair_floor, u=None):
 
 
 def sample_to_csv(sample):
-    out = io.StringIO()
-    _, n, k = sample.columns.shape
+    """The sample as CSV: word, word length, gap and the flag's
+    coordinates column by column, each row one template filled with
+    ``.tolist()`` values (%.12g formats a float as format(x, ".12g"))."""
+    count, n, k = sample.columns.shape
     coords = ",".join(f"f{i}_{j}" for j in range(k) for i in range(n))
-    out.write(f"word,word_length,gap,{coords}\n")
-    for word, r, gap, cols in zip(sample.words, sample.lengths, sample.gaps,
-                                  sample.columns):
-        flat = ",".join(f"{x:.12g}" for x in cols.T.reshape(-1))
-        out.write(f"{word},{r},{gap:.12g},{flat}\n")
-    return out.getvalue()
+    template = "%s,%s,%.12g" + ",%.12g" * (n * k) + "\n"
+    flat = sample.columns.transpose(0, 2, 1).reshape(count, n * k).tolist()
+    return f"word,word_length,gap,{coords}\n" + "".join(
+        template % (word, r, gap, *values)
+        for word, r, gap, values in zip(sample.words, sample.lengths.tolist(),
+                                        sample.gaps.tolist(), flat))
 
 
 def sample_to_svg(sample, chart=(0, 1), size=600, radius=2.5):
     """Flat SVG scatter of line flags in the affine chart given by two
-    coordinate indices of the sign-canonicalized unit vector."""
+    coordinate indices of the sign-canonicalized unit vector (its first
+    coordinate above 1e-9 in size made positive)."""
     i, j = chart
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>']
-    for cols in sample.columns:
-        v = cols[:, 0]
-        idx = int(np.argmax(np.abs(v) > 1e-9))
-        if v[idx] < 0:
-            v = -v
-        x = (v[i] + 1.0) / 2.0 * size
-        y = (1.0 - (v[j] + 1.0) / 2.0) * size
-        parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{radius}" '
-                     'fill="black"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    v = sample.columns[:, :, 0]
+    lead = np.argmax(np.abs(v) > 1e-9, axis=1)
+    v = np.where(v[np.arange(len(v)), lead][:, None] < 0, -v, v)
+    x = (v[:, i] + 1.0) / 2.0 * size
+    y = (1.0 - (v[:, j] + 1.0) / 2.0) * size
+    circle = f'<circle cx="%.3f" cy="%.3f" r="{radius}" fill="black"/>'
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+        *map(circle.__mod__, zip(x.tolist(), y.tolist())), "</svg>"]) + "\n"

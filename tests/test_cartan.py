@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anoctl.cartan import (
     SCREEN_MARGIN,
+    _realify,
     _theta_to_plane_dim,
     GapTooSmallError,
     MuVector,
@@ -433,6 +434,31 @@ def test_xi_theta_onC_realified_flag(rng):
     assert rotated.span_equals(flag, 1e-8)
 
 
+def test_flag_of_stack_is_the_one_matrix_rule_per_slice(rng):
+    # one stacked call gives each slice the columns of its own one-matrix
+    # Frame.from_spanning; an anisotropic or rank-deficient slice raises
+    form = make_witt_form(3, 2)
+    ks = np.stack([random_opq_K(rng, 3, 2) for _ in range(12)])
+    for i in (1, 2):
+        stacked = flag_of(ks, i, form)
+        for k, cols in zip(ks, stacked):
+            assert cols.tobytes() == Frame.from_spanning(k[:, :i]).columns.tobytes()
+    onC = make_witt_form(2, 1, "complex")
+    decs = [kak(chamber_exp(MuVector("onC", np.array([mu])), onC), onC)
+            for mu in (1.5, 2.5)]
+    stacked = flag_of(np.stack([d.k for d in decs]), 1, onC)
+    assert stacked.shape == (2, 6, 2)
+    for dec, cols in zip(decs, stacked):
+        realified = Frame.from_spanning(_realify(dec.k[:, :1])).columns
+        assert cols.tobytes() == realified.tobytes()
+    ks[7] = np.eye(5)[:, [0, 2, 1, 3, 4]]      # e3 is not isotropic
+    with pytest.raises(ValueError, match="not isotropic"):
+        flag_of(ks, 2, form)
+    ks[7, :, 1] = ks[7, :, 0]
+    with pytest.raises(ValueError, match="linearly dependent"):
+        flag_of(ks, 2, None)
+
+
 # ---------------------------------------------------------------------------
 # exterior powers
 
@@ -518,7 +544,7 @@ def assert_batch_matches_kak(mats, form=None, flag_tol=np.inf):
         for th in flag_thetas(rs, form):
             if min(gaps[a] for a in th.members) <= 1.0:
                 continue
-            cols = flag_of(dec.k, _theta_to_plane_dim(th, form), form).columns
+            cols = flag_of(dec.k, _theta_to_plane_dim(th, form), form)
             frame = batch.frames(_theta_to_plane_dim(th, form))[j]
             sine = principal_sines(cols, frame)[-1]
             assert sine <= min(batch.flag_margin[j], flag_tol), (j, sine)

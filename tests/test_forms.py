@@ -385,6 +385,35 @@ def test_check_isotropic_enforces_isotropy():
         check_isotropic(Frame.standard(3, [1]).columns, f)
 
 
+def test_check_isotropic_reports_the_first_bad_slice_of_a_stack(rng, monkeypatch):
+    from test_cartan import random_opq_K
+    form = make_witt_form(3, 2)
+    # compact elements map the isotropic plane of e1, e2 to isotropic planes
+    stack = np.stack([random_opq_K(rng, 3, 2)[:, :2] for _ in range(8)])
+    spectral = []
+    norm = np.linalg.norm
+    assert form.isotropy_scale == 1.0       # cached before the count
+
+    def counted(x, ord=None, axis=None, keepdims=False):
+        spectral.append(ord == 2)
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    check_isotropic(stack, form)
+    check_isotropic(stack[:1], form)
+    assert spectral and not any(spectral)
+    monkeypatch.undo()
+    bad = Frame.standard(5, [0, 2]).columns     # e3 has norm 1
+    with pytest.raises(ValueError) as one:
+        check_isotropic(bad, form)
+    stack[5] = bad
+    stack[6] = Frame.standard(5, [2, 3]).columns
+    with pytest.raises(ValueError) as stacked:
+        check_isotropic(stack, form)
+    assert str(stacked.value) == str(one.value)
+    assert "not isotropic" in str(one.value)
+
+
 def test_complex_form_realization():
     f = make_witt_form(2, 1, field_tag="complex")
     J = f.j_matrix()

@@ -146,6 +146,143 @@ def test_pruned_merge_matches_unpruned_reference(preset, radius):
     assert sample.words == [word for word, _ in kept]
 
 
+def flag_reference(k, i, form):
+    """The one-matrix flag rule: the Frame.from_spanning columns of the
+    first i columns (realified for onC), checked for isotropy."""
+    from anoctl.cartan import _realify
+    cols = k[:, :i]
+    frame = Frame.from_spanning(
+        _realify(cols) if form is not None and form.is_complex else cols)
+    if form is not None:
+        forms.check_isotropic(frame.columns, form)
+    return frame.columns
+
+
+def within_reference(cols, kept, tol):
+    """The one-candidate merge test: one cosine table against the kept
+    frames, and principal_sines only where first_below cannot settle it."""
+    n, k = cols.shape[-2:]
+    return forms.first_below(
+        cosines(cols, kept), n, k, tol,
+        lambda index: forms.principal_sines(cols, kept[index])[:, -1] < tol,
+        first=False) >= 0
+
+
+def sample_reference(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
+    """The sampler's one-candidate loop: the same blocks, screen and
+    exact gaps as sample_limit_set, then each surviving candidate of a
+    block in turn gets its own flag and merge test against every flag
+    kept before it.  Returns (words, gaps, columns)."""
+    from anoctl.cartan import _theta_to_plane_dim
+    i = _theta_to_plane_dim(theta, form)
+    batch = ball.cartan_batch(form)
+    approx, slack = batch.gaps(theta.root_system)
+    members = [a - 1 for a in sorted(theta.members)]
+    approx_gap = np.min(approx[:, members], axis=1)
+    gap_slack = np.max(slack[:, members], axis=1)
+    candidates = np.flatnonzero(ball.lengths > 0)
+    candidates = candidates[approx_gap[candidates] + gap_slack[candidates] > min_gap]
+    bounded = (approx_gap - gap_slack > max(min_gap, 1.0)) & \
+        (batch.flag_margin < merge_tol / 2)
+    frames = batch.frames(i)
+    rows, gaps, kept = [], [], None
+    start, size = 0, 1
+    while start < len(candidates):
+        block = candidates[start:start + size]
+        start, size = start + size, min(2 * size, limits._PREFETCH)
+        if rows:
+            near = bounded[block]
+            near[near] = limits._surely_within(
+                frames[block[near]], kept[:len(rows)], merge_tol,
+                batch.flag_margin[block[near]])
+            block = block[~near]
+        exact = np.min(ball.gaps(block, theta.root_system, form)[:, members], axis=1)
+        block, exact = block[exact > min_gap], exact[exact > min_gap]
+        for idx, dec, gap in zip(block, ball.decompose(block, form), exact.tolist()):
+            cols = flag_reference(dec.k, i, form)
+            if kept is None:
+                kept = np.empty((len(ball.elements),) + cols.shape)
+            if within_reference(cols, kept[:len(rows)], merge_tol):
+                continue
+            kept[len(rows)] = cols
+            rows.append(idx)
+            gaps.append(gap)
+    return [ball.words[j] for j in rows], np.array(gaps), kept[:len(rows)]
+
+
+def parity_cases():
+    """(generators, form, theta, radii) of the block sampler's parity
+    test: both presets, the CI O(3,2) pair with both simple roots (line
+    and plane flags), and mixed-o21's generators in GL(3) and O(3, C),
+    and two O(2,2) chamber elements."""
+    from test_cartan import opq_chamber, random_opq_K
+    o32, o22 = make_witt_form(3, 2), make_witt_form(2, 2)
+    pair = [("a", opq_chamber(o32, [2.0, 0.5])),
+            ("b", random_opq_K(np.random.default_rng(3), 3, 2))]
+    b2 = build_root_system("B", 2)
+    cases = {}
+    for name in ("schottky-o21", "mixed-o21"):
+        form, gens = BUILTIN_GENERATORS[name]()
+        cases[name] = (gens, form, THETA1, range(5, 9))
+    cases["o32-root1"] = (pair, o32, ThetaSet(b2, frozenset({1})), (6,))
+    cases["o32-root2"] = (pair, o32, ThetaSet(b2, frozenset({2})), (7,))
+    for name in ("gl", "2,1,C"):
+        form, gens, theta = table_cases()[name]
+        cases[name] = (gens, form, theta, (6,))
+    cases["o22"] = ([(n, opq_chamber(o22, mu)) for n, mu in
+                     (("a", [3.0, 1.0]), ("b", [2.0, 0.5]))], o22,
+                    ThetaSet(build_root_system("D", 2), frozenset({1, 2})), (8,))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["schottky-o21", "mixed-o21", "o32-root1",
+                                  "o32-root2", "gl", "2,1,C", "o22"])
+def test_block_sampler_matches_one_candidate_loop(name):
+    gens, form, theta, radii = parity_cases()[name]
+    for radius in radii:
+        ball = enumerate_ball(gens, radius)
+        words, gaps, columns = sample_reference(ball, theta, form)
+        sample = sample_limit_set(ball, theta, form)
+        assert sample.words == words
+        assert sample.gaps.tobytes() == gaps.tobytes()
+        assert sample.columns.shape == columns.shape
+        assert sample.columns.tobytes() == columns.tobytes()
+
+
+def test_block_merge_decides_close_members_in_order(monkeypatch):
+    # a and a r, r a rotation of the compact part: members of one block
+    # fall within merge_tol of each other, some within the rounding band,
+    # and some only of a member that is itself merged, so they are kept
+    form = make_witt_form(2, 1)
+    a = o21_boost(1.0)
+    gens = [("a", a), ("b", a @ o21_rotation(3.5e-7))]
+    entered = {"ordered": 0, "sines": 0}
+    first_within, sines = limits._first_within, limits.principal_sines
+    ordered = []
+
+    def counted_first_within(cols, kept, tol, table=None):
+        ordered.append(table is not None)
+        entered["ordered"] += ordered[-1]
+        try:
+            return first_within(cols, kept, tol, table)
+        finally:
+            ordered.pop()
+
+    def counted_sines(a, b):
+        entered["sines"] += bool(ordered and ordered[-1])
+        return sines(a, b)
+
+    monkeypatch.setattr(limits, "_first_within", counted_first_within)
+    monkeypatch.setattr(limits, "principal_sines", counted_sines)
+    sample = sample_limit_set(enumerate_ball(gens, 5), THETA1, form)
+    assert entered["ordered"] > 0 and entered["sines"] > 0
+    monkeypatch.undo()
+    words, gaps, columns = sample_reference(enumerate_ball(gens, 5), THETA1, form)
+    assert sample.words == words
+    assert sample.gaps.tobytes() == gaps.tobytes()
+    assert sample.columns.tobytes() == columns.tobytes()
+
+
 @pytest.mark.parametrize("preset,radius", [("schottky-o21", 6), ("mixed-o21", 5)])
 def test_cosines_equal_tensordot(preset, radius):
     form, gens = BUILTIN_GENERATORS[preset]()
@@ -240,6 +377,78 @@ def test_degenerate_configuration_flagged():
 
 # ---------------------------------------------------------------------------
 # export
+
+
+def csv_reference(sample):
+    """sample_to_csv's per-value formatting: one f-string per value."""
+    _, n, k = sample.columns.shape
+    coords = ",".join(f"f{i}_{j}" for j in range(k) for i in range(n))
+    out = [f"word,word_length,gap,{coords}\n"]
+    for word, r, gap, cols in zip(sample.words, sample.lengths, sample.gaps,
+                                  sample.columns):
+        flat = ",".join(f"{x:.12g}" for x in cols.T.reshape(-1))
+        out.append(f"{word},{r},{gap:.12g},{flat}\n")
+    return "".join(out)
+
+
+def svg_reference(sample, chart=(0, 1), size=600, radius=2.5):
+    """sample_to_svg's per-circle loop: each first column made positive
+    at its first coordinate above 1e-9 in size, then charted."""
+    i, j = chart
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">',
+             f'<rect width="{size}" height="{size}" fill="white"/>']
+    for cols in sample.columns:
+        v = cols[:, 0]
+        idx = int(np.argmax(np.abs(v) > 1e-9))
+        if v[idx] < 0:
+            v = -v
+        x = (v[i] + 1.0) / 2.0 * size
+        y = (1.0 - (v[j] + 1.0) / 2.0) * size
+        parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{radius}" '
+                     'fill="black"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def export_cases():
+    """Samples of line flags, 2-plane flags and realified onC flags, and
+    a made-up table with -0.0, first coordinates below 1e-9 in size and
+    gaps that print with exponents."""
+    from anoctl.limits import LimitSample
+    pair = parity_cases()["o32-root2"][0]
+    b2 = build_root_system("B", 2)
+    mixed = BUILTIN_GENERATORS["mixed-o21"]()
+    out = {
+        "mixed-o21": sample_limit_set(enumerate_ball(mixed[1], 6), THETA1, mixed[0]),
+        "o32-planes": sample_limit_set(enumerate_ball(pair, 5),
+                                       ThetaSet(b2, frozenset({2})), make_witt_form(3, 2)),
+        "2,1,C": sample_limit_set(enumerate_ball(mixed[1], 5), THETA1,
+                                  make_witt_form(2, 1, "complex")),
+    }
+    columns = np.array([
+        [[-0.0, 0.0], [-0.6, 0.8], [0.8, 0.6]],
+        [[5e-10, -0.0], [-3e-10, 1.0], [-1.0, 0.0]],
+        [[-2e-9, 1.0], [0.6, -0.0], [-0.8, 0.0]],
+        [[0.0, -1e-300], [0.0, 0.7071067811865476], [-1.0, -0.7071067811865476]],
+        [[1e-9, 0.5], [-1e-9, -0.5], [-1.0, 1 / 3]],
+    ])
+    out["made-up"] = LimitSample(["a", "bA", "ab", "Ba", "abab"],
+                                 np.array([1, 2, 2, 2, 4]),
+                                 np.array([1.0000000000005, 1e-20, 123456789012345.0,
+                                           2.0 / 3.0, 1e16]),
+                                 columns, THETA1)
+    return out
+
+
+def test_csv_and_svg_match_the_per_value_formatting():
+    for name, sample in export_cases().items():
+        assert sample_to_csv(sample) == csv_reference(sample), name
+        n = sample.columns.shape[1]
+        for chart in ((0, 1), (n - 1, 0), (1, 1)):
+            for size, radius in ((600, 2.5), (317, 3)):
+                assert sample_to_svg(sample, chart, size, radius) == \
+                    svg_reference(sample, chart, size, radius), (name, chart)
 
 
 def test_csv_and_svg_emission_deterministic():
