@@ -35,8 +35,10 @@ off it (gl, onC, opq past spectral norm 1e6), and only opq's moderate
 rows, where kak squares g, carry a margin.  The batch only settles
 decisions that its margins settle (an element is not a sphere minimum,
 its gap is below the floor, its flag merges into a kept one).  Every
-reported flag comes from kak (stacked), every reported gap from
-``GroupBall.gaps``: off the batch where its margin is 0, else from kak.
+reported flag comes from kak (stacked).  The limit sampler's gaps come
+from the kak triples of its block, which also give its flags; the
+divergence profile's and the relation scan's from ``GroupBall.gaps``:
+off the batch where its margin is 0, else from kak.
 """
 
 from __future__ import annotations

@@ -373,8 +373,7 @@ def cmd_domain(config):
             "sample_size": len(sample),
             # a one-flag sample has no neighbor distance; JSON has no
             # infinity
-            "sample_covering_radius":
-                sample.covering_radius() if len(sample) > 1 else None,
+            "sample_covering_radius": trans.covering_radius if trans else None,
             "bad_set_hits": hits,
             "transversality_margin": trans.margin if trans else None,
             "relation_flags": flags,

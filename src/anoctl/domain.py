@@ -118,12 +118,15 @@ def bad_set_witnesses(frames, sample, tol=BAD_SET_TOL, variant="intersect"):
     return witness
 
 
-def bad_set_distance(frame, sample):
+def bad_set_distance(frames, sample):
     """Distance proxy to the bad set: the minimum over sampled flags of
     the smallest principal-angle sine against the plane (for lines this
-    is exactly the incidence-set distance).  ``frame`` may be a Frame or
-    an (n, q) array of orthonormal columns."""
-    return float(np.min(principal_sines(sample.columns, frame)[:, 0]))
+    is exactly the incidence-set distance).  ``frames`` is a Frame or an
+    (n, q) array of orthonormal columns, for which a float comes back,
+    or a stack (P, n, q), for which an array (P,) does."""
+    frames = getattr(frames, "columns", frames)
+    dist = np.min(principal_sines(sample.columns, frames[..., None, :, :])[..., 0], axis=-1)
+    return float(dist) if frames.ndim == 2 else dist
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +215,7 @@ def _plane_hits(moved, sample, tol):
     clear = np.flatnonzero(bad_set_witnesses(moved, sample, tol) < 0)
     if not clear.size:
         return clear, np.empty(0)
-    residuals = np.min(principal_sines(sample.columns, moved[clear][:, None])[..., 0], axis=1)
+    residuals = bad_set_distance(moved[clear], sample)
     hit = residuals > tol
     return clear[hit], residuals[hit]
 

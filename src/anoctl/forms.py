@@ -232,17 +232,33 @@ def check_orthonormal(columns):
     k = columns.shape[-1]
     if not k:
         return
-    gram_defect = np.swapaxes(columns, -1, -2) @ columns - np.eye(k)
-    # the Frobenius norm of the whole stack bounds every slice's spectral
-    # norm and needs no SVD
-    if np.linalg.norm(gram_defect) <= ORTHONORMALITY_TOL:
-        return
-    defect = np.linalg.norm(gram_defect, 2, axis=(-2, -1)).reshape(-1)
-    bad = np.flatnonzero(defect > ORTHONORMALITY_TOL)
-    if bad.size:
-        raise ValueError(
-            f"columns are not orthonormal (defect {defect[bad[0]]:.2e}); "
-            "use Frame.from_spanning to orthonormalize")
+    # non-finite or huge columns make non-finite defects, which fail
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = _first_defect(np.swapaxes(columns, -1, -2) @ columns - np.eye(k),
+                            ORTHONORMALITY_TOL)
+    if bad:
+        raise ValueError(f"columns are not orthonormal ({bad}); "
+                         "use Frame.from_spanning to orthonormalize")
+
+
+def _first_defect(defects, bound):
+    """Where the first slice of a stack of defects (..., k, k) has a
+    non-finite entry or a spectral norm above bound, as "defect X" or
+    "slice I is not finite"; None if no slice does.  The Frobenius norm
+    of the whole stack bounds every slice's spectral norm, and no SVD
+    runs unless it exceeds the bound, and none on a slice with a
+    non-finite entry (its spectral norm may come back NaN, which passes
+    any bound, or not at all)."""
+    if np.linalg.norm(defects) <= bound:
+        return None
+    defects = defects.reshape((-1,) + defects.shape[-2:])
+    finite = np.isfinite(defects).all(axis=(1, 2))
+    first = int(np.argmin(finite)) if not finite.all() else len(defects)
+    norms = np.linalg.norm(defects[:first], 2, axis=(-2, -1))
+    over = np.flatnonzero(norms > bound)
+    if over.size:
+        return f"defect {norms[over[0]]:.2e}"
+    return f"slice {first} is not finite" if first < len(defects) else None
 
 
 def _svd_rank(vectors, tol):
@@ -278,17 +294,11 @@ def check_isotropic(columns, form, tol=DEFAULT_TOL):
     (..., n, k) is isotropic for the form, measured with its real gram:
     the restricted gram's spectral norm must not exceed tol times
     isotropy_scale.  The error reports the first slice that fails."""
-    restricted = np.swapaxes(columns, -1, -2) @ form.real_gram @ columns
-    bound = tol * form.isotropy_scale
-    # the Frobenius norm of the whole stack bounds every slice's spectral
-    # norm and needs no SVD
-    if np.linalg.norm(restricted) <= bound:
-        return
-    defect = np.linalg.norm(restricted, 2, axis=(-2, -1)).reshape(-1)
-    bad = np.flatnonzero(defect > bound)
-    if bad.size:
-        raise ValueError(f"frame span is not isotropic for the form "
-                         f"(defect {defect[bad[0]]:.2e})")
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = _first_defect(np.swapaxes(columns, -1, -2) @ form.real_gram @ columns,
+                            tol * form.isotropy_scale)
+    if bad:
+        raise ValueError(f"frame span is not isotropic for the form ({bad})")
 
 
 # ---------------------------------------------------------------------------

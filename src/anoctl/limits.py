@@ -10,12 +10,10 @@ transversality margins; no asymptotic verdict is ever produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .cartan import (  # noqa: F401  (kak re-exported)
-    _theta_to_plane_dim, flag_of, kak)
+from .cartan import _theta_to_plane_dim, flag_of, kak, root_gaps
 from .forms import (
     Frame,
     cosine_band,
@@ -47,7 +45,8 @@ class LimitSample:
     smallest theta-gap ``gaps[j]`` and the orthonormal columns
     ``columns[j]`` of its flag, bit for bit those of flag_of on its kak's
     compact factor (so those of the Frame that xi_theta returns for it);
-    ``columns`` is (N, n, k)."""
+    ``columns`` is (N, n, k).  The sample is a plain table: it keeps no
+    result computed from it."""
     words: list
     lengths: np.ndarray
     gaps: np.ndarray
@@ -61,24 +60,16 @@ class LimitSample:
         every sample point, in sample order."""
         return principal_sines(frame, self.columns)[:, -1]
 
-    @cached_property
-    def nearest(self):
-        """Each point's flag distance to its nearest other point (N,),
-        for N >= 2, from one screened pass over the cosine table
-        (_pair_pass), which transversality_report's pass caches here
-        too."""
-        return _pair_pass(self)[0]
-
     def covering_radius(self):
-        """Max nearest-neighbor flag distance among the sample points.
+        """Max nearest-neighbor flag distance among the sample points,
+        from one screened pass over the cosine table (_pair_pass).
 
         Each nearest distance is a value of principal_sines, which runs
         only on the pairs whose cosine bounds reach below the row's
-        smallest upper bound; the array is cached, so a second call
-        runs no kernel."""
+        smallest upper bound."""
         if len(self) < 2:
             return float("inf")
-        return float(np.max(self.nearest))
+        return float(np.max(_pair_pass(self)[0]))
 
     def __len__(self):
         return len(self.words)
@@ -91,10 +82,12 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
 
     The candidates go in blocks of 1, 2, 4, ... up to _PREFETCH elements.
     A block first drops the elements whose batched flags are clearly
-    within merge_tol of a kept flag, then drops those whose exact gap
-    (GroupBall.gaps) is at most min_gap.  One stacked kak and one
-    flag_of call take the others, and _merge decides them all against
-    the flags kept so far and each other, with the verdicts of a
+    within merge_tol of a kept flag.  One stacked kak call takes the
+    others, and its triples give both their exact gaps (root_gaps of mu,
+    the bits of GroupBall.gaps: every zero-margin candidate clears the
+    floor, and its batched mu is kak's) and, through one flag_of call,
+    the flags of those whose gap exceeds min_gap.  _merge decides these
+    against the flags kept so far and each other, with the verdicts of a
     one-at-a-time merge in shortlex order.  A flag kept within a block
     screens only later blocks, which costs a decomposition, never a
     different result."""
@@ -124,11 +117,16 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
             near[near] = _surely_within(frames[block[near]], kept[:len(rows)],
                                         merge_tol, batch.flag_margin[block[near]])
             block = block[~near]
-        exact = np.min(ball.gaps(block, theta.root_system, form)[:, members], axis=1)
-        block, exact = block[exact > min_gap], exact[exact > min_gap]
         if not block.size:
             continue
-        cols = flag_of(np.stack([dec.k for dec in ball.decompose(block, form)]), i, form)
+        decs = kak(ball.matrices[block], form)
+        mu = np.array([dec.mu.values for dec in decs])
+        exact = np.min(root_gaps(mu, theta.root_system, batch.group_tag)[:, members], axis=1)
+        clear = exact > min_gap
+        if not clear.any():
+            continue
+        block, exact = block[clear], exact[clear]
+        cols = flag_of(np.stack([dec.k for dec in decs])[clear], i, form)
         if kept is None:
             kept = np.empty((len(ball.elements),) + cols.shape[1:])
         keep = _merge(cols, kept[:len(rows)], merge_tol)
@@ -234,7 +232,8 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
     pairs and the sample's covering radius.
 
     One screened pass over the cosine table (_pair_pass) finds the far
-    pairs exactly and each row's smallest screened margin.  The rows
+    pairs exactly, each row's nearest distance, whose max is the covering
+    radius, and each row's smallest screened margin.  The rows
     within _margin_reach of the smallest are then revisited, and
     transversality_margin runs only on their far pairs within reach, so
     the margin printed is a value of that kernel, as is every nearest
@@ -246,7 +245,7 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
     # orthonormal bases of G F_i, whose complements transversality_margin
     # takes for each flag F_i
     u = np.linalg.svd(gram @ cols, full_matrices=False)[0]
-    _, tested, least = _pair_pass(sample, pair_floor, u)
+    nearest, tested, least = _pair_pass(sample, pair_floor, u)
     if tested == 0:
         raise ValueError("no pair clears the distance floor")
     margin, worst = np.inf, None
@@ -264,7 +263,7 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
                 margin = float(svs[j])
                 worst = (sample.words[i], sample.words[near_min[j]])
     return TransversalityReport(margin, worst, tested, pair_floor,
-                                sample.covering_radius())
+                                float(np.max(nearest)))
 
 
 def _margin_reach(least, n, k):
@@ -290,9 +289,9 @@ def _margin_reach(least, n, k):
 
 def _pair_pass(sample, pair_floor=PAIR_FLOOR, u=None):
     """One blocked pass over the sample's all-pairs table: the exact
-    nearest-neighbor distances (N,), cached as ``sample.nearest``, the
-    number of ordered pairs at distance above pair_floor and, given u,
-    each row's smallest screened margin (N,)."""
+    nearest-neighbor distances (N,), the number of ordered pairs at
+    distance above pair_floor and, given u, each row's smallest screened
+    margin (N,)."""
     cols = sample.columns
     index = np.arange(len(cols))
     nearest, least, tested = np.empty(len(cols)), np.full(len(cols), np.inf), 0
@@ -302,7 +301,6 @@ def _pair_pass(sample, pair_floor=PAIR_FLOOR, u=None):
         tested += int(np.count_nonzero(far))
         if u is not None:
             least[rows] = np.min(screened, axis=1)
-    sample.__dict__.setdefault("nearest", nearest)
     return nearest, tested, least
 
 

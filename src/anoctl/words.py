@@ -40,7 +40,9 @@ def word_inverse(word):
 class GroupBall:
     """Deduplicated, word-length-graded group elements in shortlex
     order, stored as columns: the words, their lengths (N,) and the
-    element matrices stacked as one (N, n, n) array."""
+    element matrices stacked as one (N, n, n) array.  The one result it
+    keeps is cartan_mu_batch of the whole ball per form; kak runs where
+    its result is used."""
     alphabet: list                    # each generator, then its inverse
     letters: np.ndarray               # their matrices, in alphabet order
     words: list
@@ -48,9 +50,6 @@ class GroupBall:
     matrices: np.ndarray
     dedup_tol: float = DEDUP_TOL
     truncated: bool = False
-    # kak of single elements per (index, form) and cartan_mu_batch of
-    # the whole ball per form, so that every consumer shares them
-    _kak: dict = field(default_factory=dict, repr=False, compare=False)
     _batches: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
@@ -64,22 +63,6 @@ class GroupBall:
     def _positions(self):
         return {w: i for i, w in enumerate(self.words)}
 
-    def decompose(self, indices, form=None):
-        """kak of the elements at ``indices``, as a list in their order.
-        The ball keeps every decomposition: the elements it has not
-        decomposed yet go through one stacked kak call, the others are
-        read back, so consumers that share the ball share the work."""
-        keys = [(int(i), form) for i in indices]
-        missing = list(dict.fromkeys(k for k in keys if k not in self._kak))
-        if missing:
-            stack = self.matrices[[k[0] for k in missing]]
-            self._kak.update(zip(missing, kak(stack, form)))
-        return [self._kak[k] for k in keys]
-
-    def decomposed(self, index, form=None):
-        """Whether the element at ``index`` has been decomposed."""
-        return (index, form) in self._kak
-
     def cartan_batch(self, form=None):
         """cartan_mu_batch of the whole ball in the group that ``form``
         picks, computed once per form."""
@@ -89,14 +72,14 @@ class GroupBall:
 
     def gaps(self, indices, rs, form=None):
         """root_gaps (m, rank) of kak's mu for the elements at ``indices``,
-        read off the batch where its margin is 0 (kak's bits there); only
-        the other elements are decomposed."""
+        read off the batch where its margin is 0 (kak's bits there); one
+        stacked kak call takes the other elements."""
         indices = np.asarray(indices, dtype=int)
         batch = self.cartan_batch(form)
         mu = batch.mu[indices]
         inexact = np.flatnonzero(np.any(batch.margin[indices], axis=1))
         if inexact.size:
-            mu[inexact] = [dec.mu.values for dec in self.decompose(indices[inexact], form)]
+            mu[inexact] = [dec.mu.values for dec in kak(self.matrices[indices[inexact]], form)]
         return root_gaps(mu, rs, batch.group_tag)
 
     @property

@@ -6,7 +6,7 @@ import pytest
 
 from anoctl import domain, forms
 from anoctl.algebras import get_algebra
-from anoctl.cartan import mu_gaps
+from anoctl.cartan import kak, mu_gaps
 from anoctl.domain import (
     ACCUMULATION_TOL,
     CompactPoint,
@@ -411,7 +411,7 @@ def per_hit_scan(points, ball, sample, tol=ACCUMULATION_TOL,
                 for idx in np.flatnonzero(residuals > tol)]
         if hits:
             flagged.append((index, hits))
-    decs = ball.decompose([index for index, _ in flagged], sample.form)
+    decs = kak(ball.matrices[[index for index, _ in flagged]], sample.form)
     flags = []
     for (index, hits), dec in zip(flagged, decs):
         word, _, r = ball.elements[index]

@@ -366,6 +366,33 @@ def test_frame_orthonormality_is_decided_by_the_spectral_norm():
         Frame(np.eye(4) * np.sqrt(1 + 1.2e-10))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_frame_rejects_a_non_finite_column(bad):
+    # an inf defect's spectral norm comes back NaN, which passes any
+    # bound, and a NaN defect's SVD does not converge
+    with pytest.raises(ValueError, match="slice 0 is not finite"):
+        Frame(np.array([bad, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="slice 0 is not finite"):
+        Frame(np.column_stack([[1.0, 0.0, 0.0], [0.0, bad, 0.0]]))
+    with pytest.raises(ValueError, match="slice 0 is not finite"):
+        check_isotropic(np.array([[bad], [0.0], [0.0]]), make_witt_form(2, 1))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_frame_checks_report_the_first_bad_slice_of_a_stack(bad):
+    form = make_witt_form(2, 1)
+    stack = np.stack([Frame.standard(3, [0]).columns] * 4)
+    stack[2, 1, 0] = bad
+    with pytest.raises(ValueError, match="slice 2 is not finite"):
+        check_orthonormal(stack)
+    with pytest.raises(ValueError, match="slice 2 is not finite"):
+        check_isotropic(stack, form)
+    # a finite slice that fails before it is the one reported
+    stack[1] *= 2.0
+    with pytest.raises(ValueError, match=r"defect 3\.00e\+00"):
+        check_orthonormal(stack)
+
+
 def test_frame_from_spanning_reorthonormalizes(rng):
     m = rng.standard_normal((5, 3))
     w = Frame.from_spanning(m)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anoctl import limits
 from anoctl.cartan import MuVector, chamber_exp, complex_pm_basis, kak
 from anoctl.forms import make_witt_form
 from anoctl.limits import sample_limit_set
@@ -197,12 +198,40 @@ SAMPLER_SETS = {
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLER_SETS))
-def test_sampler_decomposes_the_same_elements(name):
+def test_sampler_decomposes_the_same_elements(name, kak_calls):
     build, radius, count, digest = SAMPLER_SETS[name]
     form, gens = build()
     ball = enumerate_ball(gens, radius)
     rs = build_root_system("B" if form.p > form.q else "D", form.q)
     sample_limit_set(ball, ThetaSet(rs, frozenset({1})), form)
-    done = [i for i in range(len(ball)) if ball.decomposed(i, form)]
-    assert len(done) == count
+    # each element once
+    done = sorted(kak_calls.decomposed(ball))
+    assert len(done) == len(set(done)) == count
     assert hashlib.sha256(np.array(done, dtype=np.int64).tobytes()).hexdigest() == digest
+
+
+def test_sampler_makes_one_kak_call_per_block(kak_calls):
+    # pingpong-o32 at radius 6: its blocks hold both elements whose gaps
+    # the batch gives (margin 0) and elements whose gaps need kak
+    build, radius, count, _ = SAMPLER_SETS["pingpong-o32"]
+    form, gens = build()
+    ball = enumerate_ball(gens, radius)
+    rs = build_root_system("B", 2)
+    sample_limit_set(ball, ThetaSet(rs, frozenset({1})), form)
+    # the sampler's candidates, in blocks of 1, 2, 4, ... up to _PREFETCH
+    batch = ball.cartan_batch(form)
+    approx, slack = batch.gaps(rs)
+    candidates = np.flatnonzero((ball.lengths > 0) & (approx[:, 0] + slack[:, 0] > 1.0))
+    block_of, start, size = {}, 0, 1
+    while start < len(candidates):
+        block_of.update(dict.fromkeys(candidates[start:start + size].tolist(), start))
+        start, size = start + size, min(2 * size, limits._PREFETCH)
+    calls = kak_calls.rows(ball)
+    blocks = [{block_of[i] for i in call} for call in calls]
+    assert all(len(block) == 1 for block in blocks)
+    starts = [block.pop() for block in blocks]
+    assert starts == sorted(set(starts))
+    done = [i for call in calls for i in call]
+    assert len(done) == len(set(done)) == count
+    exact = ~np.any(batch.margin, axis=1)
+    assert any(exact[call].any() and not exact[call].all() for call in calls)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anoctl import forms, limits
+from anoctl.cartan import kak
 from anoctl.forms import Frame, cosines, dist_grassmann, dist_projective, make_witt_form
 from anoctl.limits import (
     MERGE_TOL,
@@ -198,7 +199,7 @@ def sample_reference(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
             block = block[~near]
         exact = np.min(ball.gaps(block, theta.root_system, form)[:, members], axis=1)
         block, exact = block[exact > min_gap], exact[exact > min_gap]
-        for idx, dec, gap in zip(block, ball.decompose(block, form), exact.tolist()):
+        for idx, dec, gap in zip(block, kak(ball.matrices[block], form), exact.tolist()):
             cols = flag_reference(dec.k, i, form)
             if kept is None:
                 kept = np.empty((len(ball.elements),) + cols.shape)

@@ -58,25 +58,9 @@ def unscreened(monkeypatch):
     return off
 
 
-def assert_all_decomposed(ball, form=None):
-    """Every element but the identity went through kak."""
-    assert all(ball.decomposed(i, form) for i in np.flatnonzero(ball.lengths))
-
-
-@pytest.fixture
-def kak_calls(monkeypatch):
-    """The indices of the ball elements decomposed through GroupBall, in
-    the order they are decomposed."""
-    calls = []
-    decompose = GroupBall.decompose
-
-    def counting(ball, indices, form=None):
-        indices = [int(i) for i in indices]
-        calls.extend(i for i in dict.fromkeys(indices)
-                     if not ball.decomposed(i, form))
-        return decompose(ball, indices, form)
-    monkeypatch.setattr(GroupBall, "decompose", counting)
-    return calls
+def assert_all_decomposed(kak_calls, ball):
+    """Every element but the identity went through kak, once."""
+    assert sorted(kak_calls.decomposed(ball)) == np.flatnonzero(ball.lengths).tolist()
 
 
 def domain_points(form, sample, count=8, seed=0):
@@ -96,7 +80,7 @@ def sample_record(sample):
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))
-def test_screened_results_equal_unscreened(name, unscreened):
+def test_screened_results_equal_unscreened(name, unscreened, kak_calls):
     form, rs, ball = setup(name)
     theta = ThetaSet(rs, frozenset({1}))
     profile = divergence_profile(ball, rs, form)
@@ -107,11 +91,10 @@ def test_screened_results_equal_unscreened(name, unscreened):
     unscreened()
     _, _, fresh = setup(name)
     assert divergence_profile(fresh, rs, form) == profile
+    kak_calls.clear()
     reference = sample_limit_set(fresh, theta, form)
     assert sample_record(reference) == sample_record(sample)
-    assert_all_decomposed(fresh, form)
-    # a fresh ball has no decompositions to share with the scan
-    _, _, fresh = setup(name)
+    assert_all_decomposed(kak_calls, fresh)
     assert dynamical_relation_scan(points, fresh, reference) == flags
     for word, min_gap in zip(flags["word"], flags["min_gap"]):
         gaps = mu_gaps(kak(fresh.matrix(word), form).mu, rs)
@@ -121,20 +104,21 @@ def test_screened_results_equal_unscreened(name, unscreened):
 
 
 @pytest.mark.parametrize("root", [1, 2])
-def test_gl_screened_sample_equals_unscreened(root, unscreened):
+def test_gl_screened_sample_equals_unscreened(root, unscreened, kak_calls):
     # the mixed-o21 generators as plain GL(3) matrices: the gl batch
     gens = mixed_o21()[1]
     theta = ThetaSet(build_root_system("A", 2), frozenset({root}))
     sample = sample_limit_set(enumerate_ball(gens, 5), theta)
     unscreened()
     fresh = enumerate_ball(gens, 5)
+    kak_calls.clear()
     reference = sample_limit_set(fresh, theta)
     assert len(sample) > 100
     assert sample_record(reference) == sample_record(sample)
-    assert_all_decomposed(fresh)
+    assert_all_decomposed(kak_calls, fresh)
 
 
-def test_onC_screened_results_equal_unscreened(unscreened):
+def test_onC_screened_results_equal_unscreened(unscreened, kak_calls):
     # mixed-o21's generators in the complex orthogonal group
     form, gens = make_witt_form(2, 1, "complex"), mixed_o21()[1]
     rs = build_root_system("B", 1)
@@ -142,36 +126,39 @@ def test_onC_screened_results_equal_unscreened(unscreened):
     ball = enumerate_ball(gens, 6)
     profile = divergence_profile(ball, rs, form)
     # the profile's screen leaves most elements undecomposed
-    assert sum(ball.decomposed(i, form) for i in range(len(ball))) < len(ball) / 10
+    assert len(kak_calls.decomposed(ball)) < len(ball) / 10
     sample = sample_limit_set(ball, theta, form)
     unscreened()
     fresh = enumerate_ball(gens, 6)
     assert divergence_profile(fresh, rs, form) == profile
+    kak_calls.clear()
     assert sample_record(sample_limit_set(fresh, theta, form)) == sample_record(sample)
-    assert_all_decomposed(fresh, form)
+    assert_all_decomposed(kak_calls, fresh)
     assert len(sample) > 100
 
 
 def test_schottky_kak_calls(kak_calls):
     form, rs, ball = setup("schottky-o21", radius=6)
     sample = sample_limit_set(ball, ThetaSet(rs, frozenset({1})), form)
-    assert len(kak_calls) <= len(sample) + 3
+    assert len(kak_calls.decomposed(ball)) <= len(sample) + 3
     points = domain_points(form, sample)
-    sampled = len(kak_calls)
+    kak_calls.clear()
     assert len(dynamical_relation_scan(points, ball, sample)) == 0
-    assert len(kak_calls) == sampled
+    assert kak_calls == []
     # the divergence screen decomposes a few elements per sphere
     divergence_profile(ball, rs, form)
-    assert len(kak_calls) - sampled <= 4 * (ball.radius + 1)
+    assert len(kak_calls.decomposed(ball)) <= 4 * (ball.radius + 1)
 
 
-def test_scan_reuses_the_samplers_decompositions(kak_calls):
+def test_scan_decomposes_only_its_flagged_elements_off_the_batch(kak_calls):
     form, rs, ball = setup("mixed-o21")
     sample = sample_limit_set(ball, ThetaSet(rs, frozenset({1})), form)
-    decomposed = set(kak_calls)
     kak_calls.clear()
     flags = dynamical_relation_scan(domain_points(form, sample), ball, sample)
     positions = {word: i for i, word in enumerate(ball.words)}
     flagged = {positions[word] for word in flags["word"]}
-    assert sorted(kak_calls) == sorted(flagged - decomposed)
-    assert len(flagged - decomposed) < len(flagged)
+    inexact = set(np.flatnonzero(np.any(ball.cartan_batch(form).margin, axis=1)).tolist())
+    # one stacked call, on the flagged elements with a margin, which are
+    # some of the scanned ones
+    assert kak_calls.rows(ball) == [sorted(flagged & inexact)]
+    assert 0 < len(flagged) < np.count_nonzero(ball.lengths >= ball.radius)

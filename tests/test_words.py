@@ -26,15 +26,10 @@ def rotation2(angle):
     return np.array([[c, -s], [s, c]])
 
 
-def test_ball_keeps_decompositions_per_form():
+def test_ball_keeps_one_batch_per_form():
     form, gens = schottky_o21()
     ball = enumerate_ball(gens, 1)
-    opq, = ball.decompose([1], form)
-    assert ball.decomposed(1, form) and not ball.decomposed(1)
-    gl, = ball.decompose([1])
-    assert ball.decomposed(1) and not ball.decomposed(2, form)
-    assert (opq.mu.group_tag, gl.mu.group_tag) == ("opq", "gl")
-    assert ball.decompose([1], form)[0] is opq and ball.decompose([1])[0] is gl
+    assert ball.cartan_batch(form) is ball.cartan_batch(form)
     assert ball.cartan_batch(form).group_tag == "opq"
     assert ball.cartan_batch().group_tag == "gl"
     assert ball.cartan_batch(make_witt_form(2, 1, "complex")).group_tag == "onC"
@@ -42,14 +37,16 @@ def test_ball_keeps_decompositions_per_form():
 
 @pytest.mark.parametrize("name", ["schottky-o21", "mixed-o21", "pingpong-o32",
                                   "gl", "2,1,C"])
-def test_ball_gaps_are_root_gaps_of_kak(name):
+def test_ball_gaps_are_root_gaps_of_kak(name, kak_calls):
     form, gens, theta = table_cases()[name]
     ball = enumerate_ball(gens, 6)
     rs, tag = theta.root_system, tag_of(form)
     gaps = ball.gaps(np.arange(len(ball)), rs, form)
-    # the zero-margin rows come off the batch, undecomposed
+    # the zero-margin rows come off the batch, undecomposed; one kak call
+    # takes the others
     exact = ~np.any(ball.cartan_batch(form).margin, axis=1)
-    assert [ball.decomposed(i, form) for i in range(len(ball))] == (~exact).tolist()
+    assert kak_calls.rows(ball) == ([np.flatnonzero(~exact).tolist()]
+                                    if not exact.all() else [])
     mus = np.array([dec.mu.values for dec in kak(ball.matrices, form)])
     assert gaps.tobytes() == root_gaps(mus, rs, tag).tobytes()
     # any rows, in any order, are the same bits
@@ -58,8 +55,9 @@ def test_ball_gaps_are_root_gaps_of_kak(name):
     assert ball.gaps([], rs, form).shape == (0, rs.rank)
     # divergence_profile decomposes no zero-margin element
     fresh = enumerate_ball(gens, 6)
+    kak_calls.clear()
     divergence_profile(fresh, rs, form)
-    assert not any(fresh.decomposed(i, form) for i in np.flatnonzero(exact))
+    assert not exact[kak_calls.decomposed(fresh)].any()
 
 
 def test_free_ball_counts():
