@@ -18,6 +18,9 @@ import numpy as np
 from .forms import make_witt_form, null_space
 from .roots import build_root_system, positive_roots
 
+# relative tolerance of coords' and adjoint_rep's membership checks
+MEMBERSHIP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class KillingForm:
@@ -51,13 +54,13 @@ class LieAlgebra:
 
     # -- coordinates -------------------------------------------------------
 
-    def coords(self, x, tol=1e-8):
+    def coords(self, x):
         """Basis coordinates of a matrix; rejects matrices outside the
-        algebra."""
+        algebra (residual above MEMBERSHIP_TOL, relative)."""
         x = np.asarray(x, dtype=float)
         c = self._pinv @ x.reshape(-1)
         resid = np.linalg.norm(self._flat @ c - x.reshape(-1))
-        if resid > tol * max(1.0, np.linalg.norm(x)):
+        if resid > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(x)):
             raise ValueError(f"matrix not in {self.tag} (residual {resid:.2e})")
         return c
 
@@ -187,7 +190,7 @@ def get_algebra(tag):
     raise ValueError(f"unknown algebra tag {tag!r}")
 
 
-def adjoint_rep(g, algebra_tag, tol=1e-8):
+def adjoint_rep(g, algebra_tag):
     """Adjoint action of a group element on its Lie algebra, together
     with the Killing form (raw trace form of ad, no normalization).
 
@@ -199,12 +202,12 @@ def adjoint_rep(g, algebra_tag, tol=1e-8):
     if g.shape != (alg.n, alg.n):
         raise ValueError(f"element must be {alg.n}x{alg.n}")
     if algebra_tag.startswith("sl"):
-        if abs(np.linalg.det(g) - 1.0) > tol * max(1.0, np.linalg.norm(g) ** alg.n):
+        if abs(np.linalg.det(g) - 1.0) > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(g) ** alg.n):
             raise ValueError("element does not have determinant 1")
     else:
         gram = alg.form.gram
         defect = np.linalg.norm(g.T @ gram @ g - gram, 2)
-        if defect > tol * max(1.0, np.linalg.norm(g, 2) ** 2):
+        if defect > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(g, 2) ** 2):
             raise ValueError("element does not preserve the form")
     ginv = np.linalg.inv(g)
     cols = [alg.coords(g @ b @ ginv) for b in alg.basis]

@@ -280,16 +280,17 @@ def witt_pm_basis(p, q):
     return c
 
 
-def _reciprocal_log(m, ipq, cutoff=1e6):
+def _reciprocal_log(m, ipq):
     """S = 1/2 log(m) for each SPD m of a stack satisfying
     ipq m ipq = m^{-1}.
 
-    Huge eigenpairs are peeled one at a time; each peeled eigenvector v
-    has its reciprocal partner exactly at ipq v, so the orthogonal
-    complement stays invariant and the remaining block is better
-    conditioned.  In the final block only eigenvalues >= 1 are used and
-    their mirrors are reconstructed through ipq, so the log never sees an
-    eigenvalue computed with poor relative accuracy.  Matrices are peeled
+    Huge eigenpairs are peeled one at a time while the working block's
+    spectral norm exceeds 1e6; each peeled eigenvector v has its
+    reciprocal partner exactly at ipq v, so the orthogonal complement
+    stays invariant and the remaining block is better conditioned.  In
+    the final block only eigenvalues >= 1 are used and their mirrors are
+    reconstructed through ipq, so the log never sees an eigenvalue
+    computed with poor relative accuracy.  Matrices are peeled
     together while their working spaces have the same dimension.
     """
     n = m.shape[-1]
@@ -305,7 +306,7 @@ def _reciprocal_log(m, ipq, cutoff=1e6):
             mw = wt @ m[rows] @ w
             mw = 0.5 * (mw + np.swapaxes(mw, 1, 2))
             vals, vecs = np.linalg.eigh(mw)
-            final = np.linalg.norm(mw, 2, axis=(1, 2)) <= cutoff
+            final = np.linalg.norm(mw, 2, axis=(1, 2)) <= 1e6
             # final blocks: the eigenvalues > 1 are a suffix of eigh's order
             ipq_w = np.swapaxes(w[final], 1, 2) @ ipq @ w[final]
             for c, same in _groups(np.sum(vals[final] > 1.0, axis=1)):

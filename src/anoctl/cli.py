@@ -40,8 +40,8 @@ from .limits import (
 from .presets import BUILTIN_GENERATORS
 from .roots import ThetaSet, build_root_system, table1_rows
 from .satake import orbit_decomposition, orbits_to_dot, orbits_to_json
-from .words import CapExceededError, divergence_profile, enumerate_ball, \
-    fit_divergence_slope
+from .words import DEDUP_TOL, CapExceededError, divergence_profile, \
+    enumerate_ball, fit_divergence_slope
 
 SCHEMA_VERSION = 1
 
@@ -251,7 +251,7 @@ def cmd_ball(config):
         "schema_version": SCHEMA_VERSION,
         "radius": ball.radius,
         "truncated": truncated,
-        "dedup_tol": ball.dedup_tol,
+        "dedup_tol": DEDUP_TOL,
         "elements": [{"word": w, "word_length": r, **matrix_to_json(m)}
                      for w, m, r in ball.elements],
     }

@@ -87,34 +87,29 @@ def _positive_part(restricted, tol, scale):
 # bad sets
 
 
-def in_bad_set(point, sample, variant="intersect", tol=BAD_SET_TOL):
-    """Whether some sampled limit flag meets (variant "intersect") or is
-    contained in (variant "contain") the plane of one CompactPoint, as
-    (bool, witness word or None): bad_set_witnesses on a stack of one."""
-    hit = bad_set_witnesses(point.frame.columns[None], sample, tol, variant)[0]
+def in_bad_set(point, sample, tol=BAD_SET_TOL):
+    """Whether some sampled limit flag meets the plane of one
+    CompactPoint, as (bool, witness word or None): bad_set_witnesses on a
+    stack of one."""
+    hit = bad_set_witnesses(point.frame.columns[None], sample, tol)[0]
     return (False, None) if hit < 0 else (True, sample.words[hit])
 
 
-def bad_set_witnesses(frames, sample, tol=BAD_SET_TOL, variant="intersect"):
+def bad_set_witnesses(frames, sample, tol=BAD_SET_TOL):
     """For each frame of a stack (P, n, k) of orthonormal columns, the
-    index of the first sample flag that meets it (variant "intersect")
-    or is contained in it (variant "contain") below tol, or -1; for
-    one-dimensional flags inside nonpositive planes the two agree.  Each
-    table block is one first_below call on the cosines against the
-    sample, so principal_sines runs only on the pairs it cannot settle."""
-    if variant not in ("intersect", "contain"):
-        raise ValueError("variant must be 'intersect' or 'contain'")
+    index of the first sample flag that meets it below tol (smallest
+    principal-angle sine), or -1.  Each table block is one first_below
+    call on the cosines against the sample, so principal_sines runs only
+    on the pairs it cannot settle."""
     flags, (n, k) = sample.columns, frames.shape[-2:]
-    j, angle = flags.shape[-1], 0 if variant == "intersect" else -1
+    j = flags.shape[-1]
     witness = np.full(len(frames), -1)
-    if variant == "contain" and j > k:
-        return witness
     for block in table_blocks(len(frames), len(flags) * j * k):
         part = frames[block]
         witness[block] = first_below(
             cosines(part, flags), n, min(j, k), tol,
-            lambda index: principal_sines(flags[index[0]], part[index[1]])[:, angle] < tol,
-            smallest=angle == 0)
+            lambda index: principal_sines(flags[index[0]], part[index[1]])[:, 0] < tol,
+            smallest=True)
     return witness
 
 
@@ -301,27 +296,28 @@ def _factors(mats, planes, lines, q):
 
 DEFAULT_EXPANSION_RADII = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
                            3e-5, 1e-5)
+EXPANSION_GRID = 8
 
 
-def expansion_certificate(flag, ray, ball, c, q=1, grid=8, rng=None,
+def expansion_certificate(flag, ray, ball, c, q=1, rng=None,
                           radii=DEFAULT_EXPANSION_RADII):
     """Search the inverses of a quasigeodesic ray for an element
     expanding incidence distances by the factor c on a measured
     neighborhood of the incidence set of the flag (a Frame).
 
     ``q`` is the plane dimension of the Grassmannian being certified.
-    The grid samples pairs (W, L): planes W at incidence distance below
-    the radius from the flag and lines L within the radius; by the
-    distance identity both lie in the r-neighborhood of the incidence
-    set.  Returns the first certified (word, radius, factor) or a failure
-    record with the best factor found: expansion_certificates on one
-    flag.
+    Each (word, radius) step samples a grid of EXPANSION_GRID pairs
+    (W, L): planes W at incidence distance below the radius from the
+    flag and lines L within the radius; by the distance identity both
+    lie in the r-neighborhood of the incidence set.  Returns the first
+    certified (word, radius, factor) or a failure record with the best
+    factor found: expansion_certificates on one flag.
     """
-    return expansion_certificates([flag], [ray], ball, c, q, grid,
+    return expansion_certificates([flag], [ray], ball, c, q,
                                   [rng or np.random.default_rng(0)], radii)[0]
 
 
-def expansion_certificates(flags, rays, ball, c, q=1, grid=8, rngs=None,
+def expansion_certificates(flags, rays, ball, c, q=1, rngs=None,
                            radii=DEFAULT_EXPANSION_RADII):
     """expansion_certificate for each flag with its ray and rng (a fresh
     ``default_rng(0)`` each when rngs is None), as a list of
@@ -355,7 +351,7 @@ def expansion_certificates(flags, rays, ball, c, q=1, grid=8, rngs=None,
             if not live:
                 break
             planes, lines, owner = _draw_grid(
-                [rngs[f] for f in live], v[live], 0.9 * radius, q, grid)
+                [rngs[f] for f in live], v[live], 0.9 * radius, q, EXPANSION_GRID)
             mats = np.array([candidates[f][word_index][1] for f in live])
             factors, keep = _factors(mats[owner], planes, lines, q)
             counts = np.bincount(owner[keep], minlength=len(live))
@@ -419,12 +415,14 @@ def gaussian_domain_sampler(form, rng, tol=MEMBERSHIP_TOL, max_tries=5000):
                 rejected += 1
 
 
-def orbit_coverage(core, ball, points, trials, sample=None,
-                   d_core=0.1, margins=(0.3, 0.1, 0.03, 0.01)):
+COVERAGE_MARGINS = (0.3, 0.1, 0.03, 0.01)
+
+
+def orbit_coverage(core, ball, points, trials, sample=None, d_core=0.1):
     """Fraction of the first ``trials`` domain points (CompactPoints or
     Frames) that the iterable ``points`` yields moved within d_core of
-    the core by some ball element, reported as a curve over bad-set
-    margins.
+    the core by some ball element, reported as a curve over the bad-set
+    margins COVERAGE_MARGINS.
 
     With a limit sample, points are bucketed by their bad-set distance
     and the fraction is computed among points at margin at least m; the
@@ -441,18 +439,19 @@ def orbit_coverage(core, ball, points, trials, sample=None,
     frames = [pt.frame if isinstance(pt, CompactPoint) else pt
               for pt in islice(points, trials)]
     covered = np.zeros(len(frames), dtype=bool)
-    kept = np.ones((len(margins), len(frames)), dtype=bool)
+    kept = np.ones((len(COVERAGE_MARGINS), len(frames)), dtype=bool)
     if frames:
         stack = np.stack([f.columns for f in frames])
         for cf in core_frames:
             covered |= _reaches(ball, stack, getattr(cf, "columns", cf), d_core)
         if sample is not None:
-            kept[:] = [bad_set_witnesses(stack, sample, m) < 0 for m in margins]
+            kept[:] = [bad_set_witnesses(stack, sample, m) < 0
+                       for m in COVERAGE_MARGINS]
     fractions, counts = [], []
     for keep in kept:
         counts.append(int(np.sum(keep)))
         fractions.append(float(np.mean(covered[keep])) if np.any(keep) else float("nan"))
-    return CoverageCurve(tuple(margins), tuple(fractions), tuple(counts))
+    return CoverageCurve(COVERAGE_MARGINS, tuple(fractions), tuple(counts))
 
 
 def _reaches(ball, frames, core, d_core):
@@ -494,7 +493,7 @@ class SubalgebraPoint:
     basis: Frame               # dim_k columns in R^{dim g}
 
 
-def subalgebra_point(algebra_tag, theta, tol=1e-9):
+def subalgebra_point(algebra_tag, theta):
     """The subalgebra r_theta = k_theta + u_theta for a subset of the
     simple restricted roots (theta empty gives the maximal compact)."""
     alg = get_algebra(algebra_tag)
@@ -518,12 +517,12 @@ def subalgebra_point(algebra_tag, theta, tol=1e-9):
     levi = Frame.from_spanning(np.hstack(levi_cols))
     kc = Frame(alg.compact_subalgebra) if alg.compact_subalgebra.shape[1] else \
         Frame(np.zeros((alg.dim, 0)))
-    k_theta = _intersect(levi, kc, tol)
+    k_theta = _intersect(levi, kc)
     cols = np.hstack([k_theta.columns, u_basis])
     basis = Frame.from_spanning(cols) if cols.shape[1] else \
         Frame(np.zeros((alg.dim, 0)))
 
-    _check_subalgebra(alg, basis, tol)
+    _check_subalgebra(alg, basis)
     kappa = basis.columns.T @ alg.killing_gram @ basis.columns
     if basis.k and np.max(np.linalg.eigvalsh(0.5 * (kappa + kappa.T))) > \
             1e-6 * np.linalg.norm(alg.killing_gram, 2):
@@ -531,16 +530,16 @@ def subalgebra_point(algebra_tag, theta, tol=1e-9):
     return SubalgebraPoint(algebra_tag, theta, basis)
 
 
-def _intersect(a, b, tol):
+def _intersect(a, b):
     if a.k == 0 or b.k == 0:
         return Frame(np.zeros((a.ambient_dim, 0)))
-    null = null_space(np.hstack([a.columns, -b.columns]), tol)
+    null = null_space(np.hstack([a.columns, -b.columns]))
     if null.shape[1] == 0:
         return Frame(np.zeros((a.ambient_dim, 0)))
     return Frame.from_spanning(a.columns @ null[:a.k])
 
 
-def _check_subalgebra(alg, basis, tol):
+def _check_subalgebra(alg, basis):
     cols = basis.columns
     for i in range(cols.shape[1]):
         for j in range(i + 1, cols.shape[1]):

@@ -191,12 +191,13 @@ class Frame:
         self.k = k
 
     @classmethod
-    def from_spanning(cls, vectors, tol=DEFAULT_TOL):
-        """Orthonormalize a spanning set (columns); drops dependent columns."""
+    def from_spanning(cls, vectors):
+        """Orthonormalize a spanning set (columns); drops dependent columns
+        (_svd_rank's rule)."""
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim == 1:
             vectors = vectors[:, None]
-        u, rank = _svd_rank(vectors, tol)
+        u, rank = _svd_rank(vectors)
         return cls(u[:, :rank])
 
     @classmethod
@@ -261,14 +262,14 @@ def _first_defect(defects, bound):
     return f"slice {first} is not finite" if first < len(defects) else None
 
 
-def _svd_rank(vectors, tol):
+def _svd_rank(vectors):
     """The SVD behind every spanning frame: the left singular vectors
     (..., n, k) of a stack and the rank of each slice, its count of
-    singular values above tol times its largest (0 when k = 0)."""
+    singular values above DEFAULT_TOL times its largest (0 when k = 0)."""
     if vectors.shape[-1] == 0:
         return vectors, np.zeros(vectors.shape[:-2], dtype=int)
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    return u, (s > tol * s[..., :1]).sum(-1)
+    return u, (s > DEFAULT_TOL * s[..., :1]).sum(-1)
 
 
 def null_space(a, tol=DEFAULT_TOL):
@@ -279,24 +280,24 @@ def null_space(a, tol=DEFAULT_TOL):
     return vt[(s > tol * s[:1]).sum():].T
 
 
-def orthonormalize(vectors, tol=DEFAULT_TOL):
+def orthonormalize(vectors):
     """``Frame.from_spanning`` over a stack (..., n, k), k >= 0: the
     SVD's left columns (..., n, k), checked like a Frame's, and the rank
     of each slice.  The first rank columns of a slice are bit for bit
     the columns from_spanning keeps for it (one shared ``_svd_rank``)."""
-    u, ranks = _svd_rank(vectors, tol)
+    u, ranks = _svd_rank(vectors)
     check_orthonormal(u)
     return u, ranks
 
 
-def check_isotropic(columns, form, tol=DEFAULT_TOL):
+def check_isotropic(columns, form):
     """Raise unless the span of each frame of the orthonormal columns
     (..., n, k) is isotropic for the form, measured with its real gram:
-    the restricted gram's spectral norm must not exceed tol times
+    the restricted gram's spectral norm must not exceed DEFAULT_TOL times
     isotropy_scale.  The error reports the first slice that fails."""
     with np.errstate(invalid="ignore", over="ignore"):
         bad = _first_defect(np.swapaxes(columns, -1, -2) @ form.real_gram @ columns,
-                            tol * form.isotropy_scale)
+                            DEFAULT_TOL * form.isotropy_scale)
     if bad:
         raise ValueError(f"frame span is not isotropic for the form ({bad})")
 
@@ -457,7 +458,7 @@ def push_forward(mats, columns):
     relative tolerance keeps its dimension).  The columns are not
     checked like a Frame's: they only feed principal-angle measurements
     inside the scan loops."""
-    return _svd_rank(mats @ columns, DEFAULT_TOL)[0]
+    return _svd_rank(mats @ columns)[0]
 
 
 def dist_projective(l1, l2):

@@ -53,7 +53,6 @@ class LimitSample:
     columns: np.ndarray
     theta: object
     form: object = None
-    merge_tol: float = MERGE_TOL
 
     def distances_from(self, frame):
         """Flag distance (largest principal-angle sine) from a frame to
@@ -75,14 +74,14 @@ class LimitSample:
         return len(self.words)
 
 
-def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
+def sample_limit_set(ball, theta, form=None, min_gap=1.0):
     """Flags of every ball element whose theta-gaps exceed min_gap,
-    merged at flag distance merge_tol (shortlex-first representative
+    merged at flag distance MERGE_TOL (shortlex-first representative
     kept).  Raises EmptyLimitSampleError if nothing clears the floor.
 
     The candidates go in blocks of 1, 2, 4, ... up to _PREFETCH elements.
     A block first drops the elements whose batched flags are clearly
-    within merge_tol of a kept flag.  One stacked kak call takes the
+    within MERGE_TOL of a kept flag.  One stacked kak call takes the
     others, and its triples give both their exact gaps (root_gaps of mu,
     the bits of GroupBall.gaps: every zero-margin candidate clears the
     floor, and its batched mu is kak's) and, through one flag_of call,
@@ -100,12 +99,12 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
     approx_gap = np.min(approx[:, members], axis=1)
     gap_slack = np.max(slack[:, members], axis=1)
     # skip what the batch settles: a gap clearly at most min_gap, or a
-    # flag clearly within merge_tol of a kept flag (the batch bounds
+    # flag clearly within MERGE_TOL of a kept flag (the batch bounds
     # flags where the gap exceeds 1, within their flag margin)
     candidates = np.flatnonzero(ball.lengths > 0)
     candidates = candidates[approx_gap[candidates] + gap_slack[candidates] > min_gap]
     bounded = (approx_gap - gap_slack > max(min_gap, 1.0)) & \
-        (batch.flag_margin < merge_tol / 2)
+        (batch.flag_margin < MERGE_TOL / 2)
     frames = batch.frames(i)
     rows, gaps, kept = [], [], None     # kept: the rows' flags, preallocated
     start, size = 0, 1
@@ -115,7 +114,7 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
         if rows:
             near = bounded[block]
             near[near] = _surely_within(frames[block[near]], kept[:len(rows)],
-                                        merge_tol, batch.flag_margin[block[near]])
+                                        MERGE_TOL, batch.flag_margin[block[near]])
             block = block[~near]
         if not block.size:
             continue
@@ -129,7 +128,7 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
         cols = flag_of(np.stack([dec.k for dec in decs])[clear], i, form)
         if kept is None:
             kept = np.empty((len(ball.elements),) + cols.shape[1:])
-        keep = _merge(cols, kept[:len(rows)], merge_tol)
+        keep = _merge(cols, kept[:len(rows)], MERGE_TOL)
         kept[len(rows):len(rows) + np.count_nonzero(keep)] = cols[keep]
         rows.extend(block[keep].tolist())
         gaps.extend(exact[keep].tolist())
@@ -137,8 +136,7 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
         raise EmptyLimitSampleError(
             f"no ball element has theta-gaps above {min_gap}; enlarge the ball")
     return LimitSample([ball.words[i] for i in rows], ball.lengths[rows],
-                       np.array(gaps), kept[:len(rows)].copy(), theta, form,
-                       merge_tol)
+                       np.array(gaps), kept[:len(rows)].copy(), theta, form)
 
 
 def _merge(cols, kept, tol):
@@ -208,7 +206,6 @@ class TransversalityReport:
     margin: float
     worst_pair: tuple
     pairs_tested: int
-    pair_floor: float
     covering_radius: float
 
 
@@ -224,9 +221,9 @@ def transversality_margin(frame_a, frame_b, form):
     return float(margin) if margin.ndim == 0 else margin
 
 
-def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
+def transversality_report(sample, form):
     """Minimum transversality margin over the ordered sample pairs at
-    flag distance above the floor (nearly equal pairs are excluded:
+    flag distance above PAIR_FLOOR (nearly equal pairs are excluded:
     transversality is only required for distinct boundary points), the
     first such pair in row order that attains it, the number of such
     pairs and the sample's covering radius.
@@ -245,7 +242,7 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
     # orthonormal bases of G F_i, whose complements transversality_margin
     # takes for each flag F_i
     u = np.linalg.svd(gram @ cols, full_matrices=False)[0]
-    nearest, tested, least = _pair_pass(sample, pair_floor, u)
+    nearest, tested, least = _pair_pass(sample, PAIR_FLOOR, u)
     if tested == 0:
         raise ValueError("no pair clears the distance floor")
     margin, worst = np.inf, None
@@ -253,7 +250,7 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
     revisit = np.flatnonzero(least <= bound)
     for block in table_blocks(len(revisit), len(cols) * cols.shape[-1] ** 2):
         rows = revisit[block]
-        for i, screened in zip(rows, _pair_rows(cols, rows, pair_floor, u)[2]):
+        for i, screened in zip(rows, _pair_rows(cols, rows, PAIR_FLOOR, u)[2]):
             near_min = np.flatnonzero(screened <= bound)
             if not near_min.size:
                 continue
@@ -262,8 +259,7 @@ def transversality_report(sample, form, pair_floor=PAIR_FLOOR):
             if svs[j] < margin:
                 margin = float(svs[j])
                 worst = (sample.words[i], sample.words[near_min[j]])
-    return TransversalityReport(margin, worst, tested, pair_floor,
-                                float(np.max(nearest)))
+    return TransversalityReport(margin, worst, tested, float(np.max(nearest)))
 
 
 def _margin_reach(least, n, k):
@@ -365,17 +361,19 @@ def sample_to_csv(sample):
                                         sample.gaps.tolist(), flat))
 
 
-def sample_to_svg(sample, chart=(0, 1), size=600, radius=2.5):
-    """Flat SVG scatter of line flags in the affine chart given by two
-    coordinate indices of the sign-canonicalized unit vector (its first
-    coordinate above 1e-9 in size made positive)."""
+def sample_to_svg(sample, chart=(0, 1)):
+    """Flat SVG scatter of line flags, 600 pixels square with dots of
+    radius 2.5, in the affine chart given by two coordinate indices of
+    the sign-canonicalized unit vector (its first coordinate above 1e-9
+    in size made positive)."""
+    size = 600
     i, j = chart
     v = sample.columns[:, :, 0]
     lead = np.argmax(np.abs(v) > 1e-9, axis=1)
     v = np.where(v[np.arange(len(v)), lead][:, None] < 0, -v, v)
     x = (v[:, i] + 1.0) / 2.0 * size
     y = (1.0 - (v[:, j] + 1.0) / 2.0) * size
-    circle = f'<circle cx="%.3f" cy="%.3f" r="{radius}" fill="black"/>'
+    circle = '<circle cx="%.3f" cy="%.3f" r="2.5" fill="black"/>'
     return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{size}" viewBox="0 0 {size} {size}">',

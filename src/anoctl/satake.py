@@ -299,8 +299,7 @@ def predicted_rank(rs, theta, weights):
     return count
 
 
-def satake_limit(rs, support, h_seq, tau, group, thresholds=None,
-                 rank_tol=1e-12):
+def satake_limit(rs, support, h_seq, tau, group, thresholds=None):
     """Chamber-sequence limit evaluated two ways: the combinatorial
     classification of the pairings and the numeric matrix limit of the
     embedding.  Their rank data must agree; ambiguity in the
@@ -309,9 +308,9 @@ def satake_limit(rs, support, h_seq, tau, group, thresholds=None,
     The weight probes pair epsilon coordinates of the sequence with the
     group's Cartan; the root system's epsilon dimension must match the
     group (e.g. A_{n-1} with gl_n, B_q/D_q with the matching form).
-    The rank cut must sit below exp(-2 <chi - w, t>) for the bounded
-    coordinates t and above the divergence suppression; the default
-    handles finite coordinates up to a few units against a divergence
+    The rank cut, 1e-12 relative, must sit below exp(-2 <chi - w, t>)
+    for the bounded coordinates t and above the divergence suppression;
+    it handles finite coordinates up to a few units against a divergence
     threshold of a few tens.
     """
     limit = chamber_sequence_limit(rs, support, h_seq, thresholds)
@@ -326,4 +325,4 @@ def satake_limit(rs, support, h_seq, tau, group, thresholds=None,
     weights = tau_weights(tau, group, rs.eps_dim if group.tag == "gl"
                           else group.form.q)
     pred = predicted_rank(rs, limit.theta, weights)
-    return SatakeLimit(point, orbit, point.rank(rank_tol), pred, tail_step)
+    return SatakeLimit(point, orbit, point.rank(1e-12), pred, tail_step)

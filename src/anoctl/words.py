@@ -48,7 +48,6 @@ class GroupBall:
     words: list
     lengths: np.ndarray
     matrices: np.ndarray
-    dedup_tol: float = DEDUP_TOL
     truncated: bool = False
     _batches: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -144,30 +143,25 @@ def _close_pairs(query, target, tol):
 _BLOCK = 8192
 
 
-def enumerate_ball(generators, radius, dedup_tol=DEDUP_TOL, cap=None):
+def enumerate_ball(generators, radius, cap=None):
     """All reduced products of the generators up to the radius, matrix
     deduplicated, in shortlex order.
 
-    ``generators`` is a list of (name, matrix) or (name, matrix, inverse)
-    tuples; names must be distinct lowercase letters.  A product is kept
-    unless it lies within ``dedup_tol`` (relative Frobenius distance) of
-    a shortlex-earlier kept element.  Raises CapExceededError (with the
-    truncated ball attached) if the total element count would exceed
-    ``cap``, and ValueError if a product leaves the floating-point range.
+    ``generators`` is a list of (name, matrix) pairs; names must be
+    distinct lowercase letters.  A product is kept unless it lies within
+    DEDUP_TOL (relative Frobenius distance) of a shortlex-earlier kept
+    element.  Raises CapExceededError (with the truncated ball attached)
+    if the total element count would exceed ``cap``, and ValueError if a
+    product leaves the floating-point range.
     """
     alphabet, mats = [], []
-    for item in generators:
-        if len(item) == 2:
-            name, m = item
-            minv = np.linalg.inv(np.asarray(m, dtype=float))
-        else:
-            name, m, minv = item
+    for name, m in generators:
         if not (len(name) == 1 and name.islower()):
             raise ValueError(f"generator name {name!r} must be one lowercase letter")
         if name in alphabet:
             raise ValueError(f"duplicate generator name {name!r}")
         m = np.asarray(m, dtype=float)
-        minv = np.asarray(minv, dtype=float)
+        minv = np.linalg.inv(m)
         if not np.allclose(m @ minv, np.eye(m.shape[0]), atol=1e-8):
             raise ValueError(f"generator {name!r} is not invertible")
         # so that the inverse of letter l is letter l ^ 1
@@ -207,8 +201,8 @@ def enumerate_ball(generators, radius, dedup_tol=DEDUP_TOL, cap=None):
             # drop what matches an earlier element or an earlier kept
             # candidate
             keep = np.ones(len(f), dtype=bool)
-            keep[_close_pairs(cand, store, dedup_tol)[0]] = False
-            i, j = _close_pairs(cand, cand, dedup_tol)
+            keep[_close_pairs(cand, store, DEDUP_TOL)[0]] = False
+            i, j = _close_pairs(cand, cand, DEDUP_TOL)
             for a, b in zip(i[j < i].tolist(), j[j < i].tolist()):
                 if keep[b]:
                     keep[a] = False
@@ -222,13 +216,11 @@ def enumerate_ball(generators, radius, dedup_tol=DEDUP_TOL, cap=None):
             lasts.append(l[new])
             if truncated:
                 raise CapExceededError(GroupBall(
-                    alphabet, letters, words, np.array(lengths), store[0],
-                    dedup_tol, True))
+                    alphabet, letters, words, np.array(lengths), store[0], True))
         if len(words) == first:
             break
         front, last = np.arange(first, len(words)), np.concatenate(lasts)
-    return GroupBall(alphabet, letters, words, np.array(lengths), store[0],
-                     dedup_tol)
+    return GroupBall(alphabet, letters, words, np.array(lengths), store[0])
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +340,14 @@ def cyclic_reduction(word):
     return prefix, word
 
 
-def proximal_elements(ball, gap_threshold, i=1, imag_tol=1e-9):
+def proximal_elements(ball, gap_threshold, i=1):
     """Ball elements with a dominant real eigenvalue cluster of size i.
 
     Returns (word, attracting frame, top gap) triples where the top gap
     is log |lambda_i| - log |lambda_{i+1}| and, for i = 1, the top
-    eigenvalue is required to be real and simple.  The attracting frame
-    is the top eigenline (or the top invariant i-space via a sorted real
-    Schur form).
+    eigenvalue is required to be real (imaginary part at most 1e-9 of
+    its modulus) and simple.  The attracting frame is the top eigenline
+    (or the top invariant i-space via a sorted real Schur form).
 
     Eigen-data is computed on the cyclically reduced core of the word
     and conjugated back: eigenproblems of strongly distorted conjugates
@@ -381,7 +373,7 @@ def proximal_elements(ball, gap_threshold, i=1, imag_tol=1e-9):
         if nxt <= 0 or np.log(top / nxt) < gap_threshold:
             continue
         if i == 1:
-            if abs(np.imag(vals[0])) > imag_tol * abs(vals[0]):
+            if abs(np.imag(vals[0])) > 1e-9 * abs(vals[0]):
                 continue
             w, v = np.linalg.eig(mat)
             idx = int(np.argmax(np.abs(w)))

@@ -100,10 +100,8 @@ def test_interior_points_avoid_bad_set(rng):
 def test_constructed_point_hits_bad_set():
     form, gens, ball, sample = schottky_setup()
     pt = CompactPoint(Frame(sample.columns[3]), 1, form)
-    hit, witness = in_bad_set(pt, sample, "intersect")
+    hit, witness = in_bad_set(pt, sample)
     assert hit and witness == sample.words[3]
-    hit, witness = in_bad_set(pt, sample, "contain")
-    assert hit
 
 
 def test_boundary_gap_point_not_in_bad_set():
@@ -132,14 +130,6 @@ def witt_cone_point(v, form):
     pos_norm = np.linalg.norm(w[:2])
     w = np.array([w[0], w[1], np.sign(w[2]) * pos_norm if w[2] != 0 else pos_norm])
     return c @ w
-
-
-def test_intersect_and_contain_agree_for_lines(rng):
-    form, gens, ball, sample = schottky_setup()
-    for pt in itertools.islice(gaussian_domain_sampler(form, rng), 50):
-        a = in_bad_set(pt, sample, "intersect", tol=1e-4)[0]
-        b = in_bad_set(pt, sample, "contain", tol=1e-4)[0]
-        assert a == b
 
 
 def test_bad_set_equivariance(rng):
@@ -317,15 +307,15 @@ def test_orbit_coverage_blocks_of_trials_give_one_curve(monkeypatch):
     form, gens, ball, sample = schottky_setup(radius=4)
     points = list(itertools.islice(
         gaussian_domain_sampler(form, np.random.default_rng(7)), 12))
-    margins = (0.3, 0.1, 0.03, 0.01)
     curves = []
     for table in (1, forms._TABLE, 10 ** 9):
         monkeypatch.setattr(forms, "_TABLE", table)
         curves.append(orbit_coverage(points[:1], ball, iter(points), 12,
-                                     sample=sample, margins=margins))
+                                     sample=sample))
     assert curves[0] == curves[1] == curves[2]
     assert curves[0].counts == tuple(
-        sum(not in_bad_set(p, sample, tol=m)[0] for p in points) for m in margins)
+        sum(not in_bad_set(p, sample, tol=m)[0] for p in points)
+        for m in domain.COVERAGE_MARGINS)
 
 
 def test_stretched_plane_keeps_its_dimension(rng):
@@ -445,7 +435,7 @@ def test_scan_matches_per_hit_loop_on_mixed_o21_lines():
     points = []
     while len(points) < 100:
         pt = next(stream)
-        if pt.is_interior and not in_bad_set(pt, sample, "intersect")[0]:
+        if pt.is_interior and not in_bad_set(pt, sample)[0]:
             points.append(pt)
     flags = assert_scan_matches_per_hit_loop(points, ball, sample)
     assert len(flags) > 10000
@@ -477,8 +467,7 @@ def o32_scan_setup(gens, radius, count, seed=0):
     points = []
     while len(points) < count:
         pt = next(stream)
-        if pt.is_interior and not in_bad_set(pt, sample, "intersect",
-                                             ACCUMULATION_TOL)[0]:
+        if pt.is_interior and not in_bad_set(pt, sample, ACCUMULATION_TOL)[0]:
             points.append(pt)
     return ball, sample, points
 

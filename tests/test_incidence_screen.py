@@ -33,32 +33,25 @@ from test_cli import pingpong_o32
 
 
 SIGNATURES = [(2, 1), (3, 1), (3, 2), (4, 2)]
-MARGINS = (0.3, 0.1, 0.03, 0.01)
 
 
-def reference_in_bad_set(point, sample, variant="intersect", tol=domain.BAD_SET_TOL):
+def reference_in_bad_set(point, sample, tol=domain.BAD_SET_TOL):
     """in_bad_set before the screen: one principal_sines call on the
     whole sample."""
-    if variant == "contain" and sample.columns.shape[-1] > point.frame.k:
-        return False, None
     sines = principal_sines(sample.columns, point.frame)
-    hits = np.flatnonzero(sines[:, 0 if variant == "intersect" else -1] < tol)
+    hits = np.flatnonzero(sines[:, 0] < tol)
     return (True, sample.words[hits[0]]) if hits.size else (False, None)
 
 
-def reference_witnesses(frames, sample, tol, variant="intersect"):
+def reference_witnesses(frames, sample, tol):
     """bad_set_witnesses point by point, as in_bad_set decided one frame
     before the stack: one cosine table of the frame against the sample."""
     flags, witnesses = sample.columns, []
-    smallest, angle = variant == "intersect", 0 if variant == "intersect" else -1
     for frame in frames:
-        if variant == "contain" and flags.shape[-1] > frame.shape[-1]:
-            witnesses.append(-1)
-            continue
         witnesses.append(first_below(
             cosines(frame, flags), frame.shape[0], min(flags.shape[-1], frame.shape[-1]), tol,
-            lambda index: principal_sines(flags[index[0]], frame)[:, angle] < tol,
-            smallest, first=True))
+            lambda index: principal_sines(flags[index[0]], frame)[:, 0] < tol,
+            smallest=True, first=True))
     return np.array(witnesses, dtype=int)
 
 
@@ -70,7 +63,7 @@ def reference_reaches(ball, frames, core, d_core):
 
 
 def reference_orbit_coverage(core, ball, stream, trials, sample=None,
-                             d_core=0.1, margins=MARGINS):
+                             d_core=0.1, margins=domain.COVERAGE_MARGINS):
     """orbit_coverage before the screen: bad_set_distance for the buckets
     and the whole ball pushed forward once per trial."""
     core_frames = [p.frame if isinstance(p, CompactPoint) else p for p in core]
@@ -135,35 +128,32 @@ def sample_near(plane, k, rng, count=60):
 
 
 @pytest.mark.parametrize("p,q", SIGNATURES)
-@pytest.mark.parametrize("variant", ["intersect", "contain"])
-def test_in_bad_set_equals_the_full_stack_rule(p, q, variant):
+def test_in_bad_set_equals_the_full_stack_rule(p, q):
     form = make_witt_form(p, q)
     rng = np.random.default_rng(10 * p + q)
     for pt in points(form, p + q, 6):
         for k in sorted({1, q}):
             sample = sample_near(pt.frame.columns, k, rng)
             for tol in (1e-9, domain.BAD_SET_TOL, 1e-3, 0.3, 1.0):
-                assert in_bad_set(pt, sample, variant, tol) == \
-                    reference_in_bad_set(pt, sample, variant, tol)
+                assert in_bad_set(pt, sample, tol) == \
+                    reference_in_bad_set(pt, sample, tol)
 
 
 @pytest.mark.parametrize("p,q", SIGNATURES)
-@pytest.mark.parametrize("variant", ["intersect", "contain"])
-def test_in_bad_set_at_the_tolerance_takes_the_same_witness(p, q, variant):
+def test_in_bad_set_at_the_tolerance_takes_the_same_witness(p, q):
     # tolerances at a flag's exact sine and a few ulps either side, so
     # that the cosine bounds straddle them; the witness is the first flag
     # below, whichever side the decision falls
     form = make_witt_form(p, q)
     rng = np.random.default_rng(100 + 10 * p + q)
     for pt in points(form, 7 * p + q, 3):
-        k = q if variant == "contain" else 1
-        sample = sample_near(pt.frame.columns, k, rng)
-        sines = principal_sines(sample.columns, pt.frame)[:, 0 if variant == "intersect" else -1]
+        sample = sample_near(pt.frame.columns, 1, rng)
+        sines = principal_sines(sample.columns, pt.frame)[:, 0]
         witnesses = set()
         for value in np.sort(sines)[[0, 3, 10, len(sines) // 2]]:
             for tol in ulps(float(value)):
-                got = in_bad_set(pt, sample, variant, tol)
-                assert got == reference_in_bad_set(pt, sample, variant, tol)
+                got = in_bad_set(pt, sample, tol)
+                assert got == reference_in_bad_set(pt, sample, tol)
                 witnesses.add(got[1])
         assert len(witnesses) > 2
 
@@ -177,13 +167,12 @@ def test_in_bad_set_on_the_presets_equals_the_full_stack_rule():
         for j in (0, 5, len(sample) - 1):
             pt = CompactPoint(Frame(sample.columns[j]), 1, form)
             for tol in (1e-12, 1e-6, 1e-3):
-                assert in_bad_set(pt, sample, "intersect", tol) == \
-                    reference_in_bad_set(pt, sample, "intersect", tol)
+                assert in_bad_set(pt, sample, tol) == \
+                    reference_in_bad_set(pt, sample, tol)
         for pt in points(form, 3, 20):
             for tol in (1e-6, 0.1, 0.3):
-                for variant in ("intersect", "contain"):
-                    assert in_bad_set(pt, sample, variant, tol) == \
-                        reference_in_bad_set(pt, sample, variant, tol)
+                assert in_bad_set(pt, sample, tol) == \
+                    reference_in_bad_set(pt, sample, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +223,7 @@ def test_orbit_coverage_equals_the_push_forward_loop(name, d_core):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_orbit_coverage_at_d_core_and_the_margins(name):
+def test_orbit_coverage_at_d_core_and_the_margins(monkeypatch, name):
     # d_core at the exact distance of the nearest moved frame and the
     # margins at the exact bad-set distance, and a few ulps either side
     form, ball, sample = coverage_case(name)
@@ -246,7 +235,8 @@ def test_orbit_coverage_at_d_core_and_the_margins(name):
         resid = bad_set_distance(pt.frame, sample)
         for d_core in ulps(nearest):
             margins = tuple(ulps(resid))
-            got = curve(orbit_coverage(core, ball, [pt], 1, sample, d_core, margins))
+            monkeypatch.setattr(domain, "COVERAGE_MARGINS", margins)
+            got = curve(orbit_coverage(core, ball, [pt], 1, sample, d_core))
             expected = reference_orbit_coverage(core, ball, [pt], 1, sample,
                                                 d_core, margins)
             assert same_curve(got, expected)
@@ -288,29 +278,25 @@ def witness_case(name):
 
 
 @pytest.mark.parametrize("table", [1, forms._TABLE, 10 ** 9])
-@pytest.mark.parametrize("variant", ["intersect", "contain"])
 @pytest.mark.parametrize("name", ["schottky-o21", "mixed-o21", "pingpong", "planes"])
-def test_bad_set_witnesses_equal_the_point_by_point_loop(monkeypatch, name, variant, table):
+def test_bad_set_witnesses_equal_the_point_by_point_loop(monkeypatch, name, table):
     # tolerances at a point's exact sine to a flag and 2 ulps either
     # side, with one frame per table block, the default blocks and one
     # block of all frames
     sample, stack = witness_case(name)
     monkeypatch.setattr(forms, "_TABLE", table)
-    sines = principal_sines(sample.columns[:, None], stack)[..., 0 if variant == "intersect" else -1]
+    sines = principal_sines(sample.columns[:, None], stack)[..., 0]
     nearest = np.sort(np.min(sines, axis=0))
     decided = set()
     for value in nearest[[0, 1, len(nearest) // 2, -1]]:
         for tol in ulps(float(value)) + [domain.BAD_SET_TOL]:
-            got = bad_set_witnesses(stack, sample, tol, variant)
+            got = bad_set_witnesses(stack, sample, tol)
             assert got.dtype.kind == "i"
-            assert np.array_equal(got, reference_witnesses(stack, sample, tol, variant))
+            assert np.array_equal(got, reference_witnesses(stack, sample, tol))
             decided.add(tuple(got.tolist()))
-    contains_nothing = variant == "contain" and sample.columns.shape[-1] > stack.shape[-1]
-    assert len(decided) > (1 if contains_nothing else 2)
-    empty = bad_set_witnesses(stack[:0], sample, 0.3, variant)
+    assert len(decided) > 2
+    empty = bad_set_witnesses(stack[:0], sample, 0.3)
     assert empty.shape == (0,) and empty.dtype.kind == "i"
-    with pytest.raises(ValueError, match="variant"):
-        bad_set_witnesses(stack, sample, 0.3, variant[::-1])
 
 
 @pytest.mark.parametrize("table", [1, forms._TABLE, 10 ** 9])

@@ -34,7 +34,7 @@ def test_cyclic_proximal_sample_concentrates(rng):
     k = o21_rotation(0.8)
     g = k @ o21_boost(1.5) @ np.linalg.inv(k)
     ball = enumerate_ball([("a", g)], 8)
-    sample = sample_limit_set(ball, THETA1, form, min_gap=1.0, merge_tol=1e-6)
+    sample = sample_limit_set(ball, THETA1, form, min_gap=1.0)
     # power iteration oracle: attracting line of g
     w, v = np.linalg.eig(g)
     line = Frame.from_spanning(np.real(v[:, np.argmax(np.abs(w))]))
@@ -90,7 +90,7 @@ def test_sample_merges_duplicates():
     form, gens, ball, sample = schottky_sample(translation=6.0, radius=6)
     lines = sample.columns[:, :, 0]
     cos = np.abs(lines @ lines.T) - np.eye(len(lines))
-    max_cos = np.sqrt(1 - sample.merge_tol ** 2)
+    max_cos = np.sqrt(1 - MERGE_TOL ** 2)
     assert np.max(cos) <= max_cos + 1e-12
 
 
@@ -132,13 +132,14 @@ def test_sample_rows_are_the_flags_and_gaps_of_their_words(name):
 
 
 @pytest.mark.parametrize("preset,radius", [("schottky-o21", 6), ("mixed-o21", 5)])
-def test_pruned_merge_matches_unpruned_reference(preset, radius):
-    # merge_tol = 0 keeps every candidate flag, in ball order; the
-    # reference then merges them by comparing against every kept flag
+def test_pruned_merge_matches_unpruned_reference(monkeypatch, preset, radius):
+    # a merge tolerance of 0 keeps every candidate flag, in ball order;
+    # the reference then merges them by comparing against every kept flag
     form, gens = BUILTIN_GENERATORS[preset]()
     ball = enumerate_ball(gens, radius)
     sample = sample_limit_set(ball, THETA1, form)
-    candidates = sample_limit_set(ball, THETA1, form, merge_tol=0.0)
+    monkeypatch.setattr(limits, "MERGE_TOL", 0.0)
+    candidates = sample_limit_set(ball, THETA1, form)
     kept = []
     for word, cols in zip(candidates.words, candidates.columns):
         if all(dist_grassmann(Frame(cols), f) >= MERGE_TOL for _, f in kept):
@@ -322,7 +323,7 @@ def test_sample_equivariance():
     a = gens[0][1]
     for cols in sample5.columns:
         moved = Frame.from_spanning(a @ cols)
-        assert np.min(sample6.distances_from(moved)) < 5 * sample6.merge_tol
+        assert np.min(sample6.distances_from(moved)) < 5 * MERGE_TOL
 
 
 def test_inverse_sampling_lands_in_sample():
@@ -334,7 +335,7 @@ def test_inverse_sampling_lands_in_sample():
         if mu_gaps(dec.mu, B1)[1] <= 1.0:
             continue
         flag = flag_of(dec.k, 1, form)
-        assert np.min(sample.distances_from(flag)) < 5 * sample.merge_tol
+        assert np.min(sample.distances_from(flag)) < 5 * MERGE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +361,10 @@ def test_transversality_report_schottky():
 
 def test_transversality_excludes_near_pairs():
     form, gens, ball, sample = schottky_sample()
-    report = transversality_report(sample, form, pair_floor=1e-3)
+    report = transversality_report(sample, form)
+    assert report.pairs_tested == limits._pair_pass(sample, limits.PAIR_FLOOR)[1]
     # shrink the floor: more pairs qualify
-    report2 = transversality_report(sample, form, pair_floor=1e-9)
-    assert report2.pairs_tested >= report.pairs_tested
+    assert limits._pair_pass(sample, 1e-9)[1] >= report.pairs_tested
 
 
 def test_degenerate_configuration_flagged():
@@ -392,10 +393,11 @@ def csv_reference(sample):
     return "".join(out)
 
 
-def svg_reference(sample, chart=(0, 1), size=600, radius=2.5):
+def svg_reference(sample, chart=(0, 1)):
     """sample_to_svg's per-circle loop: each first column made positive
     at its first coordinate above 1e-9 in size, then charted."""
     i, j = chart
+    size, radius = 600, 2.5
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">',
              f'<rect width="{size}" height="{size}" fill="white"/>']
@@ -447,9 +449,8 @@ def test_csv_and_svg_match_the_per_value_formatting():
         assert sample_to_csv(sample) == csv_reference(sample), name
         n = sample.columns.shape[1]
         for chart in ((0, 1), (n - 1, 0), (1, 1)):
-            for size, radius in ((600, 2.5), (317, 3)):
-                assert sample_to_svg(sample, chart, size, radius) == \
-                    svg_reference(sample, chart, size, radius), (name, chart)
+            assert sample_to_svg(sample, chart) == svg_reference(sample, chart), \
+                (name, chart)
 
 
 def test_csv_and_svg_emission_deterministic():

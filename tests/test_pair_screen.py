@@ -76,7 +76,10 @@ def reference_covering_radius(sample):
 
 
 def screened_report(sample, form, pair_floor):
-    report = transversality_report(sample, form, pair_floor)
+    """transversality_report with its floor PAIR_FLOOR set to pair_floor."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(limits, "PAIR_FLOOR", pair_floor)
+        report = transversality_report(sample, form)
     return report.margin, report.worst_pair, report.pairs_tested, report.covering_radius
 
 

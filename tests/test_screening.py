@@ -68,7 +68,7 @@ def domain_points(form, sample, count=8, seed=0):
     points = []
     while len(points) < count:
         pt = next(stream)
-        if pt.is_interior and not in_bad_set(pt, sample, "intersect", 1e-9)[0]:
+        if pt.is_interior and not in_bad_set(pt, sample, 1e-9)[0]:
             points.append(pt)
     return points
 
