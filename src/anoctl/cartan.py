@@ -27,24 +27,27 @@ conj v).  The imaginary and real parts of a resolved u and v are the
 columns of a slot pair of the real compact factors; the other slots
 are filled as opq's pool is.
 
-Every path starts from one front end (``_front``): kak's input checks
-and one stacked SVD of b^H g b, b the chamber basis, under the band
-rule.  Word-length balls are screened with ``cartan_mu_batch``, which
-reads the same SVD: its mu is kak's bit for bit wherever kak reads mu
-off it (gl, onC, opq past spectral norm 1e6), and only opq's moderate
-rows, where kak squares g, carry a margin.  The batch only settles
-decisions that its margins settle (an element is not a sphere minimum,
-its gap is below the floor, its flag merges into a kept one).  Every
-reported flag comes from kak (stacked).  The limit sampler's gaps come
-from the kak triples of its block, which also give its flags; the
-divergence profile's and the relation scan's from ``GroupBall.gaps``:
-off the batch where its margin is 0, else from kak.
+Every path takes two steps: one front end (``_front``: kak's input
+checks and one stacked SVD of b^H g b, b the chamber basis, under the
+band rule, kept read-only as a ``Front``), then its group's assembly
+of k, mu and l from any rows of that front (``Front.kak``).  Word-length
+balls are screened with ``cartan_mu_batch``, which reads the same
+front and keeps it: its mu is kak's bit for bit wherever kak reads mu
+off the SVD (gl, onC, opq past spectral norm 1e6), and only opq's
+moderate rows, where kak squares g, carry a margin.  The batch only
+settles decisions that its margins settle (an element is not a sphere
+minimum, its gap is below the floor, its flag merges into a kept one).
+Everything else is decomposed from the batch's kept front
+(``GroupBall.kak``), so a ball runs one SVD per form: the limit
+sampler's blocks, which give its exact gaps and its flags, and the
+gaps of ``GroupBall.gaps`` (the divergence profile's and the relation
+scan's) where the batch's margin is not 0.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,11 +127,11 @@ def chamber_exp(mu, form=None):
 # ---------------------------------------------------------------------------
 # stacks
 #
-# _kak_gl, _kak_opq and _kak_onC work on stacks (N, n, n); kak passes one
-# matrix as the one-slice case.  Every stacked LAPACK, BLAS and
-# elementwise call gives each slice the bits of the same call on that
-# slice alone, so steps that depend on the data run once per group of
-# slices that take the same branch.
+# _kak_gl, _kak_opq and _kak_onC assemble stacks (N, n, n) from the Front
+# of their rows; kak passes one matrix as the one-slice case.  Every
+# stacked LAPACK, BLAS and elementwise call gives each slice the bits of
+# the same call on that slice alone, so steps that depend on the data run
+# once per group of slices that take the same branch.
 
 
 def _dot(a, b):
@@ -173,39 +176,82 @@ def _first_error(bad, message):
         raise ValueError(message(bad[0]))
 
 
-def _front(g, form):
-    """The start of every Cartan path, for a stack (N, n, n): kak's input
-    checks in its order and with its messages (shape, then for the first
-    offending matrix finite entries and invertibility, or preservation
-    of the form at FORM_PRESERVATION_TOL), and the one SVD of b^H g b, b
-    the chamber basis of the form (none for gl).
+@dataclass(frozen=True, eq=False)
+class Front:
+    """The start of every Cartan path for a stack g (N, n, n), as _front
+    computes it: the form, g itself, the chamber basis b (None for gl),
+    the SVD u, s, vh of gb = b^H g b, and the band mask ``resolved``
+    (N, r).  Assembly reads only the first r singular values and
+    vectors, so a kept front may hold only those.  All but g are made
+    read-only, so that one front serves every later decomposition of its
+    rows unchanged (a ball keeps one per form, in its batch)."""
+    form: WittForm | None
+    g: np.ndarray
+    b: np.ndarray | None
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    resolved: np.ndarray
 
-    Returns (b, gb, u, s, vh, resolved), where resolved (N, r) says which
-    of the r exponents of mu clear the band rule: all of them for gl; for
-    opq and onC those whose singular value is at least 1 + band, band =
-    3e6 eps s_0.  Below it float64 cannot separate an exponent from 0 at
-    that scale, and reading it as 0 perturbs the reconstruction by less
-    than its tolerance."""
+    def __post_init__(self):
+        for a in (self.b, self.u, self.s, self.vh, self.resolved):
+            if a is not None:
+                a.flags.writeable = False
+
+    @property
+    def gb(self):
+        """b^H g b as _front computes it, so with its bits (a slice takes
+        the same BLAS calls in a stack of any size); not kept, to save
+        memory, since only the assembly reads it, on a few rows."""
+        return _chamber_matrices(self.g, self.b)
+
+    def kak(self, rows):
+        """kak of the slices at ``rows`` (any order, repeats allowed) as
+        arrays (k (m, n, n), mu (m, r), l (m, n, n)), from this front:
+        each row is bit for bit the one-matrix result."""
+        rows = np.asarray(rows, dtype=int)
+        part = Front(self.form, self.g[rows], self.b, *(a[rows] for a in (
+            self.u, self.s, self.vh, self.resolved)))
+        return {"gl": _kak_gl, "opq": _kak_opq, "onC": _kak_onC}[tag_of(self.form)](part)
+
+
+def _chamber_matrices(g, b):
+    """b^H g b for a stack g (N, n, n) of finite matrices (g for gl)."""
+    return g if b is None else b.conj().T @ g @ b
+
+
+def _front(g, form):
+    """The Front of a stack (N, n, n): kak's input checks in its order
+    and with its messages (shape, then for the first offending matrix
+    finite entries and invertibility, or preservation of the form at
+    FORM_PRESERVATION_TOL), and the one SVD of b^H g b, b the chamber
+    basis of the form (none for gl).
+
+    Its band mask ``resolved`` (N, r) says which of the r exponents of
+    mu clear the band rule: all of them for gl; for opq and onC those
+    whose singular value is at least 1 + band, band = 3e6 eps s_0.
+    Below it float64 cannot separate an exponent from 0 at that scale,
+    and reading it as 0 perturbs the reconstruction by less than its
+    tolerance."""
     n = g.shape[-1] if form is None else form.n
     if g.shape[1:] != (n, n):
         raise ValueError("g must be square" if form is None else f"g must be {n}x{n}")
     finite = np.all(np.isfinite(g), axis=(1, 2))
     # the identity stands in for non-finite matrices, which LAPACK rejects
-    g = np.where(finite[:, None, None], g, np.eye(n))
+    gf = np.where(finite[:, None, None], g, np.eye(n))
     b = None if form is None else (
         complex_pm_basis(n) if form.is_complex else witt_pm_basis(form.p, form.q))
-    gb = g if b is None else b.conj().T @ g @ b
-    u, s, vh = np.linalg.svd(gb)
+    u, s, vh = np.linalg.svd(_chamber_matrices(gf, b))
     if form is None:
         _first_error(~finite | ~(s[:, -1] > 0) | ~np.all(np.isfinite(s), axis=1),
                      lambda j: "g has non-finite entries" if not finite[j]
                      else "g is not invertible")
-        return b, gb, u, s, vh, np.ones(s.shape, dtype=bool)
+        return Front(form, g, b, u, s, vh, np.ones(s.shape, dtype=bool))
     # |g^T G g - G| > tol max(1, |g|)^2 max(1, |G|) on operands scaled by
     # powers of two, which is exact and does not overflow past |g| ~ 1e154
     top = np.maximum(1.0, s[:, 0])
     scale = np.ldexp(1.0, np.frexp(top)[1])[:, None, None]
-    gs = g / scale
+    gs = gf / scale
     error = np.swapaxes(gs, 1, 2) @ form.gram @ gs - form.gram / scale / scale
     limit = FORM_PRESERVATION_TOL * (top / scale[:, 0, 0]) ** 2 * max(1.0, form.gram_norm)
     # the Frobenius norm bounds the spectral norm and needs no SVD; only
@@ -218,7 +264,8 @@ def _front(g, form):
                  if not finite[j] else "matrix does not preserve the form (defect "
                  f"{float(defect[j]) * scale[j].item() * scale[j].item():.2e})")
     r = n // 2 if form.is_complex else form.q
-    return b, gb, u, s, vh, s[:, :r] >= 1.0 + 3e6 * np.finfo(float).eps * s[:, :1]
+    return Front(form, g, b, u, s, vh,
+                 s[:, :r] >= 1.0 + 3e6 * np.finfo(float).eps * s[:, :1])
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +289,14 @@ def _canonicalize_signs(u, vt=None):
     return u, np.where(flip_rows, -vt, vt)
 
 
-def _triples(k, mu, l, form=None):
-    tag = tag_of(form)
-    return [KakTriple(kj, MuVector(tag, mj), lj, form)
-            for kj, mj, lj in zip(k, mu, l)]
-
-
 # ---------------------------------------------------------------------------
 # gl
 
 
-def _kak_gl(g, form=None):
-    """KAK of invertible real matrices via SVD."""
-    _, _, u, s, vt, _ = _front(g, None)
-    u, vt = _canonicalize_signs(u, vt)
-    return _triples(u, np.log(s), vt)
+def _kak_gl(f):
+    """KAK of invertible real matrices, from the SVD of their Front f."""
+    u, vt = _canonicalize_signs(f.u, f.vh)
+    return u, np.log(f.s), vt
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +400,8 @@ def _complete_orthogonal(known, slots, n):
 _MODERATE_NORM = 1e6
 
 
-def _kak_opq(g, form):
-    """KAK of elements of O(b) for a real Witt form b.
+def _kak_opq(f):
+    """KAK of elements of O(b) for a real Witt form b, from their Front f.
 
     Up to spectral norm 1e6 all exponents are recovered to full precision
     through the deflated logarithm of g^T g.  Beyond that the singular
@@ -370,21 +410,21 @@ def _kak_opq(g, form):
     from 0 at that scale are reported as 0, which perturbs the
     reconstruction by less than its relative tolerance.
     """
-    p, q = form.p, form.q
-    c, gp, u, s, vt, resolved = _front(g, form)
+    p, q = f.form.p, f.form.q
+    c, gp, resolved = f.b, f.gb, f.resolved
     ipq = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-    kdbl, k1 = np.zeros(g.shape), np.zeros(g.shape)
-    lam = np.where(resolved, np.log(s[:, :q]), 0.0)
-    moderate = s[:, 0] <= _MODERATE_NORM
+    kdbl, k1 = np.zeros(gp.shape), np.zeros(gp.shape)
+    lam = np.where(resolved, np.log(f.s[:, :q]), 0.0)
+    moderate = f.s[:, 0] <= _MODERATE_NORM
     for big, rows in _groups(np.where(moderate, -1, np.sum(resolved, axis=1))):
         if big < 0:
             kdbl[rows], lam[rows], k1[rows] = _assemble_opq_moderate(gp[rows], ipq, p, q)
         else:
-            kdbl[rows], k1[rows] = _extreme_factors(gp[rows], u[rows], vt[rows],
+            kdbl[rows], k1[rows] = _extreme_factors(gp[rows], f.u[rows], f.vh[rows],
                                                     p, q, big)
     k = c @ kdbl @ c.T
     l = c @ np.swapaxes(k1, 1, 2) @ c.T
-    return _triples(k, lam, l, form)
+    return k, lam, l
 
 
 def _assemble_opq_moderate(gp, ipq, p, q):
@@ -516,18 +556,18 @@ def complex_pm_basis(n):
     return t
 
 
-def _kak_onC(g, form):
+def _kak_onC(f):
     """KAK of elements of the complex orthogonal group of the canonical
-    complex Witt form, from one SVD at any scale (see the module
-    docstring).  The first matrix that a decomposition does not
-    reconstruct to relative accuracy _RECONSTRUCTION_TOL in the spectral
-    norm raises ValueError."""
-    n, m = form.n, form.n // 2
-    t, gs, u, s, vh, resolved = _front(g, form)
-    lam = np.where(resolved, np.log(s[:, :m]), 0.0)
+    complex Witt form, from the one SVD of their Front f, at any scale
+    (see the module docstring).  The first matrix that a decomposition
+    does not reconstruct to relative accuracy _RECONSTRUCTION_TOL in the
+    spectral norm raises ValueError."""
+    n, m = f.form.n, f.form.n // 2
+    t, g, s = f.b, f.g, f.s
+    lam = np.where(f.resolved, np.log(s[:, :m]), 0.0)
     kss, rot = np.zeros(g.shape), np.zeros(g.shape)
-    for big, rows in _groups(np.sum(resolved, axis=1)):
-        kss[rows], rot[rows] = _onC_factors(gs[rows], u[rows], vh[rows], big)
+    for big, rows in _groups(np.sum(f.resolved, axis=1)):
+        kss[rows], rot[rows] = _onC_factors(f.gb[rows], f.u[rows], f.vh[rows], big)
     k = t @ kss @ t.conj().T
     l = t @ np.swapaxes(rot, 1, 2) @ t.conj().T
     d = np.concatenate([np.exp(lam), np.ones((len(g), n - 2 * m)),
@@ -536,7 +576,7 @@ def _kak_onC(g, form):
     _first_error(~(error <= _RECONSTRUCTION_TOL * s[:, 0]), lambda j: (
         f"onC KAK is not accurate at spectral norm {s[j, 0]:.3g}: its "
         f"reconstruction misses the relative tolerance {_RECONSTRUCTION_TOL:g}"))
-    return _triples(k, lam, l, form)
+    return k, lam, l
 
 
 def _onC_factors(gs, u, vh, nbig):
@@ -567,14 +607,17 @@ def _onC_factors(gs, u, vh, nbig):
 
 def kak(g, form=None):
     """Cartan decomposition in the group that ``form`` picks (see the
-    module docstring), the one entry point of every group's path.  ``g``
-    is one matrix, which gives one KakTriple, or a stack (N, n, n), which
-    gives a list of them, each slice bit for bit its own one-matrix
-    result; the first bad matrix raises ValueError."""
+    module docstring): _front, then its group's assembly (Front.kak).
+    ``g`` is one matrix, which gives a KakTriple, or a stack (N, n, n),
+    which gives plain arrays (k (N, n, n), mu (N, r), l (N, n, n)), each
+    row bit for bit its own one-matrix result; the first bad matrix
+    raises ValueError."""
     tag = tag_of(form)
     g = np.asarray(g, dtype=complex if tag == "onC" else float)
-    decompose = {"gl": _kak_gl, "opq": _kak_opq, "onC": _kak_onC}[tag]
-    return decompose(g, form) if g.ndim == 3 else decompose(g[None], form)[0]
+    if g.ndim == 3:
+        return _front(g, form).kak(np.arange(len(g)))
+    (k,), (mu,), (l,) = _front(g[None], form).kak([0])
+    return KakTriple(k, MuVector(tag, mu), l, form)
 
 
 def _root_coeffs(length, rs, tag):
@@ -625,13 +668,17 @@ class MuBatch:
     spans the i-plane that xi_theta reads off ``kak(g).k``; where the
     defining gap exceeds 1, ``flag_margin`` (N,) bounds the largest
     principal-angle sine between the two (inf for onC).  A batch whose
-    margins are all inf settles nothing.
+    margins are all inf settles nothing.  ``front`` is the Front that
+    the batch is read from, less the singular values and vectors that
+    assembly does not read, kept so that ``front.kak(rows)`` decomposes
+    any of its rows without a second SVD.
     """
     group_tag: str
     mu: np.ndarray
     margin: np.ndarray
     u: np.ndarray
     flag_margin: np.ndarray
+    front: Front = field(repr=False)
 
     def gaps(self, rs):
         """(gaps, slack): (N, rank) pairings of mu with the simple roots,
@@ -665,13 +712,14 @@ def cartan_mu_batch(mats, form=None):
     MuBatch.
     """
     tag = tag_of(form)
-    mats = np.asarray(mats, dtype=complex if tag == "onC" else float)
-    b, _, u, s, _, resolved = _front(mats, form)
-    r = resolved.shape[1]
+    given = np.asarray(mats)
+    front = _front(given.astype(complex if tag == "onC" else float, copy=False), form)
+    b, u, s = front.b, front.u, front.s
+    r = front.resolved.shape[1]
     s0 = s[:, 0]
     moderate = (tag == "opq") & (s0 <= _MODERATE_NORM)
     # kak's squared opq path reads no exponent as 0
-    resolved |= moderate[:, None]
+    resolved = front.resolved | moderate[:, None]
     mu = np.where(resolved, np.log(s[:, :r]), 0.0)
     # s_m, the smallest singular value that enters mu
     m = np.maximum(np.sum(resolved, axis=1), 1)
@@ -680,9 +728,15 @@ def cartan_mu_batch(mats, form=None):
         kappa = np.where(moderate, np.maximum(s0, ratio ** 2), ratio)
     bound = SCREEN_MARGIN + _SCREEN_GROWTH * np.finfo(float).eps * kappa
     margin = np.repeat(np.where(moderate, bound, 0.0)[:, None], r, axis=1)
+    # assembly reads only the first r singular values and vectors (gl's r
+    # is n), so the batch keeps no more; onC reads g through numpy's exact
+    # cast to complex, so it keeps the given matrices, not their copy
+    kept = front if tag == "gl" else replace(
+        front, g=given if tag == "onC" else front.g, u=u[:, :, :r].copy(),
+        s=s[:, :r].copy(), vh=front.vh[:, :r].copy())
     if tag == "onC":    # no bound is known for its realified flags
-        return MuBatch(tag, mu, margin, _realify(b @ u), np.full(len(s), np.inf))
-    return MuBatch(tag, mu, margin, u if b is None else b @ u, bound)
+        return MuBatch(tag, mu, margin, _realify(b @ u), np.full(len(s), np.inf), kept)
+    return MuBatch(tag, mu, margin, u if b is None else b @ u, bound, kept)
 
 
 def _theta_to_plane_dim(theta, form):

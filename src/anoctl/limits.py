@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import _theta_to_plane_dim, flag_of, kak, root_gaps
+# kak stays bound here for perfbench's tracer, which wraps every binding
+# of it
+from .cartan import _theta_to_plane_dim, flag_of, kak, root_gaps  # noqa: F401
 from .forms import (
     Frame,
     cosine_band,
@@ -28,9 +30,10 @@ from .forms import (
 
 MERGE_TOL = 1e-6
 PAIR_FLOOR = 1e-3
-# elements per stacked kak call of the sampler: the temporaries of larger
-# stacks grow the heap, and so the peak resident memory, by about 1 MiB
-# on O(3,2) balls, for a gain of under 15 us per element
+# the largest sampler block: _merge's (B, B) self table grows with its
+# square, and the decompositions gain no measurable time from larger
+# blocks.  On mixed-o21's radius-8 limitset, blocks of up to 512 raise
+# the peak resident memory by 0.3 MiB and blocks of up to 4096 by 68 MiB.
 _PREFETCH = 128
 
 
@@ -81,15 +84,15 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
 
     The candidates go in blocks of 1, 2, 4, ... up to _PREFETCH elements.
     A block first drops the elements whose batched flags are clearly
-    within MERGE_TOL of a kept flag.  One stacked kak call takes the
-    others, and its triples give both their exact gaps (root_gaps of mu,
-    the bits of GroupBall.gaps: every zero-margin candidate clears the
-    floor, and its batched mu is kak's) and, through one flag_of call,
-    the flags of those whose gap exceeds min_gap.  _merge decides these
-    against the flags kept so far and each other, with the verdicts of a
-    one-at-a-time merge in shortlex order.  A flag kept within a block
-    screens only later blocks, which costs a decomposition, never a
-    different result."""
+    within MERGE_TOL of a kept flag.  One GroupBall.kak call decomposes
+    the others from the ball's kept front, with no second SVD.  Its mu
+    gives their exact gaps (root_gaps of mu, the bits of GroupBall.gaps:
+    every zero-margin candidate clears the floor, and its batched mu is
+    kak's), and its k, through one flag_of call, the flags of those whose
+    gap exceeds min_gap.  _merge decides these against the flags kept so
+    far and each other, with the verdicts of a one-at-a-time merge in
+    shortlex order.  A flag kept within a block screens only later
+    blocks, which costs a decomposition, never a different result."""
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
     i = _theta_to_plane_dim(theta, form)
@@ -118,14 +121,13 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
             block = block[~near]
         if not block.size:
             continue
-        decs = kak(ball.matrices[block], form)
-        mu = np.array([dec.mu.values for dec in decs])
+        k, mu, _ = ball.kak(block, form)
         exact = np.min(root_gaps(mu, theta.root_system, batch.group_tag)[:, members], axis=1)
         clear = exact > min_gap
         if not clear.any():
             continue
         block, exact = block[clear], exact[clear]
-        cols = flag_of(np.stack([dec.k for dec in decs])[clear], i, form)
+        cols = flag_of(k[clear], i, form)
         if kept is None:
             kept = np.empty((len(ball.elements),) + cols.shape[1:])
         keep = _merge(cols, kept[:len(rows)], MERGE_TOL)

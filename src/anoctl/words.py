@@ -17,7 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cartan import cartan_mu_batch, kak, root_gaps
+# kak stays bound here for perfbench's tracer, which wraps every binding
+# of it
+from .cartan import cartan_mu_batch, kak, root_gaps  # noqa: F401
 
 DEDUP_TOL = 1e-8
 
@@ -41,8 +43,10 @@ class GroupBall:
     """Deduplicated, word-length-graded group elements in shortlex
     order, stored as columns: the words, their lengths (N,) and the
     element matrices stacked as one (N, n, n) array.  The one result it
-    keeps is cartan_mu_batch of the whole ball per form; kak runs where
-    its result is used."""
+    keeps is cartan_mu_batch of the whole ball per form, with the Front
+    (the stacked SVD) that the batch is read from: ``kak`` decomposes
+    any elements from that front where their decomposition is used, so
+    the ball runs one SVD per form."""
     alphabet: list                    # each generator, then its inverse
     letters: np.ndarray               # their matrices, in alphabet order
     words: list
@@ -69,16 +73,23 @@ class GroupBall:
             self._batches[form] = cartan_mu_batch(self.matrices, form)
         return self._batches[form]
 
+    def kak(self, indices, form=None):
+        """kak of the elements at ``indices`` (any order, repeats
+        allowed) in the group that ``form`` picks, as arrays (k (m, n, n),
+        mu (m, r), l (m, n, n)): each row is bit for bit kak of that
+        element alone, assembled from the front that the batch keeps."""
+        return self.cartan_batch(form).front.kak(indices)
+
     def gaps(self, indices, rs, form=None):
         """root_gaps (m, rank) of kak's mu for the elements at ``indices``,
         read off the batch where its margin is 0 (kak's bits there); one
-        stacked kak call takes the other elements."""
+        ``kak`` call on the ball's front takes the other elements."""
         indices = np.asarray(indices, dtype=int)
         batch = self.cartan_batch(form)
         mu = batch.mu[indices]
         inexact = np.flatnonzero(np.any(batch.margin[indices], axis=1))
         if inexact.size:
-            mu[inexact] = [dec.mu.values for dec in kak(self.matrices[indices[inexact]], form)]
+            mu[inexact] = self.kak(indices[inexact], form)[1]
         return root_gaps(mu, rs, batch.group_tag)
 
     @property

@@ -23,14 +23,13 @@ def limit_sample(columns, words, theta=None, form=None):
 
 
 class KakCalls(list):
-    """The matrix stacks (m, n, n) that the ball and the limit sampler
-    hand to kak, one per call, in call order."""
+    """The calls of GroupBall.kak, the stacked kak of the ball's kept
+    front, in call order: each a (ball, indices) pair, the indices being
+    the rows handed to it."""
 
     def rows(self, ball):
-        """Each call's matrices as indices into the ball (its matrices
-        are distinct), one list per call."""
-        index = {m.tobytes(): i for i, m in enumerate(ball.matrices)}
-        return [[index[m.tobytes()] for m in stack] for stack in self]
+        """The indices of each call on ``ball``, one list per call."""
+        return [rows for b, rows in self if b is ball]
 
     def decomposed(self, ball):
         """The ball indices decomposed, in call order, each as often as
@@ -40,16 +39,15 @@ class KakCalls(list):
 
 @pytest.fixture
 def kak_calls(monkeypatch):
-    """Records every kak call of anoctl.words and anoctl.limits."""
-    import anoctl.limits
-    import anoctl.words
-    from anoctl.cartan import kak
+    """Records every GroupBall.kak call (the ball decomposes no element
+    any other way)."""
+    from anoctl.words import GroupBall
 
     calls = KakCalls()
+    kak = GroupBall.kak
 
-    def recording(g, form=None):
-        calls.append(np.asarray(g).reshape((-1,) + np.shape(g)[-2:]))
-        return kak(g, form)
-    for module in (anoctl.words, anoctl.limits):
-        monkeypatch.setattr(module, "kak", recording)
+    def recording(ball, indices, form=None):
+        calls.append((ball, np.asarray(indices, dtype=int).tolist()))
+        return kak(ball, indices, form)
+    monkeypatch.setattr(GroupBall, "kak", recording)
     return calls

@@ -401,10 +401,10 @@ def per_hit_scan(points, ball, sample, tol=ACCUMULATION_TOL,
                 for idx in np.flatnonzero(residuals > tol)]
         if hits:
             flagged.append((index, hits))
-    decs = kak(ball.matrices[[index for index, _ in flagged]], sample.form)
     flags = []
-    for (index, hits), dec in zip(flagged, decs):
-        word, _, r = ball.elements[index]
+    for index, hits in flagged:
+        word, mat, r = ball.elements[index]
+        dec = kak(mat, sample.form)
         gaps = mu_gaps(dec.mu, sample.theta.root_system)
         gap = min(gaps[a] for a in sample.theta.members)
         flags.extend((idx, word, r, gap, resid) for idx, resid in hits)

@@ -1,6 +1,7 @@
 """The stacked kak: a stack (N, n, n) gives every slice the bits that
 the one-matrix call gives it, and those bits are pinned by sha256
-digests of the scalar implementation it replaced."""
+digests of the scalar implementation it replaced.  So do the rows that
+a ball decomposes from the front its batch keeps (GroupBall.kak)."""
 
 import hashlib
 
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anoctl.cartan
 from anoctl import limits
-from anoctl.cartan import MuVector, chamber_exp, complex_pm_basis, kak
+from anoctl.cartan import MuVector, cartan_mu_batch, chamber_exp, complex_pm_basis, kak
 from anoctl.forms import make_witt_form
 from anoctl.limits import sample_limit_set
 from anoctl.presets import mixed_o21, schottky_o21
 from anoctl.roots import ThetaSet, build_root_system
-from anoctl.words import enumerate_ball
+from anoctl.words import divergence_profile, enumerate_ball
 from conftest import random_orthogonal
 from test_cartan import opq_element
 from test_cli import pingpong_o32
@@ -96,26 +98,35 @@ DIGESTS = {
 }
 
 
-def digests(triples):
-    return tuple(hashlib.sha256(b"".join(part(t).tobytes() for t in triples)).hexdigest()
-                 for part in (lambda t: t.k, lambda t: t.mu.values, lambda t: t.l))
+def digests(stacked):
+    """sha256 of the bytes of every k, mu and l of a stacked result (k,
+    mu, l), in stack order."""
+    return tuple(hashlib.sha256(part.tobytes()).hexdigest() for part in stacked)
 
 
-def bits(triple):
-    return [a.view(np.int64).tolist() for a in (triple.k, triple.mu.values, triple.l)]
+def one_matrix(mats, form):
+    """The one-matrix kak of every matrix, stacked as kak stacks them."""
+    decs = [kak(g, form) for g in mats]
+    return tuple(np.stack([part(d) for d in decs]) for part in
+                 (lambda d: d.k, lambda d: d.mu.values, lambda d: d.l))
+
+
+def bits(stacked):
+    """The bytes of each row of k, mu and l, one tuple per row."""
+    return [tuple(part[j].tobytes() for part in stacked) for j in range(len(stacked[0]))]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stacked_kak_reproduces_the_pinned_digests(name):
     mats, form = CASES[name]()
-    triples = kak(mats, form)
-    assert len(triples) == len(mats)
-    assert digests(triples) == DIGESTS[name]
+    k, mu, l = kak(mats, form)
+    assert len(k) == len(mu) == len(l) == len(mats)
+    assert digests((k, mu, l)) == DIGESTS[name]
 
 
 def test_one_matrix_calls_reproduce_the_pinned_digests():
     mats, form = CASES["pingpong-o32"]()
-    assert digests([kak(m, form) for m in mats]) == DIGESTS["pingpong-o32"]
+    assert digests(one_matrix(mats, form)) == DIGESTS["pingpong-o32"]
 
 
 # top exponents around log(1e3), where g^T g starts to be peeled, and
@@ -132,8 +143,7 @@ def test_stacked_kak_matches_one_matrix_calls_bitwise(elements):
     for form in (make_witt_form(2, 1), make_witt_form(3, 2)):
         stack = np.stack([opq_element(form, [top, fraction * top][:form.q], seed)
                           for top, fraction, seed in elements])
-        stacked = kak(stack, form)
-        assert [bits(t) for t in stacked] == [bits(kak(g, form)) for g in stack]
+        assert bits(kak(stack, form)) == bits(one_matrix(stack, form))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -145,8 +155,86 @@ def test_stacked_onC_kak_matches_one_matrix_calls_bitwise(n):
             for fraction in (0.0, 0.5, 1.0)]
     stack = np.stack([onC_element(n, lam, seed) for seed, lam in enumerate(lams)])
     stacked = kak(stack, complex_form(n))
-    assert sorted({int(np.count_nonzero(t.mu.values)) for t in stacked}) == [0, 1, 2]
-    assert [bits(t) for t in stacked] == [bits(kak(g, complex_form(n))) for g in stack]
+    assert sorted(set(np.count_nonzero(stacked[1], axis=1).tolist())) == [0, 1, 2]
+    assert bits(stacked) == bits(one_matrix(stack, complex_form(n)))
+
+
+# balls whose rows GroupBall.kak decomposes from the kept front, and the
+# opq paths those rows take (moderate: spectral norm up to 1e6, where kak
+# squares g; extreme: past it)
+FRONT_CASES = {
+    "schottky-o21": (schottky_o21, 5, {"moderate", "extreme"}),
+    "mixed-o21": (mixed_o21, 6, {"moderate"}),
+    "pingpong-o32": (lambda: (make_witt_form(3, 2), pingpong_o32(0)), 4,
+                     {"moderate", "extreme"}),
+    "gl": (lambda: (None, mixed_o21()[1]), 6, None),
+    "2,1,C": (lambda: (make_witt_form(2, 1, "complex"), mixed_o21()[1]), 6, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONT_CASES))
+def test_ball_rows_from_the_kept_front_are_one_matrix_kak(name):
+    build, radius, paths = FRONT_CASES[name]
+    form, gens = build()
+    ball = enumerate_ball(gens, radius)
+    # unsorted, with repeats, and the first and last element
+    picks = np.random.default_rng(0).integers(0, len(ball), 120)
+    rows = np.concatenate([picks, [len(ball) - 1, 0], picks[:10]])
+    assert bits(ball.kak(rows, form)) == bits(one_matrix(ball.matrices[rows], form))
+    if paths is not None:
+        top = ball.cartan_batch(form).front.s[rows, 0]
+        assert set(np.where(top <= 1e6, "moderate", "extreme").tolist()) == paths
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(pq=st.sampled_from([(2, 1), (3, 2), (4, 2), (3, 3), (5, 3)]), data=st.data())
+def test_front_rows_are_one_matrix_kak_on_random_opq(pq, data):
+    form = make_witt_form(*pq)
+    # spectral norms 1 to 1e12; the other exponents are fractions of the top
+    elements = data.draw(st.lists(st.tuples(
+        st.floats(0.0, np.log(1e12)),
+        st.lists(st.floats(0.0, 1.0), min_size=form.q - 1, max_size=form.q - 1),
+        st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=5))
+    stack = np.stack([opq_element(form, [top] + sorted((f * top for f in fractions),
+                                                       reverse=True), seed)
+                      for top, fractions, seed in elements])
+    rows = data.draw(st.lists(st.integers(0, len(stack) - 1), min_size=1, max_size=8))
+    front = cartan_mu_batch(stack, form).front
+    assert bits(front.kak(rows)) == bits(one_matrix(stack[rows], form))
+
+
+def test_a_ball_runs_one_front_per_form(monkeypatch):
+    # the sampler, the divergence profile and GroupBall.gaps all decompose
+    # from the front that the ball's batch keeps
+    sizes, front = [], anoctl.cartan._front
+
+    def counting(g, form):
+        sizes.append(len(g))
+        return front(g, form)
+    monkeypatch.setattr(anoctl.cartan, "_front", counting)
+    form, gens = make_witt_form(3, 2), pingpong_o32(0)
+    ball = enumerate_ball(gens, 5)
+    rs = build_root_system("B", 2)
+    sample_limit_set(ball, ThetaSet(rs, frozenset({1})), form)
+    divergence_profile(ball, rs, form)
+    ball.gaps(np.arange(len(ball)), rs, form)
+    # some gaps needed kak
+    assert np.any(ball.cartan_batch(form).margin)
+    assert sizes == [len(ball)]
+
+
+def test_the_kept_front_is_read_only():
+    form, gens = mixed_o21()
+    ball = enumerate_ball(gens, 3)
+    front = ball.cartan_batch(form).front
+    for part in (front.b, front.u, front.s, front.vh, front.resolved):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 0
+    # the batch widens a copy of the band mask to kak's squared path; the
+    # front's mask, which does not resolve the identity's exponent, stays
+    assert not front.resolved[0].any()
+    # the ball's own matrices stay writable
+    assert ball.matrices.flags.writeable
 
 
 def kak_error(g, form=None):
@@ -178,9 +266,11 @@ def test_stacked_gl_raises_the_error_of_the_first_bad_matrix(bad):
 
 
 def test_empty_stacks_give_no_decompositions():
-    assert kak(np.zeros((0, 3, 3)), make_witt_form(2, 1)) == []
-    assert kak(np.zeros((0, 4, 4))) == []
-    assert kak(np.zeros((0, 3, 3)), make_witt_form(2, 1, "complex")) == []
+    for mats, form, r in ((np.zeros((0, 3, 3)), make_witt_form(2, 1), 1),
+                          (np.zeros((0, 4, 4)), None, 4),
+                          (np.zeros((0, 3, 3)), make_witt_form(2, 1, "complex"), 1)):
+        k, mu, l = kak(mats, form)
+        assert k.shape == l.shape == mats.shape and mu.shape == (0, r)
 
 
 # the sampler's decomposed index sets on the benchmark's limitset runs

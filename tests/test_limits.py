@@ -200,8 +200,8 @@ def sample_reference(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
             block = block[~near]
         exact = np.min(ball.gaps(block, theta.root_system, form)[:, members], axis=1)
         block, exact = block[exact > min_gap], exact[exact > min_gap]
-        for idx, dec, gap in zip(block, kak(ball.matrices[block], form), exact.tolist()):
-            cols = flag_reference(dec.k, i, form)
+        for idx, k, gap in zip(block, kak(ball.matrices[block], form)[0], exact.tolist()):
+            cols = flag_reference(k, i, form)
             if kept is None:
                 kept = np.empty((len(ball.elements),) + cols.shape)
             if within_reference(cols, kept[:len(rows)], merge_tol):

@@ -47,7 +47,7 @@ def test_ball_gaps_are_root_gaps_of_kak(name, kak_calls):
     exact = ~np.any(ball.cartan_batch(form).margin, axis=1)
     assert kak_calls.rows(ball) == ([np.flatnonzero(~exact).tolist()]
                                     if not exact.all() else [])
-    mus = np.array([dec.mu.values for dec in kak(ball.matrices, form)])
+    mus = kak(ball.matrices, form)[1]
     assert gaps.tobytes() == root_gaps(mus, rs, tag).tobytes()
     # any rows, in any order, are the same bits
     rows = np.arange(len(ball))[::-3]
