@@ -45,9 +45,12 @@ report = transversality_report(sample, form)
 print(f"transversality margin over {report.pairs_tested} pairs: "
       f"{report.margin:.3e}")
 
-out = os.path.join(os.path.dirname(__file__), "out")
+here = os.path.dirname(os.path.abspath(__file__))
+out = os.path.join(here, "out")
 os.makedirs(out, exist_ok=True)
 path = os.path.join(out, "schottky_limit_set.svg")
 with open(path, "w") as fh:
     fh.write(sample_to_svg(sample, chart=(0, 1)))
-print("scatter written to", path)
+# relative to the repository root, so that the text does not depend on
+# where the checkout lies
+print("scatter written to", os.path.relpath(path, os.path.dirname(here)))

@@ -140,11 +140,16 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     flag with a large gap contradicts the accumulation statement itself.
     Points must be members of the compactification outside the bad set.
 
-    Lines against line flags take |cos| against every sample line.  Every
-    other case pushes the points forward and decides them per element
-    with bad_set_witnesses (``_plane_hits``), so principal_sines runs only
-    on the pairs its tables leave in their rounding band and on the
-    points that no flag meets below tol.
+    The long elements are the tail of the shortlex ball, and the scan
+    pushes the points through a table block of them (table_blocks) at
+    once: one stacked product, each slice the one-element value.  Lines
+    against line flags take |cos| against every sample line, a table
+    (elements, sample lines, points) per block.  Every other case pushes
+    the points forward with one stacked SVD per block and decides the
+    block's images with bad_set_witnesses (``_plane_hits``), so
+    principal_sines runs only on the pairs its tables leave in their
+    rounding band and on the images that no flag meets below tol.  The
+    flags come out element by element, points ascending within each.
 
     The flags are a Records table with one row per flag: ``point`` (the
     index of the point), ``word`` (the element), ``min_gap`` (its
@@ -162,39 +167,54 @@ def dynamical_relation_scan(points, ball, sample, tol=ACCUMULATION_TOL,
     if bad.size:
         raise ValueError(f"scan point {bad[0]} is already in the bad set "
                          f"(witness {sample.words[witness[bad[0]]]!r})")
-    elements = np.flatnonzero(ball.lengths >= min_word_length).tolist()
+    # the long elements are the tail of the shortlex ball: a view
+    first = int(np.searchsorted(ball.lengths, min_word_length))
+    mats = ball.matrices[first:]
+    count, (n, k) = len(pts), pts.shape[-2:]
 
     # lines against line flags print |cos|-based residuals in full
-    line_path = points[0].frame.k == 1 and sample.columns.shape[-1] == 1
+    line_path = k == 1 and sample.columns.shape[-1] == 1
     if line_path:
         lines = sample.columns[:, :, 0]
         # the C-ordered (n, P) points of the line path: numpy picks the
-        # BLAS routine of mat @ pts from their layout
+        # BLAS routine of each slice of mats @ pts from their layout
         pts = np.ascontiguousarray(pts[:, :, 0].T)
+        width = len(lines) * count
+    else:
+        width = count * n * n * k
     flagged = []
-    for index in elements:
-        word, mat, r = ball.elements[index]
+    for block in table_blocks(len(mats), width):
         if line_path:
-            moved = mat @ pts
-            moved /= np.linalg.norm(moved, axis=0, keepdims=True)
-            cos = np.abs(lines @ moved)
-            residuals = np.sqrt(np.clip(1 - np.max(cos, axis=0) ** 2, 0.0, 1.0))
-            hit = np.flatnonzero(residuals > tol)
-            residuals = residuals[hit]
+            moved = mats[block] @ pts
+            moved /= np.linalg.norm(moved, axis=-2, keepdims=True)
+            # |cos| in place: one table-sized temporary fewer per block
+            cos = lines @ moved
+            np.abs(cos, out=cos)
+            residuals = np.sqrt(np.clip(1 - np.max(cos, axis=-2) ** 2, 0.0, 1.0))
+            far = residuals > tol
+            element, hit = np.nonzero(far)
+            residuals = residuals[far]
         else:
-            hit, residuals = _plane_hits(push_forward(mat, pts), sample, tol)
-        if hit.size:
-            flagged.append((index, hit.tolist(), residuals.tolist()))
+            moved = push_forward(mats[block, None], pts).reshape(-1, n, k)
+            hit, residuals = _plane_hits(moved, sample, tol)
+            element, hit = np.divmod(hit, count)
+        # one (index, points, residuals) entry per flagged element
+        hit, residuals = hit.tolist(), residuals.tolist()
+        stop = 0
+        for index, size in enumerate(np.bincount(element).tolist(), first + block.start):
+            if size:
+                start, stop = stop, stop + size
+                flagged.append((index, hit[start:stop], residuals[start:stop]))
 
     # only flagged elements need a gap
     members = [a - 1 for a in sorted(sample.theta.members)]
     gaps = ball.gaps([index for index, _, _ in flagged], sample.theta.root_system,
                      sample.form)[:, members]
     for (index, hit, resids), gap in zip(flagged, np.min(gaps, axis=1).tolist()):
-        n = len(hit)
+        size = len(hit)
         flags["point"].extend(hit)
-        flags["word"].extend(repeat(ball.words[index], n))
-        flags["min_gap"].extend(repeat(gap, n))
+        flags["word"].extend(repeat(ball.words[index], size))
+        flags["min_gap"].extend(repeat(gap, size))
         flags["residual"].extend(resids)
     return flags
 

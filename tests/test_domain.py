@@ -463,13 +463,19 @@ def o32_scan_setup(gens, radius, count, seed=0):
     ball = enumerate_ball(gens, radius)
     sample = sample_limit_set(ball, ThetaSet(build_root_system("B", 2),
                                              frozenset({1})), make_witt_form(3, 2))
+    return ball, sample, clear_points(sample, count, seed)
+
+
+def clear_points(sample, count, seed=0):
+    """The first ``count`` interior points of the domain sampler seeded
+    with ``seed`` that lie clear of the bad set at the scan's tolerance."""
     stream = gaussian_domain_sampler(sample.form, np.random.default_rng(seed))
     points = []
     while len(points) < count:
         pt = next(stream)
         if pt.is_interior and not in_bad_set(pt, sample, ACCUMULATION_TOL)[0]:
             points.append(pt)
-    return ball, sample, points
+    return points
 
 
 def nondiscrete_o32(radius, count=20):
@@ -481,11 +487,76 @@ def nondiscrete_o32(radius, count=20):
     return o32_scan_setup(gens, radius, count)
 
 
-def test_scan_matches_per_hit_loop_on_a_nondiscrete_o32_pair():
+def scan_blocks(monkeypatch, ball):
+    """Record the table blocks of the scan's pass over the long elements
+    of ``ball``: the returned list fills with their sizes."""
+    long = np.count_nonzero(ball.lengths >= ball.radius)
+    sizes = []
+
+    def recording(count, width):
+        blocks = list(forms.table_blocks(count, width))
+        if count == long:
+            assert not sizes, "one pass over the long elements"
+            sizes.extend(len(range(count)[block]) for block in blocks)
+        return iter(blocks)
+    monkeypatch.setattr(domain, "table_blocks", recording)
+    return sizes
+
+
+def test_scan_matches_per_hit_loop_on_a_nondiscrete_o32_pair(monkeypatch):
     ball, sample, points = nondiscrete_o32(4)
     assert points[0].frame.k == 2 and sample.columns.shape[-1] == 1
+    sizes = scan_blocks(monkeypatch, ball)
     flags = assert_scan_matches_per_hit_loop(points, ball, sample)
     assert len(flags) > 1000
+    # 20 pushed 2-planes in R^5 per element: 16 elements per block
+    assert sizes == [16] * 6 + [12]
+
+
+def test_scan_blocks_of_136_schottky_elements_at_tol_0(monkeypatch):
+    # at tol 0 every (element, point) pair is flagged unless its residual
+    # rounds to 0 (long words pull the points within sqrt(eps) of the
+    # sample); 12 sample lines and 10 points make a 120-entry table per
+    # element
+    form, gens, ball, sample = schottky_setup(6)
+    points = clear_points(sample, 10)
+    sizes = scan_blocks(monkeypatch, ball)
+    flags = assert_scan_matches_per_hit_loop(points, ball, sample, tol=0.0)
+    assert len(sample) == 12 and sum(sizes) == 972
+    assert len(flags) > 7000 and len(set(flags["word"])) > 750
+    assert sizes == [136] * 7 + [20]
+
+
+def mixed_o21_scan_setup():
+    """mixed-o21's radius-5 ball, its 206-line sample and 10 points."""
+    form, gens = mixed_o21()
+    ball = enumerate_ball(gens, 5)
+    sample = sample_limit_set(ball, THETA1, form, min_gap=1.0)
+    return ball, sample, clear_points(sample, 10)
+
+
+def test_scan_blocks_of_seven_mixed_o21_elements(monkeypatch):
+    # 206 sample lines and 10 points: 7 elements per block, and the
+    # 324 long elements leave a ragged last block
+    ball, sample, points = mixed_o21_scan_setup()
+    sizes = scan_blocks(monkeypatch, ball)
+    flags = assert_scan_matches_per_hit_loop(points, ball, sample)
+    assert len(sample) == 206 and len(flags) > 1000
+    assert sizes == [7] * 46 + [2]
+
+
+@pytest.mark.parametrize("setup", [mixed_o21_scan_setup, lambda: nondiscrete_o32(4)],
+                         ids=["mixed-o21", "o32-planes"])
+def test_scan_does_not_depend_on_the_table_size(monkeypatch, setup):
+    ball, sample, points = setup()
+
+    def scan(table):
+        monkeypatch.setattr(forms, "_TABLE", table)
+        return dynamical_relation_scan(points, ball, sample)
+    flags = scan(forms._TABLE)
+    assert len(flags) > 1000
+    for table in (1, 2 ** 22):
+        assert scan(table) == flags
 
 
 def test_scan_does_not_flag_a_residual_equal_to_tol():
