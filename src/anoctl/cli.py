@@ -10,6 +10,7 @@ produced.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,6 @@ from .limits import (
 )
 from .presets import BUILTIN_GENERATORS
 from .roots import ThetaSet, build_root_system, table1_rows
-from .satake import orbit_decomposition, orbits_to_dot, orbits_to_json
 from .words import DEDUP_TOL, CapExceededError, divergence_profile, \
     enumerate_ball, fit_divergence_slope
 
@@ -406,6 +406,7 @@ def cmd_orbits(config):
     else:
         support = ThetaSet(rs, frozenset(int(x)
                                          for x in config.support.split(",")))
+    from .satake import orbit_decomposition, orbits_to_dot, orbits_to_json
     orbits = orbit_decomposition(rs, support)
     d = orbits_to_json(orbits)
     d.update({"schema_version": SCHEMA_VERSION, "type": config.type,
@@ -458,6 +459,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="anoctl",

@@ -23,7 +23,6 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .algebras import get_algebra
 from .forms import (
     Frame,
     Records,
@@ -516,6 +515,7 @@ class SubalgebraPoint:
 def subalgebra_point(algebra_tag, theta):
     """The subalgebra r_theta = k_theta + u_theta for a subset of the
     simple restricted roots (theta empty gives the maximal compact)."""
+    from .algebras import get_algebra
     alg = get_algebra(algebra_tag)
     rs = alg.root_system
     if theta.root_system.type_label != rs.type_label or \
@@ -573,6 +573,7 @@ def subalgebra_kernel_dimension(point, tol=1e-8):
     """Null count of the Killing form restricted to the subalgebra span,
     relative to the scale of the ambient Killing gram (the restriction
     can be numerically zero)."""
+    from .algebras import get_algebra
     alg = get_algebra(point.algebra_tag)
     kappa = point.basis.columns.T @ alg.killing_gram @ point.basis.columns
     vals = np.linalg.eigvalsh(0.5 * (kappa + kappa.T))

@@ -373,9 +373,10 @@ def cosines(x, frames):
     return np.sum(frame_products(x, frames) ** 2, axis=(1, -1))
 
 
-# products |F^T x| per block of a cosine table, which bounds every table
-# of the limit sampler, the all-pairs pass and domain's stacked incidence
-# decisions however many frames they hold
+# products |F^T x| per block of a cosine table.  Every table of the limit
+# sampler (its merge's table of a block against itself too), the
+# all-pairs pass and domain's stacked incidence decisions goes in
+# table_blocks, so this bounds them however many frames they hold
 _TABLE = 2 ** 14
 
 

@@ -30,11 +30,15 @@ from .forms import (
 
 MERGE_TOL = 1e-6
 PAIR_FLOOR = 1e-3
-# the largest sampler block: _merge's (B, B) self table grows with its
-# square, and the decompositions gain no measurable time from larger
-# blocks.  On mixed-o21's radius-8 limitset, blocks of up to 512 raise
-# the peak resident memory by 0.3 MiB and blocks of up to 4096 by 68 MiB.
-_PREFETCH = 128
+# the largest sampler block.  A stacked GroupBall.kak costs about 0.35 ms
+# per call plus 10 us per row on 2 Xeon vCPUs (mixed-o21's radius-7 ball:
+# 0.35 ms for 1 row, 1.6 ms for 128, 5.1 ms for 512, 20 ms for 2,048), so
+# fewer, larger blocks save calls: that ball's limitset makes 13 calls for
+# 2,038 rows, against 39 with blocks of up to 128.  _merge's tables go in
+# table_blocks, so no table grows with the block; without a cap its self
+# pass grows as the sum of the squared block sizes, and mixed-o21's
+# radius-10 limitset (--cap 100000) takes twice as long.
+_PREFETCH = 1024
 
 
 class EmptyLimitSampleError(ValueError):
@@ -92,7 +96,8 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
     gap exceeds min_gap.  _merge decides these against the flags kept so
     far and each other, with the verdicts of a one-at-a-time merge in
     shortlex order.  A flag kept within a block screens only later
-    blocks, which costs a decomposition, never a different result."""
+    blocks, which costs a decomposition, never a different result.  No
+    table grows with the block: _merge's go in table_blocks."""
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
     i = _theta_to_plane_dim(theta, form)
@@ -148,11 +153,15 @@ def _merge(cols, kept, tol):
 
     The kept frames go in table_blocks, each block one cosine table
     against the block's open frames and one first_below call
-    (first=False).  One (B, B) table then keeps at once every open frame
-    whose entries against the earlier open frames all lie below
-    cosine_cuts' lo; only the others are decided in order, against the
-    earlier frames kept.  principal_sines decides what the cuts leave, so
-    every verdict is the exact kernel's."""
+    (first=False).  The block's own frames then go in table_blocks too,
+    each chunk one table (stop, |chunk|) against the frames before its
+    end.  It keeps at once every open frame of the chunk whose entries
+    against the earlier frames still open all lie below cosine_cuts' lo;
+    only the others are decided in order, against the earlier frames
+    kept.  The mask only ever drops frames, so a frame dropped after its
+    chunk's table was cut costs an exact check, never a verdict.
+    principal_sines decides what the cuts leave, pair by pair, so every
+    verdict is the exact kernel's, whatever the tables' shapes."""
     n, k = cols.shape[-2:]
     keep = np.ones(len(cols), dtype=bool)
     for block in table_blocks(len(kept), len(cols) * k * k):
@@ -160,13 +169,15 @@ def _merge(cols, kept, tol):
         if not live.size:
             break
         keep[live] = _first_within(cols[live], kept[block], tol) < 0
-    table = cosines(cols, cols)
     lo = cosine_cuts(n, k, tol)[1]
-    close = np.any(np.triu(~(table < lo), 1)[keep], axis=0) & keep
-    for j in np.flatnonzero(close):
-        earlier = np.flatnonzero(keep[:j])
-        keep[j] = _first_within(cols[j:j + 1], cols[earlier], tol,
-                                table[earlier, j:j + 1])[0] < 0
+    for part in table_blocks(len(cols), len(cols) * k * k):
+        table = cosines(cols[part], cols[:part.stop])
+        close = np.any(np.triu(~(table < lo), 1 - part.start)[keep[:part.stop]],
+                       axis=0) & keep[part]
+        for j in part.start + np.flatnonzero(close):
+            earlier = np.flatnonzero(keep[:j])
+            keep[j] = _first_within(cols[j:j + 1], cols[earlier], tol,
+                                    table[earlier, j - part.start][:, None])[0] < 0
     return keep
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +222,35 @@ def test_orbits_adjoint_support(tmp_path):
     assert code == 0
     data = json.loads(read(tmp_path / "orbits.json"))
     assert data["support"] == [2]
+
+
+def test_one_parser_per_process_runs_as_fresh_processes(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process: every run in this process
+    # prints, writes and exits as the same run in a process of its own
+    monkeypatch.setenv("COLUMNS", "80")     # argparse wraps its usage to it
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    runs = [(["--version"], 0), (["limitset", "--radius", "3", "--bogus", "1"], 2),
+            (["divergence", "--radius", "3", "--out", str(tmp_path / "d")], 0),
+            (["limitset", "--radius", "3", "--out", str(tmp_path / "l")], 0),
+            (["--version"], 0)]
+
+    def written(argv):
+        out = argv[-1] if "--out" in argv else None
+        return {name: read(os.path.join(out, name))
+                for name in sorted(os.listdir(out))} if out else {}
+
+    for argv, expected in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        here = (code, *capsys.readouterr(), written(argv))
+        proc = subprocess.run([sys.executable, "-m", "anoctl.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        fresh = (proc.returncode, proc.stdout, proc.stderr, written(argv))
+        assert here == fresh, argv
+        assert code == expected, argv
+    assert cli.make_parser() is cli.make_parser()
 
 
 def test_config_file_and_flag_override(tmp_path):

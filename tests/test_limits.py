@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,77 @@ def test_block_merge_decides_close_members_in_order(monkeypatch):
     assert sample.words == words
     assert sample.gaps.tobytes() == gaps.tobytes()
     assert sample.columns.tobytes() == columns.tobytes()
+
+
+@pytest.mark.parametrize("name,radius", [("mixed-o21", 6), ("o32-root2", 7),
+                                         ("2,1,C", 6)])
+def test_sample_does_not_depend_on_block_or_table_size(monkeypatch, name, radius):
+    gens, form, theta, _ = parity_cases()[name]
+    ball = enumerate_ball(gens, radius)
+    expected = sample_limit_set(ball, theta, form)
+    for prefetch, table in itertools.product((1, 128, 4096), (1, 2 ** 22)):
+        if prefetch == table == 1:      # minutes of one-frame tables
+            continue
+        monkeypatch.setattr(limits, "_PREFETCH", prefetch)
+        monkeypatch.setattr(forms, "_TABLE", table)
+        sample = sample_limit_set(ball, theta, form)
+        assert sample.words == expected.words, (prefetch, table)
+        for field in ("lengths", "gaps", "columns"):
+            got, want = getattr(sample, field), getattr(expected, field)
+            assert got.shape == want.shape, (prefetch, table, field)
+            assert got.tobytes() == want.tobytes(), (prefetch, table, field)
+
+
+def merge_reference(cols, kept, tol):
+    """The one-at-a-time merge: each frame in order is kept iff
+    principal_sines puts it at flag distance at least tol from every
+    kept frame and every earlier frame kept."""
+    keep, against = [], list(kept)
+    for frame in cols:
+        keep.append(all(forms.principal_sines(frame, other)[-1] >= tol
+                        for other in against))
+        if keep[-1]:
+            against.append(frame)
+    return np.array(keep)
+
+
+def turned(frame, angle, u):
+    """The frame (n, k) with its first column turned by angle toward the
+    unit vector u orthogonal to it: the sine of its largest principal
+    angle to frame is sin(angle)."""
+    out = frame.copy()
+    out[:, 0] = np.cos(angle) * frame[:, 0] + np.sin(angle) * u
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
+def test_merge_matches_one_at_a_time_merge(monkeypatch, rng, n, k):
+    # near-duplicates planted across the self table's column chunks:
+    # chunks of one column (_TABLE = 4), of three columns and one chunk
+    def frames(count):
+        return np.linalg.qr(rng.standard_normal((count, n, k)))[0]
+
+    def normal(frame):
+        u = rng.standard_normal(n)
+        u -= frame @ (frame.T @ u)
+        return u / np.linalg.norm(u)
+
+    edge = np.arcsin(MERGE_TOL)
+    kept, cols = frames(4), frames(14)
+    cols[1] = turned(kept[2], 0.5 * edge, normal(kept[2]))
+    cols[5] = cols[9] = cols[2]                 # one frame three times
+    u = normal(cols[3])                         # a chain: 6 is close to 3,
+    cols[6] = turned(cols[3], 0.6 * edge, u)    # 10 to 6 but not to 3
+    cols[10] = turned(cols[3], 1.2 * edge, u)
+    cols[7] = turned(cols[4], edge * (1 - 1e-7), normal(cols[4]))
+    cols[8] = turned(cols[0], edge * (1 + 1e-7), normal(cols[0]))
+    cols[11] = turned(kept[0], edge * (1 + 1e-7), normal(kept[0]))
+    cols[12] = turned(cols[11], edge * (1 - 1e-7), normal(cols[11]))
+    expected = merge_reference(cols, kept, MERGE_TOL)
+    assert np.flatnonzero(~expected).tolist() == [1, 5, 6, 7, 9, 12]
+    for table in (4, 3 * len(cols) * k * k, 2 ** 22):
+        monkeypatch.setattr(forms, "_TABLE", table)
+        assert np.array_equal(limits._merge(cols, kept, MERGE_TOL), expected), table
 
 
 @pytest.mark.parametrize("preset,radius", [("schottky-o21", 6), ("mixed-o21", 5)])
