@@ -28,6 +28,7 @@ from .forms import (
     Records,
     cosines,
     first_below,
+    kernel_mask,
     null_space,
     orthonormalize,
     principal_sines,
@@ -412,26 +413,33 @@ def gaussian_domain_sampler(form, rng, tol=MEMBERSHIP_TOL, max_tries=5000):
     in a row.
 
     Tries are drawn and decided SAMPLER_BLOCK at a time, with one
-    stacked SVD, restriction and ``eigvalsh``, each slice bit for bit
-    the one-try value, and with in_Xbar's own rule (``_positive_part``).
-    Each accepted try goes, in order, through ``in_Xbar`` on the columns
-    that ``orthonormalize`` shares with ``Frame.from_spanning``, so the
-    points are a try-by-try loop's (as long as in_Xbar accepts them)."""
+    stacked SVD, restriction, ``eigvalsh`` and ``eigh``, each slice bit
+    for bit the one-try value: the first three decide with in_Xbar's own
+    rule (``_positive_part``), and the eigh's eigenvalues give each
+    try's stratum by restrict_kernel's rule (``kernel_mask``).  An
+    accepted try keeps the columns that ``orthonormalize`` shares with
+    ``Frame.from_spanning``, so the points are a try-by-try loop of
+    in_Xbar's.  A try short of q columns goes through ``in_Xbar``, which
+    raises the ValueError that loop raised."""
     n, q = form.n, form.q
     rejected = 0
     while True:
         frames, ranks = orthonormalize(rng.standard_normal((SAMPLER_BLOCK, n, q)))
-        positive = _positive_part(restrict(form, frames), tol, form.gram_norm)[1]
-        # a frame short of q columns is decided too: in_Xbar raises the
-        # ValueError the try-by-try loop raised
-        for frame, rank, accept in zip(frames, ranks, (ranks < q) | ~positive):
+        restricted = restrict(form, frames)
+        positive = _positive_part(restricted, tol, form.gram_norm)[1]
+        # eigh's eigenvalues, not eigvalsh's: restrict_kernel decides with them
+        strata = kernel_mask(np.linalg.eigh(restricted)[0], form, tol).sum(-1)
+        for frame, rank, stratum, accept in zip(frames, ranks, strata.tolist(),
+                                                (ranks < q) | ~positive):
             if rejected >= max_tries:
                 raise RuntimeError("rejection sampling failed")
-            if accept:
-                rejected = 0
+            if not accept:
+                rejected += 1
+            elif rank < q:
                 yield in_Xbar(Frame(frame[:, :rank]), form, tol)
             else:
-                rejected += 1
+                rejected = 0
+                yield CompactPoint(Frame(frame), stratum, form)
 
 
 COVERAGE_MARGINS = (0.3, 0.1, 0.03, 0.01)

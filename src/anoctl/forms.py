@@ -24,7 +24,8 @@ from __future__ import annotations
 import json
 import os
 from functools import cached_property
-from itertools import islice
+from itertools import chain, compress, count, islice, repeat
+from operator import is_not, sub
 
 import numpy as np
 
@@ -327,11 +328,17 @@ def restrict_kernel(form, w, tol=DEFAULT_TOL):
     if w.k == 0:
         return restricted, Frame(np.zeros((w.ambient_dim, 0)))
     vals, vecs = np.linalg.eigh(restricted)
-    cut = tol * form.isotropy_scale
-    null_cols = vecs[:, np.abs(vals) <= cut]
+    null_cols = vecs[:, kernel_mask(vals, form, tol)]
     kernel = Frame(w.columns @ null_cols) if null_cols.shape[1] else \
         Frame(np.zeros((w.ambient_dim, 0)))
     return restricted, kernel
+
+
+def kernel_mask(vals, form, tol=DEFAULT_TOL):
+    """restrict_kernel's rule on the ``eigh`` eigenvalues (..., k) of
+    restricted grams: which of them span the kernel, those within tol
+    times ``form.isotropy_scale`` of 0."""
+    return np.abs(vals) <= tol * form.isotropy_scale
 
 
 # ---------------------------------------------------------------------------
@@ -603,22 +610,46 @@ def _cells(values):
     return cells
 
 
+def _run_cells(values):
+    """_cells of ``values``, with each run of one repeated object encoded
+    once at its head and its text repeated down the run.  Runs are told
+    by identity, never by ==: 0.0 and -0.0, or 1, 1.0 and True, are equal
+    but encode differently.  A list with no repeated object goes to
+    _cells whole."""
+    new = [True, *map(is_not, islice(values, 1, None), values)]
+    if all(new):
+        return _cells(values)
+    heads = list(compress(count(), new))
+    return chain.from_iterable(map(repeat, _cells(list(compress(values, new))),
+                                   map(sub, heads[1:] + [len(values)], heads)))
+
+
 def _record_batches(records):
     """The text of ``records`` as the value of a top-level key, a batch of
-    rows at a time: each column of a batch is one encoder call, and each
-    row fills one template that holds the sorted keys and the indents."""
+    rows at a time: each column of a batch is one encoder call on its run
+    heads (_run_cells), and each batch is one join of its cells interleaved
+    with the key heads and row ends."""
     keys = sorted(records.columns)
     columns = [records.columns[k] for k in keys]
     rows = len(records)
     if any(len(c) != rows for c in columns):
         raise ValueError("Records columns differ in length")
-    template = "{\n      " + ",\n      ".join(
-        json.encoder.encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-        for k in keys) + "\n    }"
+    # per row, each key's head then its cell; a row's first head closes
+    # the row before it
+    names = [json.encoder.encode_basestring_ascii(k) + ": " for k in keys]
+    heads = ["\n    },\n    {\n      " + names[0] if j == 0 else ",\n      " + name
+             for j, name in enumerate(names)]
+    stride = 2 * len(keys)
     sep = "[\n    "
     for start in range(0, rows, _RECORD_BATCH):
-        cells = [_cells(c[start:start + _RECORD_BATCH]) for c in columns]
-        yield sep + ",\n    ".join(map(template.__mod__, zip(*cells)))
+        size = min(rows - start, _RECORD_BATCH)
+        parts = [None] * (stride * size)
+        for j, (head, column) in enumerate(zip(heads, columns)):
+            parts[2 * j::stride] = [head] * size
+            parts[2 * j + 1::stride] = _run_cells(column[start:start + size])
+        parts[0] = sep + "{\n      " + names[0]
+        parts.append("\n    }")
+        yield "".join(parts)
         sep = ",\n    "
     yield "\n  ]" if rows else "[]"
 

@@ -531,6 +531,36 @@ def test_domain_reports_with_bad_set_hits_match_golden_digests(tmp_path, name, t
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+# sha256 of mixed-o21's radius-5 domain report at seed 0, the benchmark's
+# domain run, whose relation flags come from 315 flagged elements
+MIXED_O21_R5_DOMAIN = \
+    "8b301e74ee8db998df058553718167538ee4f9671031ab19fd7444a43a25fe93"
+
+
+def identity_runs(column):
+    return 1 + sum(a is not b for a, b in zip(column, column[1:])) if column else 0
+
+
+def test_relation_flags_repeat_one_object_per_flagged_element(tmp_path, monkeypatch):
+    # the report writer encodes each run of one object once, so the scan
+    # gives all rows of a flagged element its one word and gap object
+    reports = []
+
+    def kept_dump(obj, path):
+        reports.append(obj)
+        dump_json(obj, path)
+
+    monkeypatch.setattr(cli, "dump_json", kept_dump)
+    assert main(["domain", "--gens", "builtin:mixed-o21", "--radius", "5",
+                 "--seed", "0", "--out", str(tmp_path)]) == 0
+    flags = reports[0]["relation_flags"]
+    assert len(flags) == 23655
+    assert identity_runs(flags["word"]) == identity_runs(flags["min_gap"]) == \
+        len(set(flags["word"])) == 315
+    report = tmp_path / "domain.json"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == MIXED_O21_R5_DOMAIN
+
+
 @pytest.mark.parametrize("option", ["--samples", "--scan-points"])
 def test_domain_with_no_points_to_decide(tmp_path, option):
     assert main(["domain", "--gens", "builtin:mixed-o21", "--radius", "4", option, "0",

@@ -18,7 +18,14 @@ from anoctl.domain import (
     gaussian_domain_sampler,
     in_Xbar,
 )
-from anoctl.forms import Frame, make_witt_form, principal_sines
+from anoctl.forms import (
+    Frame,
+    kernel_mask,
+    make_witt_form,
+    principal_sines,
+    restrict,
+    restrict_kernel,
+)
 from anoctl.limits import sample_limit_set
 from anoctl.presets import mixed_o21, schottky_o21
 from anoctl.roots import ThetaSet, build_root_system
@@ -324,8 +331,10 @@ def test_one_flag_is_expansion_certificate():
 # domain sampler
 
 
+# mixed-o21's domain run takes 301 points from the (2, 1) stream
 @pytest.mark.parametrize("p,q,count", [(2, 1, 60), (3, 2, 40), (4, 2, 30),
-                                       (3, 3, 20), (5, 3, 2), (3, 0, 3)])
+                                       (3, 3, 20), (5, 3, 2), (3, 0, 3),
+                                       (2, 1, 301), (3, 2, 301)])
 def test_sampler_matches_the_try_loop(p, q, count):
     form = make_witt_form(p, q)
     ref_rng = np.random.default_rng(p + q)
@@ -346,3 +355,57 @@ def test_sampler_exhaustion_leaves_the_try_loop_state(max_tries):
                                      max_tries=max_tries)
     with pytest.raises(RuntimeError, match="rejection sampling failed"):
         next(stream)
+
+
+class Tries:
+    """An rng whose standard_normal hands out the given tries (m, n, q)
+    first, in place of the first draws of its blocks."""
+
+    def __init__(self, tries):
+        self.tries, self.rng = tries, np.random.default_rng(0)
+
+    def standard_normal(self, shape):
+        draws = self.rng.standard_normal(shape)
+        count = min(len(self.tries), len(draws))
+        draws[:count], self.tries = self.tries[:count], self.tries[count:]
+        return draws
+
+
+def witt_planes(p, q, rng):
+    """q-planes of strata q, 1 and 0 for the (p, q) Witt form, each under
+    a random orthonormal basis: e_1, ..., e_q (isotropic); e_1 with the
+    negative vectors (e_i - e_{n+1-i}) / sqrt 2 for i = 2, ..., q; and
+    those vectors for i = 1, ..., q."""
+    n = p + q
+    e = np.eye(n)
+    negative = (e[:, :q] - e[:, ::-1][:, :q]) / np.sqrt(2)
+    planes = [e[:, :q], np.column_stack([e[:, 0], negative[:, 1:]]), negative]
+    return np.stack([plane @ np.linalg.qr(rng.standard_normal((q, q)))[0]
+                     for plane in planes]), [q, 1, 0]
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (3, 2), (4, 2), (3, 3)])
+def test_sampler_strata_take_restrict_kernels_rule(p, q):
+    form = make_witt_form(p, q)
+    planes, strata = witt_planes(p, q, np.random.default_rng(p + q))
+    vals = np.linalg.eigh(restrict(form, planes))[0]
+    assert kernel_mask(vals, form).sum(-1).tolist() == strata
+    assert [restrict_kernel(form, Frame(w))[1].k for w in planes] == strata
+    # the tries on the boundary are accepted, with in_Xbar's strata
+    points = list(islice(gaussian_domain_sampler(form, Tries(planes)), len(planes)))
+    assert [pt.stratum for pt in points] == strata
+    assert [in_Xbar(pt.frame, form).stratum for pt in points] == strata
+
+
+def test_sampler_try_short_of_rank_raises_in_Xbars_error():
+    form = make_witt_form(3, 2)
+    # a nonpositive try of rank 1, after one full-rank interior try
+    planes, _ = witt_planes(3, 2, np.random.default_rng(0))
+    short = np.column_stack([planes[2][:, 0], 2 * planes[2][:, 0]])
+    stream = gaussian_domain_sampler(form, Tries(np.stack([planes[2], short])))
+    assert next(stream).stratum == 0
+    with pytest.raises(ValueError) as error:
+        next(stream)
+    with pytest.raises(ValueError) as expected:
+        in_Xbar(Frame.from_spanning(short), form)
+    assert str(error.value) == str(expected.value) == "frame must have q = 2 columns"

@@ -1,4 +1,5 @@
 import json
+from itertools import chain, cycle, islice, repeat
 
 import numpy as np
 import pytest
@@ -695,6 +696,50 @@ def test_records_reject_what_json_rejects(tmp_path):
                 dump_json({"r": Records({"a": column})}, path)
     with pytest.raises(ValueError):
         dump_json({"r": Records({"a": [1, 2], "b": [1]})}, path)
+
+
+# each maker returns a new object on every call: runs of one object next
+# to equal objects that are distinct (two float("0.1")), or that encode
+# differently (0.0 and -0.0; 1, 1.0 and True)
+_RUN_MAKERS = [lambda: float("0.0"), lambda: float("-0.0"), lambda: int("1"),
+               lambda: float("1"), lambda: True, lambda: float("0.1"),
+               lambda: float("0.1"), lambda: "a%s", lambda: None]
+
+
+def run_column(runs, rows):
+    """rows values made of the runs (maker, length), cycled: one fresh
+    object repeated down each run."""
+    return list(islice(chain.from_iterable(
+        repeat(_RUN_MAKERS[maker](), size) for maker, size in cycle(runs)), rows))
+
+
+# a write batch of a few rows, so that many runs cross its boundary
+_RUN_BATCH = 8
+_RUNS = st.lists(st.tuples(st.integers(0, len(_RUN_MAKERS) - 1),
+                           st.integers(1, _RUN_BATCH + 1)),
+                 min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=st.dictionaries(st.sampled_from("abc"), _RUNS, min_size=1),
+       rows=st.integers(0, 4 * _RUN_BATCH))
+def test_records_of_repeated_objects_write_the_bytes_of_json_dump(
+        tmp_path, monkeypatch, columns, rows):
+    monkeypatch.setattr(forms, "_RECORD_BATCH", _RUN_BATCH)
+    records = Records({key: run_column(runs, rows) for key, runs in columns.items()})
+    dump_json({"flags": records}, tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_text() == json_dump_text({"flags": records})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf"), [], {"a": 1}, (3,), {1}])
+@pytest.mark.parametrize("at", [0, forms._RECORD_BATCH - 2, forms._RECORD_BATCH + 5])
+def test_records_reject_a_bad_value_inside_a_run(tmp_path, value, at):
+    path = tmp_path / "report.json"
+    column = [0.5] * at + [value] * 4 + [0.25] * forms._RECORD_BATCH
+    with pytest.raises(ValueError if isinstance(value, float) else TypeError):
+        dump_json({"r": Records({"a": column, "b": [1] * len(column)})}, path)
+    assert not path.exists()
 
 
 def test_records_only_at_a_top_level_str_key(tmp_path):
