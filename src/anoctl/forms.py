@@ -13,10 +13,12 @@ frames: arrays of orthonormal columns of shape (..., n, k), one frame
 per leading index, so a query against a whole sample is one batched
 call whose Frame case is the single slice.  One rule, first_below,
 makes every yes/no incidence decision on a whole cosine table, with the
-cuts of cosine_cuts, the only place where a bound becomes cuts.  Complex
-vector spaces are realized as real spaces of doubled dimension together
-with an explicit complex-structure matrix J; a complex bilinear form is
-carried as the pair of real forms (its real and imaginary parts).
+cuts of cosine_cuts, the only place where a bound becomes cuts;
+pairs_below is its form for single pairs, such as those that the
+projection window (window_pairs) finds.  Complex vector spaces are
+realized as real spaces of doubled dimension together with an explicit
+complex-structure matrix J; a complex bilinear form is carried as the
+pair of real forms (its real and imaginary parts).
 """
 
 from __future__ import annotations
@@ -380,10 +382,10 @@ def cosines(x, frames):
     return np.sum(frame_products(x, frames) ** 2, axis=(1, -1))
 
 
-# products |F^T x| per block of a cosine table.  Every table of the limit
-# sampler (its merge's table of a block against itself too), the
-# all-pairs pass and domain's stacked incidence decisions goes in
-# table_blocks, so this bounds them however many frames they hold
+# products |F^T x| per block of a cosine table.  The tables of the
+# all-pairs pass and of domain's stacked incidence decisions, and the
+# limit sampler's window pairs, go in table_blocks, so this bounds them
+# however many frames they hold
 _TABLE = 2 ** 14
 
 
@@ -457,6 +459,88 @@ def first_below(c, n, k, bound, exact, smallest=False, first=True):
     rows = maybe.argmax(0, keepdims=True)
     rows[~maybe.any(0, keepdims=True)] = -1
     return rows[0]
+
+
+def pair_cosines(a, b):
+    """c = |A^T B|_F^2 of each pair of frames of two stacks (P, n, k) and
+    (P, n, j): shape (P,)."""
+    return np.sum(np.einsum("pni,pnj->pij", a, b) ** 2, axis=(1, 2))
+
+
+def pairs_below(a, b, bound):
+    """For each pair of frames of two stacks (P, n, k), whether the sine
+    of their largest principal angle lies below bound, as first_below
+    decides a table entry: cosine_cuts settle c = pair_cosines(a, b),
+    and principal_sines(a, b) decides the pairs they leave."""
+    n, k = a.shape[-2:]
+    hi, lo = cosine_cuts(n, k, bound)
+    c = pair_cosines(a, b)
+    below = (c > hi) & (c < np.inf)
+    ask = ~below & ~(c < lo)
+    if ask.any():
+        below[ask] = principal_sines(a[ask], b[ask])[:, -1] < bound
+    return below
+
+
+# ---------------------------------------------------------------------------
+# the projection window: frames sorted by one coordinate of F -> F F^T
+
+
+def projection_coordinate(frames, entry):
+    """p(F) = s (F F^T)_ab of each frame of a stack (..., n, k), entry
+    (a, b) with a <= b, s = 1 on the diagonal and sqrt(2) off it.
+
+    p is one coordinate of the isometric embedding of frames by their
+    projections (upper triangle, off-diagonal entries times sqrt(2)), so
+    |p(F) - p(G)| <= |F F^T - G G^T|_F = sqrt(2 (k - c)) <= sqrt(2 k) d
+    for frames with k columns, c = |F^T G|_F^2 and d the sine of their
+    largest principal angle."""
+    a, b = entry
+    p = np.einsum("...k,...k->...", frames[..., a, :], frames[..., b, :])
+    return p if a == b else np.sqrt(2.0) * p
+
+
+def projection_entry(frames, reach):
+    """The entry (a, b), a <= b, whose projection_coordinate leaves the
+    fewest pairs of a stack of frames (N, n, k) within reach of each
+    other: the coordinate whose windows hold the fewest frames.  An
+    entry is flat near frames where it is extremal, so frames gathered
+    there share its windows."""
+    def pairs(entry):
+        x = np.sort(projection_coordinate(frames, entry))
+        return int(np.sum(np.searchsorted(x, x + reach, side="right")))
+
+    return min(((int(a), int(b)) for a, b in zip(*np.triu_indices(frames.shape[-2]))),
+               key=pairs)
+
+
+def window_reach(n, k, bound):
+    """Half-width of the window of projection coordinates that holds every
+    pair of frames in R^n with k columns whose cosine c is not settled
+    above bound by cosine_cuts' lo: c >= lo within cosine_band of the
+    exact c gives |F F^T - G G^T|_F^2 = 2 (k - c) <= 2 (k - lo + band),
+    which is 2 k bound^2 plus a rounding term, and a second band covers
+    the rounding of the coordinates and of the frames' orthonormality."""
+    band = cosine_band(n, k)
+    return float(np.sqrt(max(2.0 * (k - cosine_cuts(n, k, bound)[1] + 2.0 * band), 0.0)))
+
+
+def window_pairs(x, keys, reach, width):
+    """The pairs (r, j) of points x (R,) and sorted keys (N,) that lie
+    within reach of each other, |x[r] - keys[j]| <= reach, as index
+    arrays (r, j) in chunks of about _TABLE products (table_blocks, each
+    pair ``width`` products): a window that holds every key costs more
+    chunks, never a larger one.  Within a chunk r ascends, and j ascends
+    for each r."""
+    first = np.searchsorted(keys, x - reach)
+    ends = np.cumsum(np.searchsorted(keys, x + reach, side="right") - first)
+    total = int(ends[-1]) if len(ends) else 0
+    # pair t of query r is key t - shift[r]
+    shift = np.concatenate([[0], ends[:-1]]) - first
+    for part in table_blocks(total, width):
+        t = np.arange(part.start, min(part.stop, total))
+        r = np.searchsorted(ends, t, side="right")
+        yield r, t - np.take(shift, r)
 
 
 def push_forward(mats, columns):

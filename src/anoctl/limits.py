@@ -21,11 +21,16 @@ from .forms import (
     cosine_band,
     cosine_cuts,
     cosines,
-    first_below,
     frame_products,
     orthogonal_complement,
+    pair_cosines,
+    pairs_below,
     principal_sines,
+    projection_coordinate,
+    projection_entry,
     table_blocks,
+    window_pairs,
+    window_reach,
 )
 
 MERGE_TOL = 1e-6
@@ -34,10 +39,12 @@ PAIR_FLOOR = 1e-3
 # per call plus 10 us per row on 2 Xeon vCPUs (mixed-o21's radius-7 ball:
 # 0.35 ms for 1 row, 1.6 ms for 128, 5.1 ms for 512, 20 ms for 2,048), so
 # fewer, larger blocks save calls: that ball's limitset makes 13 calls for
-# 2,038 rows, against 39 with blocks of up to 128.  _merge's tables go in
-# table_blocks, so no table grows with the block; without a cap its self
-# pass grows as the sum of the squared block sizes, and mixed-o21's
-# radius-10 limitset (--cap 100000) takes twice as long.
+# 2,038 rows, against 39 with blocks of up to 128.  _merge's window pairs
+# grow with the close pairs, not with the block, so the cap bounds the
+# block's decomposition instead: without it, mixed-o21's radius-10
+# sampler (--cap 100000) decomposes 46,328 rows instead of 46,051 (a flag
+# kept within a block screens only later blocks) and its traced peak
+# rises from 31 to 47 MiB, in about the same time.
 _PREFETCH = 1024
 
 
@@ -96,8 +103,13 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
     gap exceeds min_gap.  _merge decides these against the flags kept so
     far and each other, with the verdicts of a one-at-a-time merge in
     shortlex order.  A flag kept within a block screens only later
-    blocks, which costs a decomposition, never a different result.  No
-    table grows with the block: _merge's go in table_blocks."""
+    blocks, which costs a decomposition, never a different result.  The
+    merge and the screen decide only the pairs that a window of one
+    projection coordinate finds (forms.window_pairs), so their work
+    grows with the close pairs, not with the sample.  projection_entry
+    picks the coordinate once, the one whose windows hold the fewest
+    pairs of the candidates' batched flags: it changes how many pairs a
+    window holds, never a verdict."""
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
     i = _theta_to_plane_dim(theta, form)
@@ -114,15 +126,15 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
     bounded = (approx_gap - gap_slack > max(min_gap, 1.0)) & \
         (batch.flag_margin < MERGE_TOL / 2)
     frames = batch.frames(i)
-    rows, gaps, kept = [], [], None     # kept: the rows' flags, preallocated
+    rows, gaps, kept = [], [], None     # kept: the rows' flags, a _Kept
     start, size = 0, 1
     while start < len(candidates):
         block = candidates[start:start + size]
         start, size = start + size, min(2 * size, _PREFETCH)
         if rows:
             near = bounded[block]
-            near[near] = _surely_within(frames[block[near]], kept[:len(rows)],
-                                        MERGE_TOL, batch.flag_margin[block[near]])
+            near[near] = _surely_within(frames[block[near]], kept, MERGE_TOL,
+                                        batch.flag_margin[block[near]])
             block = block[~near]
         if not block.size:
             continue
@@ -134,79 +146,106 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
         block, exact = block[clear], exact[clear]
         cols = flag_of(k[clear], i, form)
         if kept is None:
-            kept = np.empty((len(ball.elements),) + cols.shape[1:])
-        keep = _merge(cols, kept[:len(rows)], MERGE_TOL)
-        kept[len(rows):len(rows) + np.count_nonzero(keep)] = cols[keep]
+            # the entry whose windows hold the fewest pairs of about
+            # _PREFETCH candidates, every len // _PREFETCH-th
+            probe = frames[candidates[::max(1, len(candidates) // _PREFETCH)]]
+            entry = projection_entry(probe, window_reach(*cols.shape[1:], MERGE_TOL))
+            kept = _Kept(entry, len(ball), cols.shape[1:])
+        keep = _merge(cols, kept, MERGE_TOL)
+        kept.add(cols[keep])
         rows.extend(block[keep].tolist())
         gaps.extend(exact[keep].tolist())
     if not rows:
         raise EmptyLimitSampleError(
             f"no ball element has theta-gaps above {min_gap}; enlarge the ball")
     return LimitSample([ball.words[i] for i in rows], ball.lengths[rows],
-                       np.array(gaps), kept[:len(rows)].copy(), theta, form)
+                       np.array(gaps), kept.columns[:len(rows)].copy(), theta, form)
+
+
+class _Kept:
+    """The flags a sample keeps: their columns in row order (capacity
+    rows, the first len() of them filled, the rest free for _merge's
+    block), and their forms.projection_coordinate at ``entry`` in
+    ascending order (``keys``) with the row of each key (``rows``), the
+    index that forms.window_pairs searches."""
+
+    def __init__(self, entry, capacity, shape):
+        self.entry = entry
+        self.columns = np.empty((capacity,) + shape)
+        self.keys = np.empty(0)
+        self.rows = np.empty(0, dtype=np.intp)
+
+    def __len__(self):
+        return len(self.keys)
+
+    def merged(self, x):
+        """``keys`` and ``rows`` with the coordinates x (B,) of the next
+        B rows merged in."""
+        start = len(self)
+        keys = np.concatenate([self.keys, x])
+        rows = np.concatenate([self.rows, np.arange(start, start + len(x))])
+        # a sorted run and the block: a stable sort merges them
+        order = np.argsort(keys, kind="stable")
+        return keys[order], rows[order]
+
+    def add(self, cols):
+        """Append the frames cols (B, n, k) as the next rows."""
+        self.columns[len(self):len(self) + len(cols)] = cols
+        self.keys, self.rows = self.merged(projection_coordinate(cols, self.entry))
 
 
 def _merge(cols, kept, tol):
     """The mask (B,) of the frames of a block cols (B, n, k), in order,
-    that lie at flag distance at least tol from every kept frame and from
-    every earlier frame of the block that the mask keeps.
+    that lie at flag distance at least tol from every kept frame (a
+    _Kept) and from every earlier frame of the block that the mask keeps.
 
-    The kept frames go in table_blocks, each block one cosine table
-    against the block's open frames and one first_below call
-    (first=False).  The block's own frames then go in table_blocks too,
-    each chunk one table (stop, |chunk|) against the frames before its
-    end.  It keeps at once every open frame of the chunk whose entries
-    against the earlier frames still open all lie below cosine_cuts' lo;
-    only the others are decided in order, against the earlier frames
-    kept.  The mask only ever drops frames, so a frame dropped after its
-    chunk's table was cut costs an exact check, never a verdict.
-    principal_sines decides what the cuts leave, pair by pair, so every
-    verdict is the exact kernel's, whatever the tables' shapes."""
-    n, k = cols.shape[-2:]
+    Only the pairs that the projection window finds can lie within tol
+    (forms.window_reach), so pairs_below decides those alone, with
+    cosine_cuts and principal_sines on the band, the verdict of the
+    exact kernel on every pair.  One window holds the kept frames and
+    the block's own, which wait in the kept columns' free rows.  A frame
+    close to a kept one is dropped; the close pairs within the block are
+    then swept in order of their later frame, which is dropped if the
+    earlier one is kept.  The pairs go in forms.window_pairs' chunks, so
+    no array grows with the window."""
+    start, k = len(kept), cols.shape[-1]
+    x = projection_coordinate(cols, kept.entry)
+    kept.columns[start:start + len(cols)] = cols
+    keys, rows = kept.merged(x)
     keep = np.ones(len(cols), dtype=bool)
-    for block in table_blocks(len(kept), len(cols) * k * k):
-        live = np.flatnonzero(keep)
-        if not live.size:
-            break
-        keep[live] = _first_within(cols[live], kept[block], tol) < 0
-    lo = cosine_cuts(n, k, tol)[1]
-    for part in table_blocks(len(cols), len(cols) * k * k):
-        table = cosines(cols[part], cols[:part.stop])
-        close = np.any(np.triu(~(table < lo), 1 - part.start)[keep[:part.stop]],
-                       axis=0) & keep[part]
-        for j in part.start + np.flatnonzero(close):
-            earlier = np.flatnonzero(keep[:j])
-            keep[j] = _first_within(cols[j:j + 1], cols[earlier], tol,
-                                    table[earlier, j - part.start][:, None])[0] < 0
+    close = []
+    for r, j in window_pairs(x, keys, window_reach(*cols.shape[1:], tol), k * k):
+        j = np.take(rows, j)
+        earlier = j < start + r
+        r, j = r[earlier], j[earlier]
+        below = pairs_below(np.take(cols, r, axis=0), np.take(kept.columns, j, axis=0), tol)
+        keep[r[below & (j < start)]] = False
+        inside = below & (j >= start)
+        close.extend(zip(r[inside].tolist(), (j[inside] - start).tolist()))
+    # r ascends, chunk after chunk, so each earlier frame's verdict is
+    # final before a later frame asks for it
+    for r, i in close:
+        if keep[i]:
+            keep[r] = False
     return keep
 
 
-def _first_within(cols, kept, tol, table=None):
-    """first_below (first=False) of the frames cols (P, n, k) against the
-    kept frames (N, n, k) on their cosine table (N, P), computed if not
-    given: principal_sines of the frame against the kept one decides the
-    entries that the cuts leave."""
-    n, k = cols.shape[-2:]
-
-    def exact(index):
-        return principal_sines(cols[index[1]], kept[index[0]])[:, -1] < tol
-
-    return first_below(cosines(cols, kept) if table is None else table,
-                       n, k, tol, exact, first=False)
-
-
 def _surely_within(cols, kept, tol, margin):
-    """For each frame of a stack (R, n, k) with margins (R,): True only
-    if every frame within its margin lies at flag distance below tol
-    from a kept frame, as _merge would find: d(cols, F) <=
+    """For each frame of a stack (R, n, k) with margins (R,) >= 0: True
+    only if every frame within its margin lies at flag distance below
+    tol from a kept frame (a _Kept), as _merge would find: d(cols, F) <=
     sqrt(k - c), and the flag distance is a metric: cosine_cuts' upper
-    cut at that reach.  The kept frames go in table_blocks."""
+    cut at that reach, on the pairs of _merge's window at tol, which
+    holds every pair that the cut at a reach up to tol settles."""
     n, k = cols.shape[-2:]
     reach = tol - 2.0 * margin
     hi = cosine_cuts(n, k, reach)[0]
     out = np.zeros(len(cols), dtype=bool)
-    for block in table_blocks(len(kept), len(cols) * k * k):
-        out |= np.any(cosines(cols, kept[block]) > hi, axis=0)
+    x = projection_coordinate(cols, kept.entry)
+    for r, j in window_pairs(x, kept.keys, window_reach(n, k, tol), k * k):
+        c = pair_cosines(np.take(cols, r, axis=0),
+                         np.take(kept.columns, np.take(kept.rows, j), axis=0))
+        out[r[c > np.take(hi, r)]] = True
     return (reach > 0) & out
 
 

@@ -518,6 +518,48 @@ def test_push_forward_keeps_every_column_at_extreme_stretch():
     assert np.max(principal_sines(moved, exact)) < 1e-9
 
 
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (6, 2)])
+def test_projection_coordinates_move_less_than_the_projections(rng, n, k):
+    # |p(F) - p(G)| <= |F F^T - G G^T|_F = sqrt(2 (k - c)) <= sqrt(2 k) d
+    a = np.linalg.qr(rng.standard_normal((200, n, k)))[0]
+    b = np.linalg.qr(a + 10.0 ** rng.uniform(-8, 0, (200, 1, 1))
+                     * rng.standard_normal((200, n, k)))[0]
+    chord = np.linalg.norm(a @ a.transpose(0, 2, 1) - b @ b.transpose(0, 2, 1), axis=(1, 2))
+    c = forms.pair_cosines(a, b)
+    assert np.allclose(chord, np.sqrt(np.maximum(2.0 * (k - c), 0.0)), rtol=1e-6, atol=1e-7)
+    assert np.all(chord <= np.sqrt(2 * k) * principal_sines(a, b)[:, -1] * (1 + 1e-9) + 1e-15)
+    for entry in zip(*np.triu_indices(n)):
+        apart = np.abs(forms.projection_coordinate(a, entry)
+                       - forms.projection_coordinate(b, entry))
+        assert np.all(apart <= chord * (1 + 1e-12) + 1e-15), entry
+
+
+@pytest.mark.parametrize("table", [1, 5, 2 ** 14])
+def test_window_pairs_are_the_pairs_within_reach(monkeypatch, rng, table):
+    # dyadic points, so every difference and window edge is exact
+    monkeypatch.setattr(forms, "_TABLE", table)
+    keys = np.sort(rng.integers(-8, 9, 40) / 8)
+    x = rng.integers(-10, 11, 15) / 8
+    chunks = list(forms.window_pairs(x, keys, 0.125, 2))
+    assert all(0 < len(r) == len(j) <= max(1, table // 2) for r, j in chunks)
+    got = [(r, j) for rows, cols in chunks for r, j in zip(rows.tolist(), cols.tolist())]
+    assert got == [(r, j) for r in range(len(x)) for j in range(len(keys))
+                   if abs(x[r] - keys[j]) <= 0.125]
+    assert list(forms.window_pairs(x, keys[:0], 0.125, 2)) == []
+
+
+def test_projection_entry_has_the_fewest_window_pairs():
+    # lines near e_0 turning toward e_1: the entries other than (0, 1)
+    # are flat there or move 100 times slower, so their windows of 1e-6
+    # hold many lines
+    t = np.linspace(0.0, 1e-3, 50)
+    lines = np.stack([np.cos(t), np.sin(t), 0.01 * np.sin(t)], axis=1)
+    lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+    assert forms.projection_entry(lines[:, :, None], 1e-6) == (0, 1)
+    lines[:, [1, 2]] = lines[:, [2, 1]]
+    assert forms.projection_entry(lines[:, :, None], 1e-6) == (0, 2)
+
+
 def test_orthonormalize_matches_from_spanning_per_slice(rng):
     vectors = rng.standard_normal((30, 5, 2))
     vectors[4, :, 1] = 2.0 * vectors[4, :, 0]       # rank 1

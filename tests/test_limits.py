@@ -172,11 +172,29 @@ def within_reference(cols, kept, tol):
         first=False) >= 0
 
 
+def surely_within_reference(cols, kept, tol, margin):
+    """The merge screen's table rule: one cosine table of the stack (R,
+    n, k) against the kept frames (N, n, k), cut at each row's reach by
+    cosine_cuts' upper cut."""
+    n, k = cols.shape[-2:]
+    reach = tol - 2.0 * margin
+    hi = forms.cosine_cuts(n, k, reach)[0]
+    return (reach > 0) & np.any(cosines(cols, kept) > hi, axis=0)
+
+
+def kept_of(kept, entry):
+    """The frames kept (N, n, k) as the sampler's _Kept, by the coordinate
+    of the projections' entry, with free rows for a block of up to 64."""
+    out = limits._Kept(entry, len(kept) + 64, kept.shape[1:])
+    out.add(kept)
+    return out
+
+
 def sample_reference(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
-    """The sampler's one-candidate loop: the same blocks, screen and
-    exact gaps as sample_limit_set, then each surviving candidate of a
-    block in turn gets its own flag and merge test against every flag
-    kept before it.  Returns (words, gaps, columns)."""
+    """The sampler's one-candidate loop: the same blocks, screen (by its
+    table rule) and exact gaps as sample_limit_set, then each surviving
+    candidate of a block in turn gets its own flag and merge test
+    against every flag kept before it.  Returns (words, gaps, columns)."""
     from anoctl.cartan import _theta_to_plane_dim
     i = _theta_to_plane_dim(theta, form)
     batch = ball.cartan_batch(form)
@@ -196,7 +214,7 @@ def sample_reference(ball, theta, form=None, min_gap=1.0, merge_tol=MERGE_TOL):
         start, size = start + size, min(2 * size, limits._PREFETCH)
         if rows:
             near = bounded[block]
-            near[near] = limits._surely_within(
+            near[near] = surely_within_reference(
                 frames[block[near]], kept[:len(rows)], merge_tol,
                 batch.flag_margin[block[near]])
             block = block[~near]
@@ -260,26 +278,27 @@ def test_block_merge_decides_close_members_in_order(monkeypatch):
     form = make_witt_form(2, 1)
     a = o21_boost(1.0)
     gens = [("a", a), ("b", a @ o21_rotation(3.5e-7))]
-    entered = {"ordered": 0, "sines": 0}
-    first_within, sines = limits._first_within, limits.principal_sines
-    ordered = []
+    merge, sines = limits._merge, forms.principal_sines
+    blocks, calls = [], []
 
-    def counted_first_within(cols, kept, tol, table=None):
-        ordered.append(table is not None)
-        entered["ordered"] += ordered[-1]
-        try:
-            return first_within(cols, kept, tol, table)
-        finally:
-            ordered.pop()
+    def recorded_merge(cols, kept, tol):
+        blocks.append(cols.copy())
+        return merge(cols, kept, tol)
 
     def counted_sines(a, b):
-        entered["sines"] += bool(ordered and ordered[-1])
+        calls.append(len(a))
         return sines(a, b)
 
-    monkeypatch.setattr(limits, "_first_within", counted_first_within)
-    monkeypatch.setattr(limits, "principal_sines", counted_sines)
+    monkeypatch.setattr(limits, "_merge", recorded_merge)
+    monkeypatch.setattr(forms, "principal_sines", counted_sines)
     sample = sample_limit_set(enumerate_ball(gens, 5), THETA1, form)
-    assert entered["ordered"] > 0 and entered["sines"] > 0
+    # pairs of one block's members settled within merge_tol by the cuts,
+    # and pairs in the rounding band, which principal_sines decided
+    hi, lo = forms.cosine_cuts(3, 1, MERGE_TOL)
+    tables = [np.triu(cosines(cols, cols), 1) for cols in blocks]
+    assert sum(np.count_nonzero(table > hi) for table in tables) > 0
+    assert sum(np.count_nonzero((lo <= table) & (table <= hi)) for table in tables) > 0
+    assert sum(calls) > 0
     monkeypatch.undo()
     words, gaps, columns = sample_reference(enumerate_ball(gens, 5), THETA1, form)
     assert sample.words == words
@@ -330,8 +349,10 @@ def turned(frame, angle, u):
 
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
 def test_merge_matches_one_at_a_time_merge(monkeypatch, rng, n, k):
-    # near-duplicates planted across the self table's column chunks:
-    # chunks of one column (_TABLE = 4), of three columns and one chunk
+    # near-duplicates planted in one block, against the kept frames and
+    # each other: window pairs in chunks of 4 (_TABLE = 4), of three
+    # block's worth and in one chunk, by every coordinate of the
+    # projections
     def frames(count):
         return np.linalg.qr(rng.standard_normal((count, n, k)))[0]
 
@@ -355,7 +376,67 @@ def test_merge_matches_one_at_a_time_merge(monkeypatch, rng, n, k):
     assert np.flatnonzero(~expected).tolist() == [1, 5, 6, 7, 9, 12]
     for table in (4, 3 * len(cols) * k * k, 2 ** 22):
         monkeypatch.setattr(forms, "_TABLE", table)
-        assert np.array_equal(limits._merge(cols, kept, MERGE_TOL), expected), table
+        for entry in zip(*np.triu_indices(n)):
+            got = limits._merge(cols, kept_of(kept, entry), MERGE_TOL)
+            assert np.array_equal(got, expected), (table, entry)
+
+
+def test_merge_finds_a_pair_at_the_window_edge(monkeypatch):
+    # a line at flag distance just below MERGE_TOL from e_0 whose whole
+    # chord lies along the coordinate of entry (0, 1): its coordinate is
+    # nearly sqrt(2 k) MERGE_TOL away, outside a window without that
+    # factor, and principal_sines decides the pair (it is in the band)
+    n, k, entry = 3, 1, (0, 1)
+    angle = np.arcsin(MERGE_TOL * (1 - 1e-7))
+    line = np.array([[1.0], [0.0], [0.0]])
+    moved = turned(line, angle, np.array([0.0, 1.0, 0.0]))
+    apart = abs(forms.projection_coordinate(moved, entry)
+                - forms.projection_coordinate(line, entry))
+    reach = forms.window_reach(n, k, MERGE_TOL)
+    short = np.sqrt(reach ** 2 - (2 * k - 1) * MERGE_TOL ** 2)
+    assert short < 0.999 * np.sqrt(2 * k) * MERGE_TOL < apart <= reach
+    hi, lo = forms.cosine_cuts(n, k, MERGE_TOL)
+    assert lo <= forms.pair_cosines(moved[None], line[None])[0] <= hi
+    cases = (((moved,), (line,), [False]), ((line, moved), (), [True, False]))
+    for cols, kept, expected in cases:
+        cols, kept = np.array(cols), np.array(kept).reshape(-1, n, k)
+        assert merge_reference(cols, kept, MERGE_TOL).tolist() == expected
+        assert limits._merge(cols, kept_of(kept, entry), MERGE_TOL).tolist() == expected
+    monkeypatch.setattr(limits, "window_reach", lambda n, k, tol: short)
+    for cols, kept, expected in cases:
+        cols, kept = np.array(cols), np.array(kept).reshape(-1, n, k)
+        assert limits._merge(cols, kept_of(kept, entry), MERGE_TOL).tolist() != expected
+
+
+def test_merge_and_screen_on_frames_that_share_the_coordinate(monkeypatch, rng):
+    # lines with one first coordinate: every window holds every frame, so
+    # the pairs go in many chunks of 4 (_TABLE = 4)
+    monkeypatch.setattr(forms, "_TABLE", 4)
+    edge = np.arcsin(MERGE_TOL) / np.sqrt(1 - 0.6 ** 2)
+
+    def lines(angles):
+        r = np.sqrt(1 - 0.6 ** 2)
+        return np.stack([np.full(len(angles), 0.6), r * np.cos(angles),
+                         r * np.sin(angles)], axis=1)[:, :, None]
+
+    base = rng.uniform(0, 2 * np.pi, 12)
+    kept = lines(base[:5])
+    cols = lines(np.concatenate([base[5:], base[[1, 3]] + [0.5 * edge, 2.0 * edge],
+                                 base[[6, 6, 8]] + [0.0, 0.4 * edge, 0.99 * edge]]))
+    entry = (0, 0)
+    keys = forms.projection_coordinate(np.concatenate([kept, cols]), entry)
+    assert np.all(keys == keys[0])
+    table = kept_of(kept, entry)
+    chunks = list(forms.window_pairs(forms.projection_coordinate(cols, entry),
+                                     table.keys, forms.window_reach(3, 1, MERGE_TOL), 1))
+    assert len(chunks) > 1 and sum(len(r) for r, _ in chunks) == len(cols) * len(kept)
+    expected = merge_reference(cols, kept, MERGE_TOL)
+    assert np.flatnonzero(~expected).tolist() == [7, 9, 10, 11]
+    assert np.array_equal(limits._merge(cols, table, MERGE_TOL), expected)
+    margins = np.linspace(0.0, 0.3 * MERGE_TOL, len(cols))
+    screened = limits._surely_within(cols, table, MERGE_TOL, margins)
+    assert screened.any()
+    assert np.array_equal(screened, surely_within_reference(cols, kept, MERGE_TOL, margins))
 
 
 @pytest.mark.parametrize("preset,radius", [("schottky-o21", 6), ("mixed-o21", 5)])
@@ -377,15 +458,47 @@ def test_surely_within_does_not_depend_on_the_slices(monkeypatch):
     stack = np.flatnonzero(batch.gaps(B1)[0][:, 0] > 1.0)
     stack = stack[::max(1, len(stack) // 128)][:128]
     frames, margins = batch.u[stack][:, :, :1], batch.flag_margin[stack]
+    table = kept_of(kept, forms.projection_entry(frames, forms.window_reach(3, 1, MERGE_TOL)))
 
-    def answers(table):
-        monkeypatch.setattr(forms, "_TABLE", table)
-        return limits._surely_within(frames, kept, MERGE_TOL, margins)
+    def answers(table_size):
+        monkeypatch.setattr(forms, "_TABLE", table_size)
+        return limits._surely_within(frames, table, MERGE_TOL, margins)
 
     sliced = answers(forms._TABLE)
     assert 0 < sliced.sum() < len(stack)
+    assert np.array_equal(sliced, surely_within_reference(frames, kept, MERGE_TOL, margins))
     assert np.array_equal(answers(1), sliced)
     assert np.array_equal(answers(len(kept) * len(stack)), sliced)
+
+
+def test_surely_within_equals_the_table_rule_in_the_sampler(monkeypatch):
+    # every screen of mixed-o21's radius-7 sample, mask for mask
+    form, gens = BUILTIN_GENERATORS["mixed-o21"]()
+    screen, calls = limits._surely_within, []
+
+    def recorded(cols, kept, tol, margin):
+        out = screen(cols, kept, tol, margin)
+        calls.append((out, surely_within_reference(
+            cols, kept.columns[:len(kept)], tol, margin)))
+        return out
+
+    monkeypatch.setattr(limits, "_surely_within", recorded)
+    sample_limit_set(enumerate_ball(gens, 7), THETA1, form)
+    assert len(calls) > 5 and sum(int(out.sum()) for out, _ in calls) > 100
+    for out, expected in calls:
+        assert np.array_equal(out, expected)
+
+
+def test_sampler_makes_no_cosine_table(monkeypatch):
+    # mixed-o21 at radius 7: the merge and its screen take their pairs
+    # from the projection window alone
+    def table(*args):
+        raise AssertionError("a cosine table")
+
+    monkeypatch.setattr(forms, "cosines", table)
+    monkeypatch.setattr(limits, "cosines", table)
+    form, gens = BUILTIN_GENERATORS["mixed-o21"]()
+    assert len(sample_limit_set(enumerate_ball(gens, 7), THETA1, form)) > 2000
 
 
 def test_sample_equivariance():
