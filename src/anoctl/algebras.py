@@ -10,8 +10,8 @@ what the Satake embedding layer needs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .roots import build_root_system, positive_roots
 MEMBERSHIP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class KillingForm:
+class KillingForm(NamedTuple):
     algebra_tag: str
     gram: np.ndarray
     dim_k: int

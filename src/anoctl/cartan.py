@@ -47,7 +47,7 @@ scan's) where the batch's margin is not 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,26 +71,22 @@ class GapTooSmallError(ValueError):
         self.value = value
 
 
-@dataclass(frozen=True)
 class MuVector:
     """Cartan projection value in the closed positive chamber."""
-    group_tag: str
-    values: np.ndarray
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
+    def __init__(self, group_tag, values):
+        v = np.asarray(values, dtype=float)
         if np.any(np.diff(v) > 1e-9):
             raise ValueError("mu must be weakly decreasing")
-        if self.group_tag in ("opq", "onC") and v.size and v[-1] < -1e-9:
+        if group_tag in ("opq", "onC") and v.size and v[-1] < -1e-9:
             raise ValueError("opq/onC mu must be nonnegative")
+        self.group_tag, self.values = group_tag, v
 
     def __len__(self):
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class KakTriple:
+class KakTriple(NamedTuple):
     """g = k exp(a(mu)) l with k, l in the declared maximal compact."""
     k: np.ndarray
     mu: MuVector
@@ -176,7 +172,6 @@ def _first_error(bad, message):
         raise ValueError(message(bad[0]))
 
 
-@dataclass(frozen=True, eq=False)
 class Front:
     """The start of every Cartan path for a stack g (N, n, n), as _front
     computes it: the form, g itself, the chamber basis b (None for gl),
@@ -185,16 +180,11 @@ class Front:
     vectors, so a kept front may hold only those.  All but g are made
     read-only, so that one front serves every later decomposition of its
     rows unchanged (a ball keeps one per form, in its batch)."""
-    form: WittForm | None
-    g: np.ndarray
-    b: np.ndarray | None
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
-    resolved: np.ndarray
 
-    def __post_init__(self):
-        for a in (self.b, self.u, self.s, self.vh, self.resolved):
+    def __init__(self, form, g, b, u, s, vh, resolved):
+        self.form, self.g = form, g
+        self.b, self.u, self.s, self.vh, self.resolved = b, u, s, vh, resolved
+        for a in (b, u, s, vh, resolved):
             if a is not None:
                 a.flags.writeable = False
 
@@ -656,8 +646,7 @@ SCREEN_MARGIN = 1e-9
 _SCREEN_GROWTH = 100.0
 
 
-@dataclass(frozen=True)
-class MuBatch:
+class MuBatch(NamedTuple):
     """Cartan projections of a stack of matrices from kak's own SVD.
 
     ``mu`` (N, r) is in kak's chamber order, and ``margin`` (N, r)
@@ -678,7 +667,7 @@ class MuBatch:
     margin: np.ndarray
     u: np.ndarray
     flag_margin: np.ndarray
-    front: Front = field(repr=False)
+    front: Front
 
     def gaps(self, rs):
         """(gaps, slack): (N, rank) pairings of mu with the simple roots,
@@ -731,9 +720,9 @@ def cartan_mu_batch(mats, form=None):
     # assembly reads only the first r singular values and vectors (gl's r
     # is n), so the batch keeps no more; onC reads g through numpy's exact
     # cast to complex, so it keeps the given matrices, not their copy
-    kept = front if tag == "gl" else replace(
-        front, g=given if tag == "onC" else front.g, u=u[:, :, :r].copy(),
-        s=s[:, :r].copy(), vh=front.vh[:, :r].copy())
+    kept = front if tag == "gl" else Front(
+        form, given if tag == "onC" else front.g, b, u[:, :, :r].copy(),
+        s[:, :r].copy(), front.vh[:, :r].copy(), front.resolved)
     if tag == "onC":    # no bound is known for its realified flags
         return MuBatch(tag, mu, margin, _realify(b @ u), np.full(len(s), np.inf), kept)
     return MuBatch(tag, mu, margin, u if b is None else b @ u, bound, kept)

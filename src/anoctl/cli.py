@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,8 +45,10 @@ from .words import DEDUP_TOL, CapExceededError, divergence_profile, \
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class RunConfig:
+    """One run's settings: the class defaults below, overridden by
+    keyword; each annotation names the cast that build_config applies to
+    a value given as text."""
     command: str = ""
     config: str = ""
     form: str = "2,1"
@@ -71,7 +72,11 @@ class RunConfig:
     expansion_flags: int = 8
     expansion_factor: float = 2.0
 
-    def __post_init__(self):
+    def __init__(self, **values):
+        for name, value in values.items():
+            if name not in _FIELD_TYPES:
+                raise TypeError(f"RunConfig got an unexpected keyword argument {name!r}")
+            setattr(self, name, value)
         for name in ("tol", "min_gap", "expansion_factor"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
@@ -94,7 +99,7 @@ class RunConfig:
         return np.random.default_rng(self.seed)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_TYPES = RunConfig.__annotations__
 
 
 def load_config_file(path):
@@ -466,27 +471,29 @@ def make_parser():
         description="Cartan projections, limit sets, and boundary-orbit "
                     "combinatorics for matrix groups")
     parser.add_argument("--version", action="version", version=__version__)
+    # every command takes the same options, defined once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default="")
+    common.add_argument("--form", default=None)
+    common.add_argument("--gens", default=None)
+    common.add_argument("--radius", type=int, default=None)
+    common.add_argument("--cap", type=int, default=None)
+    common.add_argument("--tol", type=float, default=None)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--out", default=None)
+    common.add_argument("--samples", type=int, default=None)
+    common.add_argument("--min-gap", dest="min_gap", type=float, default=None)
+    common.add_argument("--xi-root", dest="xi_root", type=int, default=None)
+    common.add_argument("--chart", default=None)
+    common.add_argument("--report", default=None)
+    common.add_argument("--type", default=None)
+    common.add_argument("--rank", type=int, default=None)
+    common.add_argument("--support", default=None)
+    common.add_argument("--scan-points", dest="scan_points", type=int,
+                        default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default="")
-        p.add_argument("--form", default=None)
-        p.add_argument("--gens", default=None)
-        p.add_argument("--radius", type=int, default=None)
-        p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--min-gap", dest="min_gap", type=float, default=None)
-        p.add_argument("--xi-root", dest="xi_root", type=int, default=None)
-        p.add_argument("--chart", default=None)
-        p.add_argument("--report", default=None)
-        p.add_argument("--type", default=None)
-        p.add_argument("--rank", type=int, default=None)
-        p.add_argument("--support", default=None)
-        p.add_argument("--scan-points", dest="scan_points", type=int,
-                       default=None)
+        sub.add_parser(name, parents=[common])
     return parser
 
 

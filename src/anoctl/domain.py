@@ -18,8 +18,8 @@ grid step at a time (expansion_certificates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class NotInCompactificationError(ValueError):
         self.violation = violation
 
 
-@dataclass(frozen=True)
-class CompactPoint:
+class CompactPoint(NamedTuple):
     """A nonpositive q-plane; stratum = kernel dimension of the
     restricted form (0 on the interior)."""
     frame: Frame
@@ -239,8 +238,7 @@ def _plane_hits(moved, sample, tol):
 # expansion certificates
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     success: bool
     word: str | None
     neighborhood_radius: float
@@ -394,8 +392,7 @@ def expansion_certificates(flags, rays, ball, c, q=1, rngs=None,
 # coverage
 
 
-@dataclass(frozen=True)
-class CoverageCurve:
+class CoverageCurve(NamedTuple):
     margins: tuple
     fractions: tuple
     counts: tuple
@@ -511,8 +508,7 @@ def _reaches(ball, frames, core, d_core):
 # subalgebra compactification
 
 
-@dataclass(frozen=True)
-class SubalgebraPoint:
+class SubalgebraPoint(NamedTuple):
     """A boundary point of the subalgebra compactification: the span of
     k_theta + u_theta in Lie-algebra coordinates."""
     algebra_tag: str

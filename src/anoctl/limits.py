@@ -9,7 +9,7 @@ transversality margins; no asymptotic verdict is ever produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class EmptyLimitSampleError(ValueError):
     """No ball element cleared the gap floor; the ball is too small."""
 
 
-@dataclass(frozen=True, eq=False)
 class LimitSample:
     """The sampled flags as one table, row j for the ball element
     ``words[j]`` (shortlex order): its word length ``lengths[j]``, its
@@ -61,12 +60,10 @@ class LimitSample:
     compact factor (so those of the Frame that xi_theta returns for it);
     ``columns`` is (N, n, k).  The sample is a plain table: it keeps no
     result computed from it."""
-    words: list
-    lengths: np.ndarray
-    gaps: np.ndarray
-    columns: np.ndarray
-    theta: object
-    form: object = None
+
+    def __init__(self, words, lengths, gaps, columns, theta, form=None):
+        self.words, self.lengths, self.gaps, self.columns = words, lengths, gaps, columns
+        self.theta, self.form = theta, form
 
     def distances_from(self, frame):
         """Flag distance (largest principal-angle sine) from a frame to
@@ -253,8 +250,7 @@ def _surely_within(cols, kept, tol, margin):
 # transversality
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
+class TransversalityReport(NamedTuple):
     margin: float
     worst_pair: tuple
     pairs_tested: int

@@ -13,8 +13,8 @@ reads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,14 +45,12 @@ class AmbiguousChamberSequence(ValueError):
         self.undecided = tuple(undecided)
 
 
-@dataclass(frozen=True)
-class Table1Entry:
+class Table1Entry(NamedTuple):
     alpha_G_index: int                # 1-based simple root index
     chi_G_coeffs: tuple               # expansion of the highest root in Delta
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     type_label: str
     rank: int
     cartan_pairing: tuple             # rank x rank tuple of Fractions (a_i, a_j)
@@ -108,17 +106,23 @@ class RootSystem:
         return f"RootSystem({self.type_label}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
 class ThetaSet:
-    """A subset of the simple roots, stored as sorted 1-based indices."""
-    root_system: RootSystem
-    members: frozenset = field(default_factory=frozenset)
+    """A subset of the simple roots, stored as sorted 1-based indices;
+    equal (and hashed alike) when root system and members are."""
 
-    def __post_init__(self):
-        rank = self.root_system.rank
-        object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
-        if not all(1 <= i <= rank for i in self.members):
-            raise RootSystemError(f"theta members must lie in 1..{rank}")
+    def __init__(self, root_system, members=frozenset()):
+        self.root_system = root_system
+        self.members = frozenset(int(i) for i in members)
+        if not all(1 <= i <= root_system.rank for i in self.members):
+            raise RootSystemError(f"theta members must lie in 1..{root_system.rank}")
+
+    def __eq__(self, other):
+        if type(other) is not ThetaSet:
+            return NotImplemented
+        return (self.root_system, self.members) == (other.root_system, other.members)
+
+    def __hash__(self):
+        return hash((self.root_system, self.members))
 
     @property
     def sorted_members(self):
@@ -423,16 +427,14 @@ def admissible_closure(rs, support, subset):
 # chamber sequences
 
 
-@dataclass(frozen=True)
-class ChamberThresholds:
+class ChamberThresholds(NamedTuple):
     divergence: float = 1e3      # pairing value that counts as +infinity
     cauchy_tol: float = 1e-6     # tail spread that counts as convergent
     tail_fraction: float = 0.25
     chamber_tol: float = 1e-8
 
 
-@dataclass(frozen=True)
-class ChamberLimit:
+class ChamberLimit(NamedTuple):
     theta: ThetaSet
     finite_coords: dict          # 1-based root index -> limit pairing t_alpha
 

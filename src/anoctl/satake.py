@@ -11,8 +11,8 @@ representation, so arbitrarily divergent sequences never overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,13 +30,11 @@ from .roots import (
 PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class SatakePoint:
     """A projective Hermitian matrix, stored trace-normalized."""
-    hermitian: np.ndarray
 
-    def __post_init__(self):
-        h = np.asarray(self.hermitian, dtype=float)
+    def __init__(self, hermitian):
+        h = np.asarray(hermitian, dtype=float)
         h = 0.5 * (h + h.T)
         tr = np.trace(h)
         if tr <= 0:
@@ -44,7 +42,7 @@ class SatakePoint:
         h = h / tr
         if np.min(np.linalg.eigvalsh(h)) < -PSD_TOL:
             raise ValueError("matrix is not positive semidefinite")
-        object.__setattr__(self, "hermitian", h)
+        self.hermitian = h
 
     def rank(self, rel_tol=1e-8):
         vals = np.linalg.eigvalsh(self.hermitian)
@@ -55,8 +53,7 @@ class SatakePoint:
         return matrix_to_json(self.hermitian)
 
 
-@dataclass(frozen=True)
-class SatakeOrbit:
+class SatakeOrbit(NamedTuple):
     theta: ThetaSet
     theta_vee: ThetaSet
     theta_dd: ThetaSet
@@ -79,8 +76,7 @@ class SatakeOrbit:
 # representation functors
 
 
-@dataclass(frozen=True)
-class TauSpec:
+class TauSpec(NamedTuple):
     """A representation functor: identity, an exterior power, the adjoint
     representation of a named algebra, or a finite direct sum."""
     kind: str
@@ -142,8 +138,7 @@ def _block_diag(blocks):
     return out
 
 
-@dataclass(frozen=True)
-class MatrixGroup:
+class MatrixGroup(NamedTuple):
     """Ambient group context for chamber evaluation: maps epsilon
     coordinates to Cartan matrices of the group that ``form`` picks."""
     n: int
@@ -237,8 +232,7 @@ def orbits_to_dot(rs, support, orbits):
 # chamber limits
 
 
-@dataclass(frozen=True)
-class SatakeLimit:
+class SatakeLimit(NamedTuple):
     point: SatakePoint
     orbit: SatakeOrbit
     numeric_rank: int

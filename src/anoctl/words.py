@@ -12,8 +12,8 @@ evaluation order.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ def word_inverse(word):
     return word[::-1].swapcase()
 
 
-@dataclass
 class GroupBall:
     """Deduplicated, word-length-graded group elements in shortlex
     order, stored as columns: the words, their lengths (N,) and the
@@ -47,13 +46,13 @@ class GroupBall:
     (the stacked SVD) that the batch is read from: ``kak`` decomposes
     any elements from that front where their decomposition is used, so
     the ball runs one SVD per form."""
-    alphabet: list                    # each generator, then its inverse
-    letters: np.ndarray               # their matrices, in alphabet order
-    words: list
-    lengths: np.ndarray
-    matrices: np.ndarray
-    truncated: bool = False
-    _batches: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __init__(self, alphabet, letters, words, lengths, matrices, truncated=False):
+        self.alphabet = alphabet      # each generator, then its inverse
+        self.letters = letters        # their matrices, in alphabet order
+        self.words, self.lengths, self.matrices = words, lengths, matrices
+        self.truncated = truncated
+        self._batches = {}
 
     @cached_property
     def elements(self):
@@ -238,15 +237,13 @@ def enumerate_ball(generators, radius, cap=None):
 # divergence profiles
 
 
-@dataclass(frozen=True)
-class RadiusEntry:
+class RadiusEntry(NamedTuple):
     radius: int
     min_gap: dict          # 1-based root index -> minimal gap on the sphere
     argmin_word: dict      # 1-based root index -> word achieving it
 
 
-@dataclass(frozen=True)
-class DivergenceProfile:
+class DivergenceProfile(NamedTuple):
     per_radius: list
 
     def gaps_of(self, root):
@@ -269,7 +266,7 @@ def divergence_profile(ball, rs, form=None):
     """Per-radius minima of the root gaps of mu over each sphere, with
     the achieving words.  Growing minima are finite-radius evidence of
     divergence; no asymptotic verdict is implied."""
-    if not ball.elements:
+    if not len(ball):
         raise ValueError("empty ball")
     approx, slack = ball.cartan_batch(form).gaps(rs)
     spheres = []

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import warnings
 
@@ -657,7 +656,7 @@ def test_mu_batch_is_exact_at_the_scale_thresholds():
             assert batch.mu[j].tobytes() == mu.tobytes()
     assert batch.mu[-1, 1] == 0.0
     # a batch whose margins are inf settles no gap (no 0 * inf = nan)
-    blind = dataclasses.replace(batch, margin=np.full_like(batch.margin, np.inf))
+    blind = batch._replace(margin=np.full_like(batch.margin, np.inf))
     assert np.all(np.isinf(blind.gaps(build_root_system("B", 2))[1]))
 
 

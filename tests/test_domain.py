@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -31,7 +30,7 @@ from anoctl.forms import (
     principal_sines,
     push_forward,
 )
-from anoctl.limits import sample_limit_set
+from anoctl.limits import LimitSample, sample_limit_set
 from anoctl.presets import mixed_o21, o21_rotation, schottky_o21
 from anoctl.roots import ThetaSet, build_root_system
 from anoctl.words import enumerate_ball
@@ -141,8 +140,9 @@ def test_bad_set_equivariance(rng):
     form, gens, ball, sample = schottky_setup()
 
     def moved_sample_for(g):
-        return dataclasses.replace(sample, columns=np.stack(
-            [Frame.from_spanning(g @ cols).columns for cols in sample.columns]))
+        return LimitSample(sample.words, sample.lengths, sample.gaps, np.stack(
+            [Frame.from_spanning(g @ cols).columns for cols in sample.columns]),
+            sample.theta, sample.form)
 
     rot = o21_rotation(0.77)
     rot_sample = moved_sample_for(rot)

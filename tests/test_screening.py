@@ -2,8 +2,6 @@
 limit samples and relation scans equal the unscreened scalar
 computation, in which every ball element goes through kak."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -50,8 +48,8 @@ def unscreened(monkeypatch):
 
     def blind(ball, form=None):
         b = batch(ball, form)
-        return dataclasses.replace(b, margin=np.full_like(b.margin, np.inf),
-                                   flag_margin=np.full_like(b.flag_margin, np.inf))
+        return b._replace(margin=np.full_like(b.margin, np.inf),
+                          flag_margin=np.full_like(b.flag_margin, np.inf))
 
     def off():
         monkeypatch.setattr(GroupBall, "cartan_batch", blind)

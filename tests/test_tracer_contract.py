@@ -4,7 +4,6 @@ every TRACED name before a traced session runs its first command, so a
 renamed or deleted name fails every ``--trace 1`` session; its COUNTERS
 read fields of the results of the traced calls."""
 
-import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -41,7 +40,7 @@ def test_every_traced_name_resolves_as_installed_looks_it_up(module, attr):
 
 @pytest.mark.parametrize("result", [ExpansionResult, TransversalityReport])
 def test_counted_results_carry_pairs_tested(result):
-    assert "pairs_tested" in {f.name for f in dataclasses.fields(result)}
+    assert "pairs_tested" in result._fields
 
 
 def test_a_traced_domain_run_feeds_the_counters(tmp_path):
