@@ -383,8 +383,8 @@ def cosines(x, frames):
 
 
 # products |F^T x| per block of a cosine table.  The tables of the
-# all-pairs pass and of domain's stacked incidence decisions, and the
-# limit sampler's window pairs, go in table_blocks, so this bounds them
+# all-pairs pass and of domain's stacked incidence decisions, and
+# keep_first's window pairs, go in table_blocks, so this bounds them
 # however many frames they hold
 _TABLE = 2 ** 14
 
@@ -436,11 +436,9 @@ def first_below(c, n, k, bound, exact, smallest=False, first=True):
     settled below it sends nothing to exact."""
     hi, lo = cosine_cuts(n, k, bound, smallest)
     # the entries not settled above bound: a NaN cosine is among them (c
-    # >= lo would drop it).  The mask is negated in place, because a
-    # second temporary per call grows the limit sampler's peak RSS by
-    # about 0.45 MiB; most of the sampler's calls end at the empty index
-    maybe = c < lo
-    index = np.logical_not(maybe, out=maybe).nonzero()
+    # >= lo would drop it)
+    maybe = ~(c < lo)
+    index = maybe.nonzero()
     if not index[0].size:
         return -1 if c.ndim == 1 else np.full(c.shape[1:], -1)
     near = c[index]
@@ -483,7 +481,7 @@ def pairs_below(a, b, bound):
 
 
 # ---------------------------------------------------------------------------
-# the projection window: frames sorted by one coordinate of F -> F F^T
+# sorted-key windows and the keep-first rule; frames keyed by F -> F F^T
 
 
 def projection_coordinate(frames, entry):
@@ -527,11 +525,11 @@ def window_reach(n, k, bound):
 
 def window_pairs(x, keys, reach, width):
     """The pairs (r, j) of points x (R,) and sorted keys (N,) that lie
-    within reach of each other, |x[r] - keys[j]| <= reach, as index
-    arrays (r, j) in chunks of about _TABLE products (table_blocks, each
-    pair ``width`` products): a window that holds every key costs more
-    chunks, never a larger one.  Within a chunk r ascends, and j ascends
-    for each r."""
+    within reach of each other, |x[r] - keys[j]| <= reach, for one reach
+    or a reach per point (R,), as index arrays (r, j) in chunks of about
+    _TABLE products (table_blocks, each pair ``width`` products): a
+    window that holds every key costs more chunks, never a larger one.
+    Within a chunk r ascends, and j ascends for each r."""
     first = np.searchsorted(keys, x - reach)
     ends = np.cumsum(np.searchsorted(keys, x + reach, side="right") - first)
     total = int(ends[-1]) if len(ends) else 0
@@ -541,6 +539,68 @@ def window_pairs(x, keys, reach, width):
         t = np.arange(part.start, min(part.stop, total))
         r = np.searchsorted(ends, t, side="right")
         yield r, t - np.take(shift, r)
+
+
+class KeyIndex:
+    """The keys of the items kept so far in ascending order (``keys``),
+    with each key's row in the order kept (``rows``): the index that
+    keep_first searches and grows."""
+
+    def __init__(self):
+        self.keys = np.empty(0)
+        self.rows = np.empty(0, dtype=np.intp)
+
+    def __len__(self):
+        return len(self.keys)
+
+    def merged(self, x):
+        """``keys`` and ``rows`` with the keys x (B,) of the next B rows
+        merged in."""
+        start = len(self)
+        keys = np.concatenate([self.keys, x])
+        rows = np.concatenate([self.rows, np.arange(start, start + len(x))])
+        # a sorted run and the block: a stable sort merges them
+        order = np.argsort(keys, kind="stable")
+        return keys[order], rows[order]
+
+    def add(self, x):
+        """Index the keys x (B,) as the next B rows."""
+        self.keys, self.rows = self.merged(x)
+
+
+def keep_first(x, index, reach, close, width):
+    """The keep-first rule on a block of items with keys x (B,), in order
+    after the rows of a KeyIndex: the mask (B,) of the items close to no
+    indexed item and to no earlier item that the mask keeps, the verdicts
+    of a one-at-a-time sweep.  The kept items' keys join the index.
+
+    close(r, j) decides pairs of block items r and earlier rows j as a
+    boolean array; rows go on from the index, so row len(index) + i is
+    item i.  It sees only the pairs within reach (one, or one per item)
+    in one window_pairs search of the index and the block, ``width``
+    products per pair, and a pair out of reach must not be close.  An
+    item close to an indexed one is dropped; the close pairs within the
+    block are then swept in order of their later item, which is dropped
+    if the earlier one is kept."""
+    start = len(index)
+    keys, rows = index.merged(x)
+    keep = np.ones(len(x), dtype=bool)
+    inside = []
+    for r, j in window_pairs(x, keys, reach, width):
+        j = np.take(rows, j)
+        earlier = j < start + r
+        r, j = r[earlier], j[earlier]
+        hit = close(r, j)
+        keep[r[hit & (j < start)]] = False
+        hit &= j >= start
+        inside.extend(zip(r[hit].tolist(), (j[hit] - start).tolist()))
+    # r ascends, chunk after chunk, so each earlier item's verdict is
+    # final before a later item asks for it
+    for r, i in inside:
+        if keep[i]:
+            keep[r] = False
+    index.add(x[keep])
+    return keep
 
 
 def push_forward(mats, columns):

@@ -18,10 +18,12 @@ import numpy as np
 from .cartan import _theta_to_plane_dim, flag_of, kak, root_gaps  # noqa: F401
 from .forms import (
     Frame,
+    KeyIndex,
     cosine_band,
     cosine_cuts,
     cosines,
     frame_products,
+    keep_first,
     orthogonal_complement,
     pair_cosines,
     pairs_below,
@@ -98,9 +100,10 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
     every zero-margin candidate clears the floor, and its batched mu is
     kak's), and its k, through one flag_of call, the flags of those whose
     gap exceeds min_gap.  _merge decides these against the flags kept so
-    far and each other, with the verdicts of a one-at-a-time merge in
-    shortlex order.  A flag kept within a block screens only later
-    blocks, which costs a decomposition, never a different result.  The
+    far and each other by forms.keep_first, the ball's dedup rule, with
+    the verdicts of a one-at-a-time merge in shortlex order.  A flag kept
+    within a block screens only later blocks, which costs a
+    decomposition, never a different result.  The
     merge and the screen decide only the pairs that a window of one
     projection coordinate finds (forms.window_pairs), so their work
     grows with the close pairs, not with the sample.  projection_entry
@@ -149,7 +152,6 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
             entry = projection_entry(probe, window_reach(*cols.shape[1:], MERGE_TOL))
             kept = _Kept(entry, len(ball), cols.shape[1:])
         keep = _merge(cols, kept, MERGE_TOL)
-        kept.add(cols[keep])
         rows.extend(block[keep].tolist())
         gaps.extend(exact[keep].tolist())
     if not rows:
@@ -159,71 +161,31 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
                        np.array(gaps), kept.columns[:len(rows)].copy(), theta, form)
 
 
-class _Kept:
-    """The flags a sample keeps: their columns in row order (capacity
-    rows, the first len() of them filled, the rest free for _merge's
-    block), and their forms.projection_coordinate at ``entry`` in
-    ascending order (``keys``) with the row of each key (``rows``), the
-    index that forms.window_pairs searches."""
+class _Kept(KeyIndex):
+    """The flags a sample keeps: a forms.KeyIndex of their
+    projection_coordinate at ``entry``, and their columns in row order
+    (capacity rows, the first len() of them filled, the rest free for
+    _merge's block)."""
 
     def __init__(self, entry, capacity, shape):
+        super().__init__()
         self.entry = entry
         self.columns = np.empty((capacity,) + shape)
-        self.keys = np.empty(0)
-        self.rows = np.empty(0, dtype=np.intp)
-
-    def __len__(self):
-        return len(self.keys)
-
-    def merged(self, x):
-        """``keys`` and ``rows`` with the coordinates x (B,) of the next
-        B rows merged in."""
-        start = len(self)
-        keys = np.concatenate([self.keys, x])
-        rows = np.concatenate([self.rows, np.arange(start, start + len(x))])
-        # a sorted run and the block: a stable sort merges them
-        order = np.argsort(keys, kind="stable")
-        return keys[order], rows[order]
-
-    def add(self, cols):
-        """Append the frames cols (B, n, k) as the next rows."""
-        self.columns[len(self):len(self) + len(cols)] = cols
-        self.keys, self.rows = self.merged(projection_coordinate(cols, self.entry))
 
 
 def _merge(cols, kept, tol):
-    """The mask (B,) of the frames of a block cols (B, n, k), in order,
-    that lie at flag distance at least tol from every kept frame (a
-    _Kept) and from every earlier frame of the block that the mask keeps.
-
-    Only the pairs that the projection window finds can lie within tol
-    (forms.window_reach), so pairs_below decides those alone, with
-    cosine_cuts and principal_sines on the band, the verdict of the
-    exact kernel on every pair.  One window holds the kept frames and
-    the block's own, which wait in the kept columns' free rows.  A frame
-    close to a kept one is dropped; the close pairs within the block are
-    then swept in order of their later frame, which is dropped if the
-    earlier one is kept.  The pairs go in forms.window_pairs' chunks, so
-    no array grows with the window."""
-    start, k = len(kept), cols.shape[-1]
-    x = projection_coordinate(cols, kept.entry)
+    """forms.keep_first on the frames of a block cols (B, n, k) after the
+    kept ones (a _Kept) at flag distance tol: the mask (B,) of the
+    frames kept, whose columns join the kept rows.  Every pair within
+    tol lies in the projection window (forms.window_reach), and
+    pairs_below decides it, the verdict of the exact kernel."""
+    start = len(kept)
     kept.columns[start:start + len(cols)] = cols
-    keys, rows = kept.merged(x)
-    keep = np.ones(len(cols), dtype=bool)
-    close = []
-    for r, j in window_pairs(x, keys, window_reach(*cols.shape[1:], tol), k * k):
-        j = np.take(rows, j)
-        earlier = j < start + r
-        r, j = r[earlier], j[earlier]
-        below = pairs_below(np.take(cols, r, axis=0), np.take(kept.columns, j, axis=0), tol)
-        keep[r[below & (j < start)]] = False
-        inside = below & (j >= start)
-        close.extend(zip(r[inside].tolist(), (j[inside] - start).tolist()))
-    # r ascends, chunk after chunk, so each earlier frame's verdict is
-    # final before a later frame asks for it
-    for r, i in close:
-        if keep[i]:
-            keep[r] = False
+    keep = keep_first(
+        projection_coordinate(cols, kept.entry), kept, window_reach(*cols.shape[1:], tol),
+        lambda r, j: pairs_below(np.take(cols, r, axis=0), np.take(kept.columns, j, axis=0), tol),
+        cols.shape[-1] ** 2)
+    kept.columns[start:len(kept)] = cols[keep]
     return keep
 
 

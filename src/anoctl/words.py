@@ -20,6 +20,7 @@ import numpy as np
 # kak stays bound here for perfbench's tracer, which wraps every binding
 # of it
 from .cartan import cartan_mu_batch, kak, root_gaps  # noqa: F401
+from .forms import KeyIndex, keep_first
 
 DEDUP_TOL = 1e-8
 
@@ -57,8 +58,7 @@ class GroupBall:
     @cached_property
     def elements(self):
         """(word, matrix, word_length) triples in shortlex order.  The
-        matrices are row views of ``matrices``, made once, so that
-        ``matrix(word)`` returns the same objects."""
+        matrices are row views of ``matrices``."""
         return list(zip(self.words, self.matrices, self.lengths.tolist()))
 
     @cached_property
@@ -98,7 +98,7 @@ class GroupBall:
     def matrix(self, word):
         """Matrix of a reduced word (evaluated even if deduplicated away)."""
         index = self._positions.get(word)
-        return self.evaluate(word) if index is None else self.elements[index][1]
+        return self.evaluate(word) if index is None else self.matrices[index]
 
     def evaluate(self, word):
         out = np.eye(self.letters.shape[-1])
@@ -123,29 +123,6 @@ def _frobenius(mats):
         top = np.max(np.abs(flat[over]), axis=1, keepdims=True)
         norms[over] = top[:, 0] * np.linalg.norm(flat[over] / top, axis=1)
     return norms
-
-
-def _close_pairs(query, target, tol):
-    """Index pairs (i, j) with |q_i - t_j|_F <= tol max(|q_i|, |t_j|, 1).
-
-    ``query`` and ``target`` are (matrices, norms, keys) triples whose
-    keys project the matrices on one unit vector, so that
-    |key(m) - key(m')| <= |m - m'|_F.  The test implies
-    |m - m'|_F <= tol |m| / (1 - tol), so only the targets whose keys lie
-    within 1.01 tol max(|q_i|, 1) of key(q_i) are tested, found by
-    binary search in the sorted target keys.
-    """
-    qmats, qnorms, qkeys = query
-    tmats, tnorms, tkeys = target
-    order = np.argsort(tkeys)
-    reach = 1.01 * tol * np.maximum(qnorms, 1.0)
-    lo = np.searchsorted(tkeys[order], qkeys - reach, "left")
-    counts = np.searchsorted(tkeys[order], qkeys + reach, "right") - lo
-    i = np.repeat(np.arange(len(counts)), counts)
-    j = order[np.arange(len(i)) + np.repeat(lo + counts - np.cumsum(counts), counts)]
-    bound = tol * np.maximum(np.maximum(qnorms[i], tnorms[j]), 1.0)
-    close = _frobenius(qmats[i] - tmats[j]) <= bound
-    return i[close], j[close]
 
 
 # Candidates deduplicated at once: bounds the memory of a sphere's
@@ -182,17 +159,16 @@ def enumerate_ball(generators, radius, cap=None):
 
     letters = np.stack(mats)
     n = letters.shape[-1]
-    # the keys only narrow the search, so no decision depends on this
-    # vector; its entries are rationally independent, so that distinct
-    # integer matrices get distinct keys
+    # keys project the matrices on a unit vector, |key(m) - key(m')| <=
+    # |m - m'|_F, and the test implies |m - m'|_F <= DEDUP_TOL max(|m|_F,
+    # 1) / (1 - DEDUP_TOL), which bounds the reach below.  The keys only
+    # narrow the search, so no decision depends on the vector; its
+    # entries are rationally independent, so that distinct integer
+    # matrices get distinct keys
     unit = np.cos(np.arange(1.0, n * n + 1))
     unit /= np.linalg.norm(unit)
-
-    def measured(stack):
-        keys = (stack.reshape(-1, 1, n * n) @ unit)[:, 0]
-        return stack, _frobenius(stack), keys
-
-    store = measured(np.eye(n)[None])
+    store, index = np.eye(n)[None], KeyIndex()
+    index.add(store.reshape(1, n * n) @ unit)
     words, lengths = [""], [0]
     front, last = np.arange(1), np.array([-1])    # last letters; -1: none
     step = max(1, _BLOCK // len(alphabet))
@@ -202,35 +178,35 @@ def enumerate_ball(generators, radius, cap=None):
             f, l = np.nonzero(np.arange(len(alphabet)) != last[s:s + step, None] ^ 1)
             f += front[s]
             with np.errstate(over="ignore", invalid="ignore"):
-                cand = measured(store[0][f] @ letters[l])
-            bad = np.flatnonzero(~np.isfinite(cand[1]))
+                cand = store[f] @ letters[l]
+                cand_norms, cand_keys = _frobenius(cand), cand.reshape(-1, n * n) @ unit
+            bad = np.flatnonzero(~np.isfinite(cand_norms))
             if bad.size:
                 word = words[f[bad[0]]] + alphabet[l[bad[0]]]
                 raise ValueError(f"ball element {word!r} overflows the "
                                  "floating-point range")
             # drop what matches an earlier element or an earlier kept
             # candidate
-            keep = np.ones(len(f), dtype=bool)
-            keep[_close_pairs(cand, store, DEDUP_TOL)[0]] = False
-            i, j = _close_pairs(cand, cand, DEDUP_TOL)
-            for a, b in zip(i[j < i].tolist(), j[j < i].tolist()):
-                if keep[b]:
-                    keep[a] = False
-            new = np.flatnonzero(keep)
+            pool = np.concatenate([store, cand])
+            new = np.flatnonzero(keep_first(
+                cand_keys, index, 1.01 * DEDUP_TOL * np.maximum(cand_norms, 1.0),
+                lambda i, j: _frobenius(cand[i] - pool[j]) <= DEDUP_TOL * np.maximum(
+                    np.maximum(cand_norms[i], _frobenius(pool[j])), 1.0),
+                n * n))
             room = new.size if cap is None else max(cap - len(words), 0)
             truncated, new = new.size > room, new[:room]
             words += [words[a] + alphabet[b]
                       for a, b in zip(f[new].tolist(), l[new].tolist())]
             lengths += [r] * new.size
-            store = tuple(np.concatenate([a, c[new]]) for a, c in zip(store, cand))
+            store = np.concatenate([store, cand[new]])
             lasts.append(l[new])
             if truncated:
                 raise CapExceededError(GroupBall(
-                    alphabet, letters, words, np.array(lengths), store[0], True))
+                    alphabet, letters, words, np.array(lengths), store, True))
         if len(words) == first:
             break
         front, last = np.arange(first, len(words)), np.concatenate(lasts)
-    return GroupBall(alphabet, letters, words, np.array(lengths), store[0])
+    return GroupBall(alphabet, letters, words, np.array(lengths), store)
 
 
 # ---------------------------------------------------------------------------

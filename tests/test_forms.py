@@ -546,6 +546,68 @@ def test_window_pairs_are_the_pairs_within_reach(monkeypatch, rng, table):
     assert got == [(r, j) for r in range(len(x)) for j in range(len(keys))
                    if abs(x[r] - keys[j]) <= 0.125]
     assert list(forms.window_pairs(x, keys[:0], 0.125, 2)) == []
+    reach = rng.integers(0, 3, len(x)) / 8
+    got = [(r, j) for rows, cols in forms.window_pairs(x, keys, reach, 2)
+           for r, j in zip(rows.tolist(), cols.tolist())]
+    assert got == [(r, j) for r in range(len(x)) for j in range(len(keys))
+                   if abs(x[r] - keys[j]) <= reach[r]]
+
+
+def keep_first_reference(related, start):
+    """The keep-first rule one item at a time: items start, start + 1,
+    ... in order are kept iff related to no earlier kept item; the first
+    start items are kept."""
+    kept = list(range(start))
+    for a in range(start, len(related)):
+        if not related[a, kept].any():
+            kept.append(a)
+    return np.isin(np.arange(start, len(related)), kept)
+
+
+def keep_first_case(keys, start, reach, related):
+    """forms.keep_first on the items after the first start of keys, with
+    the first start indexed, against keep_first_reference; close checks
+    that only earlier items within the item's reach are asked about."""
+    index = forms.KeyIndex()
+    index.add(keys[:start])
+    x, asked = keys[start:], []
+
+    def close(r, j):
+        assert np.all(j < start + r)
+        assert np.all(np.abs(x[r] - keys[j]) <= reach[r])
+        asked.append(len(r))
+        return related[start + r, j]
+
+    got = forms.keep_first(x, index, reach, close, 1)
+    expected = keep_first_reference(related, start)
+    assert np.array_equal(got, expected)
+    order = np.concatenate([keys[:start], x[got]])
+    assert np.array_equal(index.keys, np.sort(order, kind="stable"))
+    assert np.array_equal(order[index.rows], index.keys)
+    return got, asked
+
+
+@pytest.mark.parametrize("table", [3, 2 ** 14])
+def test_keep_first_is_the_one_at_a_time_rule(monkeypatch, rng, table):
+    # dyadic keys, so every window edge is exact; a random symmetric
+    # relation among the items within reach of each other
+    monkeypatch.setattr(forms, "_TABLE", table)
+    chunked = False
+    for count, start in [(30, 10), (30, 0), (12, 12), (0, 0), (40, 20)]:
+        keys = rng.integers(-6, 7, count) / 8
+        reach = rng.integers(0, 3, count) / 8
+        apart = np.abs(keys[:, None] - keys[None])
+        related = rng.random((count, count)) < 0.4
+        related = (related | related.T) & (apart <= np.minimum.outer(reach, reach))
+        _, asked = keep_first_case(keys, start, reach[start:], related)
+        chunked |= len(asked) > 1
+    assert chunked == (table == 3)
+    # a chain: item 1 is dropped for item 0, and item 2, related only to
+    # item 1, is kept
+    related = np.zeros((3, 3), dtype=bool)
+    related[[0, 1, 1, 2], [1, 0, 2, 1]] = True
+    got, _ = keep_first_case(np.zeros(3), 0, np.full(3, 0.125), related)
+    assert got.tolist() == [True, False, True]
 
 
 def test_projection_entry_has_the_fewest_window_pairs():

@@ -186,7 +186,8 @@ def kept_of(kept, entry):
     """The frames kept (N, n, k) as the sampler's _Kept, by the coordinate
     of the projections' entry, with free rows for a block of up to 64."""
     out = limits._Kept(entry, len(kept) + 64, kept.shape[1:])
-    out.add(kept)
+    out.columns[:len(kept)] = kept
+    out.add(forms.projection_coordinate(kept, entry))
     return out
 
 
@@ -433,8 +434,10 @@ def test_merge_and_screen_on_frames_that_share_the_coordinate(monkeypatch, rng):
     expected = merge_reference(cols, kept, MERGE_TOL)
     assert np.flatnonzero(~expected).tolist() == [7, 9, 10, 11]
     assert np.array_equal(limits._merge(cols, table, MERGE_TOL), expected)
+    # the merge adds the frames it keeps to the kept ones
+    assert np.array_equal(table.columns[:len(table)], np.concatenate([kept, cols[expected]]))
     margins = np.linspace(0.0, 0.3 * MERGE_TOL, len(cols))
-    screened = limits._surely_within(cols, table, MERGE_TOL, margins)
+    screened = limits._surely_within(cols, kept_of(kept, entry), MERGE_TOL, margins)
     assert screened.any()
     assert np.array_equal(screened, surely_within_reference(cols, kept, MERGE_TOL, margins))
 

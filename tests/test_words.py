@@ -242,8 +242,10 @@ def test_cap_below_two_keeps_the_identity(cap):
 def test_elements_are_views_of_the_stacked_ball():
     _, gens = schottky_o21()
     ball = enumerate_ball(gens, 3)
+    assert ball.matrix("aB").base is ball.matrices
+    assert "elements" not in ball.__dict__
     for index, (word, mat, r) in enumerate(ball.elements):
-        assert ball.matrix(word) is mat and mat.base is ball.matrices
+        assert np.array_equal(ball.matrix(word), mat) and mat.base is ball.matrices
         assert (word, r) == (ball.words[index], ball.lengths[index])
 
 
