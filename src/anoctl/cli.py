@@ -100,6 +100,7 @@ class RunConfig:
 
 
 _FIELD_TYPES = RunConfig.__annotations__
+_CASTS = {"int": int, "float": float, "str": str}
 
 
 def load_config_file(path):
@@ -124,13 +125,11 @@ def build_config(args):
         if key in ("config",) or val is None:
             continue
         values[key] = val
-    casts = {"int": int, "float": float, "str": str}
     kwargs = {}
     for key, val in values.items():
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = casts.get(_FIELD_TYPES[key], str)(val) \
-            if isinstance(val, str) else val
+        kwargs[key] = _CASTS[_FIELD_TYPES[key]](val) if isinstance(val, str) else val
     if args.config:
         kwargs["config"] = args.config
     return RunConfig(**kwargs)
@@ -471,26 +470,12 @@ def make_parser():
         description="Cartan projections, limit sets, and boundary-orbit "
                     "combinatorics for matrix groups")
     parser.add_argument("--version", action="version", version=__version__)
-    # every command takes the same options, defined once
+    # every command takes the same options, defined once: RunConfig's
+    # fields but those that only a config file sets
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default="")
-    common.add_argument("--form", default=None)
-    common.add_argument("--gens", default=None)
-    common.add_argument("--radius", type=int, default=None)
-    common.add_argument("--cap", type=int, default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--min-gap", dest="min_gap", type=float, default=None)
-    common.add_argument("--xi-root", dest="xi_root", type=int, default=None)
-    common.add_argument("--chart", default=None)
-    common.add_argument("--report", default=None)
-    common.add_argument("--type", default=None)
-    common.add_argument("--rank", type=int, default=None)
-    common.add_argument("--support", default=None)
-    common.add_argument("--scan-points", dest="scan_points", type=int,
-                        default=None)
+    for name, kind in _FIELD_TYPES.items():
+        if name not in ("command", "expansion_flags", "expansion_factor"):
+            common.add_argument("--" + name.replace("_", "-"), type=_CASTS[kind])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])

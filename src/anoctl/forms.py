@@ -11,11 +11,12 @@ projectors or Pluecker coordinates): principal-angle computations stay
 stable and storage is O(nk).  Incidence functions also take stacked
 frames: arrays of orthonormal columns of shape (..., n, k), one frame
 per leading index, so a query against a whole sample is one batched
-call whose Frame case is the single slice.  One rule, first_below,
-makes every yes/no incidence decision on a whole cosine table, with the
-cuts of cosine_cuts, the only place where a bound becomes cuts;
-pairs_below is its form for single pairs, such as those that the
-projection window (window_pairs) finds.  Complex vector spaces are
+call whose Frame case is the single slice.  One rule, settle, cuts
+every cosine table against a bound by the cuts of cosine_cuts; it
+leaves the unsure entries to an exact kernel.  first_below makes every
+yes/no incidence decision on a whole table with it, and pairs_below is
+its form for single pairs, such as those that the projection window
+(window_pairs) finds.  Complex vector spaces are
 realized as real spaces of doubled dimension together with an explicit
 complex-structure matrix J; a complex bilinear form is carried as the
 pair of real forms (its real and imaginary parts).
@@ -416,6 +417,20 @@ def cosine_cuts(n, k, bound, smallest=False):
     return k - square + band, k * (1.0 - square - band)
 
 
+def settle(c, n, k, bound, smallest=False):
+    """The one cut rule: masks (below, unsure) of a cosine table c against
+    bound, by cosine_cuts.  An entry below lo is settled at or above
+    bound, even where hi < lo (bounds <= 0); one above hi is settled
+    below it; the rest, NaN and inf among them, are unsure."""
+    hi, lo = cosine_cuts(n, k, bound, smallest)
+    unsure = ~(c < lo)
+    below = c > hi
+    below &= c < np.inf
+    below &= unsure
+    unsure &= ~below
+    return below, unsure
+
+
 def first_below(c, n, k, bound, exact, smallest=False, first=True):
     """For each column of a cosine table, the first row whose sine of
     the largest principal angle (of the smallest, with smallest=True)
@@ -425,7 +440,7 @@ def first_below(c, n, k, bound, exact, smallest=False, first=True):
     Each entry holds c = |A^T B|_F^2 for a pair of frames in R^n with k
     principal angles.  It bounds the squared sines by
     1 - c <= sin^2 theta_min <= 1 - c/k <= sin^2 theta_max <= k - c, so
-    cosine_cuts settles every entry except those whose bounds straddle
+    settle decides every entry except those whose bounds straddle
     bound^2 within cosine_band and those that are not finite.  One call
     exact(index) decides these with the exact kernel, as a boolean array
     over index, the tuple of their row (and column) arrays in row-major
@@ -434,28 +449,16 @@ def first_below(c, n, k, bound, exact, smallest=False, first=True):
     principal_sines and push_forward do slice by slice.  With
     first=False any row below bound will do: a column with an entry
     settled below it sends nothing to exact."""
-    hi, lo = cosine_cuts(n, k, bound, smallest)
-    # the entries not settled above bound: a NaN cosine is among them (c
-    # >= lo would drop it)
-    maybe = ~(c < lo)
-    index = maybe.nonzero()
-    if not index[0].size:
+    if not len(c):
         return -1 if c.ndim == 1 else np.full(c.shape[1:], -1)
-    near = c[index]
-    below = near > hi
-    below &= near < np.inf          # a cosine of inf settles nothing
-    # when every one of them is settled below, maybe is already the table
-    # of the rows below bound, and exact sees nothing
-    if np.count_nonzero(below) < below.size:
-        maybe[index] = below
-        ask = ~below
-        if not first:
-            ask &= ~maybe.any(0)[index[1:]]
-        if np.count_nonzero(ask):
-            unsure = tuple(i[ask] for i in index)
-            maybe[unsure] = exact(unsure)
-    rows = maybe.argmax(0, keepdims=True)
-    rows[~maybe.any(0, keepdims=True)] = -1
+    below, unsure = settle(c, n, k, bound, smallest)
+    if not first:
+        unsure &= ~below.any(0)
+    if unsure.any():
+        index = unsure.nonzero()
+        below[index] = exact(index)
+    rows = below.argmax(0, keepdims=True)
+    rows[~below.any(0, keepdims=True)] = -1
     return rows[0]
 
 
@@ -468,13 +471,9 @@ def pair_cosines(a, b):
 def pairs_below(a, b, bound):
     """For each pair of frames of two stacks (P, n, k), whether the sine
     of their largest principal angle lies below bound, as first_below
-    decides a table entry: cosine_cuts settle c = pair_cosines(a, b),
-    and principal_sines(a, b) decides the pairs they leave."""
-    n, k = a.shape[-2:]
-    hi, lo = cosine_cuts(n, k, bound)
-    c = pair_cosines(a, b)
-    below = (c > hi) & (c < np.inf)
-    ask = ~below & ~(c < lo)
+    decides a table entry: settle cuts c = pair_cosines(a, b), and
+    principal_sines(a, b) decides the pairs it leaves unsure."""
+    below, ask = settle(pair_cosines(a, b), *a.shape[-2:], bound)
     if ask.any():
         below[ask] = principal_sines(a[ask], b[ask])[:, -1] < bound
     return below

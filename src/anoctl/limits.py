@@ -20,7 +20,6 @@ from .forms import (
     Frame,
     KeyIndex,
     cosine_band,
-    cosine_cuts,
     cosines,
     frame_products,
     keep_first,
@@ -30,6 +29,7 @@ from .forms import (
     principal_sines,
     projection_coordinate,
     projection_entry,
+    settle,
     table_blocks,
     window_pairs,
     window_reach,
@@ -193,18 +193,17 @@ def _surely_within(cols, kept, tol, margin):
     """For each frame of a stack (R, n, k) with margins (R,) >= 0: True
     only if every frame within its margin lies at flag distance below
     tol from a kept frame (a _Kept), as _merge would find: d(cols, F) <=
-    sqrt(k - c), and the flag distance is a metric: cosine_cuts' upper
-    cut at that reach, on the pairs of _merge's window at tol, which
-    holds every pair that the cut at a reach up to tol settles."""
+    sqrt(k - c), and the flag distance is a metric: the pairs that
+    settle puts below that reach, on the pairs of _merge's window at tol,
+    which holds every pair that the cut at a reach up to tol settles."""
     n, k = cols.shape[-2:]
     reach = tol - 2.0 * margin
-    hi = cosine_cuts(n, k, reach)[0]
     out = np.zeros(len(cols), dtype=bool)
     x = projection_coordinate(cols, kept.entry)
     for r, j in window_pairs(x, kept.keys, window_reach(n, k, tol), k * k):
         c = pair_cosines(np.take(cols, r, axis=0),
                          np.take(kept.columns, np.take(kept.rows, j), axis=0))
-        out[r[c > np.take(hi, r)]] = True
+        out[r[settle(c, n, k, np.take(reach, r))[0]]] = True
     return (reach > 0) & out
 
 
@@ -320,19 +319,18 @@ def _pair_rows(cols, rows, pair_floor, u=None):
     c = |F_i^T F_j|_F^2 bounds the squared flag distance by 1 - c/k <=
     d^2 <= k - c, so principal_sines runs only on the pairs whose bounds
     reach below the row's smallest upper bound (one of them is nearest)
-    or that cosine_cuts leaves unsettled at pair_floor.  A screened
+    or that settle leaves unsure at pair_floor.  A screened
     margin is transversality_margin in closed form: with P the basis of
     the complement of span(G F_i) and s = sigma_min(u_i^T F_j),
     sigma_min[P | F_j]^2 = 1 - sigma_max(P^T F_j) = 1 - sqrt(1 - s^2)."""
     n, k = cols.shape[-2:]
-    hi, lo = cosine_cuts(n, k, pair_floor)
     diagonal = np.arange(len(rows)), rows
     c = cosines(cols, cols[rows])
     lower, upper = 1.0 - c / k, k - c
     lower[diagonal] = upper[diagonal] = np.inf
     near = lower <= np.min(upper, axis=1, keepdims=True) + cosine_band(n, k)
-    far = c < lo
-    unsure = ~far & (c <= hi)
+    below, unsure = settle(c, n, k, pair_floor)
+    far = ~(below | unsure)
     unsure[diagonal] = False
     pair_row, pair_col = np.nonzero(near | unsure)
     dist = principal_sines(cols[rows[pair_row]], cols[pair_col])[:, -1]

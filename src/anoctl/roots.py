@@ -12,7 +12,6 @@ reads.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -355,43 +354,45 @@ def opposition_star(rs, theta):
     return ThetaSet(rs, frozenset(rs.opposition[i - 1] for i in theta.members))
 
 
-def _components(rs, vertices):
-    """Connected components of the Dynkin subgraph induced on ``vertices``."""
-    vertices = set(vertices)
-    comps = []
-    while vertices:
-        stack = [vertices.pop()]
-        comp = set(stack)
-        while stack:
-            v = stack.pop()
-            nbrs = {u for u in vertices if rs.adjacent(u, v)}
-            vertices -= nbrs
-            comp |= nbrs
-            stack.extend(nbrs)
-        comps.append(frozenset(comp))
-    return comps
+def _neighbours(rs):
+    """Each simple root's Dynkin neighbours, read once from the pairing."""
+    roots = range(1, rs.rank + 1)
+    return {i: frozenset(j for j in roots if rs.adjacent(i, j)) for i in roots}
+
+
+def _closure(neighbours, support, members):
+    """``members`` plus every root that no path outside ``members`` joins
+    to the support: the minimal admissible superset."""
+    reached = set(support) - members
+    stack = list(reached)
+    while stack:
+        new = neighbours[stack.pop()] - members - reached
+        reached |= new
+        stack.extend(new)
+    return members | (neighbours.keys() - reached)
 
 
 def is_admissible(rs, support, theta):
     """Whether the complement of theta is connected to the support: every
-    component of Delta minus theta must contain a support member."""
-    complement = set(range(1, rs.rank + 1)) - set(theta.members)
-    return all(comp & set(support.members) for comp in _components(rs, complement))
+    component of Delta minus theta must contain a support member, so
+    theta is its own closure."""
+    return _closure(_neighbours(rs), support.members, theta.members) == theta.members
 
 
 def tau_admissible_sets(rs, support):
     """All admissible subsets for the given support, sorted by inclusion
-    (size, then lexicographically)."""
+    (size, then lexicographically).  Each but the least, the closure of
+    the empty set (not empty where the diagram is disconnected, as D_2's
+    is), is the closure of a smaller one plus one root."""
     if not support.members:
         raise RootSystemError("support must be nonempty")
-    out = []
-    indices = list(range(1, rs.rank + 1))
-    for r in range(rs.rank + 1):
-        for combo in itertools.combinations(indices, r):
-            theta = ThetaSet(rs, frozenset(combo))
-            if is_admissible(rs, support, theta):
-                out.append(theta)
-    return out
+    neighbours = _neighbours(rs)
+    found, grown = set(), {_closure(neighbours, support.members, frozenset())}
+    while grown:
+        found |= grown
+        grown = {_closure(neighbours, support.members, theta | {a})
+                 for theta in grown for a in neighbours.keys() - theta} - found
+    return [ThetaSet(rs, m) for m in sorted(found, key=lambda m: (len(m), sorted(m)))]
 
 
 def nucleus_saturation(rs, support, theta):
@@ -412,15 +413,9 @@ def nucleus_saturation(rs, support, theta):
 
 
 def admissible_closure(rs, support, subset):
-    """Minimal admissible superset of ``subset``: adjoin every component of
-    the complement that misses the support.  Unique because admissible
-    supersets of a fixed set are closed under intersection."""
-    members = set(subset)
-    complement = set(range(1, rs.rank + 1)) - members
-    for comp in _components(rs, complement):
-        if not (comp & set(support.members)):
-            members |= comp
-    return ThetaSet(rs, frozenset(members))
+    """Minimal admissible superset of ``subset``.  Unique because
+    admissible supersets of a fixed set are closed under intersection."""
+    return ThetaSet(rs, _closure(_neighbours(rs), support.members, frozenset(subset)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +484,25 @@ def chamber_sequence_limit(rs, support, h_seq, thresholds=None):
 
 
 def admissible_lattice_dot(rs, support, sets=None):
-    """Inclusion lattice of admissible sets in dot format (covering edges)."""
+    """Inclusion lattice of admissible sets in dot format (covering edges).
+    ``sets`` are all the admissible sets, in emission order.  The covers
+    of theta are the minimal closures of theta plus one root, since every
+    admissible superset contains one."""
     sets = sets if sets is not None else tau_admissible_sets(rs, support)
-    names = {s.sorted_members: ("t_" + "_".join(map(str, s.sorted_members))
-                                if s.sorted_members else "t_empty")
+    neighbours = _neighbours(rs)
+    order = {s.members: k for k, s in enumerate(sets)}
+    names = {s.members: ("t_" + "_".join(map(str, s.sorted_members))
+                         if s.members else "t_empty")
              for s in sets}
     lines = ["digraph admissible {", "  rankdir=BT;"]
     for s in sets:
         label = "{" + ",".join(map(str, s.sorted_members)) + "}"
-        lines.append(f'  {names[s.sorted_members]} [label="{label}"];')
-    members = [set(s.sorted_members) for s in sets]
-    for a in members:
-        for b in members:
-            if a < b and not any(a < c < b for c in members):
-                lines.append(f"  {names[tuple(sorted(a))]} -> {names[tuple(sorted(b))]};")
+        lines.append(f'  {names[s.members]} [label="{label}"];')
+    for s in sets:
+        grown = {_closure(neighbours, support.members, s.members | {a})
+                 for a in neighbours.keys() - s.members}
+        covers = [b for b in grown if not any(c < b for c in grown)]
+        lines.extend(f"  {names[s.members]} -> {names[b]};"
+                     for b in sorted(covers, key=order.__getitem__))
     lines.append("}")
     return "\n".join(lines) + "\n"

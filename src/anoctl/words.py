@@ -148,8 +148,17 @@ def enumerate_ball(generators, radius, cap=None):
         if name in alphabet:
             raise ValueError(f"duplicate generator name {name!r}")
         m = np.asarray(m, dtype=float)
-        minv = np.linalg.inv(m)
-        if not np.allclose(m @ minv, np.eye(m.shape[0]), atol=1e-8):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"generator {name!r} is not a square matrix")
+        if mats and m.shape != mats[0].shape:
+            raise ValueError(f"generator {name!r} is {len(m)}x{len(m)} but "
+                             f"generator {alphabet[0]!r} is {len(mats[0])}x{len(mats[0])}")
+        try:
+            minv = np.linalg.inv(m)
+            invertible = np.allclose(m @ minv, np.eye(len(m)), atol=1e-8)
+        except np.linalg.LinAlgError:
+            invertible = False
+        if not invertible:
             raise ValueError(f"generator {name!r} is not invertible")
         # so that the inverse of letter l is letter l ^ 1
         alphabet += [name, name.upper()]

@@ -315,6 +315,21 @@ def test_malformed_generator_file_exits_2(tmp_path, capsys, content):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("named,culprit", [
+    ([("a", [[1.0, 2.0], [2.0, 4.0]])], "a"),                 # exactly singular
+    ([("a", np.diag([2.0, 1.0])), ("b", np.ones((2, 3)))], "b"),     # not square
+    ([("a", np.diag([2.0, 1.0])), ("b", np.eye(3))], "b"),            # sizes differ
+])
+def test_malformed_generator_matrix_exits_2_naming_it(tmp_path, capsys, named,
+                                                      culprit):
+    gens = write_gens(tmp_path / "gens.json", named)
+    for command, form in (("divergence", ""), ("divergence", "2,1"),
+                          ("domain", "2,1")):
+        assert main([command, "--gens", gens, "--form", form,
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: generator {culprit!r} ")
+
+
 def test_domain_report_with_a_one_flag_sample_is_strict_json(tmp_path):
     # one unipotent generator: its ball has a single limit flag, which
     # has no covering radius and no transversality margin

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anoctl import domain, forms
+from anoctl import domain, forms, limits
 from anoctl.domain import (
     CompactPoint,
     bad_set_distance,
@@ -430,6 +430,75 @@ def test_first_below_decides_each_column_like_the_one_column_rule(cols, smallest
                 if cols == 1:
                     assert first_below(table[:, 0], n, k, bound, lambda i: verdict[i[0], 0],
                                        smallest, first) == got[0]
+
+
+def reference_cut(c, hi, lo):
+    """The one cut rule, entry by entry: "above" (settled at or above the
+    bound) below lo, even where hi < lo; "below" (settled below it) above
+    hi where finite; "unsure" otherwise, NaN and inf among them."""
+    hi, lo = float(hi), float(lo)
+    return np.array([["above" if x < lo else "below" if hi < x < float("inf")
+                      else "unsure" for x in row] for row in c.tolist()])
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (6, 3)])
+def test_every_cosine_cut_is_the_one_rule(monkeypatch, n, k):
+    # first_below, pairs_below, _pair_rows and _surely_within read crafted
+    # cosine tables; a kernel that answers "not below" (inf) shows which
+    # entries it was asked about
+    rng = np.random.default_rng(40 + n)
+    rows, cols = 5, 7
+    kernel = {}
+    frames = np.zeros((rows * cols, n, k))
+    frames[:, 0, 0] = np.arange(rows * cols)
+
+    def sines(a, b):
+        kernel["asked"] = a[:, 0, 0].astype(int)
+        return np.full((len(a), k), kernel["sine"])
+
+    kept = SimpleNamespace(entry=(0, 0), keys=np.zeros(cols),
+                           columns=frames[:cols], rows=np.arange(cols))
+    monkeypatch.setattr(forms, "principal_sines", sines)
+    monkeypatch.setattr(limits, "principal_sines", sines)
+    monkeypatch.setattr(limits, "window_pairs", lambda x, keys, reach, width: [
+        (np.repeat(np.arange(rows), cols), np.tile(np.arange(cols), rows))])
+    for b in (-0.5, 0.0, 1e-9, 1e-6, 0.3, 1.0, 1.5):
+        # the bound that _surely_within reaches with tol 2 and these margins
+        margin = np.full(rows, (2.0 - b) / 2.0)
+        bound = 2.0 - 2.0 * margin[0]
+        table = cut_table(rng, n, k, bound, False, rows, cols)
+        cut = reference_cut(table, *cosine_cuts(n, k, bound))
+        below, unsure = cut == "below", cut == "unsure"
+        monkeypatch.setattr(forms, "pair_cosines", lambda a, b: table.ravel())
+        monkeypatch.setattr(limits, "pair_cosines", lambda a, b: table.ravel())
+        monkeypatch.setattr(limits, "cosines", lambda a, b: table.copy())
+
+        asked = np.zeros_like(below)
+
+        def exact(index):
+            asked[index] = True
+            return np.zeros(len(index[0]), dtype=bool)
+
+        got = first_below(table, n, k, bound, exact)
+        assert np.array_equal(asked, unsure)
+        assert got.tolist() == [int(np.argmax(col)) if col.any() else -1
+                                for col in below.T]
+
+        kernel.update(asked=np.zeros(0, dtype=int), sine=np.inf)
+        assert np.array_equal(forms.pairs_below(frames, frames, bound), below.ravel())
+        assert kernel["asked"].tolist() == np.flatnonzero(unsure).tolist()
+
+        # _pair_rows: rows 0..4 of 7 frames; the kernel's inf keeps an
+        # unsure pair far and its -inf makes it near
+        off = np.ones_like(below)
+        off[np.arange(rows), np.arange(rows)] = False
+        for sine, far in ((np.inf, ~below), (-np.inf, cut == "above")):
+            kernel["sine"] = sine
+            got = limits._pair_rows(frames[:cols], np.arange(rows), bound)[1]
+            assert np.array_equal(got, far & off)
+
+        assert np.array_equal(limits._surely_within(frames[:rows], kept, 2.0, margin),
+                              (bound > 0) & below.any(1))
 
 
 def test_first_below_band_covers_the_kernel():

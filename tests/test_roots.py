@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from anoctl.roots import (
     table1_rows,
     tau_admissible_sets,
 )
+from anoctl.satake import orbit_decomposition, orbits_to_dot
 
 
 def theta(rs, *members):
@@ -443,3 +445,64 @@ def test_json_and_dot_emission():
     dot = admissible_lattice_dot(rs, theta(rs, 2))
     assert dot.startswith("digraph") and "t_empty" in dot
     assert dot.count("->") == 2  # chain of 3 admissible sets
+
+
+def subsets(rs):
+    """Every subset of the simple roots in (size, lexicographic) order."""
+    roots = range(1, rs.rank + 1)
+    return [combo for r in range(rs.rank + 1)
+            for combo in itertools.combinations(roots, r)]
+
+
+def reference_lattice_dot(sets):
+    """admissible_lattice_dot's cubic cover loop over sorted member tuples."""
+    names = {s: "t_" + "_".join(map(str, s)) if s else "t_empty" for s in sets}
+    lines = ["digraph admissible {", "  rankdir=BT;"]
+    lines += [f'  {names[s]} [label="{{{",".join(map(str, s))}}}"];' for s in sets]
+    members = [set(s) for s in sets]
+    for a in members:
+        for b in members:
+            if a < b and not any(a < c < b for c in members):
+                lines.append(f"  {names[tuple(sorted(a))]} -> {names[tuple(sorted(b))]};")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_closure_rule_gives_the_filtered_sets_and_their_lattice():
+    # every type up to rank 7: one- and two-root supports, the adjoint
+    # support and all of Delta
+    systems = [build_root_system(t, r) for t in ("A", "B", "BC", "C", "D")
+               for r in range(2 if t in ("C", "D") else 1, 8)]
+    systems += [build_root_system(t, r) for t, r in (("E6", 6), ("E7", 7),
+                                                     ("F4", 4), ("G2", 2))]
+    for rs in systems:
+        roots = range(1, rs.rank + 1)
+        supports = [c for k in (1, 2) for c in itertools.combinations(roots, k)]
+        supports.append(tuple(roots))
+        if rs.table1 is not None:
+            a = rs.table1.alpha_G_index
+            supports.append({a, rs.opposition[a - 1]})
+        for sup in supports:
+            support = theta(rs, *sup)
+            # the 2^rank filter that tau_admissible_sets replaced
+            expected = [c for c in subsets(rs)
+                        if brute_force_admissible(rs, support, theta(rs, *c))]
+            sets = tau_admissible_sets(rs, support)
+            assert [s.sorted_members for s in sets] == expected
+            assert [c for c in subsets(rs)
+                    if is_admissible(rs, support, theta(rs, *c))] == expected
+            assert admissible_lattice_dot(rs, support) == reference_lattice_dot(expected)
+
+
+def test_rank_40_chain_of_orbits():
+    # the type A support {1}: theta is a tail {j+1, ..., 40} of the chain
+    rs = build_root_system("A", 40)
+    support = theta(rs, 1)
+    orbits = orbit_decomposition(rs, support)
+    assert [o.theta.sorted_members for o in orbits] == \
+        [tuple(range(41 - size, 41)) for size in range(41)]
+    dot = orbits_to_dot(rs, support, orbits)
+    edges = [line for line in dot.splitlines() if "->" in line]
+    assert len(edges) == 40
+    assert edges[0] == "  t_empty -> t_40;" and edges[-1] == \
+        "  t_" + "_".join(map(str, range(2, 41))) + " -> t_" + \
+        "_".join(map(str, range(1, 41))) + ";"
