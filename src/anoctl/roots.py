@@ -379,20 +379,34 @@ def is_admissible(rs, support, theta):
     return _closure(_neighbours(rs), support.members, theta.members) == theta.members
 
 
-def tau_admissible_sets(rs, support):
-    """All admissible subsets for the given support, sorted by inclusion
-    (size, then lexicographically).  Each but the least, the closure of
-    the empty set (not empty where the diagram is disconnected, as D_2's
+def _admissible(neighbours, support):
+    """The members of every admissible set, sorted by inclusion (size,
+    then lexicographically).  Each but the least, the closure of the
+    empty set (not empty where the diagram is disconnected, as D_2's
     is), is the closure of a smaller one plus one root."""
-    if not support.members:
-        raise RootSystemError("support must be nonempty")
-    neighbours = _neighbours(rs)
-    found, grown = set(), {_closure(neighbours, support.members, frozenset())}
+    found, grown = set(), {_closure(neighbours, support, frozenset())}
     while grown:
         found |= grown
-        grown = {_closure(neighbours, support.members, theta | {a})
+        grown = {_closure(neighbours, support, theta | {a})
                  for theta in grown for a in neighbours.keys() - theta} - found
-    return [ThetaSet(rs, m) for m in sorted(found, key=lambda m: (len(m), sorted(m)))]
+    return sorted(found, key=lambda m: (len(m), sorted(m)))
+
+
+def tau_admissible_sets(rs, support):
+    """All admissible subsets for the given support, sorted by inclusion
+    (size, then lexicographically)."""
+    if not support.members:
+        raise RootSystemError("support must be nonempty")
+    return [ThetaSet(rs, m) for m in _admissible(_neighbours(rs), support.members)]
+
+
+def _saturation(neighbours, support, theta):
+    """The members of theta_vee and theta_dd for an admissible theta:
+    its complement, the support and every root adjacent to the
+    complement; and theta's part of those."""
+    complement = neighbours.keys() - theta
+    vee = complement | support | {a for a, near in neighbours.items() if near & complement}
+    return frozenset(vee), frozenset(vee & theta)
 
 
 def nucleus_saturation(rs, support, theta):
@@ -400,16 +414,8 @@ def nucleus_saturation(rs, support, theta):
     of theta or to the support weight, and the nucleus theta & theta_vee."""
     if not is_admissible(rs, support, theta):
         raise RootSystemError(f"{theta!r} is not admissible for support {support!r}")
-    complement = set(range(1, rs.rank + 1)) - set(theta.members)
-    vee = set()
-    for a in range(1, rs.rank + 1):
-        if a in complement or a in support.members:
-            vee.add(a)
-        elif any(rs.adjacent(a, b) for b in complement):
-            vee.add(a)
-    theta_vee = ThetaSet(rs, frozenset(vee))
-    theta_dd = ThetaSet(rs, frozenset(vee) & theta.members)
-    return theta_vee, theta_dd
+    vee, dd = _saturation(_neighbours(rs), support.members, theta.members)
+    return ThetaSet(rs, vee), ThetaSet(rs, dd)
 
 
 def admissible_closure(rs, support, subset):

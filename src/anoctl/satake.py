@@ -20,11 +20,12 @@ from .algebras import adjoint_rep, get_algebra
 from .cartan import exterior_power, tag_of
 from .roots import (
     ThetaSet,
+    _admissible,
+    _neighbours,
+    _saturation,
     admissible_lattice_dot,
     chamber_sequence_limit,
     eps_to_root_coords,  # noqa: F401  (re-exported)
-    nucleus_saturation,
-    tau_admissible_sets,
 )
 
 PSD_TOL = 1e-10
@@ -209,13 +210,16 @@ def orbit_decomposition(rs, support):
     closed one."""
     if not support.members:
         raise ValueError("support must be nonempty")
+    # every set comes out of the closure, so none needs an admissibility check
+    neighbours = _neighbours(rs)
     orbits = []
-    for th in tau_admissible_sets(rs, support):
-        vee, dd = nucleus_saturation(rs, support, th)
+    for members in _admissible(neighbours, support.members):
+        th = ThetaSet(rs, members)
+        vee, dd = _saturation(neighbours, support.members, members)
         orbits.append(SatakeOrbit(
-            th, vee, dd,
-            boundary_levi_rank=rs.rank - len(th.members),
-            is_open=len(th.members) == 0,
+            th, ThetaSet(rs, vee), ThetaSet(rs, dd),
+            boundary_levi_rank=rs.rank - len(members),
+            is_open=len(members) == 0,
             is_closed=th.is_full()))
     return orbits
 

@@ -299,11 +299,18 @@ def _possible_minima(approx, slack):
 
 def fit_divergence_slope(profile, root, skip=1):
     """Least-squares slope of min_gap vs radius (radii >= skip), plus a
-    crude linear-vs-logarithmic shape call.
+    crude flat, linear or logarithmic shape call.
 
-    Returns (slope, shape) with shape in {"linear", "sublinear"}: the
-    log model a*log(r)+b is preferred when it fits the tail with less
-    residual than the affine model.
+    Returns (slope, shape) with shape in {"flat", "linear", "sublinear"}.
+    The profile is flat when the fitted rise, |slope| times the span of
+    the m fitted radii, is within rounding: at most 3 m eps max(1, max|y|)
+    for the minima y. The rise is sum_i c_i y_i with
+    c_i = span (r_i - mean r) / sum_j (r_j - mean r)^2, and sum |c_i| < 3
+    for consecutive radii; each minimum is a difference of computed log
+    singular values, good to a few eps max(1, |y|), and the fit rounds
+    at m eps max|y|. Otherwise the log model a*log(r)+b is preferred
+    (sublinear) when it fits the tail with less residual than the affine
+    model (linear).
     """
     radii = profile.radii()
     keep = radii >= skip
@@ -311,8 +318,12 @@ def fit_divergence_slope(profile, root, skip=1):
     y = profile.gaps_of(root)[keep]
     if len(r) < 3:
         raise ValueError("need at least three radii to fit")
-    slope = np.polyfit(r, y, 1)[0]
-    lin_resid = np.linalg.norm(np.polyval(np.polyfit(r, y, 1), r) - y)
+    line = np.polyfit(r, y, 1)
+    slope = line[0]
+    if abs(slope) * np.ptp(r) <= \
+            3 * len(r) * np.finfo(float).eps * max(1.0, np.max(np.abs(y))):
+        return float(slope), "flat"
+    lin_resid = np.linalg.norm(np.polyval(line, r) - y)
     logfit = np.polyfit(np.log(r), y, 1)
     log_resid = np.linalg.norm(np.polyval(logfit, np.log(r)) - y)
     shape = "linear" if lin_resid <= log_resid else "sublinear"

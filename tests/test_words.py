@@ -306,6 +306,36 @@ def test_unipotent_growth_flagged_sublinear():
     assert shape == "sublinear"
 
 
+class FittedProfile:
+    """The two profile methods that fit_divergence_slope reads."""
+
+    def __init__(self, gaps):
+        self.gaps = np.asarray(gaps, dtype=float)
+
+    def radii(self):
+        return np.arange(len(self.gaps))
+
+    def gaps_of(self, root):
+        return self.gaps
+
+
+def test_flat_profiles_are_named_flat():
+    # mixed-o21's sphere minima are powers of its rotation, so 0 up to
+    # rounding (6.3e-17 at radius 3): the fitted slope is about -2e-18
+    form, gens = mixed_o21()
+    prof = divergence_profile(enumerate_ball(gens, 6), build_root_system("B", 1), form)
+    slope, shape = fit_divergence_slope(prof, 1)
+    assert abs(slope) < 1e-17 and shape == "flat"
+    eps = np.finfo(float).eps
+    for level in (0.0, 1.0, 40.0):
+        # rounding-size wobble about a constant is flat ...
+        wobble = level + eps * max(1.0, level) * np.array([0, 1, -1, 1, 0, -1, 1])
+        assert fit_divergence_slope(FittedProfile(wobble), 1)[1] == "flat"
+        # ... and a rise of 1e-9 per radius is not
+        rise = level + 1e-9 * np.arange(7)
+        assert fit_divergence_slope(FittedProfile(rise), 1)[1] == "linear"
+
+
 def test_identity_only_profile():
     ball = enumerate_ball([("a", np.eye(2))], 4)
     rs = build_root_system("A", 1)
