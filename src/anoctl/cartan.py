@@ -790,14 +790,21 @@ def _theta_to_plane_dim(theta, form):
 
 def xi_theta(g, theta, form=None, tol=1e-6):
     """Flag map: the Frame of flag_of the compact left factor of kak(g,
-    form), for the plane dimension of theta (flag_of's one-matrix case).
+    form), for the plane dimension of theta: flag_frame on kak(g, form).
+    Raises GapTooSmallError as flag_frame does."""
+    return flag_frame(kak(g, form), theta, form, tol)
 
-    Requires every gap <alpha, mu(g)> for alpha in theta to exceed tol;
+
+def flag_frame(dec, theta, form=None, tol=1e-6):
+    """The Frame of flag_of the compact left factor of a decomposition
+    dec (a KakTriple), for the plane dimension of theta (flag_of's
+    one-matrix case).
+
+    Requires every gap <alpha, mu> for alpha in theta to exceed tol;
     otherwise GapTooSmallError is raised, because the flag would depend on
     the tie-breaking inside the decomposition.
     """
     i = _theta_to_plane_dim(theta, form)
-    dec = kak(g, form)
     gaps = mu_gaps(dec.mu, theta.root_system)
     for a in sorted(theta.members):
         if gaps[a] <= tol:

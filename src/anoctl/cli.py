@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cartan import GapTooSmallError, kak, mu_gaps, tag_of, witt_pm_basis, \
-    xi_theta
+from .cartan import GapTooSmallError, flag_frame, kak, mu_gaps, tag_of, \
+    witt_pm_basis
 from .domain import (
     ACCUMULATION_TOL,
     bad_set_witnesses,
@@ -154,10 +154,13 @@ def load_generators(config):
             isinstance(d, dict) and keys <= set(d) for d in data):
         raise ValueError(f"{source}: expected a non-empty list of matrices "
                          "with name, rows, cols and data")
-    try:
-        return None, [(d["name"], matrix_from_json(d)) for d in data]
-    except TypeError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    gens = []
+    for d in data:
+        try:
+            gens.append((d["name"], matrix_from_json(d)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"generator {d['name']!r} in {source}: {exc}") from None
+    return None, gens
 
 
 def _named_matrices(config):
@@ -180,6 +183,8 @@ def _group_setup(form, n):
     """Root system of the group that ``form`` picks for n x n matrices."""
     tag = tag_of(form)
     if tag == "gl":
+        if n < 2:
+            raise ValueError(f"form '' is not supported: GL({n}) has no restricted roots")
         return build_root_system("A", n - 1)
     if tag == "onC":
         if form.n < 3:
@@ -228,7 +233,7 @@ def cmd_cartan(config):
             "gaps": {f"alpha_{k}": v for k, v in mu_gaps(dec.mu, rs).items()},
         }
         try:
-            record["flag_frame"] = xi_theta(mat, theta, form, tol=config.tol).to_json()
+            record["flag_frame"] = flag_frame(dec, theta, form, config.tol).to_json()
         except GapTooSmallError as exc:
             record["flag_error"] = str(exc)
         records.append(record)
@@ -268,8 +273,9 @@ def cmd_ball(config):
 
 def cmd_divergence(config):
     form, gens = _named_matrices(config)
-    rs = _group_setup(form, gens[0][1].shape[0])
+    # the ball first, so that enumerate_ball names a malformed generator
     ball, truncated = _enumerate(config, gens)
+    rs = _group_setup(form, gens[0][1].shape[0])
     profile = divergence_profile(ball, rs, form)
     path = os.path.join(config.out, "divergence.csv")
     with open(path, "w") as fh:

@@ -34,7 +34,6 @@ from .forms import (
     principal_sines,
     push_forward,
     restrict,
-    restrict_kernel,
     table_blocks,
 )
 
@@ -63,23 +62,26 @@ class CompactPoint(NamedTuple):
 
 def in_Xbar(w, form, tol=MEMBERSHIP_TOL):
     """Membership of a q-plane in the compactification: the restricted
-    form must be nonpositive; rejections carry the violating eigenvalue."""
+    form must be nonpositive; rejections carry the violating eigenvalue.
+    _membership's rule on a stack of one frame."""
     if w.k != form.q:
         raise ValueError(f"frame must have q = {form.q} columns")
-    restricted, kernel = restrict_kernel(form, w, tol)
-    top, positive = _positive_part(restricted, tol, form.gram_norm)
+    top, positive, stratum = _membership(form, w.columns, tol)
     if positive:
         raise NotInCompactificationError(
             f"restriction has positive eigenvalue {top:.3e}", float(top))
-    return CompactPoint(w, kernel.k, form)
+    return CompactPoint(w, int(stratum), form)
 
 
-def _positive_part(restricted, tol, scale):
-    """in_Xbar's nonpositivity rule on stacked restricted grams
-    (..., k, k): the largest eigenvalue of each (-inf when k = 0) and
-    whether it exceeds tol times ``scale``, the gram's spectral norm."""
-    top = np.max(np.linalg.eigvalsh(restricted), axis=-1, initial=-np.inf)
-    return top, top > tol * scale
+def _membership(form, columns, tol):
+    """in_Xbar's rule on stacked frames (..., n, k), from one ``eigh``
+    of their restricted grams: the largest eigenvalue of each (-inf when
+    k = 0), whether it exceeds tol times ``form.gram_norm``, and the
+    stratum, the count of eigenvalues that span the kernel by
+    restrict_kernel's rule (``kernel_mask``)."""
+    vals = np.linalg.eigh(restrict(form, columns))[0]
+    top = np.max(vals, axis=-1, initial=-np.inf)
+    return top, top > tol * form.gram_norm, kernel_mask(vals, form, tol).sum(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +412,10 @@ def gaussian_domain_sampler(form, rng, tol=MEMBERSHIP_TOL, max_tries=5000):
     in a row.
 
     Tries are drawn and decided SAMPLER_BLOCK at a time, with one
-    stacked SVD, restriction, ``eigvalsh`` and ``eigh``, each slice bit
-    for bit the one-try value: the first three decide with in_Xbar's own
-    rule (``_positive_part``), and the eigh's eigenvalues give each
-    try's stratum by restrict_kernel's rule (``kernel_mask``).  An
-    accepted try keeps the columns that ``orthonormalize`` shares with
+    stacked SVD and one call of in_Xbar's rule (``_membership``: one
+    restriction and one ``eigh``), each slice bit for bit the one-try
+    value, which gives each try's verdict and stratum.  An accepted try
+    keeps the columns that ``orthonormalize`` shares with
     ``Frame.from_spanning``, so the points are a try-by-try loop of
     in_Xbar's.  A try short of q columns goes through ``in_Xbar``, which
     raises the ValueError that loop raised."""
@@ -422,10 +423,7 @@ def gaussian_domain_sampler(form, rng, tol=MEMBERSHIP_TOL, max_tries=5000):
     rejected = 0
     while True:
         frames, ranks = orthonormalize(rng.standard_normal((SAMPLER_BLOCK, n, q)))
-        restricted = restrict(form, frames)
-        positive = _positive_part(restricted, tol, form.gram_norm)[1]
-        # eigh's eigenvalues, not eigvalsh's: restrict_kernel decides with them
-        strata = kernel_mask(np.linalg.eigh(restricted)[0], form, tol).sum(-1)
+        _, positive, strata = _membership(form, frames, tol)
         for frame, rank, stratum, accept in zip(frames, ranks, strata.tolist(),
                                                 (ranks < q) | ~positive):
             if rejected >= max_tries:

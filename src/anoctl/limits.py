@@ -239,35 +239,16 @@ def transversality_report(sample, form):
 
     One screened pass over the cosine table (_pair_pass) finds the far
     pairs exactly, each row's nearest distance, whose max is the covering
-    radius, and each row's smallest screened margin.  The rows
-    within _margin_reach of the smallest are then revisited, and
-    transversality_margin runs only on their far pairs within reach, so
-    the margin printed is a value of that kernel, as is every nearest
-    distance behind the covering radius (principal_sines)."""
+    radius, and the smallest margin: transversality_margin runs on the
+    far pairs whose screened margin lies within _margin_reach of the
+    smallest screened margin seen so far, so the margin printed is a
+    value of that kernel, as is every nearest distance behind the
+    covering radius (principal_sines)."""
     if len(sample) < 2:
         raise ValueError("need at least two sample points")
-    cols = sample.columns
-    gram = form.real_gram
-    # orthonormal bases of G F_i, whose complements transversality_margin
-    # takes for each flag F_i
-    u = np.linalg.svd(gram @ cols, full_matrices=False)[0]
-    nearest, tested, least = _pair_pass(sample, PAIR_FLOOR, u)
+    nearest, tested, margin, worst = _pair_pass(sample, PAIR_FLOOR, form)
     if tested == 0:
         raise ValueError("no pair clears the distance floor")
-    margin, worst = np.inf, None
-    bound = np.min(least) + _margin_reach(np.min(least), *cols.shape[-2:])
-    revisit = np.flatnonzero(least <= bound)
-    for block in table_blocks(len(revisit), len(cols) * cols.shape[-1] ** 2):
-        rows = revisit[block]
-        for i, screened in zip(rows, _pair_rows(cols, rows, PAIR_FLOOR, u)[2]):
-            near_min = np.flatnonzero(screened <= bound)
-            if not near_min.size:
-                continue
-            svs = transversality_margin(Frame(cols[i]), cols[near_min], form)
-            j = int(np.argmin(svs))
-            if svs[j] < margin:
-                margin = float(svs[j])
-                worst = (sample.words[i], sample.words[near_min[j]])
     return TransversalityReport(margin, worst, tested, float(np.max(nearest)))
 
 
@@ -292,21 +273,45 @@ def _margin_reach(least, n, k):
     return error(least) + error(least + 2.0 * error(1.0))
 
 
-def _pair_pass(sample, pair_floor=PAIR_FLOOR, u=None):
+def _pair_pass(sample, pair_floor=PAIR_FLOOR, form=None):
     """One blocked pass over the sample's all-pairs table: the exact
     nearest-neighbor distances (N,), the number of ordered pairs at
-    distance above pair_floor and, given u, each row's smallest screened
-    margin (N,)."""
+    distance above pair_floor and, given the form, the smallest
+    transversality margin of these pairs with the words of the first
+    pair in row order that attains it (inf and None without the form or
+    without such a pair).
+
+    transversality_margin runs on the far pairs whose screened margin
+    lies within _margin_reach of the smallest screened margin seen so
+    far.  That bound only falls as the pass goes on, so it admits every
+    pair that the pass's final bound admits, and _margin_reach puts each
+    pair outside the final bound strictly above the smallest exact
+    margin: the pairs the early blocks add can neither win nor tie."""
     cols = sample.columns
+    n, k = cols.shape[-2:]
+    # orthonormal bases of G F_i, whose complements transversality_margin
+    # takes for each flag F_i
+    u = None if form is None else np.linalg.svd(form.real_gram @ cols, full_matrices=False)[0]
     index = np.arange(len(cols))
-    nearest, least, tested = np.empty(len(cols)), np.full(len(cols), np.inf), 0
-    for block in table_blocks(len(cols), len(cols) * cols.shape[-1] ** 2):
+    nearest, tested = np.empty(len(cols)), 0
+    least, margin, worst = np.inf, np.inf, None
+    for block in table_blocks(len(cols), len(cols) * k ** 2):
         rows = index[block]
         nearest[rows], far, screened = _pair_rows(cols, rows, pair_floor, u)
         tested += int(np.count_nonzero(far))
-        if u is not None:
-            least[rows] = np.min(screened, axis=1)
-    return nearest, tested, least
+        if u is None:
+            continue
+        least = min(least, float(np.min(screened)))
+        # screened margins are inf off the far pairs, where even an
+        # infinite bound must not reach
+        within = far & (screened <= least + _margin_reach(least, n, k))
+        for r in np.flatnonzero(within.any(axis=1)):
+            near = np.flatnonzero(within[r])
+            svs = transversality_margin(Frame(cols[rows[r]]), cols[near], form)
+            j = int(np.argmin(svs))
+            if svs[j] < margin:
+                margin, worst = float(svs[j]), (sample.words[rows[r]], sample.words[near[j]])
+    return nearest, tested, margin, worst
 
 
 def _pair_rows(cols, rows, pair_floor, u=None):

@@ -148,8 +148,8 @@ def enumerate_ball(generators, radius, cap=None):
         if name in alphabet:
             raise ValueError(f"duplicate generator name {name!r}")
         m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"generator {name!r} is not a square matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError(f"generator {name!r} is not a nonempty square matrix")
         if mats and m.shape != mats[0].shape:
             raise ValueError(f"generator {name!r} is {len(m)}x{len(m)} but "
                              f"generator {alphabet[0]!r} is {len(mats[0])}x{len(mats[0])}")

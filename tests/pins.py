@@ -11,7 +11,8 @@ suite checks (``tests/test_pins.py``).
     python tests/pins.py --record   re-record every digest, printing
                                     "name/output: old -> new" for each change
 
-Every run is made in this process, with RuntimeWarning an error:
+Every run is made in this process, with RuntimeWarning an error, and so
+are deprecations raised from anoctl's modules:
 ``anoctl.cli.main`` for a command, ``runpy`` with stdout captured for a
 demo. A distinct argv runs once, however many entries read it. An
 argument ``{name}`` stands for the file of the named input in ``INPUTS``
@@ -133,6 +134,8 @@ class Runner:
         stdout = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
             warnings.simplefilter("error", RuntimeWarning)
+            for category in (DeprecationWarning, PendingDeprecationWarning, FutureWarning):
+                warnings.filterwarnings("error", category=category, module="anoctl")
             if args[0].endswith(".py"):
                 runpy.run_path(os.path.join(ROOT, args[0]), run_name="__main__")
             elif cli.main(args) != 0:

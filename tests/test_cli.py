@@ -77,6 +77,22 @@ def test_cartan_batch_preserves_order_and_flags_errors(tmp_path):
     assert data["errors"][0]["name"] == "x"
 
 
+def test_cartan_decomposes_each_matrix_once(tmp_path, monkeypatch):
+    # one front end per generator: the flag comes from the record's own kak
+    from anoctl import cartan
+    front, sizes = cartan._front, []
+    monkeypatch.setattr(cartan, "_front",
+                        lambda g, form: sizes.append(len(g)) or front(g, form))
+    assert main(["cartan", "--gens", "builtin:schottky-o21", "--out", str(tmp_path)]) == 0
+    assert sizes == [1, 1]
+    monkeypatch.undo()
+    form, gens = schottky_o21()
+    theta = cli._theta(form, 3, 1)
+    records = json.loads(read(tmp_path / "cartan.json"))["records"]
+    assert [r["flag_frame"] for r in records] == \
+        [cartan.xi_theta(m, theta, form, 1e-9).to_json() for _, m in gens]
+
+
 @pytest.mark.parametrize("form, size", [("", 3), ("3,2", 5)])
 def test_cartan_records_matrices_of_the_wrong_size_as_errors(tmp_path, form, size):
     # without a form the first matrix sets the size, as a form sets it
@@ -318,10 +334,19 @@ def test_malformed_generator_file_exits_2(tmp_path, capsys, content):
     ([("a", [[1.0, 2.0], [2.0, 4.0]])], "a"),                 # exactly singular
     ([("a", np.diag([2.0, 1.0])), ("b", np.ones((2, 3)))], "b"),     # not square
     ([("a", np.diag([2.0, 1.0])), ("b", np.eye(3))], "b"),            # sizes differ
+    # files that matrix_from_json cannot read, and an empty matrix
+    ('[{"name": "a", "rows": 3, "cols": 3, "data": [1, 0, 0, 0, 1, 0, 0, 0]}]', "a"),
+    ('[{"name": "a", "rows": 1, "cols": 1, "data": ["x"]}]', "a"),
+    ('[{"name": "a", "rows": 0, "cols": 0, "data": []}]', "a"),
 ])
 def test_malformed_generator_matrix_exits_2_naming_it(tmp_path, capsys, named,
                                                       culprit):
-    gens = write_gens(tmp_path / "gens.json", named)
+    path = tmp_path / "gens.json"
+    if isinstance(named, str):
+        path.write_text(named)
+        gens = str(path)
+    else:
+        gens = write_gens(path, named)
     for command, form in (("divergence", ""), ("divergence", "2,1"),
                           ("domain", "2,1")):
         assert main([command, "--gens", gens, "--form", form,
@@ -389,6 +414,15 @@ def test_forms_without_restricted_roots_exit_2(tmp_path, capsys, form, why):
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == \
             f"error: form {form} is not supported: {why}\n"
+
+
+def test_gl1_exits_2_naming_the_group(tmp_path, capsys):
+    gens = write_gens(tmp_path / "gens.json", [("a", np.array([[2.0]]))])
+    for command in ("cartan", "divergence"):
+        assert main([command, "--gens", gens, "--form", "", "--radius", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: form '' is not supported: GL(1) has no restricted roots\n"
 
 
 @pytest.mark.parametrize("form, why", [

@@ -34,6 +34,25 @@ def test_importing_the_cli_builds_no_dataclass():
     assert proc.stdout == "[]\n"
 
 
+def test_the_benchmark_commands_import_no_heavy_module(tmp_path):
+    # the benchmark's session: divergence, limitset and domain in one
+    # fresh process.  numpy.ma is 1 MiB of peak memory (cartan._groups
+    # avoids np.unique for it) and words.proximal_elements imports scipy
+    # lazily, so neither may load on this path
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys\nfrom anoctl import cli\n"
+        "for command in ('divergence', 'limitset', 'domain'):\n"
+        "    assert cli.main([command, '--gens', 'builtin:mixed-o21', '--radius', '3',\n"
+        f"                     '--samples', '10', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in ('scipy', 'numpy.ma', 'dataclasses', 'anoctl.satake',\n"
+        "                         'anoctl.algebras') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # sha256 of stdout + NUL + stderr at COLUMNS=80, recorded when every
 # command still built its own copy of the options (Python 3.11)
 PARSER_OUTPUT = [

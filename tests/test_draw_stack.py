@@ -3,13 +3,16 @@ try-by-try loops they replace: the same results, bit for bit, and for
 the expansion certificates the same final rng state, whether one flag
 or many advance together."""
 
+import contextlib
 from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from anoctl import domain
 from anoctl.domain import (
+    MEMBERSHIP_TOL,
     SAMPLER_BLOCK,
     ExpansionResult,
     NotInCompactificationError,
@@ -22,6 +25,7 @@ from anoctl.forms import (
     Frame,
     kernel_mask,
     make_witt_form,
+    orthonormalize,
     principal_sines,
     restrict,
     restrict_kernel,
@@ -409,3 +413,47 @@ def test_sampler_try_short_of_rank_raises_in_Xbars_error():
     with pytest.raises(ValueError) as expected:
         in_Xbar(Frame.from_spanning(short), form)
     assert str(error.value) == str(expected.value) == "frame must have q = 2 columns"
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (3, 2), (4, 3), (5, 3)])
+def test_in_Xbar_is_the_stacked_rule_on_each_frame(p, q):
+    form = make_witt_form(p, q)
+    rng = np.random.default_rng(p + q)
+    frames = np.concatenate([orthonormalize(rng.standard_normal((64, p + q, q)))[0],
+                             witt_planes(p, q, rng)[0]])
+    _, positive, strata = domain._membership(form, frames, MEMBERSHIP_TOL)
+    assert positive.any() and not positive.all()
+
+    def verdict(frame):
+        try:
+            return False, in_Xbar(Frame(frame), form).stratum
+        except NotInCompactificationError:
+            return True, None
+
+    assert [verdict(frame) for frame in frames] == \
+        [(True, None) if rejected else (False, stratum)
+         for rejected, stratum in zip(positive.tolist(), strata.tolist())]
+
+
+def test_membership_takes_one_eigh_per_block_and_per_in_Xbar(monkeypatch):
+    form = make_witt_form(3, 2)     # its signature takes an eigvalsh
+    calls = dict.fromkeys(("eigh", "eigvalsh", "orthonormalize"), 0)
+
+    def counted(name, func):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return call
+
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                         (domain, "orthonormalize")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    list(islice(gaussian_domain_sampler(form, np.random.default_rng(0)), 10))
+    blocks = calls["orthonormalize"]
+    assert blocks > 1 and calls == {"eigh": blocks, "eigvalsh": 0, "orthonormalize": blocks}
+    planes, _ = witt_planes(3, 2, np.random.default_rng(0))
+    for frame in [*planes, np.eye(5)[:, 1:3]]:      # boundary, interior, positive
+        calls["eigh"] = 0
+        with contextlib.suppress(NotInCompactificationError):
+            in_Xbar(Frame(frame), form)
+        assert calls == {"eigh": 1, "eigvalsh": 0, "orthonormalize": blocks}

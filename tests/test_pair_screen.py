@@ -20,6 +20,20 @@ B1, B2 = build_root_system("B", 1), build_root_system("B", 2)
 FLOORS = (1e-3, 1e-9, 0.3)
 
 
+def isotropic_line(s):
+    """The isotropic line of (1, s, -s^2 / 2) for the (2, 1) Witt form."""
+    v = np.array([1.0, s, -s * s / 2])
+    return v / np.linalg.norm(v)
+
+
+# crafted (2, 1) samples, as the parameters of their isotropic lines: a
+# smallest margin tied bit for bit (rows 2 and 3 repeat rows 0 and 1), a
+# single far pair, no far pair, and a first row within the floor of the
+# others, which are far from each other
+CRAFTED = {"tie": (0.0, 0.7, 0.0, 0.7, 2.0), "single": (0.0, 0.7),
+           "none": (0.0, 2e-4), "middle": (0.0, -9e-4, 9e-4)}
+
+
 @lru_cache(maxsize=None)
 def case(name):
     """(form, sample) for a preset at a radius or an O(3,2) ping-pong pair
@@ -37,6 +51,9 @@ def case(name):
         return form, limit_sample(
             [Frame(o21_rotation(t) @ f).columns for _, t in turns for f in pair],
             [f"{w}{i}" for i, _ in turns for w in "ab"], sample.theta, form)
+    if kind in CRAFTED:
+        lines = [Frame(isotropic_line(s)).columns for s in CRAFTED[kind]]
+        return make_witt_form(2, 1), limit_sample(lines, [f"f{i}" for i in range(len(lines))])
     if kind == "pingpong":
         seed, radius, member = map(int, args)
         form, gens, theta = make_witt_form(3, 2), pingpong_o32(seed), ThetaSet(B2, frozenset({member}))
@@ -163,3 +180,69 @@ def test_the_pass_does_not_depend_on_the_table_size(monkeypatch, name):
     for table in (1, len(sample) ** 2 * k * k):
         monkeypatch.setattr(forms, "_TABLE", table)
         assert screened_report(sample, form, 1e-3) == expected
+
+
+def two_pass_report(sample, form):
+    """transversality_report as two passes: the screened pass for the
+    far pairs, the nearest distances and each row's smallest screened
+    margin, then a second _pair_rows pass over the rows within
+    _margin_reach of the smallest of these, whose far pairs within reach
+    go through transversality_margin; the first strict minimum in row
+    order is kept."""
+    cols, floor = sample.columns, limits.PAIR_FLOOR
+    u = np.linalg.svd(form.real_gram @ cols, full_matrices=False)[0]
+    index, width = np.arange(len(cols)), len(cols) * cols.shape[-1] ** 2
+    nearest, least, tested = np.empty(len(cols)), np.full(len(cols), np.inf), 0
+    for block in forms.table_blocks(len(cols), width):
+        rows = index[block]
+        nearest[rows], far, screened = limits._pair_rows(cols, rows, floor, u)
+        tested += int(np.count_nonzero(far))
+        least[rows] = np.min(screened, axis=1)
+    if tested == 0:
+        raise ValueError("no pair clears the distance floor")
+    margin, worst = np.inf, None
+    bound = np.min(least) + limits._margin_reach(np.min(least), *cols.shape[-2:])
+    revisit = np.flatnonzero(least <= bound)
+    for block in forms.table_blocks(len(revisit), width):
+        rows = revisit[block]
+        for i, screened in zip(rows, limits._pair_rows(cols, rows, floor, u)[2]):
+            near = np.flatnonzero(screened <= bound)
+            if not near.size:
+                continue
+            svs = limits.transversality_margin(Frame(cols[i]), cols[near], form)
+            j = int(np.argmin(svs))
+            if svs[j] < margin:
+                margin, worst = float(svs[j]), (sample.words[i], sample.words[near[j]])
+    return margin, worst, tested, float(np.max(nearest))
+
+
+PASS_CASES = [f"{preset}:{radius}" for preset in ("schottky-o21", "mixed-o21")
+              for radius in range(5, 9)] + ["pingpong:0:6:1", "ties", "tie", "single"]
+
+
+@pytest.mark.parametrize("name", PASS_CASES)
+def test_the_margin_is_found_in_the_one_pass(monkeypatch, name):
+    form, sample = case(name)
+    expected = two_pass_report(sample, form)
+    pair_rows, seen = limits._pair_rows, []
+    monkeypatch.setattr(limits, "_pair_rows", lambda cols, rows, *rest:
+                        seen.extend(rows.tolist()) or pair_rows(cols, rows, *rest))
+    assert tuple(transversality_report(sample, form)) == expected
+    assert seen == list(range(len(sample)))
+
+
+@pytest.mark.parametrize("name", ["mixed-o21:5", "pingpong:0:6:1", "ties", "tie", "middle"])
+def test_a_falling_bound_admits_no_other_winner(monkeypatch, name):
+    # one row per block: the bound starts from the first row's smallest
+    # screened margin, which is inf for the middle sample's first row
+    form, sample = case(name)
+    expected = two_pass_report(sample, form)
+    monkeypatch.setattr(forms, "_TABLE", 1)
+    assert tuple(transversality_report(sample, form)) == expected
+
+
+def test_a_sample_without_a_far_pair_keeps_its_error():
+    form, sample = case("none")
+    for report in (two_pass_report, transversality_report):
+        with pytest.raises(ValueError, match="^no pair clears the distance floor$"):
+            report(sample, form)
