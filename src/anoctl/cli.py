@@ -163,9 +163,12 @@ def load_generators(config):
     return None, gens
 
 
-def _named_matrices(config):
+def _named_matrices(config, fit_form=True):
     """A builtin preset brings its own form, which a --form (the default
-    "2,1" included) must not contradict; a file takes the --form."""
+    "2,1" included) must not contradict; a file takes the --form.  With
+    ``fit_form``, file generators that agree in size with each other
+    (enumerate_ball names one that does not) must be n x n for the
+    form's n."""
     form, gens = load_generators(config)
     if config.form:
         given = config.parsed_form()
@@ -176,6 +179,13 @@ def _named_matrices(config):
             raise ValueError(f"form {config.form} contradicts {config.gens}, "
                              f"whose form is {form.p},{form.q}"
                              f"{',C' if form.is_complex else ''}")
+    shapes = {mat.shape for _, mat in gens}
+    if fit_form and form is not None and len(shapes) == 1 and \
+            shapes != {(form.n, form.n)}:
+        name, mat = gens[0]
+        raise ValueError(f"generator {name!r} in {config.gens} is "
+                         f"{'x'.join(map(str, mat.shape))} but form "
+                         f"{config.form} needs {form.n}x{form.n}")
     return form, gens
 
 
@@ -214,7 +224,8 @@ def _theta(form, n, root):
 
 
 def cmd_cartan(config):
-    form, named = _named_matrices(config)
+    # each matrix that does not fit the form is its own error record
+    form, named = _named_matrices(config, fit_form=False)
     n = named[0][1].shape[0] if form is None else form.n
     theta = _theta(form, n, config.xi_root)
     rs = theta.root_system

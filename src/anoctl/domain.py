@@ -12,8 +12,9 @@ properness scan reports flags, never a boolean theorem.  Every
 yes/no question asked of the sample or the core takes a whole stack of
 frames (P, n, k): bad_set_witnesses decides the bad set and _reaches the
 core, each from one first_below call per table block (table_blocks).
-The expansion certificates of many flags advance together, one stacked
-grid step at a time (expansion_certificates).
+The expansion certificates of many flags advance together, one word at
+a time, with one stacked pass over the grids of every radius
+(expansion_certificates).
 """
 
 from __future__ import annotations
@@ -249,13 +250,15 @@ class ExpansionResult(NamedTuple):
 
 
 def _line_draw(rng, n):
-    return rng.standard_normal(n), rng.uniform(0.2, 1.0)
+    # rng.uniform(0.2, 1.0) to the bit, which is low + (high - low) times
+    # one random(), without uniform's per-call argument checks
+    return rng.standard_normal(n), 0.2 + (1.0 - 0.2) * rng.random()
 
 
-def _lines(v, draws, max_angle):
+def _lines(v, draws, max_angles):
     """Orthonormal columns (m, n, 1) of the lines at angle phi in
-    [0.2, 1] max_angle from the unit vectors v (m, n), one row of v and
-    one ``_line_draw`` per line.
+    [0.2, 1] max_angle from the unit vectors v (m, n), one row of v, one
+    max angle of max_angles (m,) and one ``_line_draw`` per line.
     Every dot product is the one-line ``v @ u`` (a row times a vector,
     not a matrix product), so each line is bit for bit the one-draw
     value."""
@@ -264,27 +267,31 @@ def _lines(v, draws, max_angle):
     u = np.reshape(normals, v.shape)
     u = u - v * (u @ np.swapaxes(v, -1, -2))
     u = u / np.sqrt(u @ np.swapaxes(u, -1, -2))
-    phi = np.reshape(uniforms, (-1, 1, 1)) * max_angle
+    phi = np.reshape(uniforms, (-1, 1, 1)) * np.reshape(max_angles, (-1, 1, 1))
     return orthonormalize(np.swapaxes(np.cos(phi) * v + np.sin(phi) * u, -1, -2))[0]
 
 
-def _draw_grid(rngs, v, max_angle, q, grid):
-    """One grid of pairs (W, L) per rng, around its unit vector of v
-    (m, n), each drawn in the order of a pair-by-pair loop: per pair a
-    near line, q - 1 extra columns when q > 1, and the line L.  The
-    planes take one stacked SVD, and the pairs whose W drops rank are
-    left out.  Returns the full-rank planes (M, n, q), their lines
-    (M, n, 1) and the index of each pair's rng (M,)."""
+def _draw_grid(rngs, v, max_angles, q, grid):
+    """One grid of pairs (W, L) per entry of rngs, around its unit vector
+    of v (m, n) and within its max angle of max_angles (m,), the grids
+    drawn in order and each in the order of a pair-by-pair loop: per
+    pair a near line, q - 1 extra columns when q > 1, and the line L.
+    An rng may draw several grids.  The planes take one stacked SVD, and
+    the pairs whose W drops rank are left out.  Returns the full-rank
+    planes (M, n, q), their lines (M, n, 1), the index of each pair's
+    grid (M,) and each grid's rng state just after it was drawn."""
     n = v.shape[-1]
-    near, extra, lines = [], [], []
+    near, extra, lines, states = [], [], [], []
     for rng in rngs:
         for _ in range(grid):
             near.append(_line_draw(rng, n))
             if q > 1:
                 extra.append(rng.standard_normal((n, q - 1)))
             lines.append(_line_draw(rng, n))
+        states.append(rng.bit_generator.state)
     v = np.repeat(v, grid, axis=0)
-    spans = _lines(v, near, max_angle)
+    max_angles = np.repeat(max_angles, grid)
+    spans = _lines(v, near, max_angles)
     if q > 1:
         spans = np.concatenate(
             [spans, np.reshape(extra, (-1, n, q - 1))], axis=-1)
@@ -293,7 +300,7 @@ def _draw_grid(rngs, v, max_angle, q, grid):
     planes, ranks = orthonormalize(spans)
     full = ranks == q
     owner = np.repeat(np.arange(len(rngs)), grid)
-    return planes[full], _lines(v, lines, max_angle)[full], owner[full]
+    return planes[full], _lines(v, lines, max_angles)[full], owner[full], states
 
 
 def _factors(mats, planes, lines, q):
@@ -340,51 +347,60 @@ def expansion_certificate(flag, ray, ball, c, q=1, rng=None,
 def expansion_certificates(flags, rays, ball, c, q=1, rngs=None,
                            radii=DEFAULT_EXPANSION_RADII):
     """expansion_certificate for each flag with its ray and rng (a fresh
-    ``default_rng(0)`` each when rngs is None), as a list of
-    ExpansionResults.
+    ``default_rng(0)`` each when rngs is None, and never one rng for two
+    flags), as a list of ExpansionResults.
 
-    The certificates advance in lockstep over their (word, radius)
-    steps, in the order word by word, radius by radius.  At each step
-    every flag that has not succeeded and still has words draws its
-    grid from its own rng, in the order and with the rng calls of a
-    pair-by-pair loop that draws L for every pair, and one stacked pass
-    (``_factors``) measures the grids of all of them.  So each result
-    and each rng's final state are bit for bit those of that
-    pair-by-pair loop run on one flag at a time.
+    The certificates advance word by word.  At each word every flag that
+    has not succeeded and still has words draws the grids of all radii
+    from its own rng, radius by radius, in the order and with the rng
+    calls of a pair-by-pair loop that draws L for every pair, and one
+    stacked pass (``_factors``) measures the grids of all of them.  Each
+    flag then reads its grids in radius order.  The grids after its
+    first success were drawn for nothing: its rng goes back to the state
+    it had just after the succeeding grid.  So each result and each
+    rng's final state are bit for bit those of that pair-by-pair loop
+    run on one flag at a time.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     from .words import word_inverse
     if rngs is None:
         rngs = [np.random.default_rng(0) for _ in flags]
+    if len(set(map(id, rngs))) < len(rngs):
+        raise ValueError("each flag needs its own rng")
     v = np.array([flag.columns[:, 0] for flag in flags])
     candidates = [[("", np.eye(flag.ambient_dim))]
                   + [(iw, ball.matrix(iw)) for iw in map(word_inverse, ray)]
                   for flag, ray in zip(flags, rays)]
+    angles = 0.9 * np.array(radii)
     best = [(-np.inf, None, None)] * len(flags)
     tested = [0] * len(flags)
     results = [None] * len(flags)
     for word_index in range(max(map(len, candidates), default=0)):
-        for radius in radii:
-            live = [f for f, res in enumerate(results)
-                    if res is None and word_index < len(candidates[f])]
-            if not live:
-                break
-            planes, lines, owner = _draw_grid(
-                [rngs[f] for f in live], v[live], 0.9 * radius, q, EXPANSION_GRID)
-            mats = np.array([candidates[f][word_index][1] for f in live])
-            factors, keep = _factors(mats[owner], planes, lines, q)
-            counts = np.bincount(owner[keep], minlength=len(live))
-            for f, part in zip(live, np.split(factors, np.cumsum(counts)[:-1])):
-                if not part.size:
-                    continue
-                tested[f] += part.size
-                factor = min(part.tolist())
-                word = candidates[f][word_index][0]
-                if factor >= c:
-                    results[f] = ExpansionResult(True, word, radius, factor, tested[f])
-                elif factor > best[f][0]:
-                    best[f] = (factor, word, radius)
+        live = [f for f, res in enumerate(results)
+                if res is None and word_index < len(candidates[f])]
+        if not live:
+            break
+        # grid g is flag live[g // len(radii)] at radius radii[g % len(radii)]
+        grids = np.repeat(live, len(radii))
+        planes, lines, owner, states = _draw_grid(
+            [rngs[f] for f in grids], v[grids], np.tile(angles, len(live)),
+            q, EXPANSION_GRID)
+        mats = np.array([candidates[f][word_index][1] for f in live])
+        factors, keep = _factors(mats[owner // len(radii)], planes, lines, q)
+        counts = np.bincount(owner[keep], minlength=len(grids))
+        parts = np.split(factors, np.cumsum(counts)[:-1])
+        for g, f in enumerate(grids.tolist()):
+            if results[f] is not None or not parts[g].size:
+                continue
+            tested[f] += parts[g].size
+            factor = min(parts[g].tolist())
+            word, radius = candidates[f][word_index][0], radii[g % len(radii)]
+            if factor >= c:
+                results[f] = ExpansionResult(True, word, radius, factor, tested[f])
+                rngs[f].bit_generator.state = states[g]
+            elif factor > best[f][0]:
+                best[f] = (factor, word, radius)
     return [res or ExpansionResult(False, b[1], b[2] or radii[-1],
                                    b[0] if b[0] > -np.inf else 0.0, t)
             for res, b, t in zip(results, best, tested)]

@@ -354,6 +354,33 @@ def test_malformed_generator_matrix_exits_2_naming_it(tmp_path, capsys, named,
         assert capsys.readouterr().err.startswith(f"error: generator {culprit!r} ")
 
 
+@pytest.mark.parametrize("named,form,size", [
+    ([("a", [[2.0]])], "2,1", "1x1"),
+    ('[{"name": "a", "rows": 0, "cols": 0, "data": []}]', "2,1", "0x0"),
+    ([("a", np.diag([2.0, 0.5])), ("b", np.eye(2))], "2,1", "2x2"),
+    ([("a", o21_boost(1.0))], "3,2", "3x3"),
+    ([("a", [[1.0, 2.0]])], "2,1,C", "1x2"),
+])
+def test_generators_that_do_not_fit_the_form_exit_2_naming_one(tmp_path, capsys,
+                                                                named, form, size):
+    path = tmp_path / "gens.json"
+    if isinstance(named, str):
+        path.write_text(named)
+    else:
+        write_gens(path, named)
+    n = sum(map(int, form.split(",")[:2]))
+    for command in ("ball", "divergence", "limitset", "domain"):
+        assert main([command, "--gens", str(path), "--form", form, "--radius", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: generator 'a' in {path} is {size} but form {form} needs {n}x{n}\n"
+    # cartan reports each matrix that does not fit as its own error
+    assert main(["cartan", "--gens", str(path), "--form", form,
+                 "--out", str(tmp_path)]) == 1
+    errors = json.loads(read(tmp_path / "cartan.json"))["errors"]
+    assert [e["error"] for e in errors] == [f"g must be {n}x{n}"] * len(errors) != []
+
+
 def test_domain_report_with_a_one_flag_sample_is_strict_json(tmp_path):
     # one unipotent generator: its ball has a single limit flag, which
     # has no covering radius and no transversality margin

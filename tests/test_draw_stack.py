@@ -157,10 +157,21 @@ def test_expansion_certificate_on_planes_of_the_o32_pair():
         assert res.success and res.factor >= 2.0 and res.word != ""
 
 
+def test_line_draw_is_the_uniform_draw_to_the_bit():
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    draws = [domain._line_draw(rng, 3) for _ in range(20000)]
+    expected = [(ref.standard_normal(3), ref.uniform(0.2, 1.0)) for _ in draws]
+    for (normal, t), (ref_normal, ref_t) in zip(draws, expected):
+        assert np.array_equal(normal, ref_normal) and t == ref_t
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class ParallelExtraRng:
     """A Generator whose q - 1 extra columns are, on the listed draws, a
     multiple of the near line drawn just before, so that W drops rank.
-    ``bit_generator.state`` reads the draw count too."""
+    ``bit_generator.state`` reads and sets the draw count and the last
+    draw too, and ``random`` records the ``uniform(0.2, 1.0)`` value that
+    it stands for."""
 
     def __init__(self, seed, v, max_angle, parallel_draws):
         self._rng = np.random.default_rng(seed)
@@ -173,9 +184,19 @@ class ParallelExtraRng:
     def state(self):
         return self._rng.bit_generator.state, self._extras, self._last
 
+    @state.setter
+    def state(self, value):
+        inner, self._extras, self._last = value
+        self._rng.bit_generator.state = inner
+
     def uniform(self, low, high):
         value = self._rng.uniform(low, high)
         self._last = (self._last, value)
+        return value
+
+    def random(self):
+        value = self._rng.random()
+        self._last = (self._last, 0.2 + 0.8 * value)
         return value
 
     def standard_normal(self, size):
@@ -213,6 +234,32 @@ def test_expansion_certificate_skips_planes_that_drop_rank(parallel_draws):
     # each parallel draw in the first grid cost one pair
     grids = len(radii) * (len(ray) + 1)
     assert result.pairs_tested == 8 * grids - sum(d <= 8 for d in parallel_draws)
+
+
+def test_a_certificate_that_drops_rank_and_succeeds_restores_the_stub():
+    # W drops rank in the first grid of each word; every flag succeeds at
+    # the middle radius of its first word, so its last grid is drawn and
+    # undone: 5 grids of 8 extra draws, 3 of them parallel
+    ball, sample = pingpong_case()
+    flags, ray_list = zip(*islice(rays(sample), 4))
+    radii = (0.01, 1e-3, 1e-4)
+
+    def make_rng(i):
+        return ParallelExtraRng(3 + i, flags[i].columns[:, 0], 0.9 * radii[0],
+                                (2, 26, 30))
+
+    def state(rng):
+        return rng.bit_generator.state[:2]
+
+    results = assert_same_certificates(ball, flags, ray_list, 2.0, make_rng, q=2,
+                                       state=state, radii=radii)
+    for i, (flag, ray, res) in enumerate(zip(flags, ray_list, results)):
+        assert res.success and res.neighborhood_radius == radii[1]
+        assert res.pairs_tested == 5 * 8 - 3
+        rng = make_rng(i)
+        assert expansion_certificate(flag, ray, ball, 2.0, q=2, rng=rng,
+                                     radii=radii) == res
+        assert state(rng)[1] == 5 * 8
 
 
 def test_expansion_certificate_measures_planes_squeezed_below_the_rank_tolerance():
@@ -317,6 +364,45 @@ def test_expansion_certificates_of_no_flags():
     assert expansion_certificates([], [], ball, 2.0) == []
     with pytest.raises(ValueError, match="c must be positive"):
         expansion_certificates([], [], ball, 0.0)
+
+
+def test_flags_that_share_an_rng_are_refused():
+    ball, sample = CASES["schottky-o21"]()
+    flags, ray_list = zip(*rays(sample, 2))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="each flag needs its own rng"):
+        expansion_certificates(flags, ray_list, ball, 2.0, rngs=[rng, rng])
+
+
+def words_reached(ray, res):
+    """The number of candidate words (the identity first) that a
+    certificate measured."""
+    words = ["", *map(word_inverse, ray)]
+    return words.index(res.word) + 1 if res.success else len(words)
+
+
+@pytest.mark.parametrize("c", [2.0, 1e9])
+@pytest.mark.parametrize("name", [*sorted(CASES), "stop-at-different-steps"])
+def test_one_factors_pass_per_word_reached(monkeypatch, name, c):
+    ball, sample = CASES.get(name, CASES["mixed-o21"])()
+    flags, ray_list = zip(*rays(sample))
+    if name not in CASES:
+        ray_list = [ray[:i % 4] for i, ray in enumerate(ray_list)]
+    calls = {"_draw_grid": 0, "_factors": 0}
+
+    def counted(func, call_through):
+        def call(*args):
+            calls[func] += 1
+            return call_through(*args)
+        return call
+
+    for func in calls:
+        monkeypatch.setattr(domain, func, counted(func, getattr(domain, func)))
+    results = expansion_certificates(flags, ray_list, ball, c,
+                                     rngs=[np.random.default_rng(7) for _ in flags])
+    reached = max(map(words_reached, ray_list, results))
+    assert calls == {"_draw_grid": reached, "_factors": reached}
+    assert reached < sum(len(ray) + 1 for ray in ray_list)
 
 
 def test_one_flag_is_expansion_certificate():
