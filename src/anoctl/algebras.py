@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .forms import make_witt_form, null_space
-from .roots import build_root_system, positive_roots
+from .cartan import restricted_roots
+from .roots import positive_roots
 
 # relative tolerance of coords' and adjoint_rep's membership checks
 MEMBERSHIP_TOL = 1e-8
@@ -145,8 +146,7 @@ def _sl_algebra(n):
         h = np.zeros((n, n))
         h[i, i], h[i + 1, i + 1] = 1.0, -1.0
         cartan.append(h)
-    rs = build_root_system("A", n - 1)
-    return LieAlgebra(f"sl{n}", basis, cartan, rs)
+    return LieAlgebra(f"sl{n}", basis, cartan, restricted_roots(None, n))
 
 
 def _o_algebra(p, q):
@@ -164,10 +164,7 @@ def _o_algebra(p, q):
         h = np.zeros((n, n))
         h[i, i], h[n - 1 - i, n - 1 - i] = 1.0, -1.0
         cartan.append(h)
-    if q == 0:
-        raise ValueError("o(p,0) is compact; no restricted roots")
-    rs = build_root_system("B" if p > q else "D", q)
-    return LieAlgebra(f"o{p}{q}", basis, cartan, rs, form=form)
+    return LieAlgebra(f"o{p}{q}", basis, cartan, restricted_roots(form, n), form=form)
 
 
 @lru_cache(maxsize=None)

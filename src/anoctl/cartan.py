@@ -6,6 +6,13 @@ orthogonal group), a complex one "onC" (the complex orthogonal group of
 the canonical complex Witt form, handled with complex matrices and
 realified flags).
 
+The form also fixes the group's data that the other modules read, each
+written here once: its restricted root system (``restricted_roots``),
+the diagonal of a chamber element (``chamber_diagonal``, whose exp is
+``chamber_exp``), the theta of a simple root's flag (``flag_theta``; for
+p = q the (q-1)-plane flag is indexed by {alpha_{q-1}, alpha_q}) and
+theta's columns of the root gaps (``theta_gaps``).
+
 The chamber representative mu(g) is the vector of log singular values in
 a root-adapted order: all of them, weakly decreasing, for gl; the top q,
 weakly decreasing and nonnegative, for opq and onC.  Decompositions are
@@ -52,6 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forms import Frame, WittForm, check_isotropic, orthonormalize
+from .roots import ThetaSet, build_root_system
 
 FORM_PRESERVATION_TOL = 1e-8
 _SIGNIFICANT = 1e-9
@@ -108,16 +116,47 @@ def tag_of(form):
     return "onC" if form.is_complex else "opq"
 
 
-def chamber_exp(mu, form=None):
-    """exp of the chamber element with the given projection value."""
-    v = mu.values
+def restricted_roots(form, n):
+    """Root system of the group that ``form`` picks for n x n matrices:
+    A_{n-1} for GL(n), B or D of rank q for O(p, q) as p > q or p = q,
+    and B or D of rank n // 2 for O(n, C) as n is odd or even.
+    ValueError for a group without restricted roots."""
+    tag = tag_of(form)
+    if tag == "gl":
+        if n < 2:
+            raise ValueError(f"form '' is not supported: GL({n}) has no restricted roots")
+        return build_root_system("A", n - 1)
+    if tag == "onC":
+        if form.n < 3:
+            why = "is finite" if form.n == 1 else "has no restricted roots"
+            raise ValueError(f"form {form.p},{form.q},C is not supported: "
+                             f"O({form.n}, C) {why}")
+        return build_root_system("B" if form.n % 2 else "D", form.n // 2)
+    if form.q == 0 or form.p == 1:
+        why = "is compact" if form.q == 0 else "has no restricted roots"
+        raise ValueError(f"form {form.p},{form.q} is not supported: "
+                         f"O({form.p},{form.q}) {why}")
+    return build_root_system("B" if form.p > form.q else "D", form.q)
+
+
+def chamber_diagonal(h, form=None):
+    """The diagonal of the chamber element with epsilon coordinates h
+    (r,): h itself for gl; (h, 0, ..., 0, -h reversed), of length
+    form.n, for opq and onC."""
+    h = np.asarray(h, dtype=float)
     if form is None:
-        return np.diag(np.exp(v))
-    n = form.n
-    d = np.ones(n, dtype=complex if form.is_complex else float)
-    d[:len(v)] = np.exp(v)
-    d[n - len(v):] = np.exp(-v[::-1])
-    return np.diag(d)
+        return h
+    d = np.zeros(form.n)
+    d[:len(h)] = h
+    d[form.n - len(h):] = -h[::-1]
+    return d
+
+
+def chamber_exp(mu, form=None):
+    """exp of the chamber element with the given projection value,
+    complex for onC."""
+    d = np.exp(chamber_diagonal(mu.values, form))
+    return np.diag(d.astype(complex) if form is not None and form.is_complex else d)
 
 
 # ---------------------------------------------------------------------------
@@ -764,28 +803,46 @@ def cartan_mu_batch(mats, form=None):
     return MuBatch(tag, mu, margin, u if b is None else b @ u, bound, kept)
 
 
+def _paired_roots(form):
+    """[q - 1, q] for O(q, q), whose (q-1)-plane flag is indexed by
+    {alpha_{q-1}, alpha_q} (its q-planes split into two families); []
+    for every other group."""
+    return [form.q - 1, form.q] if tag_of(form) == "opq" and form.p == form.q else []
+
+
+def flag_theta(form, n, root):
+    """The theta of the flag of the simple root ``root`` for n x n
+    matrices, over restricted_roots(form, n): {root}, or both
+    _paired_roots when root is the first of them."""
+    pair = _paired_roots(form)
+    return ThetaSet(restricted_roots(form, n),
+                    frozenset(pair if pair and root == pair[0] else [root]))
+
+
 def _theta_to_plane_dim(theta, form):
     """Numeric scope of the flag map: a singleton {alpha_i}; for p = q the
     (p-1)-plane case is indexed by {alpha_{p-1}, alpha_p}."""
     members = sorted(theta.members)
     if not members:
         raise ValueError("theta must be nonempty")
-    tag = tag_of(form)
-    if tag == "gl":
-        if len(members) != 1:
-            raise ValueError("gl flag maps support a single simple root")
-        return members[0]
-    q = form.q if tag == "opq" else form.n // 2
-    p_eq_q = tag == "opq" and form.p == form.q
+    if tag_of(form) == "gl" and len(members) != 1:
+        raise ValueError("gl flag maps support a single simple root")
+    pair = _paired_roots(form)
     if len(members) == 1:
-        i = members[0]
-        if p_eq_q and i >= q - 1:
+        if pair and members[0] >= pair[0]:
             raise ValueError(
                 "for p = q the (p-1)-plane flag is indexed by {alpha_{p-1}, alpha_p}")
-        return i
-    if p_eq_q and members == [q - 1, q]:
-        return q - 1
+        return members[0]
+    if pair and members == pair:
+        return pair[0]
     raise ValueError(f"unsupported theta {members} for this group")
+
+
+def theta_gaps(gaps, theta, smallest=True):
+    """theta's columns (..., |theta|) of stacked root gaps (..., rank),
+    in root order, or with ``smallest`` the smallest of them (...,)."""
+    cols = gaps[..., [a - 1 for a in sorted(theta.members)]]
+    return np.min(cols, axis=-1) if smallest else cols
 
 
 def xi_theta(g, theta, form=None, tol=1e-6):

@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cartan import GapTooSmallError, flag_frame, kak, mu_gaps, tag_of, \
-    witt_pm_basis
+from .cartan import GapTooSmallError, flag_frame, flag_theta, kak, mu_gaps, \
+    restricted_roots, witt_pm_basis
 from .domain import (
     ACCUMULATION_TOL,
     bad_set_witnesses,
@@ -189,36 +189,6 @@ def _named_matrices(config, fit_form=True):
     return form, gens
 
 
-def _group_setup(form, n):
-    """Root system of the group that ``form`` picks for n x n matrices."""
-    tag = tag_of(form)
-    if tag == "gl":
-        if n < 2:
-            raise ValueError(f"form '' is not supported: GL({n}) has no restricted roots")
-        return build_root_system("A", n - 1)
-    if tag == "onC":
-        if form.n < 3:
-            why = "is finite" if form.n == 1 else "has no restricted roots"
-            raise ValueError(f"form {form.p},{form.q},C is not supported: "
-                             f"O({form.n}, C) {why}")
-        return build_root_system("B" if form.n % 2 else "D", form.n // 2)
-    if form.q == 0 or form.p == 1:
-        why = "is compact" if form.q == 0 else "has no restricted roots"
-        raise ValueError(f"form {form.p},{form.q} is not supported: "
-                         f"O({form.p},{form.q}) {why}")
-    return build_root_system("B" if form.p > form.q else "D", form.q)
-
-
-def _theta(form, n, root):
-    """The theta of the flag of the simple root ``root`` for n x n
-    matrices: {root}, except that for p = q the (q-1)-plane flag is
-    indexed by {alpha_{q-1}, alpha_q}."""
-    roots = {root}
-    if tag_of(form) == "opq" and form.p == form.q and root == form.q - 1:
-        roots.add(form.q)
-    return ThetaSet(_group_setup(form, n), frozenset(roots))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -227,7 +197,7 @@ def cmd_cartan(config):
     # each matrix that does not fit the form is its own error record
     form, named = _named_matrices(config, fit_form=False)
     n = named[0][1].shape[0] if form is None else form.n
-    theta = _theta(form, n, config.xi_root)
+    theta = flag_theta(form, n, config.xi_root)
     rs = theta.root_system
     records, errors = [], []
     for name, mat in named:
@@ -286,7 +256,7 @@ def cmd_divergence(config):
     form, gens = _named_matrices(config)
     # the ball first, so that enumerate_ball names a malformed generator
     ball, truncated = _enumerate(config, gens)
-    rs = _group_setup(form, gens[0][1].shape[0])
+    rs = restricted_roots(form, gens[0][1].shape[0])
     profile = divergence_profile(ball, rs, form)
     path = os.path.join(config.out, "divergence.csv")
     with open(path, "w") as fh:
@@ -316,7 +286,7 @@ def cmd_limitset(config):
     form, gens = _named_matrices(config)
     n = gens[0][1].shape[0]
     chart = _chart(config.chart, n)
-    theta = _theta(form, n, config.xi_root)
+    theta = flag_theta(form, n, config.xi_root)
     ball, truncated = _enumerate(config, gens)
     sample = sample_limit_set(ball, theta, form, min_gap=config.min_gap)
     csv_path = os.path.join(config.out, "limitset.csv")
@@ -343,10 +313,10 @@ def cmd_domain(config):
         raise ValueError("domain check needs a form (use --form P,Q)")
     if form.is_complex:
         raise ValueError("domain check needs a real form")
-    theta = _theta(form, gens[0][1].shape[0], 1)
+    theta = flag_theta(form, gens[0][1].shape[0], 1)
     ball, truncated = _enumerate(config, gens)
     # one stream feeds the interior points, then the coverage trials
-    points = gaussian_domain_sampler(form, config.rng(), config.tol)
+    points = gaussian_domain_sampler(form, config.rng())
 
     try:
         sample = sample_limit_set(ball, theta, form, min_gap=config.min_gap)

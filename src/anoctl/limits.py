@@ -15,7 +15,7 @@ import numpy as np
 
 # kak stays bound here for perfbench's tracer, which wraps every binding
 # of it
-from .cartan import _theta_to_plane_dim, flag_of, kak, root_gaps  # noqa: F401
+from .cartan import _theta_to_plane_dim, flag_of, kak, root_gaps, theta_gaps  # noqa: F401
 from .forms import (
     Frame,
     KeyIndex,
@@ -115,9 +115,8 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
     i = _theta_to_plane_dim(theta, form)
     batch = ball.cartan_batch(form)
     approx, slack = batch.gaps(theta.root_system)
-    members = [a - 1 for a in sorted(theta.members)]
-    approx_gap = np.min(approx[:, members], axis=1)
-    gap_slack = np.max(slack[:, members], axis=1)
+    approx_gap = theta_gaps(approx, theta)
+    gap_slack = np.max(theta_gaps(slack, theta, smallest=False), axis=1)
     # skip what the batch settles: a gap clearly at most min_gap, or a
     # flag clearly within MERGE_TOL of a kept flag (the batch bounds
     # flags where the gap exceeds 1, within their flag margin)
@@ -139,7 +138,7 @@ def sample_limit_set(ball, theta, form=None, min_gap=1.0):
         if not block.size:
             continue
         k, mu, _ = ball.kak(block, form)
-        exact = np.min(root_gaps(mu, theta.root_system, batch.group_tag)[:, members], axis=1)
+        exact = theta_gaps(root_gaps(mu, theta.root_system, batch.group_tag), theta)
         clear = exact > min_gap
         if not clear.any():
             continue

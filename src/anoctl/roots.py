@@ -6,7 +6,10 @@ root), admissibility of subsets with respect to a support, nuclei and
 saturations, and classification of Weyl-chamber sequences.
 
 All pairings are exact ``Fraction`` values; floating point only enters
-through chamber sequences.  Data is immutable and safe for concurrent
+through chamber sequences.  The classical types (A, B, BC, C, D) carry
+epsilon coordinates for their simple roots, and their pairings are the
+inner products of those coordinates; E6-E8, F4 and G2 have none and
+keep hand-written pairings.  Data is immutable and safe for concurrent
 reads.
 """
 
@@ -166,6 +169,18 @@ def _eps_rows(rows, dim):
     return tuple(out)
 
 
+def _eps_gram(coords):
+    """The pairings (a_i, a_j) of simple roots given in epsilon
+    coordinates, the standard inner products of their rows, as
+    Fractions.  Each row's nonzero terms are found once and only the
+    coordinates that two rows share are multiplied, so a pairing costs
+    the few coordinates of two simple roots, not a whole row of
+    Fraction products (A_40 has 1,600 pairings of 41 coordinates)."""
+    terms = [{j: c for j, c in enumerate(row) if c} for row in coords]
+    return [[sum((c * b[j] for j, c in a.items() if j in b), Fraction(0)) for b in terms]
+            for a in terms]
+
+
 def build_root_system(type_label, rank):
     """Populate full combinatorial data for a supported (type, rank)."""
     t = type_label
@@ -175,15 +190,12 @@ def build_root_system(type_label, rank):
     if t == "A":
         if rank < 1:
             raise RootSystemError("type A needs rank >= 1")
-        pairing = _chain_pairing(rank, [2] * rank, [-1] * (rank - 1))
         coords = _eps_rows([[(i, 1), (i + 1, -1)] for i in range(rank)], rank + 1)
         opposition = tuple(rank + 1 - i for i in range(1, rank + 1))
         table1 = Table1Entry(1, (1,) * rank)
     elif t in ("B", "BC"):
         if rank < 1:
             raise RootSystemError(f"type {t} needs rank >= 1")
-        norms = [2] * (rank - 1) + [1]
-        pairing = _chain_pairing(rank, norms, [-1] * (rank - 1))
         coords = _eps_rows([[(i, 1), (i + 1, -1)] for i in range(rank - 1)]
                            + [[(rank - 1, 1)]], rank)
         opposition = tuple(range(1, rank + 1))
@@ -197,9 +209,6 @@ def build_root_system(type_label, rank):
     elif t == "C":
         if rank < 2:
             raise RootSystemError("type C needs rank >= 2")
-        norms = [2] * (rank - 1) + [4]
-        off = [-1] * (rank - 2) + [-2]
-        pairing = _chain_pairing(rank, norms, off)
         coords = _eps_rows([[(i, 1), (i + 1, -1)] for i in range(rank - 1)]
                            + [[(rank - 1, 2)]], rank)
         opposition = tuple(range(1, rank + 1))
@@ -207,9 +216,6 @@ def build_root_system(type_label, rank):
     elif t == "D":
         if rank < 2:
             raise RootSystemError("type D needs rank >= 2")
-        pairing = _chain_pairing(rank, [2] * rank, [-1] * (rank - 2) + [0])
-        if rank >= 3:
-            pairing[rank - 3][rank - 1] = pairing[rank - 1][rank - 3] = Fraction(-1)
         coords = _eps_rows([[(i, 1), (i + 1, -1)] for i in range(rank - 1)]
                            + [[(rank - 2, 1), (rank - 1, 1)]], rank)
         if rank % 2 == 1:
@@ -247,6 +253,8 @@ def build_root_system(type_label, rank):
         alpha_G, chi = _EXCEPTIONAL_CHI[t]
         table1 = Table1Entry(alpha_G, chi)
 
+    if coords is not None:
+        pairing = _eps_gram(coords)
     rs = RootSystem(t, rank, tuple(tuple(row) for row in pairing),
                     coords, opposition, table1)
     _check_table1(rs)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebras import adjoint_rep, get_algebra
-from .cartan import exterior_power, tag_of
+from .cartan import chamber_diagonal, exterior_power, tag_of
 from .roots import (
     ThetaSet,
     _admissible,
@@ -151,17 +151,10 @@ class MatrixGroup(NamedTuple):
 
     def chamber_matrix(self, h_eps):
         h = np.asarray(h_eps, dtype=float)
-        if self.tag == "gl":
-            if len(h) != self.n:
-                raise ValueError(f"need {self.n} epsilon coordinates")
-            return np.diag(h)
-        q = self.form.q
-        if len(h) != q:
-            raise ValueError(f"need {q} epsilon coordinates")
-        d = np.zeros(self.n)
-        d[:q] = h
-        d[self.n - q:] = -h[::-1]
-        return np.diag(d)
+        size = self.n if self.tag == "gl" else self.form.q
+        if len(h) != size:
+            raise ValueError(f"need {size} epsilon coordinates")
+        return np.diag(chamber_diagonal(h, self.form))
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ from anoctl.cartan import (
     flag_of,
     kak,
     mu_gaps,
+    restricted_roots,
     root_gaps,
     tag_of,
     witt_pm_basis,
     xi_theta,
 )
-from anoctl.cli import _group_setup
 from anoctl.forms import Frame, dist_projective, make_witt_form, principal_sines
 from anoctl.presets import mixed_o21, schottky_o21
 from anoctl.roots import ThetaSet, build_root_system
@@ -226,6 +226,65 @@ def test_kak_duality(rng):
 
 
 # ---------------------------------------------------------------------------
+# the group's root system and chamber
+
+
+@pytest.mark.parametrize("form, n, label", [
+    (None, 4, "A3"), (make_witt_form(3, 2), 5, "B2"), (make_witt_form(2, 2), 4, "D2"),
+    (make_witt_form(3, 2, "complex"), 5, "B2"), (make_witt_form(2, 2, "complex"), 4, "D2")])
+def test_restricted_roots_of_each_group(form, n, label):
+    rs = restricted_roots(form, n)
+    assert f"{rs.type_label}{rs.rank}" == label
+
+
+@pytest.mark.parametrize("form, n, message", [
+    (None, 1, "form '' is not supported: GL(1) has no restricted roots"),
+    (make_witt_form(1, 0, "complex"), 1, "form 1,0,C is not supported: O(1, C) is finite"),
+    (make_witt_form(1, 1, "complex"), 2,
+     "form 1,1,C is not supported: O(2, C) has no restricted roots"),
+    (make_witt_form(3, 0), 3, "form 3,0 is not supported: O(3,0) is compact"),
+    (make_witt_form(1, 1), 2, "form 1,1 is not supported: O(1,1) has no restricted roots")])
+def test_restricted_roots_refuse_groups_without_them(form, n, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        restricted_roots(form, n)
+
+
+def chamber_exp_formula(mu, form):
+    """exp of the chamber element as written before chamber_diagonal."""
+    v = mu.values
+    if form is None:
+        return np.diag(np.exp(v))
+    n = form.n
+    d = np.ones(n, dtype=complex if form.is_complex else float)
+    d[:len(v)] = np.exp(v)
+    d[n - len(v):] = np.exp(-v[::-1])
+    return np.diag(d)
+
+
+@pytest.mark.parametrize("form, tag, r", [
+    (None, "gl", 4), (make_witt_form(3, 2), "opq", 2),
+    (make_witt_form(3, 2, "complex"), "onC", 2)])
+def test_chamber_exp_is_the_diagonal_formula(form, tag, r):
+    rng = np.random.default_rng(17)
+    for trial in range(100):
+        # a reversed view, as np.sort(...)[::-1] gives
+        view = np.sort(rng.uniform(-20.0 if tag == "gl" else 0.0, 20.0, r))[::-1]
+        if tag != "gl":     # zero exponents, as the band rule reads them
+            view[r - trial % 3:] = 0.0
+        mu = MuVector(tag, np.ascontiguousarray(view))
+        got, want = chamber_exp(mu, form), chamber_exp_formula(mu, form)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # numpy's exp rounds a strided array on another path than a
+        # contiguous one.  gl takes the exp of mu.values, as the formula
+        # does; opq and onC take the exp of one contiguous diagonal, where
+        # the formula took that of mu.values, so a view now has the bits
+        # of its contiguous copy
+        strided = chamber_exp(MuVector(tag, view), form)
+        expected = chamber_exp_formula(MuVector(tag, view), form) if tag == "gl" else got
+        assert strided.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # mu and gaps
 
 
@@ -337,7 +396,7 @@ def test_root_gaps_equal_the_per_root_formula(name):
     # each gap has at most two terms +-mu_j, so the matrix product rounds
     # it once, as the per-root formula does, alone or stacked
     mats, form = GAP_CASES[name]()
-    rs, tag = _group_setup(form, mats.shape[-1]), tag_of(form)
+    rs, tag = restricted_roots(form, mats.shape[-1]), tag_of(form)
     mus = kak(mats, form)[1]
     expected = np.array([per_root_gaps(mu, rs, tag) for mu in mus])
     assert root_gaps(mus, rs, tag).tobytes() == expected.tobytes()
@@ -517,7 +576,7 @@ def assert_batch_matches_kak(mats, form=None, flag_tol=np.inf):
     norm up to 1e6), and within the finite margin there; flags within
     the reported margins, within 1e-12 wherever the margin is at its
     floor, and within flag_tol."""
-    rs = _group_setup(form, mats.shape[-1])
+    rs = restricted_roots(form, mats.shape[-1])
     batch = cartan_mu_batch(mats, form)
     assert np.all(np.isfinite(batch.margin))
     approx, slack = batch.gaps(rs)

@@ -87,7 +87,7 @@ def test_cartan_decomposes_each_matrix_once(tmp_path, monkeypatch):
     assert sizes == [1, 1]
     monkeypatch.undo()
     form, gens = schottky_o21()
-    theta = cli._theta(form, 3, 1)
+    theta = cartan.flag_theta(form, 3, 1)
     records = json.loads(read(tmp_path / "cartan.json"))["records"]
     assert [r["flag_frame"] for r in records] == \
         [cartan.xi_theta(m, theta, form, 1e-9).to_json() for _, m in gens]
@@ -173,6 +173,22 @@ def test_domain_scans_only_points_clear_at_its_tolerance(tmp_path):
     report = json.loads(read(tmp_path / "domain.json"))
     assert report["bad_set_hits"] == 0
     assert max(flag["point"] for flag in report["relation_flags"]) < 100
+
+
+def test_domain_tol_sets_only_the_bad_set_hits(tmp_path):
+    # the sampler draws and stratifies its points at its own
+    # MEMBERSHIP_TOL, so a loose --tol changes no point, no flag and no
+    # coverage, only how many points count as within it of the bad set
+    reports = []
+    for extra in ([], ["--tol", "0.1"]):
+        out = tmp_path / str(len(extra))
+        assert main(["domain", "--gens", "builtin:mixed-o21", "--radius", "5",
+                     "--seed", "0", "--out", str(out), *extra]) == 0
+        reports.append(json.loads(read(out / "domain.json")))
+    default, loose = reports
+    assert (default["bad_set_hits"], loose["bad_set_hits"]) == (0, 40)
+    assert len(loose["relation_flags"]) == 23655
+    assert {**loose, "bad_set_hits": 0} == default
 
 
 def test_ball_command(tmp_path):

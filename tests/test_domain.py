@@ -206,6 +206,11 @@ def test_scan_empty_inputs():
     flags = dynamical_relation_scan([], ball, sample)
     assert len(flags) == 0
     assert sorted(flags.columns) == ["min_gap", "point", "residual", "word"]
+    # points, but a ball with no element as long as min_word_length
+    points = list(itertools.islice(gaussian_domain_sampler(form, np.random.default_rng(0)), 3))
+    flags = dynamical_relation_scan(points, ball, sample, tol=0.0,
+                                    min_word_length=ball.radius + 1)
+    assert flags.columns == {"point": [], "word": [], "min_gap": [], "residual": []}
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,16 @@ def test_flags_that_share_an_rng_are_refused():
         expansion_certificates(flags, ray_list, ball, 2.0, rngs=[rng, rng])
 
 
+def test_empty_radii_are_refused():
+    # a failure record reports the last radius, which an empty tuple lacks
+    ball, sample = CASES["schottky-o21"]()
+    flags, ray_list = zip(*rays(sample, 1))
+    with pytest.raises(ValueError, match="^radii must not be empty$"):
+        expansion_certificates(flags, ray_list, ball, 2.0, radii=())
+    with pytest.raises(ValueError, match="^radii must not be empty$"):
+        expansion_certificate(flags[0], ray_list[0], ball, 2.0, radii=())
+
+
 def words_reached(ray, res):
     """The number of candidate words (the identity first) that a
     certificate measured."""

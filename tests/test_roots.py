@@ -42,6 +42,32 @@ def test_b2_epsilon_coordinates():
         (Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1)))
 
 
+def chain_rule(t, rank):
+    """The classical pairings written as a chain diagram: squared norms
+    on the diagonal, the chain's neighbours off it, and D's fork of
+    alpha_{r-2} and alpha_r."""
+    m = [[Fraction(0)] * rank for _ in range(rank)]
+    short = {"A": 2, "B": 1, "BC": 1, "C": 4, "D": 2}[t]
+    for i in range(rank):
+        m[i][i] = Fraction(2 if i < rank - 1 else short)
+    for i in range(rank - 1):
+        last = i == rank - 2
+        m[i][i + 1] = m[i + 1][i] = Fraction(
+            -2 if last and t == "C" else 0 if last and t == "D" else -1)
+    if t == "D" and rank >= 3:
+        m[rank - 3][rank - 1] = m[rank - 1][rank - 3] = Fraction(-1)
+    return m
+
+
+@pytest.mark.parametrize("t", ["A", "B", "BC", "C", "D"])
+def test_classical_pairings_are_the_chain_rule(t):
+    # the pairings are derived from the epsilon coordinates
+    for rank in range({"C": 2, "D": 2}.get(t, 1), 41):
+        rs = build_root_system(t, rank)
+        assert [list(row) for row in rs.cartan_pairing] == chain_rule(t, rank)
+        assert {type(x) for row in rs.cartan_pairing for x in row} == {Fraction}
+
+
 def test_g2_table_entry():
     rs = build_root_system("G2", 2)
     assert rs.table1.chi_G_coeffs == (3, 2)
