@@ -5,6 +5,11 @@ Supported tags: "sl2".."sl4" and "oPQ" for p >= q with p + q <= 5 (Witt
 basis).  Bases are Frobenius-orthonormal, so the adjoint action of the
 maximal compact subgroup is by genuinely orthogonal matrices, which is
 what the Satake embedding layer needs.
+
+The group's data come from ``cartan``, where each is written once: the
+restricted root system (``restricted_roots``), the Cartan subspace of
+o(p, q) (the chamber elements of ``chamber_diagonal``) and the check
+that an element lies in the group (kak's ``_front``).
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .forms import make_witt_form, null_space
-from .cartan import restricted_roots
+from .cartan import _front, chamber_diagonal, restricted_roots
 from .roots import positive_roots
 
-# relative tolerance of coords' and adjoint_rep's membership checks
+# relative tolerance of coords' membership check and of the sl
+# determinant check (kak's _front decides membership of O(p, q))
 MEMBERSHIP_TOL = 1e-8
 
 
@@ -134,18 +140,11 @@ def _sl_algebra(n):
                 e = np.zeros((n, n))
                 e[i, j] = 1.0
                 basis.append(e)
-    diag = []
-    for i in range(n - 1):
-        h = np.zeros((n, n))
-        h[i, i], h[i + 1, i + 1] = 1.0, -1.0
-        diag.append(h.reshape(-1))
-    qmat, _ = np.linalg.qr(np.stack(diag, axis=1))
+    # the simple coroots e_i - e_{i+1} span the Cartan subspace
+    eye = np.eye(n)
+    cartan = [np.diag(eye[i] - eye[i + 1]) for i in range(n - 1)]
+    qmat, _ = np.linalg.qr(np.stack([h.reshape(-1) for h in cartan], axis=1))
     basis.extend(qmat[:, i].reshape(n, n) for i in range(n - 1))
-    cartan = []
-    for i in range(n - 1):
-        h = np.zeros((n, n))
-        h[i, i], h[i + 1, i + 1] = 1.0, -1.0
-        cartan.append(h)
     return LieAlgebra(f"sl{n}", basis, cartan, restricted_roots(None, n))
 
 
@@ -159,11 +158,7 @@ def _o_algebra(p, q):
             e = np.zeros((n, n))
             e[i, j], e[j, i] = 1.0, -1.0
             basis.append((g @ e) / np.sqrt(2.0))
-    cartan = []
-    for i in range(q):
-        h = np.zeros((n, n))
-        h[i, i], h[n - 1 - i, n - 1 - i] = 1.0, -1.0
-        cartan.append(h)
+    cartan = [np.diag(chamber_diagonal(e, form)) for e in np.eye(q)]
     return LieAlgebra(f"o{p}{q}", basis, cartan, restricted_roots(form, n), form=form)
 
 
@@ -197,14 +192,11 @@ def adjoint_rep(g, algebra_tag):
     g = np.asarray(g, dtype=float)
     if g.shape != (alg.n, alg.n):
         raise ValueError(f"element must be {alg.n}x{alg.n}")
-    if algebra_tag.startswith("sl"):
-        if abs(np.linalg.det(g) - 1.0) > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(g) ** alg.n):
-            raise ValueError("element does not have determinant 1")
-    else:
-        gram = alg.form.gram
-        defect = np.linalg.norm(g.T @ gram @ g - gram, 2)
-        if defect > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(g, 2) ** 2):
-            raise ValueError("element does not preserve the form")
+    # kak's checks: finite and invertible for sl, in O(p, q) for o
+    _front(g[None], alg.form)
+    if alg.form is None and \
+            abs(np.linalg.det(g) - 1.0) > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(g) ** alg.n):
+        raise ValueError("element does not have determinant 1")
     ginv = np.linalg.inv(g)
     cols = [alg.coords(g @ b @ ginv) for b in alg.basis]
     return np.stack(cols, axis=1), alg.killing()

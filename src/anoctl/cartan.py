@@ -10,8 +10,10 @@ The form also fixes the group's data that the other modules read, each
 written here once: its restricted root system (``restricted_roots``),
 the diagonal of a chamber element (``chamber_diagonal``, whose exp is
 ``chamber_exp``), the theta of a simple root's flag (``flag_theta``; for
-p = q the (q-1)-plane flag is indexed by {alpha_{q-1}, alpha_q}) and
-theta's columns of the root gaps (``theta_gaps``).
+p = q the (q-1)-plane flag is indexed by {alpha_{q-1}, alpha_q}),
+theta's columns of the root gaps (``theta_gaps``) and the check that a
+matrix lies in the group (``_front``, which ``algebras.adjoint_rep``
+runs too).
 
 The chamber representative mu(g) is the vector of log singular values in
 a root-adapted order: all of them, weakly decreasing, for gl; the top q,
@@ -141,11 +143,12 @@ def restricted_roots(form, n):
 
 def chamber_diagonal(h, form=None):
     """The diagonal of the chamber element with epsilon coordinates h
-    (r,): h itself for gl; (h, 0, ..., 0, -h reversed), of length
-    form.n, for opq and onC."""
-    h = np.asarray(h, dtype=float)
+    (r,): h for gl, made contiguous, since numpy's exp rounds a strided
+    array on another path than a contiguous one; (h, 0, ..., 0, -h
+    reversed), of length form.n, for opq and onC."""
     if form is None:
-        return h
+        return np.ascontiguousarray(h, dtype=float)
+    h = np.asarray(h, dtype=float)
     d = np.zeros(form.n)
     d[:len(h)] = h
     d[form.n - len(h):] = -h[::-1]

@@ -7,6 +7,11 @@ Boundary points are matched through rank/kernel profiles of limit
 matrices, never through stabilizer subgroups; chamber limits are
 evaluated stably through the weight decomposition of the derived
 representation, so arbitrarily divergent sequences never overflow.
+
+A ``MatrixGroup`` states once how many epsilon coordinates its chamber
+elements have (``eps_dim``: n for gl, q otherwise); their Cartan
+matrices take cartan's ``chamber_diagonal``, and the weight probes run
+over the group's epsilon basis.
 """
 
 from __future__ import annotations
@@ -149,11 +154,16 @@ class MatrixGroup(NamedTuple):
     def tag(self):
         return tag_of(self.form)
 
+    @property
+    def eps_dim(self):
+        """Number of epsilon coordinates of a chamber element: n for gl,
+        q otherwise."""
+        return self.n if self.tag == "gl" else self.form.q
+
     def chamber_matrix(self, h_eps):
         h = np.asarray(h_eps, dtype=float)
-        size = self.n if self.tag == "gl" else self.form.q
-        if len(h) != size:
-            raise ValueError(f"need {size} epsilon coordinates")
+        if len(h) != self.eps_dim:
+            raise ValueError(f"need {self.eps_dim} epsilon coordinates")
         return np.diag(chamber_diagonal(h, self.form))
 
 
@@ -241,11 +251,11 @@ class SatakeLimit(NamedTuple):
         return self.numeric_rank == self.predicted_rank
 
 
-def tau_weights(tau, group, rank):
+def tau_weights(tau, group):
     """Integer weight vectors of the derived representation, one per
-    basis vector (with multiplicity), probed over the epsilon basis."""
-    probes = [group.chamber_matrix(_eps_unit(group, rank, j))
-              for j in range(rank)]
+    basis vector (with multiplicity), probed over the group's epsilon
+    basis."""
+    probes = [group.chamber_matrix(e) for e in np.eye(group.eps_dim)]
     mats = [0.5 * (tau.d_apply(p) + tau.d_apply(p).T) for p in probes]
     # generic dominant regular combination: decreasing positive weights
     # separating distinct integer weight vectors
@@ -256,18 +266,9 @@ def tau_weights(tau, group, rank):
         v = vecs[:, k]
         w = [float(v @ m @ v) for m in mats]
         weights.append(tuple(int(round(x)) for x in w))
-        if any(abs(w[j] - weights[-1][j]) > 1e-6 for j in range(rank)):
+        if any(abs(x - r) > 1e-6 for x, r in zip(w, weights[-1])):
             raise ValueError("weights did not round to integers")
     return weights
-
-
-def _eps_unit(group, rank, j):
-    if group.tag == "gl":
-        e = np.zeros(group.n)
-    else:
-        e = np.zeros(group.form.q)
-    e[j] = 1.0
-    return e
 
 
 def predicted_rank(rs, theta, weights):
@@ -313,7 +314,6 @@ def satake_limit(rs, support, h_seq, tau, group, thresholds=None):
     prev = satake_embed_chamber(h_seq[-2], tau, group) if len(h_seq) > 1 else point
     tail_step = float(np.linalg.norm(point.hermitian - prev.hermitian))
 
-    weights = tau_weights(tau, group, rs.eps_dim if group.tag == "gl"
-                          else group.form.q)
+    weights = tau_weights(tau, group)
     pred = predicted_rank(rs, limit.theta, weights)
     return SatakeLimit(point, orbit, point.rank(1e-12), pred, tail_step)

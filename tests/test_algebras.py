@@ -113,3 +113,49 @@ def test_adjoint_rejects_outsiders():
         adjoint_rep(np.diag([2.0, 1.0, 1.0]), "sl3")
     with pytest.raises(ValueError):
         adjoint_rep(np.diag([2.0, 1.0, 1.0]), "o21")
+
+
+TAGS = ("sl2", "sl3", "sl4", "o21", "o22", "o31", "o32", "o41")
+
+
+def cartan_reference(tag):
+    """The Cartan elements written out by hand: e_i - e_{i+1} for sl_n,
+    e_i - e_{n-1-i} (i < q) for o(p, q) in its Witt basis."""
+    n = int(tag[2]) if tag.startswith("sl") else int(tag[1]) + int(tag[2])
+    pairs = [(i, i + 1) for i in range(n - 1)] if tag.startswith("sl") else \
+        [(i, n - 1 - i) for i in range(int(tag[2]))]
+    out = []
+    for i, j in pairs:
+        h = np.zeros((n, n))
+        h[i, i], h[j, j] = 1.0, -1.0
+        out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_cartan_elements_are_the_hand_built_ones(tag):
+    alg = get_algebra(tag)
+    reference = cartan_reference(tag)
+    assert alg.rank == len(reference) == alg.root_system.rank
+    assert all(np.array_equal(h, r) for h, r in zip(alg.cartan, reference))
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_adjoint_rejects_non_finite_elements(tag):
+    n = get_algebra(tag).n
+    for bad in (np.nan, np.inf, -np.inf):
+        g = np.eye(n)
+        g[0, n - 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            adjoint_rep(g, tag)
+
+
+@pytest.mark.parametrize("tag", [t for t in TAGS if t.startswith("o")])
+def test_adjoint_rejects_elements_off_the_orthogonal_group(tag, rng):
+    alg = get_algebra(tag)
+    g = scipy.linalg.expm(alg.from_coords(0.3 * rng.standard_normal(alg.dim)))
+    adjoint_rep(g, tag)
+    # a multiple of a group element, and one moved off the group by 1e-6
+    for off in (1.001 * g, g + 1e-6 * np.eye(alg.n)[::-1] @ g):
+        with pytest.raises(ValueError, match="does not preserve the form"):
+            adjoint_rep(off, tag)

@@ -318,6 +318,13 @@ def test_malformed_option_exits_2(tmp_path, capsys, option, value):
     assert not (tmp_path / "domain.json").exists()
 
 
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys, command):
+    assert main([command, "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: seed must not be negative, got -1\n"
+    assert not os.listdir(tmp_path)
+
+
 def test_domain_pushes_planes_stretched_past_the_rank_tolerance(tmp_path):
     # at radius 4 ball elements stretch sampled 2-planes by more than 1e9
     # between their singular directions

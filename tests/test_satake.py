@@ -93,6 +93,18 @@ def test_matrix_group_takes_its_group_from_the_form():
                           np.diag([1.0, 0.5, 0.0, -0.5, -1.0]))
 
 
+def test_matrix_group_states_its_epsilon_dimension():
+    form = make_witt_form(3, 2)
+    assert MatrixGroup(4).eps_dim == 4
+    assert MatrixGroup(5, form).eps_dim == 2
+    for group in (MatrixGroup(4), MatrixGroup(5, form)):
+        with pytest.raises(ValueError, match=f"need {group.eps_dim} epsilon"):
+            group.chamber_matrix(np.ones(group.eps_dim + 1))
+        # tau_weights probes the group's epsilon basis, one coordinate each
+        assert all(len(w) == group.eps_dim
+                   for w in tau_weights(TauSpec.identity(), group))
+
+
 def test_chamber_embedding_matches_direct_at_moderate_scale():
     form = make_witt_form(3, 2)
     group = MatrixGroup(5, form)
@@ -324,7 +336,7 @@ def test_weights_are_integral():
     b2 = build_root_system("B", 2)
     form = make_witt_form(3, 2)
     group = MatrixGroup(5, form)
-    w = tau_weights(TauSpec.exterior(2), group, 2)
+    w = tau_weights(TauSpec.exterior(2), group)
     assert len(w) == 10
     assert (1, 1) in w and (0, 0) in w
     assert predicted_rank(b2, theta(b2), w) == 10
